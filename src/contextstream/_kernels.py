@@ -1,70 +1,61 @@
-"""Hot numeric kernels: boolean reachability, transitive-reduction pruning,
-label repair against an ancestor matrix, and perceptron updates.
+"""Hot numeric kernels: one topological sweep for reachability and transitive
+reduction, label repair against an ancestor matrix, and perceptron updates.
 
-Each kernel has a pure-numpy implementation and a numba-jitted one. The JIT
-path is used when numba imports cleanly and the environment variable
-CONTEXTSTREAM_NUMBA is not set to 0/false/no; the numpy path is always
-available for benchmarking via the module-level ``*_numpy`` names.
-
-Conventions: ``adj[i, j]`` is True when node j is a direct parent of node i;
-``anc[i, j]`` is True when j is a strict ancestor of i (reachable over parent
-edges); label vectors are uint8 arrays of 0/1.
+Conventions: node indexes are topological with every parent above its child;
+``pairs`` is an (m, 2) int array of (child, parent) edges; ``anc[i, j]`` is
+True when j is a strict ancestor of i (reachable over parent edges); label
+vectors are uint8 arrays of 0/1. Everything is bool logic, so no path count
+can wrap around.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 
-def _env_allows_numba() -> bool:
-    return os.environ.get("CONTEXTSTREAM_NUMBA", "1").lower() not in ("0", "false", "no")
+def ancestor_sweep(n: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Strict ancestor rows and the edges a longer path does not imply.
+
+    Sweeps from the top index down, so every parent row is final before its
+    children read it: ``anc[i]`` is the OR over parents p of ``e_p | anc[p]``,
+    and edge i->p is redundant exactly when p is an ancestor of another parent
+    of i (the unique reduction of a DAG). Returns ``(anc, keep)`` where
+    ``keep[k]`` is True when ``pairs[k]`` survives the reduction.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if (pairs[:, 1] <= pairs[:, 0]).any():
+        raise ValueError("edge indexes are not topological (parent must exceed child)")
+    anc = np.zeros((n, n), dtype=bool)
+    keep = np.ones(len(pairs), dtype=bool)
+    by_child = np.argsort(pairs[:, 0], kind="stable")
+    bounds = np.searchsorted(pairs[by_child, 0], np.arange(n + 1))
+    for i in range(n - 1, -1, -1):
+        edges = by_child[bounds[i]:bounds[i + 1]]
+        if edges.size == 0:
+            continue
+        parents = pairs[edges, 1]
+        rows = anc[parents]
+        anc[i] = rows.any(axis=0)
+        anc[i, parents] = True
+        # no node is its own strict ancestor, so p's own row never votes
+        keep[edges] = ~rows[:, parents].any(axis=0)
+    return anc, keep
 
 
-def closure_numpy(adj: np.ndarray) -> np.ndarray:
-    """Strict reachability matrix by path doubling."""
-    reach = adj.astype(bool).copy()
-    while True:
-        step = (reach.astype(np.uint8) @ reach.astype(np.uint8)) > 0
-        new = reach | step
-        if np.array_equal(new, reach):
-            return new
-        reach = new
-
-
-def prune_redundant_numpy(adj: np.ndarray, reach: np.ndarray) -> np.ndarray:
-    """Drop every edge implied by a longer path (unique on DAGs)."""
-    implied = (adj.astype(np.uint8) @ reach.astype(np.uint8)) > 0
-    return adj & ~implied
-
-
-def repair_up_numpy(y: np.ndarray, anc: np.ndarray) -> np.ndarray:
+def repair_up(y: np.ndarray, anc: np.ndarray) -> np.ndarray:
     yb = y.astype(bool)
     if not yb.any():
         return yb.astype(np.uint8)
     return (yb | anc[yb].any(axis=0)).astype(np.uint8)
 
 
-def repair_down_numpy(y: np.ndarray, anc: np.ndarray) -> np.ndarray:
+def repair_down(y: np.ndarray, anc: np.ndarray) -> np.ndarray:
     yb = y.astype(bool)
     kill = (anc & ~yb[None, :]).any(axis=1)
     return (yb & ~kill).astype(np.uint8)
 
 
-def repair_up_batch_numpy(ys: np.ndarray, anc: np.ndarray) -> np.ndarray:
-    yb = ys.astype(bool)
-    closed = (yb.astype(np.uint8) @ anc.astype(np.uint8)) > 0
-    return (yb | closed).astype(np.uint8)
-
-
-def repair_down_batch_numpy(ys: np.ndarray, anc: np.ndarray) -> np.ndarray:
-    yb = ys.astype(bool)
-    kill = ((~yb).astype(np.uint8) @ anc.T.astype(np.uint8)) > 0
-    return (yb & ~kill).astype(np.uint8)
-
-
-def perceptron_step_numpy(
+def perceptron_step(
     weights: np.ndarray, bias: np.ndarray, x: np.ndarray, y: np.ndarray, lr: float
 ) -> int:
     """One online update of per-node binary perceptrons; in-place, returns
@@ -78,146 +69,3 @@ def perceptron_step_numpy(
     weights[wrong] += delta[:, None] * x[None, :]
     bias[wrong] += delta
     return int(wrong.sum())
-
-
-USING_NUMBA = False
-
-if _env_allows_numba():
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-    if njit is not None:
-        USING_NUMBA = True
-
-        @njit(cache=True)
-        def closure_jit(adj):  # pragma: no cover - exercised via dispatch
-            n = adj.shape[0]
-            out = np.zeros((n, n), dtype=np.bool_)
-            stack = np.empty(n, dtype=np.int64)
-            for i in range(n):
-                top = 0
-                for j in range(n):
-                    if adj[i, j]:
-                        out[i, j] = True
-                        stack[top] = j
-                        top += 1
-                while top > 0:
-                    top -= 1
-                    u = stack[top]
-                    for v in range(n):
-                        if adj[u, v] and not out[i, v]:
-                            out[i, v] = True
-                            stack[top] = v
-                            top += 1
-            return out
-
-        @njit(cache=True)
-        def prune_redundant_jit(adj, reach):  # pragma: no cover
-            n = adj.shape[0]
-            out = np.zeros((n, n), dtype=np.bool_)
-            for i in range(n):
-                for j in range(n):
-                    if not adj[i, j]:
-                        continue
-                    keep = True
-                    for k in range(n):
-                        if adj[i, k] and reach[k, j]:
-                            keep = False
-                            break
-                    out[i, j] = keep
-            return out
-
-        @njit(cache=True)
-        def repair_up_jit(y, anc):  # pragma: no cover
-            n = y.shape[0]
-            out = np.zeros(n, dtype=np.uint8)
-            for i in range(n):
-                if y[i]:
-                    out[i] = 1
-                    for j in range(n):
-                        if anc[i, j]:
-                            out[j] = 1
-            return out
-
-        @njit(cache=True)
-        def repair_down_jit(y, anc):  # pragma: no cover
-            n = y.shape[0]
-            out = np.zeros(n, dtype=np.uint8)
-            for i in range(n):
-                if not y[i]:
-                    continue
-                keep = True
-                for j in range(n):
-                    if anc[i, j] and not y[j]:
-                        keep = False
-                        break
-                if keep:
-                    out[i] = 1
-            return out
-
-        @njit(cache=True)
-        def repair_up_batch_jit(ys, anc):  # pragma: no cover
-            t, n = ys.shape
-            out = np.zeros((t, n), dtype=np.uint8)
-            for r in range(t):
-                for i in range(n):
-                    if ys[r, i]:
-                        out[r, i] = 1
-                        for j in range(n):
-                            if anc[i, j]:
-                                out[r, j] = 1
-            return out
-
-        @njit(cache=True)
-        def repair_down_batch_jit(ys, anc):  # pragma: no cover
-            t, n = ys.shape
-            out = np.zeros((t, n), dtype=np.uint8)
-            for r in range(t):
-                for i in range(n):
-                    if not ys[r, i]:
-                        continue
-                    keep = True
-                    for j in range(n):
-                        if anc[i, j] and not ys[r, j]:
-                            keep = False
-                            break
-                    if keep:
-                        out[r, i] = 1
-            return out
-
-        @njit(cache=True)
-        def perceptron_step_jit(weights, bias, x, y, lr):  # pragma: no cover
-            n_nodes, n_feat = weights.shape
-            wrong = 0
-            for i in range(n_nodes):
-                s = bias[i]
-                for k in range(n_feat):
-                    s += weights[i, k] * x[k]
-                pred = s > 0.0
-                target = y[i] > 0
-                if pred != target:
-                    wrong += 1
-                    delta = lr if target else -lr
-                    for k in range(n_feat):
-                        weights[i, k] += delta * x[k]
-                    bias[i] += delta
-            return wrong
-
-
-if USING_NUMBA:
-    closure = closure_jit
-    prune_redundant = prune_redundant_jit
-    repair_up = repair_up_jit
-    repair_down = repair_down_jit
-    repair_up_batch = repair_up_batch_jit
-    repair_down_batch = repair_down_batch_jit
-    perceptron_step = perceptron_step_jit
-else:
-    closure = closure_numpy
-    prune_redundant = prune_redundant_numpy
-    repair_up = repair_up_numpy
-    repair_down = repair_down_numpy
-    repair_up_batch = repair_up_batch_numpy
-    repair_down_batch = repair_down_batch_numpy
-    perceptron_step = perceptron_step_numpy

@@ -148,27 +148,23 @@ class Hierarchy:
             raise UnknownIdError(f"unknown node {node_id!r}") from None
 
     @cached_property
-    def adjacency(self) -> np.ndarray:
-        """adj[i, j] True when node j is a direct parent of node i."""
-        n = len(self.nodes)
-        adj = np.zeros((n, n), dtype=bool)
-        idx = self._index
-        for child, parent in self.edges:
-            adj[idx[child], idx[parent]] = True
-        return adj
-
-    @cached_property
-    def ancestor_matrix(self) -> np.ndarray:
-        """anc[i, j] True when node j is a strict ancestor of node i."""
-        return np.asarray(_kernels.closure(self.adjacency))
-
-    @cached_property
     def edge_index_pairs(self) -> np.ndarray:
         """Edges as an (m, 2) int array of (child, parent) order indexes."""
         idx = self._index
         if not self.edges:
             return np.empty((0, 2), dtype=np.int64)
         return np.array([(idx[c], idx[p]) for c, p in self.edges], dtype=np.int64)
+
+    @cached_property
+    def _sweep(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ancestor matrix, mask over `edges`: True where no longer path
+        implies the edge)."""
+        return _kernels.ancestor_sweep(len(self.nodes), self.edge_index_pairs)
+
+    @property
+    def ancestor_matrix(self) -> np.ndarray:
+        """anc[i, j] True when node j is a strict ancestor of node i."""
+        return self._sweep[0]
 
 
 def find_cycle(edges: Iterable[tuple[str, str]]) -> list[str] | None:
@@ -349,15 +345,13 @@ def _pinst_display(etg: ETG, eg: EG, t: PropertyValue) -> str:
 def transitive_reduction(h: Hierarchy) -> Hierarchy:
     """The unique minimal edge set with the same reachability; nodes and root
     are unchanged. Cyclic input raises CycleError with a witness."""
-    h.node_order  # raises on cycles
-    adj = h.adjacency
-    reach = np.asarray(_kernels.closure(adj))
-    reduced = np.asarray(_kernels.prune_redundant(adj, reach))
-    order = h.node_order
-    kept = [
-        (order[i], order[j]) for i, j in np.argwhere(reduced)
-    ]
-    return Hierarchy(h.nodes.values(), kept, h.root)
+    anc, keep = h._sweep  # raises on cycles
+    reduced = Hierarchy(h.nodes.values(), [e for e, k in zip(h.edges, keep) if k], h.root)
+    # reduction keeps reachability, so h's ancestor rows are the reduced
+    # graph's too, once mapped through node ids onto its own node order
+    rows = np.array([h.index_of(nid) for nid in reduced.node_order], dtype=np.int64)
+    reduced._sweep = (anc[np.ix_(rows, rows)], np.ones(len(reduced.edges), dtype=bool))
+    return reduced
 
 
 def validate_hierarchy(
@@ -382,13 +376,9 @@ def validate_hierarchy(
             report.add("orphan", "non-root node has no parent", nid)
         elif not anc[h.index_of(nid), root_idx]:
             report.add("unrooted", "root not reachable", nid)
-    reduced = np.asarray(_kernels.prune_redundant(h.adjacency, anc))
-    extra = np.argwhere(h.adjacency & ~reduced)
-    for i, j in extra:
-        report.add(
-            "redundant-edge",
-            f"edge implied by a longer path: {h.node_order[i]} -> {h.node_order[j]}",
-        )
+    order = h.node_order
+    for i, j in sorted(h.edge_index_pairs[~h._sweep[1]].tolist()):
+        report.add("redundant-edge", f"edge implied by a longer path: {order[i]} -> {order[j]}")
     for node in h.nodes.values():
         if node.kind is NodeKind.ROOT:
             continue

@@ -59,22 +59,28 @@ def check_consistency(h: Hierarchy, y: Sequence[int] | np.ndarray) -> list[Consi
 def repair_upward(h: Hierarchy, y: Sequence[int] | np.ndarray) -> LabelVector:
     """Minimal consistent superset: set bits plus all their ancestors."""
     arr = _as_vector(h, y)
-    return np.asarray(_kernels.repair_up(arr, h.ancestor_matrix), dtype=np.uint8)
+    return _kernels.repair_up(arr, h.ancestor_matrix)
 
 
 def repair_downward(h: Hierarchy, y: Sequence[int] | np.ndarray) -> LabelVector:
     """Maximal consistent subset: keep a bit only when all its ancestors are
     set in the input."""
     arr = _as_vector(h, y)
-    return np.asarray(_kernels.repair_down(arr, h.ancestor_matrix), dtype=np.uint8)
+    return _kernels.repair_down(arr, h.ancestor_matrix)
 
 
 def repair_upward_batch(h: Hierarchy, ys: np.ndarray) -> np.ndarray:
-    return np.asarray(_kernels.repair_up_batch(np.asarray(ys, dtype=np.uint8), h.ancestor_matrix))
+    """`repair_upward` applied to every row of a label matrix."""
+    anc = h.ancestor_matrix
+    return np.array([_kernels.repair_up(y, anc) for y in np.asarray(ys, dtype=np.uint8)],
+                    dtype=np.uint8).reshape(np.shape(ys))
 
 
 def repair_downward_batch(h: Hierarchy, ys: np.ndarray) -> np.ndarray:
-    return np.asarray(_kernels.repair_down_batch(np.asarray(ys, dtype=np.uint8), h.ancestor_matrix))
+    """`repair_downward` applied to every row of a label matrix."""
+    anc = h.ancestor_matrix
+    return np.array([_kernels.repair_down(y, anc) for y in np.asarray(ys, dtype=np.uint8)],
+                    dtype=np.uint8).reshape(np.shape(ys))
 
 
 def labels_from_eg(h: Hierarchy, snapshot: EG, etg: ETG) -> LabelVector:

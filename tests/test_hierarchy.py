@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from contextstream.errors import CycleError, UnknownIdError
@@ -17,8 +18,10 @@ from contextstream.hierarchy import (
 )
 from contextstream.io import load_hierarchy
 from contextstream.kg import EG, ETG, Entity, EntityType, ObjectPropertyDef, PropertyValue
+from contextstream.labels import check_consistency, repair_upward, zeros
+from contextstream.learn import OnlinePerceptron, train_step
 
-from conftest import GOLDEN, dfs_reachable_pairs, random_dag
+from conftest import GOLDEN, dfs_closure_ids, dfs_reachable_pairs, random_dag
 
 
 def plain_node(nid: str) -> ConceptNode:
@@ -140,6 +143,33 @@ def test_collapse_override_reifies_part_of():
     assert ("entity:roads_2", "entity:trentino") not in reified.edges
 
 
+def test_entity_liked_256_times_keeps_every_ancestor():
+    # the object of 256 reified likes triples has 256 instance parents that
+    # all reach prop:likes; a path count modulo 256 would drop it
+    etg = minimal_etg(
+        properties=[ObjectPropertyDef("likes", "likes", "thing", "thing", False)],
+        q=[],
+    )
+    fans = [Entity(f"fan{i:03d}", f"Fan {i}", "thing") for i in range(256)]
+    eg = EG(
+        [Entity("star", "Star", "thing"), *fans],
+        [PropertyValue("likes", fan.id, "star") for fan in fans],
+    )
+    h = compile_hierarchy(etg, eg)
+    star = h.index_of("entity:star")
+    got = {h.node_order[j] for j in np.flatnonzero(h.ancestor_matrix[star])}
+    assert got == dfs_closure_ids(set(h.edges), {"entity:star"}) - {"entity:star"}
+    assert "prop:likes" in got
+    assert ("entity:star", "etype:thing") not in h.edges
+    y = zeros(h)
+    y[star] = 1
+    up = repair_upward(h, y)
+    assert check_consistency(h, up) == []
+    model = OnlinePerceptron.zeros(len(h), 2)
+    train_step(model, np.ones(2), up, h)
+    assert model.steps == 1
+
+
 def test_duplicate_triples_collapse_to_one_instance_node():
     etg = minimal_etg(
         properties=[ObjectPropertyDef("likes", "likes", "thing", "thing", False)],
@@ -227,6 +257,11 @@ def test_reduction_preserves_reachability_against_oracle():
             len(h.nodes), {(index[a], index[b]) for a, b in reduced.edges}
         )
         assert before == after
+        order = reduced.node_order
+        ancestors = {
+            (index[order[i]], index[order[j]]) for i, j in np.argwhere(reduced.ancestor_matrix)
+        }
+        assert ancestors == before
         # no removable edge: dropping any edge loses reachability
         reduced_set = set(reduced.edges)
         for edge in reduced.edges:
@@ -234,6 +269,19 @@ def test_reduction_preserves_reachability_against_oracle():
             assert (index[edge[0]], index[edge[1]]) not in dfs_reachable_pairs(
                 len(h.nodes), thinner
             )
+
+
+def test_reduction_drops_shortcut_past_256_parents():
+    # n000 has 256 parents that all reach n257, so the shortcut n000 -> n257
+    # is implied 256 times; a path count modulo 256 would keep it
+    edges = {(0, k) for k in range(1, 257)} | {(k, 257) for k in range(1, 257)} | {(0, 257)}
+    h = hierarchy_from_indexed(258, edges)
+    assert ("n00", "n257") in h.edges
+    reduced = transitive_reduction(h)
+    assert set(reduced.edges) == set(h.edges) - {("n00", "n257")}
+    findings = list(validate_hierarchy(h))
+    assert [f.code for f in findings] == ["redundant-edge"]
+    assert "n00 -> n257" in findings[0].message
 
 
 def test_reduction_rejects_cycles_with_witness():

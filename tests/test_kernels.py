@@ -1,18 +1,13 @@
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
 from contextstream import _kernels
 
 from conftest import dfs_reachable_pairs, random_dag
-
-
-def adj_from_edges(n, edges):
-    adj = np.zeros((n, n), dtype=bool)
-    for a, b in edges:
-        adj[a, b] = True
-    return adj
 
 
 def reach_oracle(n, edges):
@@ -22,47 +17,84 @@ def reach_oracle(n, edges):
     return reach
 
 
-IMPLS = [("numpy", False)] + ([("numba", True)] if _kernels.USING_NUMBA else [])
+def implied_by_longer_path(edges, edge):
+    """True when edge (a, b) is implied: b is reachable from a by DFS over
+    every edge except (a, b) itself."""
+    a, b = edge
+    adj: dict[int, list[int]] = {}
+    for c, p in edges:
+        if (c, p) != edge:
+            adj.setdefault(c, []).append(p)
+    stack, seen = list(adj.get(a, ())), set()
+    while stack:
+        node = stack.pop()
+        if node == b:
+            return True
+        if node not in seen:
+            seen.add(node)
+            stack.extend(adj.get(node, ()))
+    return False
 
 
-def kernel(name, jitted):
-    return getattr(_kernels, f"{name}_{'jit' if jitted else 'numpy'}")
+def sweep(n, edges):
+    pairs = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+    anc, keep = _kernels.ancestor_sweep(n, pairs)
+    kept = {(int(c), int(p)) for (c, p), k in zip(pairs, keep) if k}
+    return anc, kept
 
 
-@pytest.mark.parametrize("label,jitted", IMPLS)
-def test_closure_matches_dfs_oracle(label, jitted):
-    rng = np.random.default_rng(7)
-    import random as pyrandom
+def check_against_oracles(n, edges):
+    anc, kept = sweep(n, edges)
+    assert anc.dtype == bool and anc.flags.c_contiguous
+    assert np.array_equal(anc, reach_oracle(n, edges))
+    assert kept == {e for e in edges if not implied_by_longer_path(edges, e)}
 
-    pr = pyrandom.Random(7)
+
+def wide_dag(rng, n, width):
+    """A random DAG on n nodes plus one wide layer: node 0 has `width`
+    parents 1..width, each with the parent n-1, and a shortcut 0 -> n-1."""
+    edges = random_dag(rng, n, p=min(1.0, 3.0 / n))
+    edges |= {(0, k) for k in range(1, width + 1)}
+    edges |= {(k, n - 1) for k in range(1, width + 1)}
+    edges.add((0, n - 1))
+    return edges
+
+
+def test_closure_matches_dfs_oracle():
+    rng = random.Random(7)
     for _ in range(30):
-        n = int(rng.integers(1, 40))
-        edges = random_dag(pr, n, p=0.2)
-        adj = adj_from_edges(n, edges)
-        got = np.asarray(kernel("closure", jitted)(adj))
-        assert np.array_equal(got, reach_oracle(n, edges))
+        n = rng.randint(1, 40)
+        check_against_oracles(n, random_dag(rng, n, p=0.2))
 
 
-@pytest.mark.parametrize("label,jitted", IMPLS)
-def test_prune_redundant_drops_exactly_implied_edges(label, jitted):
+def test_prune_redundant_drops_exactly_implied_edges():
     # chain plus shortcut: 0->1->2 with shortcut 0->2
-    adj = adj_from_edges(3, {(0, 1), (1, 2), (0, 2)})
-    reach = np.asarray(kernel("closure", jitted)(adj))
-    reduced = np.asarray(kernel("prune_redundant", jitted)(adj, reach))
-    assert reduced[0, 1] and reduced[1, 2]
-    assert not reduced[0, 2]
+    anc, kept = sweep(3, {(0, 1), (1, 2), (0, 2)})
+    assert kept == {(0, 1), (1, 2)}
+    assert anc[0, 2]
 
 
-@pytest.mark.parametrize("label,jitted", IMPLS)
-def test_repair_kernels_match_naive(label, jitted):
+def test_sweep_large_and_wide_dags_match_dfs_oracles():
+    # path counts over a 256-wide layer wrap to 0 in uint8 arithmetic
+    rng = random.Random(41)
+    for n in (300, 277, 260):
+        check_against_oracles(n, wide_dag(rng, n, width=256))
+    for _ in range(4):
+        n = rng.randint(50, 300)
+        check_against_oracles(n, random_dag(rng, n, p=rng.uniform(0.005, 0.05)))
+
+
+def test_sweep_rejects_non_topological_indexes():
+    with pytest.raises(ValueError):
+        _kernels.ancestor_sweep(2, np.array([[1, 0]]))
+
+
+def test_repair_kernels_match_naive():
     rng = np.random.default_rng(11)
-    import random as pyrandom
-
-    pr = pyrandom.Random(11)
+    pr = random.Random(11)
     for _ in range(20):
         n = int(rng.integers(1, 25))
-        edges = random_dag(pr, n, p=0.25)
-        anc = reach_oracle(n, edges)
+        anc = reach_oracle(n, random_dag(pr, n, p=0.25))
         y = (rng.random(n) < 0.4).astype(np.uint8)
 
         naive_up = y.astype(bool).copy()
@@ -73,26 +105,12 @@ def test_repair_kernels_match_naive(label, jitted):
             [bool(y[i]) and not (anc[i] & ~y.astype(bool)).any() for i in range(n)]
         )
 
-        up = np.asarray(kernel("repair_up", jitted)(y, anc), dtype=bool)
-        down = np.asarray(kernel("repair_down", jitted)(y, anc), dtype=bool)
-        assert np.array_equal(up, naive_up)
-        assert np.array_equal(down, naive_down)
-
-        ys = (rng.random((6, n)) < 0.4).astype(np.uint8)
-        up_b = np.asarray(kernel("repair_up_batch", jitted)(ys, anc))
-        down_b = np.asarray(kernel("repair_down_batch", jitted)(ys, anc))
-        for r in range(6):
-            assert np.array_equal(
-                up_b[r], np.asarray(kernel("repair_up", jitted)(ys[r], anc))
-            )
-            assert np.array_equal(
-                down_b[r], np.asarray(kernel("repair_down", jitted)(ys[r], anc))
-            )
+        assert np.array_equal(_kernels.repair_up(y, anc).astype(bool), naive_up)
+        assert np.array_equal(_kernels.repair_down(y, anc).astype(bool), naive_down)
 
 
-@pytest.mark.parametrize("label,jitted", IMPLS)
-def test_perceptron_step_math(label, jitted):
-    step = kernel("perceptron_step", jitted)
+def test_perceptron_step_math():
+    step = _kernels.perceptron_step
     W = np.zeros((2, 3))
     b = np.zeros(2)
     x = np.array([1.0, 2.0, 0.0])
@@ -108,46 +126,3 @@ def test_perceptron_step_math(label, jitted):
     assert wrong == 1
     assert W[0].tolist() == [0.0, 0.0, 0.0]
     assert b[0] == 0.0
-
-
-@pytest.mark.skipif(not _kernels.USING_NUMBA, reason="numba disabled or unavailable")
-def test_numba_and_numpy_paths_agree():
-    rng = np.random.default_rng(13)
-    import random as pyrandom
-
-    pr = pyrandom.Random(13)
-    for _ in range(10):
-        n = int(rng.integers(2, 30))
-        adj = adj_from_edges(n, random_dag(pr, n, p=0.2))
-        reach_np = _kernels.closure_numpy(adj)
-        reach_jit = np.asarray(_kernels.closure_jit(adj))
-        assert np.array_equal(reach_np, reach_jit)
-        assert np.array_equal(
-            _kernels.prune_redundant_numpy(adj, reach_np),
-            np.asarray(_kernels.prune_redundant_jit(adj, reach_jit)),
-        )
-        W1 = rng.normal(size=(n, 4)); W2 = W1.copy()
-        b1 = rng.normal(size=n); b2 = b1.copy()
-        x = rng.normal(size=4)
-        y = (rng.random(n) < 0.5).astype(np.uint8)
-        w_np = _kernels.perceptron_step_numpy(W1, b1, x, y, 0.3)
-        w_jit = _kernels.perceptron_step_jit(W2, b2, x, y, 0.3)
-        assert w_np == w_jit
-        assert np.allclose(W1, W2) and np.allclose(b1, b2)
-
-
-def test_env_flag_selects_numpy():
-    import subprocess
-    import sys
-
-    code = (
-        "import os; os.environ['CONTEXTSTREAM_NUMBA']='0';"
-        "from contextstream import _kernels;"
-        "assert not _kernels.USING_NUMBA;"
-        "assert _kernels.closure is _kernels.closure_numpy;"
-        "print('numpy-path-ok')"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    )
-    assert "numpy-path-ok" in out.stdout

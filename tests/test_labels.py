@@ -15,6 +15,7 @@ from contextstream.labels import (
 )
 
 from conftest import dfs_closure_ids
+from test_hierarchy import hierarchy_from_indexed
 from test_kg import ROW2
 
 
@@ -197,3 +198,23 @@ def test_batch_repairs_match_single(travel_hierarchy):
     for row, y in enumerate(ys):
         assert np.array_equal(up_batch[row], repair_upward(travel_hierarchy, y))
         assert np.array_equal(down_batch[row], repair_downward(travel_hierarchy, y))
+
+
+def test_batch_repairs_past_256_bits():
+    # 256 set bits share the ancestors n256 and root, and n257 has 256 unset
+    # ancestors; counts modulo 256 would miss both
+    star = hierarchy_from_indexed(257, {(k, 256) for k in range(256)})
+    deep = hierarchy_from_indexed(258, {(257, k) for k in range(1, 256)})
+    cases = [
+        (star, {f"n{k:02d}" for k in range(256)}),
+        (deep, {"n257"}),
+    ]
+    for h, seeds in cases:
+        ys = np.stack([ids_to_bits(h, seeds), zeros(h)])
+        up = repair_upward_batch(h, ys)
+        down = repair_downward_batch(h, ys)
+        assert bits_to_ids(h, up[0]) == dfs_closure_ids(set(h.edges), seeds)
+        for row, y in enumerate(ys):
+            assert np.array_equal(up[row], repair_upward(h, y))
+            assert np.array_equal(down[row], repair_downward(h, y))
+    assert not repair_downward_batch(deep, ids_to_bits(deep, {"n257"})[None, :]).any()
