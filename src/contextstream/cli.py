@@ -126,16 +126,14 @@ def _cmd_compile(args, config: io.Config) -> int:
 
 def _validate_one(path: str) -> ValidationReport:
     report = ValidationReport()
-    doc = io._read_json(path) if not path.endswith(".jsonl") else None
-    if doc is None:
-        # JSONL streams and run logs validate by loading
-        with open(path, encoding="utf-8") as fh:
-            first = fh.readline()
-        if '"runlog/1"' in first:
+    if path.endswith(".jsonl"):
+        # JSONL streams and run logs validate by loading; the header names the kind
+        if io.jsonl_format(path) == io.FORMATS["runlog"]:
             io.load_runlog(path)
         else:
             io.load_stream(path)
         return report
+    doc = io._read_json(path)
     tag = doc.get("format", "")
     kind = tag.split("/")[0] if isinstance(tag, str) else ""
     if kind == "etg":

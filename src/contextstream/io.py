@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .core import (
     StreamRecord,
     StreamingContext,
     Timestamp,
-    append_record,
+    _validate_record_chains,
     format_timestamp,
     parse_timestamp,
 )
@@ -45,8 +45,8 @@ FORMATS = {
 }
 
 
-def _check_format(doc: Mapping[str, Any], kind: str, path: Any) -> None:
-    tag = doc.get("format")
+def _check_format(doc: Any, kind: str, path: Any) -> None:
+    tag = doc.get("format") if isinstance(doc, Mapping) else None
     if tag != FORMATS[kind]:
         raise FormatError(path, f"expected format {FORMATS[kind]!r}, found {tag!r}")
 
@@ -57,6 +57,28 @@ def _read_json(path: str | Path) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(path, exc.msg, line=exc.lineno, col=exc.colno) from None
+
+
+def _jsonl_docs(path: str | Path) -> Iterator[tuple[int, Any]]:
+    """(line number, parsed JSON) for every non-blank line of a JSONL file."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise FormatError(path, exc.msg, line=lineno, col=exc.colno) from None
+            yield lineno, doc
+
+
+def jsonl_format(path: str | Path) -> Any:
+    """The `format` tag of a JSONL file's header (its first non-blank line);
+    None when the file is blank or the header is not an object."""
+    for _, header in _jsonl_docs(path):
+        return header.get("format") if isinstance(header, Mapping) else None
+    return None
 
 
 def _write_json(path: str | Path, doc: Any) -> None:
@@ -303,23 +325,21 @@ def record_from_dict(d: Mapping[str, Any], path: Any = "<memory>", ts: Timestamp
 
 
 def load_stream(path: str | Path, containment: Containment | None = None) -> StreamingContext:
-    """Read a JSONL stream: a format header line, then one record per line."""
-    stream = StreamingContext()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(path, exc.msg, line=lineno, col=exc.colno) from None
-            if lineno == 1:
-                _check_format(doc, "stream", path)
-                continue
-            record = record_from_dict(doc, path)
-            stream = append_record(stream, record, containment)
-    return stream
+    """Read a JSONL stream: a format header on the first non-blank line, then
+    one record per line. Each record's declared supers are checked against
+    `containment` as it is read; the timestamp order is checked once, when
+    the stream is built."""
+    docs = _jsonl_docs(path)
+    for _, header in docs:
+        _check_format(header, "stream", path)
+        break
+    records: list[StreamRecord] = []
+    for _, doc in docs:
+        record = record_from_dict(doc, path)
+        if containment is not None:
+            _validate_record_chains(record, containment)
+        records.append(record)
+    return StreamingContext(tuple(records))
 
 
 def save_stream(path: str | Path, stream: StreamingContext) -> None:
@@ -528,26 +548,26 @@ def save_runlog(path: str | Path, node_order: Sequence[str], manifest: Sequence[
 
 
 def load_runlog(path: str | Path) -> tuple[dict, np.ndarray, np.ndarray, list[dict]]:
-    """Returns (header, predictions, truths, raw event dicts)."""
+    """Returns (header, predictions, truths, raw event dicts). The header is
+    the first non-blank line; every event's rows have one entry per node."""
+    docs = _jsonl_docs(path)
     header: dict | None = None
-    events: list[dict] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(path, exc.msg, line=lineno, col=exc.colno) from None
-            if lineno == 1:
-                _check_format(doc, "runlog", path)
-                header = doc
-                continue
-            events.append(doc)
+    for lineno, header in docs:
+        _check_format(header, "runlog", path)
+        if not isinstance(header.get("nodes"), list):
+            raise FormatError(path, "run log header lists no nodes", line=lineno)
+        break
     if header is None:
         raise FormatError(path, "empty run log")
     n = len(header["nodes"])
+    events: list[dict] = []
+    for lineno, doc in docs:
+        for key in ("prediction", "truth"):
+            row = doc.get(key) if isinstance(doc, Mapping) else None
+            if not isinstance(row, list) or len(row) != n:
+                raise FormatError(path, f"event {key} must list {n} entries, one per node",
+                                  line=lineno)
+        events.append(doc)
     preds = np.array([e["prediction"] for e in events], dtype=np.uint8).reshape(-1, n)
     truths = np.array([e["truth"] for e in events], dtype=np.uint8).reshape(-1, n)
     return header, preds, truths, events

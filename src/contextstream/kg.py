@@ -2,8 +2,10 @@
 per-record snapshots of the streaming context, and recognized-context updates.
 
 The streaming context is treated as a stream of entity graphs: each snapshot
-copies the static graph and regenerates every context-dependent triple from
-one stream record.
+keeps the static graph's context-free triples and regenerates every
+context-dependent triple from one stream record. A snapshot shares the static
+graph's entities, its id and name indexes and its observer instead of
+rebuilding them, so the per-record work does not grow with the entity count.
 """
 
 from __future__ import annotations
@@ -204,6 +206,19 @@ class EG:
         for e in self.entities:
             self._by_id.setdefault(e.id, e)
             self._by_name.setdefault(e.name, []).append(e)
+        # (etg, observer) and (etg, context-free triples, their set), keyed on
+        # the ETG object itself: ETGs are immutable but not hashable
+        self._observer: tuple[ETG, Entity | None] | None = None
+        self._static: tuple[ETG, tuple[PropertyValue, ...], frozenset[PropertyValue]] | None = None
+
+    def _with_triples(self, triples: tuple[PropertyValue, ...], at: Timestamp | None) -> EG:
+        """A graph over the same entities with duplicate-free `triples`; it
+        shares the entity tuple, both indexes and the observer."""
+        eg = object.__new__(EG)
+        eg.entities, eg.triples, eg.at = self.entities, triples, at
+        eg._by_id, eg._by_name = self._by_id, self._by_name
+        eg._observer, eg._static = self._observer, None
+        return eg
 
     def entity(self, entity_id: str) -> Entity:
         try:
@@ -226,12 +241,26 @@ class EG:
 
     def me_entity(self, etg: ETG) -> Entity | None:
         """The unique entity typed by the observer etype, if any."""
-        mine = [
-            e
-            for e in self.entities
-            if e.etype in etg.etypes and etg.is_subtype(e.etype, etg.me_etype)
-        ]
-        return mine[0] if len(mine) == 1 else None
+        if self._observer is None or self._observer[0] is not etg:
+            mine = [
+                e
+                for e in self.entities
+                if e.etype in etg.etypes and etg.is_subtype(e.etype, etg.me_etype)
+            ]
+            self._observer = (etg, mine[0] if len(mine) == 1 else None)
+        return self._observer[1]
+
+    def _context_free(self, etg: ETG) -> tuple[tuple[PropertyValue, ...], frozenset[PropertyValue]]:
+        """The triples whose property is not context-dependent under `etg`
+        (undeclared properties count as static), in order and as a set."""
+        if self._static is None or self._static[0] is not etg:
+            kept = tuple(
+                t
+                for t in self.triples
+                if t.property not in etg.properties or not etg.properties[t.property].context_dependent
+            )
+            self._static = (etg, kept, frozenset(kept))
+        return self._static[1], self._static[2]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EG):
@@ -347,6 +376,8 @@ def snapshot_eg(
 ) -> EG:
     """The entity graph at record.ts: static triples are kept, every
     context-dependent triple is dropped and regenerated from the record.
+    The snapshot shares the static graph's entities and indexes; the
+    observer and the static triples are computed once per (static_eg, etg).
 
     Regeneration: me `in` location, me `do` my actions, each annotated person
     `do` their actions, event `happenIn` location, me and persons
@@ -356,11 +387,7 @@ def snapshot_eg(
     """
     if report is None:
         report = ValidationReport()
-    static_triples = [
-        t
-        for t in static_eg.triples
-        if t.property not in etg.properties or not etg.properties[t.property].context_dependent
-    ]
+    static_triples, static_set = static_eg._context_free(etg)
     new: list[PropertyValue] = []
     me = static_eg.me_entity(etg)
     if me is None:
@@ -406,7 +433,8 @@ def snapshot_eg(
     for fa in record.object_entries or ():
         materialize(fa, None, is_person=False)
 
-    return EG(static_eg.entities, static_triples + new, at=record.ts)
+    fresh = tuple(t for t in dict.fromkeys(new) if t not in static_set)
+    return static_eg._with_triples(static_triples + fresh, record.ts)
 
 
 def apply_context_update(eg: EG, recognized: Iterable[PropertyValue], etg: ETG) -> EG:

@@ -89,7 +89,7 @@ def labels_from_eg(h: Hierarchy, snapshot: EG, etg: ETG) -> LabelVector:
     closure. References without a node (the observer, properties in Q,
     structural triples) are expected and skipped; anything else is logged."""
     seeds = zeros(h)
-    index = {nid: i for i, nid in enumerate(h.node_order)}
+    index = h._index
     me = snapshot.me_entity(etg)
     me_id = me.id if me is not None else None
 

@@ -95,6 +95,15 @@ def test_validate_corrupt_json_exits_2(tmp_path, capsys):
     assert main(["validate", str(bad)]) == 2
 
 
+def test_validate_reads_the_jsonl_header_tag(tmp_path):
+    """A stream whose header merely mentions the run-log tag is a stream."""
+    lines = (FIXTURES / "travel_stream.jsonl").read_text().splitlines()
+    path = tmp_path / "stream.jsonl"
+    path.write_text("\n".join([json.dumps({"format": "stream/1", "source": "runlog/1"})]
+                              + lines[1:]) + "\n")
+    assert main(["validate", str(path)]) == 0
+
+
 def test_simulate_writes_log_and_metrics(tmp_path):
     log = tmp_path / "run.jsonl"
     metrics = tmp_path / "metrics.json"

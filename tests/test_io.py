@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+from datetime import timedelta
 
 import pytest
 
 from contextstream import io
-from contextstream.errors import FormatError, TimestampOrderError
+from contextstream.core import StreamingContext
+from contextstream.errors import FormatError, SuperChainError, TimestampOrderError
 from contextstream.kg import EG
 from contextstream.learn import QueryStrategy
 
@@ -54,6 +56,92 @@ def test_stream_rejects_disorder(tmp_path, travel_stream):
     path.write_text("\n".join(rows) + "\n")
     with pytest.raises(TimestampOrderError):
         io.load_stream(path)
+
+
+def test_stream_rejects_bad_super_chain(tmp_path, travel_stream, travel_containment):
+    path = tmp_path / "bad.jsonl"
+    second = io.record_to_dict(travel_stream.records[1])
+    second["super_location"] = "mars"
+    rows = [json.dumps({"format": "stream/1"}),
+            json.dumps(io.record_to_dict(travel_stream.records[0])), json.dumps(second)]
+    path.write_text("\n".join(rows) + "\n")
+    assert len(io.load_stream(path)) == 2  # without containment nothing to check
+    with pytest.raises(SuperChainError):
+        io.load_stream(path, travel_containment)
+
+
+def test_stream_is_built_once(tmp_path, travel_stream, travel_containment, monkeypatch):
+    """Loading checks the timestamp order once, not once per appended record."""
+    start = travel_stream.records[0].ts
+    rows = [json.dumps({"format": "stream/1"})]
+    for i in range(50):
+        record = io.record_to_dict(travel_stream.records[i % 2])
+        record["ts"] = (start + timedelta(seconds=i)).isoformat()
+        rows.append(json.dumps(record))
+    path = tmp_path / "long.jsonl"
+    path.write_text("\n".join(rows) + "\n")
+    built = []
+    post_init = StreamingContext.__post_init__
+
+    def counting(self):
+        built.append(len(self.records))
+        post_init(self)
+
+    monkeypatch.setattr(StreamingContext, "__post_init__", counting)
+    stream = io.load_stream(path, travel_containment)
+    assert len(stream) == 50
+    assert built == [50]
+
+
+def test_stream_header_is_first_non_blank_line(tmp_path, travel_stream):
+    path = tmp_path / "padded.jsonl"
+    io.save_stream(path, travel_stream)
+    path.write_text("\n  \n" + path.read_text())
+    assert io.load_stream(path) == travel_stream
+    path.write_text("\n[]\n")
+    with pytest.raises(FormatError):
+        io.load_stream(path)
+
+
+def _runlog_lines(nodes, rows):
+    header = {"format": "runlog/1", "seed": 1, "nodes": nodes, "manifest": []}
+    events = [
+        {"begin": "2021-06-02T12:00:00+00:00", "end": "2021-06-02T12:05:00+00:00",
+         "features": [], "queried": True, "prediction": row, "truth": row}
+        for row in rows
+    ]
+    return [json.dumps(header)] + [json.dumps(e) for e in events]
+
+
+def test_runlog_header_is_first_non_blank_line(tmp_path):
+    path = tmp_path / "run.jsonl"
+    path.write_text("\n" + "\n".join(_runlog_lines(["a", "b"], [[1, 0], [1, 1]])) + "\n")
+    header, preds, truths, events = io.load_runlog(path)
+    assert header["nodes"] == ["a", "b"]
+    assert preds.tolist() == [[1, 0], [1, 1]]
+    assert len(events) == 2
+
+
+def test_runlog_rejects_rows_narrower_than_the_nodes(tmp_path):
+    """Two events of 2 bits over 4 nodes must not fold into one row of 4."""
+    path = tmp_path / "run.jsonl"
+    path.write_text("\n".join(_runlog_lines(["a", "b", "c", "d"], [[1, 0], [1, 1]])) + "\n")
+    with pytest.raises(FormatError) as exc:
+        io.load_runlog(path)
+    assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda lines: [json.dumps({"format": "runlog/1", "seed": 1})] + lines[1:],
+    lambda lines: lines[:1] + [json.dumps({"prediction": [1, 0]})],
+    lambda lines: lines[:1] + ["[1, 0]"],
+    lambda lines: ["[]"] + lines[1:],
+], ids=["header-without-nodes", "event-without-truth", "event-not-object", "header-not-object"])
+def test_malformed_runlog_raises_format_error(tmp_path, mangle):
+    path = tmp_path / "run.jsonl"
+    path.write_text("\n".join(mangle(_runlog_lines(["a", "b"], [[1, 0]]))) + "\n")
+    with pytest.raises(FormatError):
+        io.load_runlog(path)
 
 
 def test_hierarchy_round_trip(tmp_path, travel_hierarchy):

@@ -256,6 +256,45 @@ def test_snapshot_static_triples_identical_across_rows(travel_etg, travel_eg):
     assert statics(s1) == statics(s2) == statics(travel_eg)
 
 
+def test_snapshot_shares_static_indexes(travel_etg, travel_eg):
+    snap = snapshot_eg(travel_eg, ROW1, travel_etg)
+    assert snap.entities is travel_eg.entities
+    assert snap._by_id is travel_eg._by_id
+    assert snap._by_name is travel_eg._by_name
+    assert snap.me_entity(travel_etg) is travel_eg.me_entity(travel_etg)
+
+
+def _travel_etg_variant(etg, me_etype, static=()):
+    properties = [
+        ObjectPropertyDef(p.id, p.name, p.domain, p.codomain,
+                          p.context_dependent and p.id not in static)
+        for p in etg.properties.values()
+    ]
+    return ETG(etg.etypes.values(), properties, me_etype=me_etype, q=etg.q)
+
+
+def test_me_entity_follows_the_etg_object(travel_etg, travel_eg):
+    eg = EG(travel_eg.entities, travel_eg.triples)
+    assert eg.me_entity(travel_etg).id == "xiaoyue"
+    assert eg.me_entity(_travel_etg_variant(travel_etg, "train")).id == "train_1"
+    assert eg.me_entity(_travel_etg_variant(travel_etg, "person")) is None  # two persons
+    equal_copy = _travel_etg_variant(travel_etg, "me")
+    assert equal_copy == travel_etg and equal_copy is not travel_etg
+    assert eg.me_entity(equal_copy).id == "xiaoyue"
+
+
+def test_snapshot_static_triples_follow_the_etg_object(travel_etg, travel_eg):
+    eg = EG(travel_eg.entities, travel_eg.triples)
+    assert snapshot_eg(eg, ROW1, travel_etg).triple_set() == frozenset(ROW1_EXPECTED)
+    friends_static = _travel_etg_variant(travel_etg, "me", static={"FriendOf"})
+    snap = snapshot_eg(eg, ROW1, friends_static)
+    assert snap.triple_set() == frozenset(ROW1_EXPECTED) | {triple("FriendOf", "xiaoyue", "haonan")}
+    # ROW2 regenerates the static FriendOf triple; the snapshot keeps one copy
+    snap = snapshot_eg(eg, ROW2, friends_static)
+    assert snap.triple_set() == frozenset(ROW2_EXPECTED)
+    assert len(snap.triples) == len(ROW2_EXPECTED)
+
+
 def test_snapshot_random_records_conform(travel_etg, travel_eg):
     rng = random.Random(13)
     locations = ["train_1", "roads_2", "trentino"]
