@@ -8,17 +8,11 @@ from .core import (
     ContextPattern,
     Coordinates,
     FunctionAssignment,
-    LocationRef,
-    ObjectiveContext,
     PersonEntry,
     StreamRecord,
     StreamingContext,
-    SubjectiveContext,
-    Volume,
     append_record,
     classify_pattern,
-    derive_subjective,
-    spatial_relation,
     super_of,
 )
 from .hierarchy import (
@@ -53,7 +47,6 @@ from .learn import OnlinePerceptron, QueryStrategy, decide_query, predict, train
 from .metrics import evaluate
 from .report import Finding, ValidationReport
 from .simulate import (
-    Example,
     FeatureVector,
     ScenarioScript,
     Segment,

@@ -7,6 +7,7 @@ failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -92,12 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> io.Config:
     config = io.load_config(args.config) if args.config else io.Config()
     if args.seed is not None:
-        config = io.Config(
-            near_threshold_m=config.near_threshold_m,
-            window_minutes=config.window_minutes,
-            strategy=config.strategy,
-            seed=args.seed,
-        )
+        config = dataclasses.replace(config, seed=args.seed)
     return config
 
 
@@ -134,7 +130,8 @@ def _validate_one(path: str) -> ValidationReport:
             io.load_stream(path)
         return report
     doc = io._read_json(path)
-    tag = doc.get("format", "")
+    with io._Malformed(path, "document"):
+        tag = doc.get("format", "")
     kind = tag.split("/")[0] if isinstance(tag, str) else ""
     if kind == "etg":
         io.etg_from_dict(doc, path)

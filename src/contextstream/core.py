@@ -1,34 +1,27 @@
-"""Typed personal-context records: objective/subjective snapshots, endurants
-(locations, persons, objects) and perdurants (events, actions), the streaming
-context, spatial relations, and window pattern classification.
+"""Typed personal-context records: stream records with their person and
+object function assignments, the strictly ordered streaming context, the
+location/event containment chains, and window pattern classification.
 
 All types are immutable value objects; stream appends return a new sequence.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .errors import (
     CompositeWindowError,
     CycleError,
-    FrameMismatchError,
     SuperChainError,
     TimestampOrderError,
     UnknownIdError,
 )
-from .report import ValidationReport
-
-log = logging.getLogger(__name__)
 
 Timestamp = datetime
-
-DEFAULT_NEAR_THRESHOLD_M = 10.0
 
 
 def parse_timestamp(s: str) -> Timestamp:
@@ -61,79 +54,6 @@ class Coordinates:
             if not math.isfinite(axis):
                 raise ValueError(f"non-finite coordinate in frame {self.frame!r}")
 
-    def distance_to(self, other: "Coordinates") -> float:
-        if self.frame != other.frame:
-            raise FrameMismatchError(self.frame, other.frame)
-        return math.sqrt(
-            (self.x - other.x) ** 2 + (self.y - other.y) ** 2 + (self.z - other.z) ** 2
-        )
-
-
-@dataclass(frozen=True)
-class Volume:
-    """Axis-aligned extents in meters, anchored at some origin."""
-
-    dx: float
-    dy: float
-    dz: float
-
-    def __post_init__(self):
-        if not all(d > 0 for d in (self.dx, self.dy, self.dz)):
-            raise ValueError("volume extents must be positive")
-
-
-@dataclass(frozen=True)
-class LocationRef:
-    """A spatial reference context: an axis-aligned box with an optional
-    parent location (the containing super-location)."""
-
-    id: str
-    name: str
-    origin: Coordinates
-    volume: Volume
-    parent: Optional[str] = None
-    visual_properties: Mapping[str, str] = field(default_factory=dict)
-
-    def box(self) -> tuple[tuple[float, float], tuple[float, float], tuple[float, float]]:
-        o, v = self.origin, self.volume
-        return ((o.x, o.x + v.dx), (o.y, o.y + v.dy), (o.z, o.z + v.dz))
-
-    def contains_point(self, p: Coordinates) -> bool:
-        if p.frame != self.origin.frame:
-            raise FrameMismatchError(p.frame, self.origin.frame)
-        (x0, x1), (y0, y1), (z0, z1) = self.box()
-        return x0 <= p.x <= x1 and y0 <= p.y <= y1 and z0 <= p.z <= z1
-
-    def distance_to_point(self, p: Coordinates) -> float:
-        """Distance from p to the closest point of the box (0 inside)."""
-        if p.frame != self.origin.frame:
-            raise FrameMismatchError(p.frame, self.origin.frame)
-        d2 = 0.0
-        for (lo, hi), c in zip(self.box(), (p.x, p.y, p.z)):
-            if c < lo:
-                d2 += (lo - c) ** 2
-            elif c > hi:
-                d2 += (c - hi) ** 2
-        return math.sqrt(d2)
-
-
-@dataclass(frozen=True)
-class PersonRef:
-    id: str
-    name: str
-    coords: Coordinates
-    visual_properties: Mapping[str, str] = field(default_factory=dict)
-    internal_states: Mapping[str, object] = field(default_factory=dict)
-    is_me: bool = False
-
-
-@dataclass(frozen=True)
-class ObjectRef:
-    id: str
-    name: str
-    coords: Coordinates
-    visual_properties: Mapping[str, str] = field(default_factory=dict)
-
 
 @dataclass(frozen=True)
 class FunctionAssignment:
@@ -147,110 +67,12 @@ class FunctionAssignment:
     function_name: str
     holder: str
     beneficiary: str
-    valid_from: Optional[Timestamp] = None
-    valid_to: Optional[Timestamp] = None
-    self_directed: bool = False
 
     def __post_init__(self):
         if not self.function_name:
             raise ValueError("function_name must be nonempty")
-        if self.holder == self.beneficiary and not self.self_directed:
-            raise ValueError(
-                f"holder and beneficiary are both {self.holder!r}; "
-                "mark the assignment self_directed if intended"
-            )
-
-    def active_at(self, ts: Timestamp) -> bool:
-        if self.valid_from is not None and ts < self.valid_from:
-            return False
-        if self.valid_to is not None and ts > self.valid_to:
-            return False
-        return True
-
-
-def _check_subinterval(kind: str, parent_begin, parent_end, child) -> None:
-    if child.begin < parent_begin or child.end > parent_end:
-        raise ValueError(
-            f"{kind} {child.name!r} interval [{child.begin}, {child.end}] "
-            f"leaves parent interval [{parent_begin}, {parent_end}]"
-        )
-
-
-@dataclass(frozen=True)
-class ActionInstance:
-    """An action as an interval perdurant performed by one person."""
-
-    name: str
-    actor: str
-    begin: Timestamp
-    end: Timestamp
-    means: tuple[str, ...] = ()
-    sub_actions: tuple["ActionInstance", ...] = ()
-    visual_properties: Mapping[str, str] = field(default_factory=dict)
-    functions: tuple[FunctionAssignment, ...] = ()
-
-    def __post_init__(self):
-        if self.begin > self.end:
-            raise ValueError(f"action {self.name!r}: begin after end")
-        for sub in self.sub_actions:
-            _check_subinterval("sub-action", self.begin, self.end, sub)
-
-
-@dataclass(frozen=True)
-class EventInstance:
-    name: str
-    location: str
-    begin: Timestamp
-    end: Timestamp
-    super_event: Optional[str] = None
-    sub_events: tuple["EventInstance", ...] = ()
-    participants: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.begin > self.end:
-            raise ValueError(f"event {self.name!r}: begin after end")
-        for sub in self.sub_events:
-            _check_subinterval("sub-event", self.begin, self.end, sub)
-
-
-@dataclass(frozen=True)
-class ObjectiveContext:
-    """What is measurable at one instant: where the observer is and which
-    persons/objects are around, all with coordinates."""
-
-    ts: Timestamp
-    location: LocationRef
-    me: PersonRef
-    coo_me: Coordinates
-    persons: tuple[tuple[PersonRef, Coordinates], ...] = ()
-    objects: tuple[tuple[ObjectRef, Coordinates], ...] = ()
-
-    def __post_init__(self):
-        if not self.me.is_me:
-            raise ValueError("ObjectiveContext.me must have is_me=True")
-        for p, _ in self.persons:
-            if p.is_me:
-                raise ValueError(f"person {p.id!r} duplicates the observer")
-
-
-@dataclass(frozen=True)
-class SubjectiveContext:
-    """The objective context plus the functions the observer assigns to the
-    persons and objects around."""
-
-    objective: ObjectiveContext
-    person_functions: Mapping[str, tuple[FunctionAssignment, ...]] = field(default_factory=dict)
-    object_functions: Mapping[str, tuple[FunctionAssignment, ...]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        person_ids = {p.id for p, _ in self.objective.persons}
-        object_ids = {o.id for o, _ in self.objective.objects}
-        for pid in self.person_functions:
-            if pid not in person_ids:
-                raise ValueError(f"person_functions key {pid!r} not among persons")
-        for oid in self.object_functions:
-            if oid not in object_ids:
-                raise ValueError(f"object_functions key {oid!r} not among objects")
+        if self.holder == self.beneficiary:
+            raise ValueError(f"holder and beneficiary are both {self.holder!r}")
 
 
 @dataclass(frozen=True)
@@ -373,83 +195,6 @@ def append_record(
     return StreamingContext(records=s.records + (r,))
 
 
-def derive_subjective(
-    obj: ObjectiveContext, table: Sequence[FunctionAssignment]
-) -> SubjectiveContext:
-    """Attach to each person/object the function assignments valid at obj.ts.
-
-    Assignments whose holder is not among the snapshot's persons/objects are
-    skipped with a warning; objective fields are carried over unchanged.
-    """
-    person_ids = {p.id for p, _ in obj.persons}
-    object_ids = {o.id for o, _ in obj.objects}
-    person_functions: dict[str, list[FunctionAssignment]] = {p: [] for p in person_ids}
-    object_functions: dict[str, list[FunctionAssignment]] = {o: [] for o in object_ids}
-    for fa in table:
-        if not fa.active_at(obj.ts):
-            continue
-        if fa.holder in person_ids:
-            person_functions[fa.holder].append(fa)
-        elif fa.holder in object_ids:
-            object_functions[fa.holder].append(fa)
-        else:
-            log.warning(
-                "function %s held by %r: holder not in the objective context, skipped",
-                fa.function_name,
-                fa.holder,
-            )
-    return SubjectiveContext(
-        objective=obj,
-        person_functions={k: tuple(v) for k, v in person_functions.items()},
-        object_functions={k: tuple(v) for k, v in object_functions.items()},
-    )
-
-
-def spatial_relation(
-    a: Coordinates,
-    b: "LocationRef | Coordinates",
-    *,
-    near_threshold_m: float = DEFAULT_NEAR_THRESHOLD_M,
-    heading: Sequence[float] | None = None,
-) -> frozenset[str]:
-    """Relations of point `a` to target `b`.
-
-    Exactly one of {in, near, far} is emitted: `in` only for LocationRef
-    targets whose closed box contains `a`; `near` within the closed threshold;
-    `far` otherwise. Directional relations (left/right/in_front) are added
-    only when a heading vector is supplied; they use the x-y plane.
-    """
-    if near_threshold_m <= 0:
-        raise ValueError("near_threshold_m must be positive")
-    rels: set[str] = set()
-    if isinstance(b, LocationRef):
-        if b.contains_point(a):
-            rels.add("in")
-        else:
-            dist = b.distance_to_point(a)
-            rels.add("near" if dist <= near_threshold_m else "far")
-        (x0, x1), (y0, y1), (z0, z1) = b.box()
-        target = Coordinates(
-            (x0 + x1) / 2, (y0 + y1) / 2, (z0 + z1) / 2, frame=b.origin.frame
-        )
-    else:
-        dist = a.distance_to(b)
-        rels.add("near" if dist <= near_threshold_m else "far")
-        target = b
-    if heading is not None:
-        hx, hy = float(heading[0]), float(heading[1])
-        vx, vy = target.x - a.x, target.y - a.y
-        dot = hx * vx + hy * vy
-        cross_z = hx * vy - hy * vx
-        if dot > 0:
-            rels.add("in_front")
-        if cross_z > 0:
-            rels.add("left")
-        elif cross_z < 0:
-            rels.add("right")
-    return frozenset(rels)
-
-
 def _top_event(r: StreamRecord, containment: Containment | None) -> str | None:
     """Topmost known event group of a record: the containment chain top when
     available, else the declared super event, else the event itself."""
@@ -498,46 +243,3 @@ def classify_pattern(
     raise CompositeWindowError(n_loc, n_event)
 
 
-def validate_locations(locations: Iterable[LocationRef]) -> ValidationReport:
-    """Check parent links: existence, acyclicity, and geometric containment
-    of each child box inside its parent box."""
-    report = ValidationReport()
-    by_id: dict[str, LocationRef] = {}
-    for loc in locations:
-        if loc.id in by_id:
-            report.add("duplicate-id", "location id appears more than once", loc.id)
-        by_id[loc.id] = loc
-    parent_map = {lid: loc.parent for lid, loc in by_id.items() if loc.parent is not None}
-    for lid, loc in by_id.items():
-        if loc.parent is None:
-            continue
-        parent = by_id.get(loc.parent)
-        if parent is None:
-            report.add("unknown-parent", f"parent {loc.parent!r} not defined", lid)
-            continue
-        try:
-            super_of(lid, parent_map)
-        except CycleError as exc:
-            report.add("parent-cycle", str(exc), lid)
-            continue
-        if parent.origin.frame != loc.origin.frame:
-            report.add(
-                "frame-mismatch",
-                f"frame {loc.origin.frame!r} differs from parent frame {parent.origin.frame!r}",
-                lid,
-            )
-            continue
-        for (clo, chi), (plo, phi) in zip(loc.box(), parent.box()):
-            if clo < plo or chi > phi:
-                report.add(
-                    "containment-violation",
-                    f"box not contained in parent {parent.id!r}",
-                    lid,
-                )
-                break
-    return report
-
-
-def record_with_ts(r: StreamRecord, ts: Timestamp) -> StreamRecord:
-    """Copy of a record template stamped with a concrete timestamp."""
-    return replace(r, ts=ts)

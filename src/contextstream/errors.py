@@ -7,15 +7,6 @@ class ContextStreamError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class FrameMismatchError(ContextStreamError):
-    """Coordinates from different local frames were compared."""
-
-    def __init__(self, frame_a: str, frame_b: str):
-        super().__init__(f"coordinate frame mismatch: {frame_a!r} vs {frame_b!r}")
-        self.frame_a = frame_a
-        self.frame_b = frame_b
-
-
 class TimestampOrderError(ContextStreamError):
     """A record's timestamp is not strictly after the previous one."""
 

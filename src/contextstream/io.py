@@ -45,6 +45,24 @@ FORMATS = {
 }
 
 
+class _Malformed:
+    """Context in which an error raised by a document's shape (a missing key,
+    a value of the wrong type or out of range) becomes a FormatError on
+    `path`. `load_stream` enters it once per file and keeps `line` current."""
+
+    def __init__(self, path: Any, what: str):
+        self.path = path
+        self.what = what
+        self.line: int | None = None
+
+    def __enter__(self) -> "_Malformed":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if isinstance(exc, (KeyError, TypeError, ValueError, AttributeError)):
+            raise FormatError(self.path, f"malformed {self.what}: {exc}", line=self.line) from None
+
+
 def _check_format(doc: Any, kind: str, path: Any) -> None:
     tag = doc.get("format") if isinstance(doc, Mapping) else None
     if tag != FORMATS[kind]:
@@ -81,12 +99,12 @@ def jsonl_format(path: str | Path) -> Any:
     return None
 
 
-def _write_json(path: str | Path, doc: Any) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
-
-
 def dumps_canonical(doc: Any) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def _write_json(path: str | Path, doc: Any) -> None:
+    Path(path).write_text(dumps_canonical(doc), encoding="utf-8")
 
 
 # -- ETG ---------------------------------------------------------------
@@ -127,7 +145,7 @@ def etg_to_dict(etg: ETG) -> dict:
 
 def etg_from_dict(doc: Mapping[str, Any], path: Any = "<memory>") -> ETG:
     _check_format(doc, "etg", path)
-    try:
+    with _Malformed(path, "ETG document"):
         etypes = [
             EntityType(
                 id=et["id"],
@@ -155,8 +173,6 @@ def etg_from_dict(doc: Mapping[str, Any], path: Any = "<memory>") -> ETG:
             for p in doc.get("properties", ())
         ]
         return ETG(etypes, properties, me_etype=doc["me_etype"], q=doc.get("q"))
-    except (KeyError, TypeError) as exc:
-        raise FormatError(path, f"malformed ETG document: {exc}") from None
 
 
 def load_etg(path: str | Path) -> ETG:
@@ -207,7 +223,7 @@ def eg_to_dict(eg: EG) -> dict:
 
 def eg_from_dict(doc: Mapping[str, Any], etg: ETG | None = None, path: Any = "<memory>") -> EG:
     _check_format(doc, "eg", path)
-    try:
+    with _Malformed(path, "EG document"):
         entities = []
         for e in doc.get("entities", ()):
             values: dict[str, Any] = dict(e.get("values", {}))
@@ -224,8 +240,6 @@ def eg_from_dict(doc: Mapping[str, Any], etg: ETG | None = None, path: Any = "<m
         ]
         at = doc.get("at")
         return EG(entities, triples, at=parse_timestamp(at) if at else None)
-    except (KeyError, TypeError) as exc:
-        raise FormatError(path, f"malformed EG document: {exc}") from None
 
 
 def load_eg(path: str | Path, etg: ETG | None = None) -> EG:
@@ -283,62 +297,61 @@ def record_to_dict(r: StreamRecord) -> dict:
     }
 
 
-def record_from_dict(d: Mapping[str, Any], path: Any = "<memory>", ts: Timestamp | None = None) -> StreamRecord:
-    try:
-        my_actions = d.get("my_actions")
-        persons = d.get("persons")
-        objects = d.get("objects")
-        return StreamRecord(
-            ts=ts if ts is not None else parse_timestamp(d["ts"]),
-            super_location=d.get("super_location"),
-            super_event=d.get("super_event"),
-            location=d.get("location"),
-            event=d.get("event"),
-            coo_me=_coordinates_from_json(d.get("coo_me")),
-            my_actions=frozenset(my_actions) if my_actions is not None else None,
-            person_entries=None
-            if persons is None
-            else tuple(
-                PersonEntry(
-                    function=FunctionAssignment(
-                        function_name=p["function"],
-                        holder=p["holder"],
-                        beneficiary=p["beneficiary"],
-                    ),
-                    actions=frozenset(p.get("actions", ())),
-                )
-                for p in persons
-            ),
-            object_entries=None
-            if objects is None
-            else tuple(
-                FunctionAssignment(
-                    function_name=o["function"],
-                    holder=o["holder"],
-                    beneficiary=o["beneficiary"],
-                )
-                for o in objects
-            ),
-        )
-    except (KeyError, TypeError) as exc:
-        raise FormatError(path, f"malformed stream record: {exc}") from None
+def _record_from_json(d: Mapping[str, Any], ts: Timestamp | None = None) -> StreamRecord:
+    my_actions = d.get("my_actions")
+    persons = d.get("persons")
+    objects = d.get("objects")
+    return StreamRecord(
+        ts=ts if ts is not None else parse_timestamp(d["ts"]),
+        super_location=d.get("super_location"),
+        super_event=d.get("super_event"),
+        location=d.get("location"),
+        event=d.get("event"),
+        coo_me=_coordinates_from_json(d.get("coo_me")),
+        my_actions=frozenset(my_actions) if my_actions is not None else None,
+        person_entries=None
+        if persons is None
+        else tuple(
+            PersonEntry(
+                function=FunctionAssignment(
+                    function_name=p["function"],
+                    holder=p["holder"],
+                    beneficiary=p["beneficiary"],
+                ),
+                actions=frozenset(p.get("actions", ())),
+            )
+            for p in persons
+        ),
+        object_entries=None
+        if objects is None
+        else tuple(
+            FunctionAssignment(
+                function_name=o["function"],
+                holder=o["holder"],
+                beneficiary=o["beneficiary"],
+            )
+            for o in objects
+        ),
+    )
 
 
 def load_stream(path: str | Path, containment: Containment | None = None) -> StreamingContext:
     """Read a JSONL stream: a format header on the first non-blank line, then
     one record per line. Each record's declared supers are checked against
     `containment` as it is read; the timestamp order is checked once, when
-    the stream is built."""
+    the stream is built. A malformed record is a FormatError on its line."""
     docs = _jsonl_docs(path)
     for _, header in docs:
         _check_format(header, "stream", path)
         break
     records: list[StreamRecord] = []
-    for _, doc in docs:
-        record = record_from_dict(doc, path)
-        if containment is not None:
-            _validate_record_chains(record, containment)
-        records.append(record)
+    with _Malformed(path, "stream record") as where:
+        for lineno, doc in docs:
+            where.line = lineno
+            record = _record_from_json(doc)
+            if containment is not None:
+                _validate_record_chains(record, containment)
+            records.append(record)
     return StreamingContext(tuple(records))
 
 
@@ -376,7 +389,7 @@ def hierarchy_to_dict(h: Hierarchy) -> dict:
 
 def hierarchy_from_dict(doc: Mapping[str, Any], path: Any = "<memory>") -> Hierarchy:
     _check_format(doc, "hierarchy", path)
-    try:
+    with _Malformed(path, "hierarchy document"):
         nodes = [
             ConceptNode(
                 id=n["id"],
@@ -390,8 +403,6 @@ def hierarchy_from_dict(doc: Mapping[str, Any], path: Any = "<memory>") -> Hiera
         ]
         edges = [(e[0], e[1]) for e in doc["edges"]]
         return Hierarchy(nodes, edges, root=doc["root"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(path, f"malformed hierarchy document: {exc}") from None
 
 
 def load_hierarchy(path: str | Path) -> Hierarchy:
@@ -429,7 +440,7 @@ def scenario_to_dict(script: ScenarioScript) -> dict:
 
 def scenario_from_dict(doc: Mapping[str, Any], path: Any = "<memory>") -> ScenarioScript:
     _check_format(doc, "scenario", path)
-    try:
+    with _Malformed(path, "scenario document"):
         segments = []
         for seg in doc.get("segments", ()):
             begin = parse_timestamp(seg["begin"])
@@ -441,7 +452,7 @@ def scenario_from_dict(doc: Mapping[str, Any], path: Any = "<memory>") -> Scenar
                         ch: EmissionSpec(float(spec["mean"]), float(spec["std"]))
                         for ch, spec in seg.get("emissions", {}).items()
                     },
-                    record=record_from_dict(seg["record"], path, ts=begin),
+                    record=_record_from_json(seg["record"], ts=begin),
                 )
             )
         return ScenarioScript(
@@ -450,8 +461,6 @@ def scenario_from_dict(doc: Mapping[str, Any], path: Any = "<memory>") -> Scenar
             channels=tuple(doc["channels"]),
             segments=tuple(segments),
         )
-    except (KeyError, TypeError) as exc:
-        raise FormatError(path, f"malformed scenario document: {exc}") from None
 
 
 def load_scenario(path: str | Path) -> ScenarioScript:
@@ -464,19 +473,18 @@ def save_scenario(path: str | Path, script: ScenarioScript) -> None:
 
 # -- config --------------------------------------------------------------
 
+# `near_threshold_m` stays a valid config/1 key; no stage reads it, so it is
+# checked and then dropped
 CONFIG_KEYS = {"format", "near_threshold_m", "window_minutes", "strategy", "seed"}
 
 
 @dataclass(frozen=True)
 class Config:
-    near_threshold_m: float = 10.0
     window_minutes: float = 30.0
     strategy: QueryStrategy = QueryStrategy("always")
     seed: int | None = None
 
     def __post_init__(self):
-        if self.near_threshold_m <= 0:
-            raise ValueError("near_threshold_m must be positive")
         if self.window_minutes <= 0:
             raise ValueError("window_minutes must be positive")
 
@@ -486,21 +494,19 @@ def config_from_dict(doc: Mapping[str, Any], path: Any = "<memory>") -> Config:
     unknown = set(doc) - CONFIG_KEYS
     if unknown:
         raise FormatError(path, f"unknown config keys: {sorted(unknown)}")
-    try:
+    with _Malformed(path, "config"):
+        if float(doc.get("near_threshold_m", 10.0)) <= 0:
+            raise ValueError("near_threshold_m must be positive")
         return Config(
-            near_threshold_m=float(doc.get("near_threshold_m", 10.0)),
             window_minutes=float(doc.get("window_minutes", 30.0)),
             strategy=QueryStrategy.from_dict(doc.get("strategy", {"kind": "always"})),
             seed=int(doc["seed"]) if doc.get("seed") is not None else None,
         )
-    except (TypeError, ValueError) as exc:
-        raise FormatError(path, f"malformed config: {exc}") from None
 
 
 def config_to_dict(config: Config) -> dict:
     return {
         "format": FORMATS["config"],
-        "near_threshold_m": config.near_threshold_m,
         "window_minutes": config.window_minutes,
         "strategy": config.strategy.to_dict(),
         "seed": config.seed,

@@ -113,8 +113,3 @@ def labels_from_eg(h: Hierarchy, snapshot: EG, etg: ETG) -> LabelVector:
         if inst is not None:
             seeds[inst] = 1
     return repair_upward(h, seeds)
-
-
-def active_nodes(h: Hierarchy, ys: np.ndarray) -> np.ndarray:
-    """Boolean mask of nodes whose bit is ever set across a label matrix."""
-    return np.asarray(ys, dtype=bool).any(axis=0)

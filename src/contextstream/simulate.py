@@ -9,13 +9,13 @@ given seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import timedelta
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import StreamRecord, Timestamp, record_with_ts
+from .core import StreamRecord, Timestamp
 from .hierarchy import Hierarchy
 from .kg import EG, ETG, snapshot_eg
 from .labels import labels_from_eg
@@ -125,7 +125,7 @@ def generate_stream(
                 for ch in script.channels
                 if (spec := seg.emissions.get(ch)) is not None
             )
-            yield readings, record_with_ts(seg.record, ts)
+            yield readings, replace(seg.record, ts=ts)
             ts = ts + step
 
 
@@ -169,14 +169,6 @@ class FeatureVector:
     def __post_init__(self):
         if self.values.shape != (len(self.manifest),):
             raise ValueError("feature length does not match the manifest")
-
-
-@dataclass(frozen=True, eq=False)
-class Example:
-    """One training instance: window features and a consistent label vector."""
-
-    x: FeatureVector
-    y: np.ndarray
 
 
 def aggregate_window(

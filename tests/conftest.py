@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,61 @@ from contextstream.hierarchy import compile_hierarchy
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def _fixture_doc(name: str, **changes) -> dict:
+    doc = json.loads((FIXTURES / name).read_text())
+    doc.update(changes)
+    return doc
+
+
+def _stream_ending_with(last_line: str) -> str:
+    """The travel stream's header and first record, then `last_line` (line 3)."""
+    lines = (FIXTURES / "travel_stream.jsonl").read_text().splitlines()
+    return "\n".join(lines[:2] + [last_line]) + "\n"
+
+
+def _second_record(**changes) -> str:
+    lines = (FIXTURES / "travel_stream.jsonl").read_text().splitlines()
+    record = json.loads(lines[2])
+    record.update(changes)
+    return json.dumps(record)
+
+
+def _first_segment(**changes) -> str:
+    doc = _fixture_doc("travel_scenario.json")
+    doc["segments"][0].update(changes)
+    return json.dumps(doc)
+
+
+def _etg_with_duplicate_etype() -> str:
+    doc = _fixture_doc("travel_etg.json")
+    doc["etypes"].append(doc["etypes"][0])
+    return json.dumps(doc)
+
+
+# Documents whose shape is wrong; each must end in a FormatError, never in a
+# bare ValueError or a traceback: id -> (kind, text, line of the bad record)
+MALFORMED = {
+    "stream-record-not-object": ("stream", _stream_ending_with("[1]"), 3),
+    "stream-ts-not-string": ("stream", _stream_ending_with(json.dumps({"ts": 5})), 3),
+    "stream-ts-not-timestamp": ("stream", _stream_ending_with(_second_record(ts="nope")), 3),
+    "stream-holder-is-beneficiary": ("stream", _stream_ending_with(_second_record(persons=[
+        {"function": "FriendOf", "holder": "haonan", "beneficiary": "haonan", "actions": []},
+    ])), 3),
+    "stream-coordinate-overflows": ("stream", _stream_ending_with(
+        _second_record(coo_me={"x": 0, "y": 0, "z": 0}).replace('"x": 0', '"x": 1e999')), 3),
+    "document-not-object": ("json", "[1]", None),
+    "eg-entity-not-object": ("eg", json.dumps(_fixture_doc("travel_eg.json", entities=[1])), None),
+    "eg-at-not-string": ("eg", json.dumps(_fixture_doc("travel_eg.json", at=5)), None),
+    "etg-duplicate-etype": ("etg", _etg_with_duplicate_etype(), None),
+    "scenario-record-not-object": ("scenario", _first_segment(record=[1]), None),
+    "scenario-emissions-not-object": ("scenario", _first_segment(emissions=[1]), None),
+    "scenario-segment-ends-before-it-begins": (
+        "scenario", _first_segment(end="2021-06-02T11:00:00+00:00"), None),
+    "config-strategy-not-object": (
+        "config", json.dumps({"format": "config/1", "strategy": "always"}), None),
+}
 
 
 def pytest_addoption(parser):

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from contextstream import io
 from contextstream.cli import main
 
-from conftest import FIXTURES, GOLDEN
+from conftest import FIXTURES, GOLDEN, MALFORMED
 
 ETG = str(FIXTURES / "travel_etg.json")
 EG_PATH = str(FIXTURES / "travel_eg.json")
@@ -93,6 +95,17 @@ def test_validate_corrupt_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{не json")
     assert main(["validate", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_validate_reports_a_malformed_document_and_goes_on(tmp_path, capsys, case):
+    kind, text, _ = MALFORMED[case]
+    bad = tmp_path / ("bad.jsonl" if kind == "stream" else "bad.json")
+    bad.write_text(text)
+    assert main(["validate", str(bad), ETG]) == 2
+    findings = capsys.readouterr().err.splitlines()
+    assert len(findings) == 1
+    assert findings[0].startswith(f"[invalid-document] {bad}: ")
 
 
 def test_validate_reads_the_jsonl_header_tag(tmp_path):

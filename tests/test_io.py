@@ -11,7 +11,7 @@ from contextstream.errors import FormatError, SuperChainError, TimestampOrderErr
 from contextstream.kg import EG
 from contextstream.learn import QueryStrategy
 
-from conftest import FIXTURES
+from conftest import FIXTURES, MALFORMED
 
 
 def test_etg_round_trip(tmp_path, travel_etg):
@@ -131,17 +131,38 @@ def test_runlog_rejects_rows_narrower_than_the_nodes(tmp_path):
     assert exc.value.line == 2
 
 
-@pytest.mark.parametrize("mangle", [
-    lambda lines: [json.dumps({"format": "runlog/1", "seed": 1})] + lines[1:],
-    lambda lines: lines[:1] + [json.dumps({"prediction": [1, 0]})],
-    lambda lines: lines[:1] + ["[1, 0]"],
-    lambda lines: ["[]"] + lines[1:],
-], ids=["header-without-nodes", "event-without-truth", "event-not-object", "header-not-object"])
-def test_malformed_runlog_raises_format_error(tmp_path, mangle):
-    path = tmp_path / "run.jsonl"
-    path.write_text("\n".join(mangle(_runlog_lines(["a", "b"], [[1, 0]]))) + "\n")
-    with pytest.raises(FormatError):
-        io.load_runlog(path)
+def _runlog_text(mangle) -> str:
+    return "\n".join(mangle(_runlog_lines(["a", "b"], [[1, 0]]))) + "\n"
+
+
+LOADERS = {
+    "stream": io.load_stream,
+    "eg": io.load_eg,
+    "etg": io.load_etg,
+    "scenario": io.load_scenario,
+    "config": io.load_config,
+    "runlog": io.load_runlog,
+}
+
+MALFORMED_FOR_LOADERS = {
+    **{case: doc for case, doc in MALFORMED.items() if doc[0] in LOADERS},
+    "runlog-header-without-nodes": ("runlog", _runlog_text(
+        lambda lines: [json.dumps({"format": "runlog/1", "seed": 1})] + lines[1:]), 1),
+    "runlog-event-without-truth": ("runlog", _runlog_text(
+        lambda lines: lines[:1] + [json.dumps({"prediction": [1, 0]})]), 2),
+    "runlog-event-not-object": ("runlog", _runlog_text(lambda lines: lines[:1] + ["[1, 0]"]), 2),
+    "runlog-header-not-object": ("runlog", _runlog_text(lambda lines: ["[]"] + lines[1:]), None),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_FOR_LOADERS)
+def test_malformed_document_raises_format_error(tmp_path, case):
+    kind, text, line = MALFORMED_FOR_LOADERS[case]
+    path = tmp_path / ("doc.jsonl" if kind in ("stream", "runlog") else "doc.json")
+    path.write_text(text)
+    with pytest.raises(FormatError) as exc:
+        LOADERS[kind](path)
+    assert exc.value.line == line
 
 
 def test_hierarchy_round_trip(tmp_path, travel_hierarchy):
@@ -159,11 +180,21 @@ def test_scenario_round_trip(tmp_path, travel_scenario):
 
 
 def test_config_round_trip(tmp_path):
-    config = io.Config(near_threshold_m=3.0, window_minutes=5.0,
-                       strategy=QueryStrategy("margin", 0.5), seed=11)
+    config = io.Config(window_minutes=5.0, strategy=QueryStrategy("margin", 0.5), seed=11)
     path = tmp_path / "config.json"
     io.save_config(path, config)
     assert io.load_config(path) == config
+
+
+def test_config_checks_then_drops_the_near_threshold(tmp_path):
+    """config/1 keeps `near_threshold_m`: accepted, checked, then dropped."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"format": "config/1", "near_threshold_m": 3.0}))
+    assert "near_threshold_m" not in io.config_to_dict(io.load_config(path))
+    path.write_text(json.dumps({"format": "config/1", "near_threshold_m": 0}))
+    with pytest.raises(FormatError) as exc:
+        io.load_config(path)
+    assert "near_threshold_m" in str(exc.value)
 
 
 def test_config_fixture_loads():

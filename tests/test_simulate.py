@@ -180,7 +180,6 @@ def test_window_spec_validation():
 def test_example_pairs_window_features_with_labels(travel_hierarchy, travel_etg, travel_eg):
     from contextstream.kg import snapshot_eg
     from contextstream.labels import check_consistency, labels_from_eg
-    from contextstream.simulate import Example
 
     spec = WindowSpec(30.0, {"bluetooth_count": ("mean",)})
     x = aggregate_window(
@@ -189,9 +188,8 @@ def test_example_pairs_window_features_with_labels(travel_hierarchy, travel_etg,
     record = StreamRecord(ts=ts(30), location="train_1", event="take_train",
                           super_event="travel_1")
     y = labels_from_eg(travel_hierarchy, snapshot_eg(travel_eg, record, travel_etg), travel_etg)
-    z = Example(x=x, y=y)
-    assert z.x.values.tolist() == [4.0, 0.0]
-    assert check_consistency(travel_hierarchy, z.y) == []
+    assert x.values.tolist() == [4.0, 0.0]
+    assert check_consistency(travel_hierarchy, y) == []
 
 
 # -- full simulation -----------------------------------------------------------------
