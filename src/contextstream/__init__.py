@@ -11,7 +11,6 @@ from .core import (
     PersonEntry,
     StreamRecord,
     StreamingContext,
-    append_record,
     classify_pattern,
     super_of,
 )
@@ -32,7 +31,6 @@ from .kg import (
     EntityType,
     ObjectPropertyDef,
     PropertyValue,
-    apply_context_update,
     snapshot_eg,
     validate_eg,
 )

@@ -55,9 +55,7 @@ def repair_down(y: np.ndarray, anc: np.ndarray) -> np.ndarray:
     return (yb & ~kill).astype(np.uint8)
 
 
-def perceptron_step(
-    weights: np.ndarray, bias: np.ndarray, x: np.ndarray, y: np.ndarray, lr: float
-) -> int:
+def perceptron_step(weights: np.ndarray, bias: np.ndarray, x: np.ndarray, y: np.ndarray) -> int:
     """One online update of per-node binary perceptrons; in-place, returns
     the number of nodes whose prediction was wrong. Score 0 counts negative."""
     scores = weights @ x + bias
@@ -65,7 +63,7 @@ def perceptron_step(
     wrong = pred != y.astype(bool)
     if not wrong.any():
         return 0
-    delta = lr * (2.0 * y[wrong].astype(np.float64) - 1.0)
+    delta = 2.0 * y[wrong].astype(np.float64) - 1.0
     weights[wrong] += delta[:, None] * x[None, :]
     bias[wrong] += delta
     return int(wrong.sum())

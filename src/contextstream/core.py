@@ -180,21 +180,6 @@ def _validate_record_chains(r: StreamRecord, containment: Containment) -> None:
             )
 
 
-def append_record(
-    s: StreamingContext, r: StreamRecord, containment: Containment | None = None
-) -> StreamingContext:
-    """Return a new stream with `r` appended.
-
-    Timestamps must be strictly increasing; when `containment` is given the
-    record's declared supers must lie on the corresponding parent chains.
-    """
-    if s.records and r.ts <= s.records[-1].ts:
-        raise TimestampOrderError(s.records[-1].ts, r.ts)
-    if containment is not None:
-        _validate_record_chains(r, containment)
-    return StreamingContext(records=s.records + (r,))
-
-
 def _top_event(r: StreamRecord, containment: Containment | None) -> str | None:
     """Topmost known event group of a record: the containment chain top when
     available, else the declared super event, else the event itself."""

@@ -48,14 +48,6 @@ class InconsistentLabelError(ContextStreamError):
     """A label vector violates the child-implies-parent constraint."""
 
 
-class StaticPropertyError(ContextStreamError):
-    """A recognized-context update touched a non-context-dependent property."""
-
-    def __init__(self, report):
-        super().__init__("update rejected: " + report.summary())
-        self.report = report
-
-
 class FormatError(ContextStreamError):
     """A document failed to parse or carries an unsupported version."""
 

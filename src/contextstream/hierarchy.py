@@ -115,9 +115,6 @@ class Hierarchy:
     def parents_of(self, node_id: str) -> tuple[str, ...]:
         return self._parents[node_id]
 
-    def children_of(self, node_id: str) -> tuple[str, ...]:
-        return self._children[node_id]
-
     @cached_property
     def node_order(self) -> tuple[str, ...]:
         """Topological order (every node before its parents), lexicographic

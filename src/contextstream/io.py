@@ -2,8 +2,9 @@
 hierarchies, scenarios and configuration, JSONL for streams and run logs.
 
 Every document carries a `format` tag (`<kind>/<version>`); loaders reject
-unknown kinds and versions. Saving then loading yields semantically equal
-objects (set-valued fields compare as sets).
+unknown kinds and versions, and any other malformed document, with a
+FormatError. The program writes only EGs, hierarchies, run logs and metrics;
+for those four formats, saving then loading yields equal objects.
 """
 
 from __future__ import annotations
@@ -69,8 +70,17 @@ def _check_format(doc: Any, kind: str, path: Any) -> None:
         raise FormatError(path, f"expected format {FORMATS[kind]!r}, found {tag!r}")
 
 
+def _decode(path: Any, data: bytes, line: int | None = None) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        if line is None:
+            line = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(path, f"not UTF-8: {exc.reason}", line=line) from None
+
+
 def _read_json(path: str | Path) -> Any:
-    text = Path(path).read_text(encoding="utf-8")
+    text = _decode(path, Path(path).read_bytes())
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -79,9 +89,9 @@ def _read_json(path: str | Path) -> Any:
 
 def _jsonl_docs(path: str | Path) -> Iterator[tuple[int, Any]]:
     """(line number, parsed JSON) for every non-blank line of a JSONL file."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = _decode(path, raw, lineno).strip()
             if not line:
                 continue
             try:
@@ -89,6 +99,19 @@ def _jsonl_docs(path: str | Path) -> Iterator[tuple[int, Any]]:
             except json.JSONDecodeError as exc:
                 raise FormatError(path, exc.msg, line=lineno, col=exc.colno) from None
             yield lineno, doc
+
+
+def _strings(value: Any, what: str) -> list[str]:
+    """`value` itself when it is a JSON list of strings."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"{what} must be a list of strings")
+    return value
+
+
+def _integer(value: Any, what: str) -> int:
+    if type(value) is not int:  # bool is an int subclass; JSON true is not a number
+        raise TypeError(f"{what} must be an integer")
+    return value
 
 
 def jsonl_format(path: str | Path) -> Any:
@@ -109,40 +132,6 @@ def _write_json(path: str | Path, doc: Any) -> None:
 
 # -- ETG ---------------------------------------------------------------
 
-def etg_to_dict(etg: ETG) -> dict:
-    return {
-        "format": FORMATS["etg"],
-        "me_etype": etg.me_etype,
-        "etypes": [
-            {
-                "id": et.id,
-                "name": et.name,
-                "parent": et.parent,
-                "data_properties": [
-                    {
-                        "name": dp.name,
-                        "datatype": dp.datatype,
-                        **({"values": list(dp.enum_values)} if dp.datatype == "enum" else {}),
-                    }
-                    for dp in et.data_properties
-                ],
-            }
-            for et in etg.etypes.values()
-        ],
-        "properties": [
-            {
-                "id": p.id,
-                "name": p.name,
-                "domain": p.domain,
-                "codomain": p.codomain,
-                "context_dependent": p.context_dependent,
-            }
-            for p in etg.properties.values()
-        ],
-        "q": sorted(etg.q),
-    }
-
-
 def etg_from_dict(doc: Mapping[str, Any], path: Any = "<memory>") -> ETG:
     _check_format(doc, "etg", path)
     with _Malformed(path, "ETG document"):
@@ -155,32 +144,28 @@ def etg_from_dict(doc: Mapping[str, Any], path: Any = "<memory>") -> ETG:
                     DataPropertyDef(
                         name=dp["name"],
                         datatype=dp["datatype"],
-                        enum_values=tuple(dp.get("values", ())),
+                        enum_values=tuple(_strings(dp.get("values", []), "enum values")),
                     )
                     for dp in et.get("data_properties", ())
                 ),
             )
             for et in doc.get("etypes", ())
         ]
-        properties = [
-            ObjectPropertyDef(
-                id=p["id"],
-                name=p["name"],
-                domain=p["domain"],
-                codomain=p["codomain"],
-                context_dependent=bool(p.get("context_dependent", False)),
-            )
-            for p in doc.get("properties", ())
-        ]
-        return ETG(etypes, properties, me_etype=doc["me_etype"], q=doc.get("q"))
+        properties = []
+        for p in doc.get("properties", ()):
+            context_dependent = p.get("context_dependent", False)
+            if not isinstance(context_dependent, bool):
+                raise TypeError(f"context_dependent of {p['id']!r} must be true or false")
+            properties.append(ObjectPropertyDef(id=p["id"], name=p["name"], domain=p["domain"],
+                                                codomain=p["codomain"],
+                                                context_dependent=context_dependent))
+        q = doc.get("q")
+        return ETG(etypes, properties, me_etype=doc["me_etype"],
+                   q=_strings(q, "q") if q is not None else None)
 
 
 def load_etg(path: str | Path) -> ETG:
     return etg_from_dict(_read_json(path), path)
-
-
-def save_etg(path: str | Path, etg: ETG) -> None:
-    _write_json(path, etg_to_dict(etg))
 
 
 # -- EG ----------------------------------------------------------------
@@ -252,49 +237,10 @@ def save_eg(path: str | Path, eg: EG) -> None:
 
 # -- stream records (JSONL) ---------------------------------------------
 
-def _coordinates_to_json(c: Coordinates | None) -> Any:
-    if c is None:
-        return None
-    return {"x": c.x, "y": c.y, "z": c.z, "frame": c.frame}
-
-
 def _coordinates_from_json(d: Any) -> Coordinates | None:
     if d is None:
         return None
     return Coordinates(d["x"], d["y"], d["z"], d.get("frame", "local"))
-
-
-def record_to_dict(r: StreamRecord) -> dict:
-    return {
-        "ts": format_timestamp(r.ts),
-        "super_location": r.super_location,
-        "super_event": r.super_event,
-        "location": r.location,
-        "event": r.event,
-        "coo_me": _coordinates_to_json(r.coo_me),
-        "my_actions": sorted(r.my_actions) if r.my_actions is not None else None,
-        "persons": None
-        if r.person_entries is None
-        else [
-            {
-                "function": e.function.function_name,
-                "holder": e.function.holder,
-                "beneficiary": e.function.beneficiary,
-                "actions": sorted(e.actions),
-            }
-            for e in r.person_entries
-        ],
-        "objects": None
-        if r.object_entries is None
-        else [
-            {
-                "function": fa.function_name,
-                "holder": fa.holder,
-                "beneficiary": fa.beneficiary,
-            }
-            for fa in r.object_entries
-        ],
-    }
 
 
 def _record_from_json(d: Mapping[str, Any], ts: Timestamp | None = None) -> StreamRecord:
@@ -308,7 +254,9 @@ def _record_from_json(d: Mapping[str, Any], ts: Timestamp | None = None) -> Stre
         location=d.get("location"),
         event=d.get("event"),
         coo_me=_coordinates_from_json(d.get("coo_me")),
-        my_actions=frozenset(my_actions) if my_actions is not None else None,
+        my_actions=frozenset(_strings(my_actions, "my_actions"))
+        if my_actions is not None
+        else None,
         person_entries=None
         if persons is None
         else tuple(
@@ -318,7 +266,7 @@ def _record_from_json(d: Mapping[str, Any], ts: Timestamp | None = None) -> Stre
                     holder=p["holder"],
                     beneficiary=p["beneficiary"],
                 ),
-                actions=frozenset(p.get("actions", ())),
+                actions=frozenset(_strings(p.get("actions", []), "person actions")),
             )
             for p in persons
         ),
@@ -353,13 +301,6 @@ def load_stream(path: str | Path, containment: Containment | None = None) -> Str
                 _validate_record_chains(record, containment)
             records.append(record)
     return StreamingContext(tuple(records))
-
-
-def save_stream(path: str | Path, stream: StreamingContext) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"format": FORMATS["stream"]}) + "\n")
-        for r in stream.records:
-            fh.write(json.dumps(record_to_dict(r), ensure_ascii=False) + "\n")
 
 
 # -- hierarchy -----------------------------------------------------------
@@ -401,7 +342,9 @@ def hierarchy_from_dict(doc: Mapping[str, Any], path: Any = "<memory>") -> Hiera
             )
             for n in doc["nodes"]
         ]
-        edges = [(e[0], e[1]) for e in doc["edges"]]
+        edges = [tuple(_strings(e, "an edge")) for e in doc["edges"]]
+        if any(len(e) != 2 for e in edges):
+            raise ValueError("an edge is not a [child, parent] pair")
         return Hierarchy(nodes, edges, root=doc["root"])
 
 
@@ -414,29 +357,6 @@ def save_hierarchy(path: str | Path, h: Hierarchy) -> None:
 
 
 # -- scenario ------------------------------------------------------------
-
-def scenario_to_dict(script: ScenarioScript) -> dict:
-    return {
-        "format": FORMATS["scenario"],
-        "seed": script.seed,
-        "reading_interval_s": script.reading_interval_s,
-        "channels": list(script.channels),
-        "segments": [
-            {
-                "begin": format_timestamp(seg.begin),
-                "end": format_timestamp(seg.end),
-                "emissions": {
-                    ch: {"mean": spec.mean, "std": spec.std}
-                    for ch, spec in sorted(seg.emissions.items())
-                },
-                "record": {
-                    k: v for k, v in record_to_dict(seg.record).items() if k != "ts"
-                },
-            }
-            for seg in script.segments
-        ],
-    }
-
 
 def scenario_from_dict(doc: Mapping[str, Any], path: Any = "<memory>") -> ScenarioScript:
     _check_format(doc, "scenario", path)
@@ -456,19 +376,15 @@ def scenario_from_dict(doc: Mapping[str, Any], path: Any = "<memory>") -> Scenar
                 )
             )
         return ScenarioScript(
-            seed=int(doc["seed"]),
+            seed=_integer(doc["seed"], "seed"),
             reading_interval_s=float(doc["reading_interval_s"]),
-            channels=tuple(doc["channels"]),
+            channels=tuple(_strings(doc["channels"], "channels")),
             segments=tuple(segments),
         )
 
 
 def load_scenario(path: str | Path) -> ScenarioScript:
     return scenario_from_dict(_read_json(path), path)
-
-
-def save_scenario(path: str | Path, script: ScenarioScript) -> None:
-    _write_json(path, scenario_to_dict(script))
 
 
 # -- config --------------------------------------------------------------
@@ -500,25 +416,12 @@ def config_from_dict(doc: Mapping[str, Any], path: Any = "<memory>") -> Config:
         return Config(
             window_minutes=float(doc.get("window_minutes", 30.0)),
             strategy=QueryStrategy.from_dict(doc.get("strategy", {"kind": "always"})),
-            seed=int(doc["seed"]) if doc.get("seed") is not None else None,
+            seed=_integer(doc["seed"], "seed") if doc.get("seed") is not None else None,
         )
-
-
-def config_to_dict(config: Config) -> dict:
-    return {
-        "format": FORMATS["config"],
-        "window_minutes": config.window_minutes,
-        "strategy": config.strategy.to_dict(),
-        "seed": config.seed,
-    }
 
 
 def load_config(path: str | Path) -> Config:
     return config_from_dict(_read_json(path), path)
-
-
-def save_config(path: str | Path, config: Config) -> None:
-    _write_json(path, config_to_dict(config))
 
 
 # -- run logs and metrics --------------------------------------------------
@@ -527,10 +430,10 @@ def event_to_dict(e: WindowEvent) -> dict:
     return {
         "begin": format_timestamp(e.begin),
         "end": format_timestamp(e.end),
-        "features": [float(v) for v in e.features],
+        "features": e.features.tolist(),
         "queried": e.queried,
-        "prediction": [int(b) for b in e.prediction],
-        "truth": [int(b) for b in e.truth],
+        "prediction": e.prediction.tolist(),
+        "truth": e.truth.tolist(),
     }
 
 
@@ -555,7 +458,8 @@ def save_runlog(path: str | Path, node_order: Sequence[str], manifest: Sequence[
 
 def load_runlog(path: str | Path) -> tuple[dict, np.ndarray, np.ndarray, list[dict]]:
     """Returns (header, predictions, truths, raw event dicts). The header is
-    the first non-blank line; every event's rows have one entry per node."""
+    the first non-blank line; every event's rows hold one bit (the integer 0
+    or 1) per node."""
     docs = _jsonl_docs(path)
     header: dict | None = None
     for lineno, header in docs:
@@ -570,8 +474,9 @@ def load_runlog(path: str | Path) -> tuple[dict, np.ndarray, np.ndarray, list[di
     for lineno, doc in docs:
         for key in ("prediction", "truth"):
             row = doc.get(key) if isinstance(doc, Mapping) else None
-            if not isinstance(row, list) or len(row) != n:
-                raise FormatError(path, f"event {key} must list {n} entries, one per node",
+            if (not isinstance(row, list) or len(row) != n
+                    or {*map(type, row)} - {int} or not {*row} <= {0, 1}):
+                raise FormatError(path, f"event {key} must list {n} bits (0 or 1), one per node",
                                   line=lineno)
         events.append(doc)
     preds = np.array([e["prediction"] for e in events], dtype=np.uint8).reshape(-1, n)

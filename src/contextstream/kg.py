@@ -1,5 +1,5 @@
-"""Entity Type Graph (schema) and Entity Graph (instances): validation,
-per-record snapshots of the streaming context, and recognized-context updates.
+"""Entity Type Graph (schema) and Entity Graph (instances): validation and
+per-record snapshots of the streaming context.
 
 The streaming context is treated as a stream of entity graphs: each snapshot
 keeps the static graph's context-free triples and regenerates every
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from .core import Containment, Coordinates, StreamRecord, Timestamp, super_of
-from .errors import CycleError, StaticPropertyError, UnknownIdError
+from .errors import UnknownIdError
 from .report import ValidationReport
 
 log = logging.getLogger(__name__)
@@ -437,44 +437,16 @@ def snapshot_eg(
     return static_eg._with_triples(static_triples + fresh, record.ts)
 
 
-def apply_context_update(eg: EG, recognized: Iterable[PropertyValue], etg: ETG) -> EG:
-    """Replace context-dependent triples with recognized ones, per
-    (property, subject). Updates touching a static property fail atomically."""
-    recognized = list(dict.fromkeys(recognized))
-    report = ValidationReport()
-    for t in recognized:
-        prop = etg.properties.get(t.property)
-        if prop is None:
-            report.add("unknown-property", "recognized triple uses undeclared property", t.property)
-        elif not prop.context_dependent:
-            report.add(
-                "static-property",
-                f"{t.property}({t.subject}, {t.object}) updates a static property",
-                t.property,
-            )
-    if not report.ok:
-        raise StaticPropertyError(report)
-    touched = {(t.property, t.subject) for t in recognized}
-    kept = [t for t in eg.triples if (t.property, t.subject) not in touched]
-    return EG(eg.entities, kept + recognized, at=eg.at)
-
-
-def containment_from_eg(
-    eg: EG,
-    etg: ETG,
-    *,
-    location_property: str = "partOf",
-    event_property: str = "during",
-) -> Containment:
+def containment_from_eg(eg: EG, etg: ETG) -> Containment:
     """Parent maps read off the EG's containment triples. Multiple parents
     per child cannot be represented; the first triple wins with a warning."""
     location_parent: dict[str, str] = {}
     event_parent: dict[str, str] = {}
     for t in eg.triples:
         target = None
-        if t.property == location_property:
+        if t.property == "partOf":
             target = location_parent
-        elif t.property == event_property:
+        elif t.property == "during":
             target = event_parent
         if target is None:
             continue

@@ -69,20 +69,6 @@ def repair_downward(h: Hierarchy, y: Sequence[int] | np.ndarray) -> LabelVector:
     return _kernels.repair_down(arr, h.ancestor_matrix)
 
 
-def repair_upward_batch(h: Hierarchy, ys: np.ndarray) -> np.ndarray:
-    """`repair_upward` applied to every row of a label matrix."""
-    anc = h.ancestor_matrix
-    return np.array([_kernels.repair_up(y, anc) for y in np.asarray(ys, dtype=np.uint8)],
-                    dtype=np.uint8).reshape(np.shape(ys))
-
-
-def repair_downward_batch(h: Hierarchy, ys: np.ndarray) -> np.ndarray:
-    """`repair_downward` applied to every row of a label matrix."""
-    anc = h.ancestor_matrix
-    return np.array([_kernels.repair_down(y, anc) for y in np.asarray(ys, dtype=np.uint8)],
-                    dtype=np.uint8).reshape(np.shape(ys))
-
-
 def labels_from_eg(h: Hierarchy, snapshot: EG, etg: ETG) -> LabelVector:
     """Ground-truth bits for a snapshot: property-instance nodes whose triple
     holds, entity nodes incident to any context-dependent triple, then upward

@@ -24,32 +24,17 @@ class OnlinePerceptron:
 
     weights: np.ndarray
     bias: np.ndarray
-    learning_rate: float = 1.0
     steps: int = 0
 
     @classmethod
-    def zeros(cls, n_nodes: int, n_features: int, learning_rate: float = 1.0) -> "OnlinePerceptron":
+    def zeros(cls, nodes: int, features: int) -> "OnlinePerceptron":
         return cls(
-            weights=np.zeros((n_nodes, n_features), dtype=np.float64),
-            bias=np.zeros(n_nodes, dtype=np.float64),
-            learning_rate=learning_rate,
+            weights=np.zeros((nodes, features), dtype=np.float64),
+            bias=np.zeros(nodes, dtype=np.float64),
         )
-
-    @property
-    def n_nodes(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.weights.shape[1]
 
     def scores(self, x: np.ndarray) -> np.ndarray:
         return self.weights @ np.asarray(x, dtype=np.float64) + self.bias
-
-    def copy(self) -> "OnlinePerceptron":
-        return OnlinePerceptron(
-            self.weights.copy(), self.bias.copy(), self.learning_rate, self.steps
-        )
 
 
 @dataclass(frozen=True)
@@ -106,7 +91,7 @@ def train_step(
         )
     x64 = np.ascontiguousarray(x, dtype=np.float64)
     y8 = np.ascontiguousarray(y, dtype=np.uint8)
-    _kernels.perceptron_step(model.weights, model.bias, x64, y8, model.learning_rate)
+    _kernels.perceptron_step(model.weights, model.bias, x64, y8)
     model.steps += 1
     return model
 

@@ -74,17 +74,3 @@ def per_node_accuracy(
         return np.ones(preds.shape[1])
     return (preds == truths).mean(axis=0)
 
-
-def block_hamming_accuracy(
-    predictions: np.ndarray, ground_truth: np.ndarray, block: int = 50
-) -> list[float]:
-    """Hamming accuracy over consecutive non-overlapping blocks of examples;
-    used to watch training progress along a stream."""
-    preds = np.asarray(predictions, dtype=bool)
-    truths = np.asarray(ground_truth, dtype=bool)
-    out: list[float] = []
-    for start in range(0, len(preds) - block + 1, block):
-        p = preds[start : start + block]
-        t = truths[start : start + block]
-        out.append(float((p == t).mean()))
-    return out

@@ -239,7 +239,6 @@ def run_simulation(
     window_spec: WindowSpec | None = None,
     strategy: QueryStrategy = QueryStrategy("always"),
     seed: int | None = None,
-    learning_rate: float = 1.0,
 ) -> RunResult:
     """Play the script once: aggregate windows, predict, decide whether to
     query, and train on acquired labels (prequential order: the prediction
@@ -247,7 +246,7 @@ def run_simulation(
     effective_seed = script.seed if seed is None else seed
     spec = window_spec or WindowSpec.means(script.channels, 30.0)
     manifest = spec.manifest
-    model = OnlinePerceptron.zeros(len(h), len(manifest), learning_rate)
+    model = OnlinePerceptron.zeros(len(h), len(manifest))
     result = RunResult(node_order=h.node_order, manifest=manifest, seed=effective_seed)
 
     window_len = timedelta(minutes=spec.length_minutes)

@@ -25,11 +25,16 @@ def _stream_ending_with(last_line: str) -> str:
     return "\n".join(lines[:2] + [last_line]) + "\n"
 
 
-def _second_record(**changes) -> str:
+def fixture_record(i: int, **changes) -> dict:
+    """Record `i` (from 0) of the travel stream fixture, as its JSON object."""
     lines = (FIXTURES / "travel_stream.jsonl").read_text().splitlines()
-    record = json.loads(lines[2])
+    record = json.loads(lines[1 + i])
     record.update(changes)
-    return json.dumps(record)
+    return record
+
+
+def _second_record(**changes) -> str:
+    return json.dumps(fixture_record(1, **changes))
 
 
 def _first_segment(**changes) -> str:
@@ -44,8 +49,30 @@ def _etg_with_duplicate_etype() -> str:
     return json.dumps(doc)
 
 
+def _etg_with(change) -> str:
+    doc = _fixture_doc("travel_etg.json")
+    change(doc)
+    return json.dumps(doc)
+
+
+def _hierarchy(edges) -> str:
+    """A two-node hierarchy whose one-letter ids a string edge would spell."""
+    node = lambda nid: {"id": nid, "kind": "etype", "display_name": nid, "source_ref": nid}
+    return json.dumps({"format": "hierarchy/1", "root": "r", "nodes": [node("a"), node("r")],
+                       "edges": edges})
+
+
+# A byte that is not UTF-8, in a case's text; `encode_case` writes it as 0xff
+NOT_UTF8 = "\udcff"
+
+
+def encode_case(text: str) -> bytes:
+    return text.encode("utf-8", "surrogateescape")
+
+
 # Documents whose shape is wrong; each must end in a FormatError, never in a
-# bare ValueError or a traceback: id -> (kind, text, line of the bad record)
+# bare ValueError or a traceback: id -> (kind, text, line of the bad record).
+# Write them with `encode_case`.
 MALFORMED = {
     "stream-record-not-object": ("stream", _stream_ending_with("[1]"), 3),
     "stream-ts-not-string": ("stream", _stream_ending_with(json.dumps({"ts": 5})), 3),
@@ -65,6 +92,30 @@ MALFORMED = {
         "scenario", _first_segment(end="2021-06-02T11:00:00+00:00"), None),
     "config-strategy-not-object": (
         "config", json.dumps({"format": "config/1", "strategy": "always"}), None),
+    "etg-context-dependent-not-boolean": ("etg", _etg_with(
+        lambda doc: doc["properties"][2].update(context_dependent="false")), None),
+    "etg-enum-values-not-list": ("etg", _etg_with(
+        lambda doc: doc["etypes"][0]["data_properties"][0].update(values="sad")), None),
+    "etg-q-not-list": ("etg", json.dumps(_fixture_doc("travel_etg.json", q={"in": True})), None),
+    "stream-my-actions-not-list": ("stream", _stream_ending_with(
+        _second_record(my_actions="walk")), 3),
+    "stream-person-actions-not-list": ("stream", _stream_ending_with(_second_record(persons=[
+        {"function": "FriendOf", "holder": "haonan", "beneficiary": "xiaoyue", "actions": "walk"},
+    ])), 3),
+    "hierarchy-edge-not-list": ("hierarchy", _hierarchy(["ar"]), None),
+    "hierarchy-edge-not-pair": ("hierarchy", _hierarchy([["a", "r", "a"]]), None),
+    "scenario-channels-not-list": ("scenario", json.dumps(
+        _fixture_doc("travel_scenario.json", channels="ab", segments=[])), None),
+    "scenario-seed-not-integer": ("scenario", json.dumps(
+        _fixture_doc("travel_scenario.json", seed=7.9)), None),
+    "scenario-seed-boolean": ("scenario", json.dumps(
+        _fixture_doc("travel_scenario.json", seed=True)), None),
+    "config-seed-not-integer": ("config", json.dumps({"format": "config/1", "seed": 7.9}), None),
+    "config-seed-boolean": ("config", json.dumps({"format": "config/1", "seed": True}), None),
+    "etg-not-utf-8": ("etg", (FIXTURES / "travel_etg.json").read_text().replace(
+        '"Person"', f'"Pers{NOT_UTF8}on"', 1), 5),
+    "stream-not-utf-8": ("stream", _stream_ending_with(
+        _second_record().replace('"walk"', f'"walk{NOT_UTF8}"')), 3),
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 from contextstream import io
 from contextstream.cli import main
 
-from conftest import FIXTURES, GOLDEN, MALFORMED
+from conftest import FIXTURES, GOLDEN, MALFORMED, encode_case
 
 ETG = str(FIXTURES / "travel_etg.json")
 EG_PATH = str(FIXTURES / "travel_eg.json")
@@ -101,7 +101,7 @@ def test_validate_corrupt_json_exits_2(tmp_path, capsys):
 def test_validate_reports_a_malformed_document_and_goes_on(tmp_path, capsys, case):
     kind, text, _ = MALFORMED[case]
     bad = tmp_path / ("bad.jsonl" if kind == "stream" else "bad.json")
-    bad.write_text(text)
+    bad.write_bytes(encode_case(text))
     assert main(["validate", str(bad), ETG]) == 2
     findings = capsys.readouterr().err.splitlines()
     assert len(findings) == 1

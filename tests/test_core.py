@@ -11,7 +11,6 @@ from contextstream.core import (
     FunctionAssignment,
     StreamRecord,
     StreamingContext,
-    append_record,
     classify_pattern,
     format_timestamp,
     parse_timestamp,
@@ -20,7 +19,6 @@ from contextstream.core import (
 from contextstream.errors import (
     CompositeWindowError,
     CycleError,
-    SuperChainError,
     TimestampOrderError,
     UnknownIdError,
 )
@@ -130,48 +128,34 @@ def test_empty_window_rejected():
         classify_pattern(StreamingContext())
 
 
-# -- stream append ------------------------------------------------------------
-
-def test_append_record_ok(travel_containment):
-    s = StreamingContext()
-    s = append_record(s, record(15, "train_1", "take_train", "trentino", "travel_1"), travel_containment)
-    s = append_record(s, record(30, "roads_2", "walk", "trentino", "travel_1"), travel_containment)
-    assert len(s) == 2
-
-
-def test_append_equal_timestamp_rejected():
-    s = StreamingContext((record(15),))
-    with pytest.raises(TimestampOrderError) as exc:
-        append_record(s, record(15))
-    assert exc.value.last == ts(15)
-    assert exc.value.new == ts(15)
-
-
-def test_append_detached_location_rejected(travel_containment):
-    bad = record(40, location="train_1", super_location="mars")
-    with pytest.raises(SuperChainError):
-        append_record(StreamingContext(), bad, travel_containment)
-
-
 def test_timestamps_strictly_increasing_property():
     rng = random.Random(3)
     for _ in range(50):
         minutes = rng.sample(range(200), 12)
-        s = StreamingContext()
+        records: tuple[StreamRecord, ...] = ()
         accepted: list[float] = []
         for m in minutes:
             try:
-                s = append_record(s, record(m))
+                records = StreamingContext(records + (record(m),)).records
                 accepted.append(m)
             except TimestampOrderError:
                 pass
         assert accepted == sorted(accepted)
-        assert all(b.ts > a.ts for a, b in zip(s.records, s.records[1:]))
+        assert all(b.ts > a.ts for a, b in zip(records, records[1:]))
 
 
 def test_streaming_context_constructor_enforces_order():
     with pytest.raises(TimestampOrderError):
         StreamingContext((record(10), record(5)))
+
+
+def test_append_equal_timestamp_rejected():
+    """A record whose timestamp equals the previous one's is rejected when
+    the stream is built."""
+    with pytest.raises(TimestampOrderError) as exc:
+        StreamingContext((record(15), record(15)))
+    assert exc.value.last == ts(15)
+    assert exc.value.new == ts(15)
 
 
 # -- super chains -------------------------------------------------------------

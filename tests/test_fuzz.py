@@ -1,0 +1,138 @@
+"""Seeded fuzzing of the loaders and of `validate`: every mutated fixture
+either loads or raises a ContextStreamError, and `contextstream validate`
+exits 0 or 2 on it (run with -s to see the PASS line on success)."""
+
+from __future__ import annotations
+
+import json
+import random
+import time
+
+from contextstream import io
+from contextstream.cli import main
+from contextstream.errors import ContextStreamError
+from contextstream.kg import containment_from_eg
+
+from conftest import FIXTURES, GOLDEN
+
+ETG = io.load_etg(FIXTURES / "travel_etg.json")
+CONTAINMENT = containment_from_eg(io.load_eg(FIXTURES / "travel_eg.json", ETG), ETG)
+
+RUNLOG = "\n".join(json.dumps(doc) for doc in [
+    {"format": "runlog/1", "seed": 7, "nodes": ["a", "b", "c"], "manifest": ["speed"]},
+    *({"begin": f"2021-06-02T12:0{i}:00+00:00", "end": f"2021-06-02T12:0{i + 1}:00+00:00",
+       "features": [1.5], "queried": True, "prediction": [1, 0, i % 2], "truth": [1, 1, 0]}
+      for i in range(3)),
+]) + "\n"
+
+# file name -> (original bytes, loader)
+DOCUMENTS = {
+    "etg.json": ((FIXTURES / "travel_etg.json").read_bytes(), io.load_etg),
+    "eg.json": ((FIXTURES / "travel_eg.json").read_bytes(), lambda p: io.load_eg(p, ETG)),
+    "stream.jsonl": ((FIXTURES / "travel_stream.jsonl").read_bytes(),
+                     lambda p: io.load_stream(p, CONTAINMENT)),
+    "scenario.json": ((FIXTURES / "travel_scenario.json").read_bytes(), io.load_scenario),
+    "config.json": ((FIXTURES / "config.json").read_bytes(), io.load_config),
+    "hierarchy.json": ((GOLDEN / "travel_hierarchy.json").read_bytes(), io.load_hierarchy),
+    "run.jsonl": (RUNLOG.encode(), io.load_runlog),
+}
+
+VALUES = [None, True, False, 0, -1, 7.9, 300, "", "x", "ar", [], ["x"], {}, {"x": 1}]
+BAD_BITS = [2, -1, 300, True, False, 0.5, "x", None, [1]]
+
+
+def _value_paths(node, path=()):
+    """The path of every value in a JSON tree, the root included."""
+    yield path
+    if isinstance(node, list):
+        node = dict(enumerate(node))
+    for key, child in node.items() if isinstance(node, dict) else ():
+        yield from _value_paths(child, path + (key,))
+
+
+def _replace(doc, path, value):
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def _edit_json(rng, data: bytes, jsonl: bool, edit) -> bytes:
+    """Applies `edit(doc) -> doc` to the document, or to one random line of
+    a JSONL file."""
+    if not jsonl:
+        return json.dumps(edit(json.loads(data)), indent=2).encode()
+    lines = data.decode().splitlines()
+    i = rng.randrange(len(lines))
+    lines[i] = json.dumps(edit(json.loads(lines[i])))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _swap_type(rng, doc):
+    path = rng.choice(list(_value_paths(doc)))
+    old = doc
+    for key in path:
+        old = old[key]
+    value = rng.choice([v for v in VALUES if type(v) is not type(old)])
+    return _replace(doc, path, value)
+
+
+def _bad_bit(rng, doc):
+    if not isinstance(doc.get("prediction"), list):  # the header
+        return doc
+    row = doc[rng.choice(["prediction", "truth"])]
+    row[rng.randrange(len(row))] = rng.choice(BAD_BITS)
+    return doc
+
+
+def _mutate(rng, name: str, data: bytes) -> tuple[str, bytes]:
+    # most byte edits break the JSON syntax, so type swaps get twice the weight
+    kinds = ["flip", "truncate", "0xff", "swap", "swap"]
+    kind = rng.choice(kinds + ["bit"] * (name == "run.jsonl"))
+    pos = rng.randrange(len(data))
+    if kind == "flip":
+        flipped = bytes([data[pos] ^ rng.randrange(1, 256)])
+        return f"{kind}@{pos}", data[:pos] + flipped + data[pos + 1:]
+    if kind == "truncate":
+        return f"{kind}@{pos}", data[:pos]
+    if kind == "0xff":
+        return f"{kind}@{pos}", data[:pos] + b"\xff" + data[pos:]
+    jsonl = name.endswith(".jsonl")
+    if kind == "swap":
+        return kind, _edit_json(rng, data, jsonl, lambda doc: _swap_type(rng, doc))
+    return kind, _edit_json(rng, data, jsonl, lambda doc: _bad_bit(rng, doc))
+
+
+def test_mutated_documents_load_or_raise_format_errors(tmp_path, capsys):
+    rng = random.Random(4242)
+    start = time.perf_counter()
+    failures: list[str] = []
+    loaded = rejected = 0
+    for round_ in range(100):
+        for name, (data, loader) in DOCUMENTS.items():
+            what, mutated = _mutate(rng, name, data)
+            path = tmp_path / name
+            path.write_bytes(mutated)
+            case = f"round {round_}, {name}, {what}"
+            try:
+                loader(path)
+                loaded += 1
+            except ContextStreamError:
+                rejected += 1
+            except Exception as exc:  # noqa: BLE001 - any other error is the defect
+                failures.append(f"{case}: load raised {exc!r}")
+            try:
+                code = main(["validate", str(path)])
+            except Exception as exc:  # noqa: BLE001
+                failures.append(f"{case}: validate raised {exc!r}")
+            else:
+                if code not in (0, 2):
+                    failures.append(f"{case}: validate exited {code}")
+    elapsed = time.perf_counter() - start
+    capsys.readouterr()
+    assert not failures, f"{len(failures)} failures, first: {failures[:5]}"
+    print(f"\nFUZZ: PASS - {loaded + rejected} variants of {len(DOCUMENTS)} documents, "
+          f"{loaded} loaded, {rejected} rejected with a ContextStreamError, in {elapsed:.2f}s")

@@ -11,13 +11,7 @@ from contextstream.errors import FormatError, SuperChainError, TimestampOrderErr
 from contextstream.kg import EG
 from contextstream.learn import QueryStrategy
 
-from conftest import FIXTURES, MALFORMED
-
-
-def test_etg_round_trip(tmp_path, travel_etg):
-    path = tmp_path / "etg.json"
-    io.save_etg(path, travel_etg)
-    assert io.load_etg(path) == travel_etg
+from conftest import FIXTURES, MALFORMED, encode_case, fixture_record
 
 
 def test_eg_round_trip(tmp_path, travel_etg, travel_eg):
@@ -32,38 +26,20 @@ def test_typed_values_round_trip(tmp_path, travel_etg, travel_eg):
     assert loaded.entity("xiaoyue").values["mood"] == "happy"
 
 
-def test_stream_round_trip(tmp_path, travel_stream, travel_containment):
-    path = tmp_path / "stream.jsonl"
-    io.save_stream(path, travel_stream)
-    again = io.load_stream(path, travel_containment)
-    assert again == travel_stream
-    # exact wire field names per record line
-    lines = path.read_text().strip().splitlines()
-    assert json.loads(lines[0]) == {"format": "stream/1"}
-    record = json.loads(lines[1])
-    assert list(record) == [
-        "ts", "super_location", "super_event", "location", "event",
-        "coo_me", "my_actions", "persons", "objects",
-    ]
-    assert record["persons"] is None  # the explicit missing marker
-
-
-def test_stream_rejects_disorder(tmp_path, travel_stream):
+def test_stream_rejects_disorder(tmp_path):
     path = tmp_path / "bad.jsonl"
     rows = [json.dumps({"format": "stream/1"})]
-    first = io.record_to_dict(travel_stream.records[0])
+    first = fixture_record(0)
     rows += [json.dumps(first), json.dumps(first)]
     path.write_text("\n".join(rows) + "\n")
     with pytest.raises(TimestampOrderError):
         io.load_stream(path)
 
 
-def test_stream_rejects_bad_super_chain(tmp_path, travel_stream, travel_containment):
+def test_stream_rejects_bad_super_chain(tmp_path, travel_containment):
     path = tmp_path / "bad.jsonl"
-    second = io.record_to_dict(travel_stream.records[1])
-    second["super_location"] = "mars"
-    rows = [json.dumps({"format": "stream/1"}),
-            json.dumps(io.record_to_dict(travel_stream.records[0])), json.dumps(second)]
+    rows = [json.dumps({"format": "stream/1"}), json.dumps(fixture_record(0)),
+            json.dumps(fixture_record(1, super_location="mars"))]
     path.write_text("\n".join(rows) + "\n")
     assert len(io.load_stream(path)) == 2  # without containment nothing to check
     with pytest.raises(SuperChainError):
@@ -75,8 +51,7 @@ def test_stream_is_built_once(tmp_path, travel_stream, travel_containment, monke
     start = travel_stream.records[0].ts
     rows = [json.dumps({"format": "stream/1"})]
     for i in range(50):
-        record = io.record_to_dict(travel_stream.records[i % 2])
-        record["ts"] = (start + timedelta(seconds=i)).isoformat()
+        record = fixture_record(i % 2, ts=(start + timedelta(seconds=i)).isoformat())
         rows.append(json.dumps(record))
     path = tmp_path / "long.jsonl"
     path.write_text("\n".join(rows) + "\n")
@@ -95,8 +70,7 @@ def test_stream_is_built_once(tmp_path, travel_stream, travel_containment, monke
 
 def test_stream_header_is_first_non_blank_line(tmp_path, travel_stream):
     path = tmp_path / "padded.jsonl"
-    io.save_stream(path, travel_stream)
-    path.write_text("\n  \n" + path.read_text())
+    path.write_text("\n  \n" + (FIXTURES / "travel_stream.jsonl").read_text())
     assert io.load_stream(path) == travel_stream
     path.write_text("\n[]\n")
     with pytest.raises(FormatError):
@@ -135,10 +109,16 @@ def _runlog_text(mangle) -> str:
     return "\n".join(mangle(_runlog_lines(["a", "b"], [[1, 0]]))) + "\n"
 
 
+def _runlog_bit(bit) -> str:
+    return _runlog_text(lambda lines: lines[:1] + [json.dumps({"prediction": [1, bit],
+                                                                "truth": [1, 0]})])
+
+
 LOADERS = {
     "stream": io.load_stream,
     "eg": io.load_eg,
     "etg": io.load_etg,
+    "hierarchy": io.load_hierarchy,
     "scenario": io.load_scenario,
     "config": io.load_config,
     "runlog": io.load_runlog,
@@ -152,6 +132,10 @@ MALFORMED_FOR_LOADERS = {
         lambda lines: lines[:1] + [json.dumps({"prediction": [1, 0]})]), 2),
     "runlog-event-not-object": ("runlog", _runlog_text(lambda lines: lines[:1] + ["[1, 0]"]), 2),
     "runlog-header-not-object": ("runlog", _runlog_text(lambda lines: ["[]"] + lines[1:]), None),
+    **{f"runlog-bit-{name}": ("runlog", _runlog_bit(bit), 2) for name, bit in [
+        ("300", 300), ("negative", -1), ("2", 2), ("string", "x"), ("null", None),
+        ("true", True), ("fraction", 0.5), ("list", [1]),
+    ]},
 }
 
 
@@ -159,7 +143,7 @@ MALFORMED_FOR_LOADERS = {
 def test_malformed_document_raises_format_error(tmp_path, case):
     kind, text, line = MALFORMED_FOR_LOADERS[case]
     path = tmp_path / ("doc.jsonl" if kind in ("stream", "runlog") else "doc.json")
-    path.write_text(text)
+    path.write_bytes(encode_case(text))
     with pytest.raises(FormatError) as exc:
         LOADERS[kind](path)
     assert exc.value.line == line
@@ -173,16 +157,11 @@ def test_hierarchy_round_trip(tmp_path, travel_hierarchy):
     assert again.node_order == travel_hierarchy.node_order
 
 
-def test_scenario_round_trip(tmp_path, travel_scenario):
-    path = tmp_path / "scenario.json"
-    io.save_scenario(path, travel_scenario)
-    assert io.load_scenario(path) == travel_scenario
-
-
 def test_config_round_trip(tmp_path):
     config = io.Config(window_minutes=5.0, strategy=QueryStrategy("margin", 0.5), seed=11)
     path = tmp_path / "config.json"
-    io.save_config(path, config)
+    path.write_text(json.dumps({"format": "config/1", "window_minutes": 5.0,
+                                "strategy": config.strategy.to_dict(), "seed": 11}))
     assert io.load_config(path) == config
 
 
@@ -190,7 +169,7 @@ def test_config_checks_then_drops_the_near_threshold(tmp_path):
     """config/1 keeps `near_threshold_m`: accepted, checked, then dropped."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"format": "config/1", "near_threshold_m": 3.0}))
-    assert "near_threshold_m" not in io.config_to_dict(io.load_config(path))
+    assert io.load_config(path) == io.Config()
     path.write_text(json.dumps({"format": "config/1", "near_threshold_m": 0}))
     with pytest.raises(FormatError) as exc:
         io.load_config(path)
@@ -221,9 +200,9 @@ def test_corrupted_json_reports_position(tmp_path):
     assert exc.value.col is not None
 
 
-def test_version_mismatch_rejected(tmp_path, travel_etg):
+def test_version_mismatch_rejected(tmp_path):
     path = tmp_path / "etg.json"
-    doc = io.etg_to_dict(travel_etg)
+    doc = json.loads((FIXTURES / "travel_etg.json").read_text())
     doc["format"] = "etg/99"
     path.write_text(json.dumps(doc))
     with pytest.raises(FormatError):

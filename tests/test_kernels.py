@@ -116,13 +116,13 @@ def test_perceptron_step_math():
     x = np.array([1.0, 2.0, 0.0])
     y = np.array([1, 0], dtype=np.uint8)
     # zero scores -> predictions negative -> only node 0 wrong
-    wrong = step(W, b, x, y, 0.5)
+    wrong = step(W, b, x, y)
     assert wrong == 1
-    assert W[0].tolist() == [0.5, 1.0, 0.0]
-    assert b[0] == 0.5
+    assert W[0].tolist() == [1.0, 2.0, 0.0]
+    assert b[0] == 1.0
     assert not W[1].any() and b[1] == 0.0
     # now node 0 is right; flip the target to force a negative update
-    wrong = step(W, b, x, np.array([0, 0], dtype=np.uint8), 0.5)
+    wrong = step(W, b, x, np.array([0, 0], dtype=np.uint8))
     assert wrong == 1
     assert W[0].tolist() == [0.0, 0.0, 0.0]
     assert b[0] == 0.0

@@ -6,7 +6,7 @@ from datetime import datetime, timezone
 import pytest
 
 from contextstream.core import FunctionAssignment, PersonEntry, StreamRecord
-from contextstream.errors import CycleError, StaticPropertyError
+from contextstream.errors import CycleError
 from contextstream.kg import (
     EG,
     ETG,
@@ -15,7 +15,6 @@ from contextstream.kg import (
     EntityType,
     ObjectPropertyDef,
     PropertyValue,
-    apply_context_update,
     containment_from_eg,
     snapshot_eg,
     validate_eg,
@@ -326,36 +325,6 @@ def test_snapshot_random_records_conform(travel_etg, travel_eg):
         )
         snap = snapshot_eg(travel_eg, rec, travel_etg)
         assert validate_eg(travel_etg, snap).ok
-
-
-# -- recognized-context updates ---------------------------------------------------
-
-def test_apply_update_replaces_per_property_subject(travel_etg, travel_eg):
-    snap = snapshot_eg(travel_eg, ROW1, travel_etg)
-    updated = apply_context_update(snap, [triple("in", "xiaoyue", "trentino")], travel_etg)
-    ins = {t for t in updated.triples if t.property == "in"}
-    assert ins == {triple("in", "xiaoyue", "trentino")}
-    # unrelated context facts survive
-    assert triple("do", "xiaoyue", "sitting") in updated.triple_set()
-
-
-def test_apply_update_empty_is_identity(travel_etg, travel_eg):
-    snap = snapshot_eg(travel_eg, ROW1, travel_etg)
-    assert apply_context_update(snap, [], travel_etg) == snap
-
-
-def test_apply_update_rejects_static_property(travel_etg, travel_eg):
-    with pytest.raises(StaticPropertyError) as exc:
-        apply_context_update(travel_eg, [triple("partOf", "roads_2", "trentino")], travel_etg)
-    assert "static-property" in exc.value.report.codes()
-
-
-def test_apply_update_idempotent(travel_etg, travel_eg):
-    snap = snapshot_eg(travel_eg, ROW2, travel_etg)
-    update = [triple("in", "xiaoyue", "trentino"), triple("do", "xiaoyue", "sitting")]
-    once = apply_context_update(snap, update, travel_etg)
-    twice = apply_context_update(once, update, travel_etg)
-    assert once == twice
 
 
 # -- containment ----------------------------------------------------------------

@@ -120,16 +120,6 @@ def test_training_deterministic(travel_hierarchy):
     assert models[0].steps == models[1].steps == 50
 
 
-def test_model_copy_is_independent_snapshot(travel_hierarchy):
-    m = OnlinePerceptron.zeros(len(travel_hierarchy), 4)
-    y = consistent_label(travel_hierarchy, ["entity:walk"])
-    snapshot = m.copy()
-    train_step(m, np.ones(4), y, travel_hierarchy)
-    assert not snapshot.weights.any()
-    assert snapshot.steps == 0
-    assert m.steps == 1
-
-
 def test_separable_two_regime_training(travel_hierarchy):
     rng = np.random.default_rng(41)
     h = travel_hierarchy

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from contextstream.metrics import block_hamming_accuracy, evaluate, per_node_accuracy
+from contextstream.metrics import evaluate, per_node_accuracy
 
 
 def test_identical_predictions_score_one():
@@ -66,8 +66,3 @@ def test_per_node_accuracy_window():
     acc_last = per_node_accuracy(HAND_PREDS, HAND_TRUTH, last=1)
     assert acc_last.tolist() == pytest.approx([1.0, 0.0, 0.0])
 
-
-def test_block_hamming_accuracy():
-    preds = np.concatenate([np.zeros((4, 2)), np.ones((4, 2))]).astype(np.uint8)
-    truth = np.ones((8, 2), dtype=np.uint8)
-    assert block_hamming_accuracy(preds, truth, block=4) == [0.0, 1.0]
