@@ -17,7 +17,6 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .errors import CycleError, UnknownIdError
 from .kg import COLLAPSE_PROPERTIES, EG, ETG, PropertyValue
 from .report import ValidationReport
@@ -66,7 +65,8 @@ class Hierarchy:
 
     The node order (topological with lexicographic tie-break, children before
     parents) indexes label vectors; it is a pure function of the graph and is
-    recomputed rather than stored.
+    recomputed rather than stored. The edges are the only stored form of the
+    order: label repairs walk them grouped by depth (`levels`).
     """
 
     def __init__(self, nodes: Iterable[ConceptNode], edges: Iterable[tuple[str, str]], root: str):
@@ -148,20 +148,21 @@ class Hierarchy:
     def edge_index_pairs(self) -> np.ndarray:
         """Edges as an (m, 2) int array of (child, parent) order indexes."""
         idx = self._index
-        if not self.edges:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.array([(idx[c], idx[p]) for c, p in self.edges], dtype=np.int64)
+        return np.array([(idx[c], idx[p]) for c, p in self.edges], dtype=np.int64).reshape(-1, 2)
 
     @cached_property
-    def _sweep(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ancestor matrix, mask over `edges`: True where no longer path
-        implies the edge)."""
-        return _kernels.ancestor_sweep(len(self.nodes), self.edge_index_pairs)
-
-    @property
-    def ancestor_matrix(self) -> np.ndarray:
-        """anc[i, j] True when node j is a strict ancestor of node i."""
-        return self._sweep[0]
+    def levels(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The edges as (child, parent) index arrays grouped by the child's
+        depth (longest path from a parentless node), shallowest first; every
+        parent sits in an earlier level than its children."""
+        depth: dict[str, int] = {}
+        for nid in reversed(self.node_order):
+            depth[nid] = max((depth[p] + 1 for p in self._parents[nid]), default=0)
+        groups: list[list[int]] = [[] for _ in range(max(depth.values(), default=0))]
+        for k, (child, _) in enumerate(self.edges):
+            groups[depth[child] - 1].append(k)
+        pairs = self.edge_index_pairs
+        return tuple((pairs[g, 0], pairs[g, 1]) for g in groups)
 
 
 def find_cycle(edges: Iterable[tuple[str, str]]) -> list[str] | None:
@@ -339,16 +340,26 @@ def _pinst_display(etg: ETG, eg: EG, t: PropertyValue) -> str:
     return f"{prop_name}({name_of(t.subject)}, {name_of(t.object)})"
 
 
+def _implied_edges(h: Hierarchy) -> list[tuple[str, str]]:
+    """Edges a longer path implies: one pass from the top keeps each node's
+    strict ancestors as a set of ids, and c -> p is implied exactly when p is
+    an ancestor of another parent of c. Cycles raise CycleError."""
+    ancestors: dict[str, set[str]] = {}
+    implied: list[tuple[str, str]] = []
+    for nid in reversed(h.node_order):
+        parents = h.parents_of(nid)
+        above = set().union(*(ancestors[p] for p in parents))
+        implied += [(nid, p) for p in parents if p in above]
+        ancestors[nid] = above.union(parents)
+    return implied
+
+
 def transitive_reduction(h: Hierarchy) -> Hierarchy:
-    """The unique minimal edge set with the same reachability; nodes and root
-    are unchanged. Cyclic input raises CycleError with a witness."""
-    anc, keep = h._sweep  # raises on cycles
-    reduced = Hierarchy(h.nodes.values(), [e for e, k in zip(h.edges, keep) if k], h.root)
-    # reduction keeps reachability, so h's ancestor rows are the reduced
-    # graph's too, once mapped through node ids onto its own node order
-    rows = np.array([h.index_of(nid) for nid in reduced.node_order], dtype=np.int64)
-    reduced._sweep = (anc[np.ix_(rows, rows)], np.ones(len(reduced.edges), dtype=bool))
-    return reduced
+    """The unique minimal edge set with the same reachability (Aho, Garey and
+    Ullman 1972); nodes and root are unchanged. Cyclic input raises
+    CycleError with a witness."""
+    implied = set(_implied_edges(h))
+    return Hierarchy(h.nodes.values(), [e for e in h.edges if e not in implied], h.root)
 
 
 def validate_hierarchy(
@@ -364,18 +375,20 @@ def validate_hierarchy(
         return report
     if h.nodes[h.root].kind is not NodeKind.ROOT:
         report.add("root-kind", f"root node has kind {h.nodes[h.root].kind.value}", h.root)
-    anc = h.ancestor_matrix
-    root_idx = h.index_of(h.root)
+    rooted = np.zeros(len(h), dtype=bool)
+    rooted[h.index_of(h.root)] = True
+    for child, parent in h.levels:
+        rooted[child[rooted[parent]]] = True
     for nid in h.node_order:
         if nid == h.root:
             continue
         if not h.parents_of(nid):
             report.add("orphan", "non-root node has no parent", nid)
-        elif not anc[h.index_of(nid), root_idx]:
+        elif not rooted[h.index_of(nid)]:
             report.add("unrooted", "root not reachable", nid)
-    order = h.node_order
-    for i, j in sorted(h.edge_index_pairs[~h._sweep[1]].tolist()):
-        report.add("redundant-edge", f"edge implied by a longer path: {order[i]} -> {order[j]}")
+    index = h._index
+    for child, parent in sorted(_implied_edges(h), key=lambda e: (index[e[0]], index[e[1]])):
+        report.add("redundant-edge", f"edge implied by a longer path: {child} -> {parent}")
     for node in h.nodes.values():
         if node.kind is NodeKind.ROOT:
             continue

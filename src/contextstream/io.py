@@ -10,6 +10,7 @@ for those four formats, saving then loading yields equal objects.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -111,6 +112,19 @@ def _strings(value: Any, what: str) -> list[str]:
 def _integer(value: Any, what: str) -> int:
     if type(value) is not int:  # bool is an int subclass; JSON true is not a number
         raise TypeError(f"{what} must be an integer")
+    return value
+
+
+def _number(value: Any, what: str) -> float:
+    # NaN fails the comparison, and so do infinities and ints past the float range
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise TypeError(f"{what} must be a finite number")
+    return float(value)
+
+
+def _id(value: Any, what: str) -> str | None:
+    if value is not None and type(value) is not str:
+        raise TypeError(f"{what} must be a string or null")
     return value
 
 
@@ -243,16 +257,24 @@ def _coordinates_from_json(d: Any) -> Coordinates | None:
     return Coordinates(d["x"], d["y"], d["z"], d.get("frame", "local"))
 
 
+def _function(d: Mapping[str, Any]) -> FunctionAssignment:
+    return FunctionAssignment(
+        function_name=_id(d["function"], "function"),
+        holder=_id(d["holder"], "holder"),
+        beneficiary=_id(d["beneficiary"], "beneficiary"),
+    )
+
+
 def _record_from_json(d: Mapping[str, Any], ts: Timestamp | None = None) -> StreamRecord:
     my_actions = d.get("my_actions")
     persons = d.get("persons")
     objects = d.get("objects")
     return StreamRecord(
         ts=ts if ts is not None else parse_timestamp(d["ts"]),
-        super_location=d.get("super_location"),
-        super_event=d.get("super_event"),
-        location=d.get("location"),
-        event=d.get("event"),
+        super_location=_id(d.get("super_location"), "super_location"),
+        super_event=_id(d.get("super_event"), "super_event"),
+        location=_id(d.get("location"), "location"),
+        event=_id(d.get("event"), "event"),
         coo_me=_coordinates_from_json(d.get("coo_me")),
         my_actions=frozenset(_strings(my_actions, "my_actions"))
         if my_actions is not None
@@ -261,25 +283,14 @@ def _record_from_json(d: Mapping[str, Any], ts: Timestamp | None = None) -> Stre
         if persons is None
         else tuple(
             PersonEntry(
-                function=FunctionAssignment(
-                    function_name=p["function"],
-                    holder=p["holder"],
-                    beneficiary=p["beneficiary"],
-                ),
+                function=_function(p),
                 actions=frozenset(_strings(p.get("actions", []), "person actions")),
             )
             for p in persons
         ),
         object_entries=None
         if objects is None
-        else tuple(
-            FunctionAssignment(
-                function_name=o["function"],
-                holder=o["holder"],
-                beneficiary=o["beneficiary"],
-            )
-            for o in objects
-        ),
+        else tuple(_function(o) for o in objects),
     )
 
 
@@ -369,7 +380,8 @@ def scenario_from_dict(doc: Mapping[str, Any], path: Any = "<memory>") -> Scenar
                     begin=begin,
                     end=parse_timestamp(seg["end"]),
                     emissions={
-                        ch: EmissionSpec(float(spec["mean"]), float(spec["std"]))
+                        ch: EmissionSpec(_number(spec["mean"], "emission mean"),
+                                         _number(spec["std"], "emission std"))
                         for ch, spec in seg.get("emissions", {}).items()
                     },
                     record=_record_from_json(seg["record"], ts=begin),
@@ -377,7 +389,7 @@ def scenario_from_dict(doc: Mapping[str, Any], path: Any = "<memory>") -> Scenar
             )
         return ScenarioScript(
             seed=_integer(doc["seed"], "seed"),
-            reading_interval_s=float(doc["reading_interval_s"]),
+            reading_interval_s=_number(doc["reading_interval_s"], "reading_interval_s"),
             channels=tuple(_strings(doc["channels"], "channels")),
             segments=tuple(segments),
         )
@@ -411,11 +423,13 @@ def config_from_dict(doc: Mapping[str, Any], path: Any = "<memory>") -> Config:
     if unknown:
         raise FormatError(path, f"unknown config keys: {sorted(unknown)}")
     with _Malformed(path, "config"):
-        if float(doc.get("near_threshold_m", 10.0)) <= 0:
+        if _number(doc.get("near_threshold_m", 10.0), "near_threshold_m") <= 0:
             raise ValueError("near_threshold_m must be positive")
+        strategy = doc.get("strategy", {"kind": "always"})
         return Config(
-            window_minutes=float(doc.get("window_minutes", 30.0)),
-            strategy=QueryStrategy.from_dict(doc.get("strategy", {"kind": "always"})),
+            window_minutes=_number(doc.get("window_minutes", 30.0), "window_minutes"),
+            strategy=QueryStrategy(kind=strategy.get("kind", "always"),
+                                   tau=_number(strategy.get("tau", 0.0), "strategy tau")),
             seed=_integer(doc["seed"], "seed") if doc.get("seed") is not None else None,
         )
 

@@ -3,7 +3,8 @@ consistency constraint: construction from snapshots, checking, and repair.
 
 Vectors are uint8 numpy arrays indexed by the hierarchy's node order. A
 vector is consistent when every set bit's parents are set too; upward repair
-adds the missing ancestors, downward repair drops unsupported bits.
+adds the missing ancestors, downward repair drops unsupported bits. Both walk
+the hierarchy's edges level by level (`Hierarchy.levels`).
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ def check_consistency(h: Hierarchy, y: Sequence[int] | np.ndarray) -> list[Consi
     """Every edge with child bit 1 and parent bit 0; empty means consistent."""
     arr = _as_vector(h, y)
     pairs = h.edge_index_pairs
-    if len(pairs) == 0:
-        return []
     bad = (arr[pairs[:, 0]] == 1) & (arr[pairs[:, 1]] == 0)
     order = h.node_order
     return [
@@ -59,14 +58,14 @@ def check_consistency(h: Hierarchy, y: Sequence[int] | np.ndarray) -> list[Consi
 def repair_upward(h: Hierarchy, y: Sequence[int] | np.ndarray) -> LabelVector:
     """Minimal consistent superset: set bits plus all their ancestors."""
     arr = _as_vector(h, y)
-    return _kernels.repair_up(arr, h.ancestor_matrix)
+    return _kernels.repair_up(arr, h.levels)
 
 
 def repair_downward(h: Hierarchy, y: Sequence[int] | np.ndarray) -> LabelVector:
     """Maximal consistent subset: keep a bit only when all its ancestors are
     set in the input."""
     arr = _as_vector(h, y)
-    return _kernels.repair_down(arr, h.ancestor_matrix)
+    return _kernels.repair_down(arr, h.levels)
 
 
 def labels_from_eg(h: Hierarchy, snapshot: EG, etg: ETG) -> LabelVector:

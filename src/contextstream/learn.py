@@ -58,16 +58,6 @@ class QueryStrategy:
             return cls(kind=kind.strip(), tau=float(tau))  # type: ignore[arg-type]
         return cls(kind=spec.strip())  # type: ignore[arg-type]
 
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind == "margin":
-            out["tau"] = self.tau
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QueryStrategy":
-        return cls(kind=d.get("kind", "always"), tau=float(d.get("tau", 0.0)))
-
 
 def decide_query(strategy: QueryStrategy, x: np.ndarray, model: OnlinePerceptron) -> bool:
     """True when the learner should acquire labels for this instance."""

@@ -99,10 +99,12 @@ def validate_script(script: ScenarioScript, eg: EG) -> ValidationReport:
             check(name, f"{where} action")
         for entry in r.person_entries or ():
             check(entry.function.holder, f"{where} person")
+            check(entry.function.beneficiary, f"{where} person beneficiary")
             for name in sorted(entry.actions):
                 check(name, f"{where} person action")
         for fa in r.object_entries or ():
             check(fa.holder, f"{where} object")
+            check(fa.beneficiary, f"{where} object beneficiary")
     return report
 
 

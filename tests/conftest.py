@@ -43,6 +43,16 @@ def _first_segment(**changes) -> str:
     return json.dumps(doc)
 
 
+def _scenario_with(change) -> str:
+    doc = _fixture_doc("travel_scenario.json")
+    change(doc)
+    return json.dumps(doc)
+
+
+def _config(**keys) -> str:
+    return json.dumps({"format": "config/1", **keys})
+
+
 def _etg_with_duplicate_etype() -> str:
     doc = _fixture_doc("travel_etg.json")
     doc["etypes"].append(doc["etypes"][0])
@@ -116,6 +126,37 @@ MALFORMED = {
         '"Person"', f'"Pers{NOT_UTF8}on"', 1), 5),
     "stream-not-utf-8": ("stream", _stream_ending_with(
         _second_record().replace('"walk"', f'"walk{NOT_UTF8}"')), 3),
+    "stream-location-not-string": ("stream", _stream_ending_with(
+        _second_record(location=["roads_2"], super_location=None)), 3),
+    "stream-super-location-not-string": ("stream", _stream_ending_with(
+        _second_record(super_location=5)), 3),
+    "stream-event-not-string": ("stream", _stream_ending_with(
+        _second_record(event={"id": "walk"})), 3),
+    "stream-super-event-boolean": ("stream", _stream_ending_with(
+        _second_record(super_event=True)), 3),
+    "stream-function-not-string": ("stream", _stream_ending_with(_second_record(persons=[
+        {"function": 1, "holder": "haonan", "beneficiary": "xiaoyue", "actions": []},
+    ])), 3),
+    "stream-holder-not-string": ("stream", _stream_ending_with(_second_record(objects=[
+        {"function": "RestToolOf", "holder": ["seat_1"], "beneficiary": "xiaoyue"},
+    ])), 3),
+    "stream-beneficiary-not-string": ("stream", _stream_ending_with(_second_record(persons=[
+        {"function": "FriendOf", "holder": "haonan", "beneficiary": 7, "actions": []},
+    ])), 3),
+    "scenario-location-not-string": ("scenario", _scenario_with(
+        lambda doc: doc["segments"][0]["record"].update(location=5)), None),
+    "scenario-reading-interval-boolean": ("scenario", json.dumps(
+        _fixture_doc("travel_scenario.json", reading_interval_s=True)), None),
+    "scenario-reading-interval-string": ("scenario", json.dumps(
+        _fixture_doc("travel_scenario.json", reading_interval_s="60")), None),
+    "scenario-emission-mean-string": ("scenario", _scenario_with(
+        lambda doc: doc["segments"][0]["emissions"]["gps_speed"].update(mean="17")), None),
+    "scenario-emission-std-nan": ("scenario", _scenario_with(
+        lambda doc: doc["segments"][0]["emissions"]["gps_speed"].update(std=float("nan"))), None),
+    "config-window-minutes-boolean": ("config", _config(window_minutes=True), None),
+    "config-window-minutes-infinite": ("config", _config(window_minutes=float("inf")), None),
+    "config-near-threshold-string": ("config", _config(near_threshold_m="3"), None),
+    "config-tau-boolean": ("config", _config(strategy={"kind": "margin", "tau": True}), None),
 }
 
 

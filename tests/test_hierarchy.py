@@ -76,20 +76,14 @@ def test_reduction_pruned_implied_entity_edge(travel_hierarchy):
     # haonan reaches Person through the FriendOf instance, so the direct
     # edge (haonan -> Person) must have been reduced away
     assert ("entity:haonan", "etype:person") not in travel_hierarchy.edges
-    anc = travel_hierarchy.ancestor_matrix
-    i = travel_hierarchy.index_of("entity:haonan")
-    j = travel_hierarchy.index_of("etype:person")
-    assert anc[i, j]
+    assert "etype:person" in dfs_closure_ids(set(travel_hierarchy.edges), {"entity:haonan"})
 
 
 def test_reified_instance_reachability(travel_hierarchy):
-    anc = travel_hierarchy.ancestor_matrix
-    seat = travel_hierarchy.index_of("entity:seat_1")
-    inst = travel_hierarchy.index_of("pinst:RestToolOf/xiaoyue/seat_1")
-    prop = travel_hierarchy.index_of("prop:RestToolOf")
-    assert anc[seat, inst]
-    assert anc[inst, prop]
-    assert anc[seat, prop]
+    edges = set(travel_hierarchy.edges)
+    inst = "pinst:RestToolOf/xiaoyue/seat_1"
+    assert {inst, "prop:RestToolOf"} <= dfs_closure_ids(edges, {"entity:seat_1"})
+    assert "prop:RestToolOf" in dfs_closure_ids(edges, {inst})
 
 
 # -- small compile cases ----------------------------------------------------------
@@ -157,13 +151,13 @@ def test_entity_liked_256_times_keeps_every_ancestor():
     )
     h = compile_hierarchy(etg, eg)
     star = h.index_of("entity:star")
-    got = {h.node_order[j] for j in np.flatnonzero(h.ancestor_matrix[star])}
-    assert got == dfs_closure_ids(set(h.edges), {"entity:star"}) - {"entity:star"}
-    assert "prop:likes" in got
-    assert ("entity:star", "etype:thing") not in h.edges
     y = zeros(h)
     y[star] = 1
     up = repair_upward(h, y)
+    got = {h.node_order[j] for j in np.flatnonzero(up)}
+    assert got == dfs_closure_ids(set(h.edges), {"entity:star"})
+    assert "prop:likes" in got
+    assert ("entity:star", "etype:thing") not in h.edges
     assert check_consistency(h, up) == []
     model = OnlinePerceptron.zeros(len(h), 2)
     train_step(model, np.ones(2), up, h)
@@ -257,11 +251,12 @@ def test_reduction_preserves_reachability_against_oracle():
             len(h.nodes), {(index[a], index[b]) for a, b in reduced.edges}
         )
         assert before == after
-        order = reduced.node_order
-        ancestors = {
-            (index[order[i]], index[order[j]]) for i, j in np.argwhere(reduced.ancestor_matrix)
-        }
-        assert ancestors == before
+        # upward repair on the reduced DAG sets each node's ancestors in h
+        for nid in h.nodes:
+            y = zeros(reduced)
+            y[reduced.index_of(nid)] = 1
+            got = {reduced.node_order[j] for j in np.flatnonzero(repair_upward(reduced, y))}
+            assert got == dfs_closure_ids(set(h.edges), {nid})
         # no removable edge: dropping any edge loses reachability
         reduced_set = set(reduced.edges)
         for edge in reduced.edges:

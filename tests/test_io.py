@@ -161,7 +161,7 @@ def test_config_round_trip(tmp_path):
     config = io.Config(window_minutes=5.0, strategy=QueryStrategy("margin", 0.5), seed=11)
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"format": "config/1", "window_minutes": 5.0,
-                                "strategy": config.strategy.to_dict(), "seed": 11}))
+                                "strategy": {"kind": "margin", "tau": 0.5}, "seed": 11}))
     assert io.load_config(path) == config
 
 

@@ -3,11 +3,13 @@ from __future__ import annotations
 import random
 
 import numpy as np
-import pytest
 
 from contextstream import _kernels
+from contextstream.hierarchy import Hierarchy, transitive_reduction
+from contextstream.labels import repair_upward
 
 from conftest import dfs_reachable_pairs, random_dag
+from test_hierarchy import hierarchy_from_indexed, plain_node
 
 
 def reach_oracle(n, edges):
@@ -36,18 +38,24 @@ def implied_by_longer_path(edges, edge):
     return False
 
 
-def sweep(n, edges):
-    pairs = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
-    anc, keep = _kernels.ancestor_sweep(n, pairs)
-    kept = {(int(c), int(p)) for (c, p), k in zip(pairs, keep) if k}
-    return anc, kept
+def reduce(n, edges):
+    """The reduced hierarchy of an indexed DAG and the DAG edges it keeps."""
+    reduced = transitive_reduction(hierarchy_from_indexed(n, edges))
+    kept = {(int(c[1:]), int(p[1:])) for c, p in reduced.edges if p != "root"}
+    return reduced, kept
 
 
 def check_against_oracles(n, edges):
-    anc, kept = sweep(n, edges)
-    assert anc.dtype == bool and anc.flags.c_contiguous
-    assert np.array_equal(anc, reach_oracle(n, edges))
+    reduced, kept = reduce(n, edges)
     assert kept == {e for e in edges if not implied_by_longer_path(edges, e)}
+    # the reduced DAG keeps every ancestor: upward repair of one bit sets
+    # exactly the DFS reach of the input, plus the node and the root
+    reach = reach_oracle(n, edges)
+    for i in range(n):
+        y = np.zeros(len(reduced), dtype=np.uint8)
+        y[reduced.index_of(f"n{i:02d}")] = 1
+        got = {reduced.node_order[j] for j in np.flatnonzero(repair_upward(reduced, y))}
+        assert got == {f"n{j:02d}" for j in np.flatnonzero(reach[i])} | {f"n{i:02d}", "root"}
 
 
 def wide_dag(rng, n, width):
@@ -60,6 +68,17 @@ def wide_dag(rng, n, width):
     return edges
 
 
+def chain_and_wide_layer(depth, width):
+    """A chain 0 -> 1 -> ... -> depth-1, a layer of `width` nodes under its
+    bottom node 0, and one node under the whole layer with a shortcut to the
+    chain's top: depth + 1 levels of edges."""
+    layer = range(depth, depth + width)
+    bottom = depth + width
+    edges = {(i, i + 1) for i in range(depth - 1)}
+    edges |= {(k, 0) for k in layer} | {(bottom, k) for k in layer} | {(bottom, depth - 1)}
+    return bottom + 1, edges
+
+
 def test_closure_matches_dfs_oracle():
     rng = random.Random(7)
     for _ in range(30):
@@ -69,9 +88,9 @@ def test_closure_matches_dfs_oracle():
 
 def test_prune_redundant_drops_exactly_implied_edges():
     # chain plus shortcut: 0->1->2 with shortcut 0->2
-    anc, kept = sweep(3, {(0, 1), (1, 2), (0, 2)})
+    _, kept = reduce(3, {(0, 1), (1, 2), (0, 2)})
     assert kept == {(0, 1), (1, 2)}
-    assert anc[0, 2]
+    check_against_oracles(3, {(0, 1), (1, 2), (0, 2)})
 
 
 def test_sweep_large_and_wide_dags_match_dfs_oracles():
@@ -84,29 +103,35 @@ def test_sweep_large_and_wide_dags_match_dfs_oracles():
         check_against_oracles(n, random_dag(rng, n, p=rng.uniform(0.005, 0.05)))
 
 
-def test_sweep_rejects_non_topological_indexes():
-    with pytest.raises(ValueError):
-        _kernels.ancestor_sweep(2, np.array([[1, 0]]))
+def index_levels(n, edges):
+    """The levels a Hierarchy builds for an indexed DAG, in the DAG's indexes."""
+    names = [f"n{i:02d}" for i in range(n)]
+    h = Hierarchy(map(plain_node, names), {(names[a], names[b]) for a, b in edges}, names[0])
+    to_index = np.array([int(nid[1:]) for nid in h.node_order], dtype=np.intp)
+    return [(to_index[c], to_index[p]) for c, p in h.levels]
 
 
 def test_repair_kernels_match_naive():
     rng = np.random.default_rng(11)
     pr = random.Random(11)
-    for _ in range(20):
-        n = int(rng.integers(1, 25))
-        anc = reach_oracle(n, random_dag(pr, n, p=0.25))
-        y = (rng.random(n) < 0.4).astype(np.uint8)
+    dags = [(n, random_dag(pr, n, p=0.25)) for n in (int(rng.integers(1, 25)) for _ in range(20))]
+    dags += [chain_and_wide_layer(40, 256), chain_and_wide_layer(3, 300)]
+    for n, edges in dags:
+        anc = reach_oracle(n, edges)
+        levels = index_levels(n, edges)
+        for density in (0.05, 0.4, 0.95):
+            y = (rng.random(n) < density).astype(np.uint8)
 
-        naive_up = y.astype(bool).copy()
-        for i in range(n):
-            if y[i]:
-                naive_up |= anc[i]
-        naive_down = np.array(
-            [bool(y[i]) and not (anc[i] & ~y.astype(bool)).any() for i in range(n)]
-        )
+            naive_up = y.astype(bool).copy()
+            for i in range(n):
+                if y[i]:
+                    naive_up |= anc[i]
+            naive_down = np.array(
+                [bool(y[i]) and not (anc[i] & ~y.astype(bool)).any() for i in range(n)]
+            )
 
-        assert np.array_equal(_kernels.repair_up(y, anc).astype(bool), naive_up)
-        assert np.array_equal(_kernels.repair_down(y, anc).astype(bool), naive_down)
+            assert np.array_equal(_kernels.repair_up(y, levels).astype(bool), naive_up)
+            assert np.array_equal(_kernels.repair_down(y, levels).astype(bool), naive_down)
 
 
 def test_perceptron_step_math():

@@ -5,7 +5,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from contextstream.core import StreamRecord
+from contextstream.core import FunctionAssignment, PersonEntry, StreamRecord
 from contextstream.labels import check_consistency
 from contextstream.learn import QueryStrategy
 from contextstream.simulate import (
@@ -91,6 +91,22 @@ def test_validate_script_flags_unknown_entities(travel_eg):
     assert "unknown-entity" in report.codes()
     with pytest.raises(ValueError):
         list(generate_stream(script, eg=travel_eg))
+
+
+def test_validate_script_flags_unknown_beneficiaries(travel_eg):
+    nobody = FunctionAssignment("FriendOf", "haonan", "nobody")
+    records = [
+        StreamRecord(ts=T0, person_entries=(PersonEntry(nobody, frozenset()),)),
+        StreamRecord(ts=T0, object_entries=(FunctionAssignment("RestToolOf", "seat_1", "nobody"),)),
+    ]
+    for record in records:
+        script = ScenarioScript(
+            1, 60.0, ("a",), (Segment(ts(0), ts(10), {"a": EmissionSpec(0, 1)}, record),),
+        )
+        report = validate_script(script, travel_eg)
+        assert [(f.code, f.subject) for f in report.findings] == [("unknown-entity", "nobody")]
+        with pytest.raises(ValueError):
+            list(generate_stream(script, eg=travel_eg))
 
 
 # -- stream generation ------------------------------------------------------------
