@@ -48,10 +48,8 @@ from .simulate import (
     FeatureVector,
     ScenarioScript,
     Segment,
-    SensorReading,
     WindowSpec,
     aggregate_window,
-    generate_stream,
     run_simulation,
 )
 

@@ -3,15 +3,16 @@ aggregation, query decisions, online training, and logging.
 
 A scenario script plays non-overlapping timeline segments; each segment emits
 Gaussian readings per channel at a fixed tick and declares the stream record
-that is the ground truth while it is active. Runs are deterministic for a
-given seed.
+that is the ground truth while it is active. Readings are drawn and
+aggregated as arrays, one window at a time, in the tick-major order of
+per-reading draws. Runs are deterministic for a given seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from datetime import timedelta
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,17 +25,6 @@ from .metrics import evaluate
 from .report import ValidationReport
 
 AGGREGATORS = ("mean", "count", "variance")
-
-
-@dataclass(frozen=True)
-class SensorReading:
-    ts: Timestamp
-    channel: str
-    value: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise ValueError(f"non-finite reading on channel {self.channel!r}")
 
 
 @dataclass(frozen=True)
@@ -67,8 +57,11 @@ class ScenarioScript:
     segments: tuple[Segment, ...]
 
     def __post_init__(self):
-        if self.reading_interval_s <= 0:
-            raise ValueError("reading_interval_s must be positive")
+        try:
+            if self.step <= timedelta(0):
+                raise ValueError("reading_interval_s must be at least one microsecond")
+        except OverflowError:
+            raise ValueError("reading_interval_s is too large") from None
         for prev, cur in zip(self.segments, self.segments[1:]):
             if cur.begin < prev.end:
                 raise ValueError(
@@ -79,14 +72,24 @@ class ScenarioScript:
             if unknown:
                 raise ValueError(f"segment emits undeclared channels: {sorted(unknown)}")
 
+    @property
+    def step(self) -> timedelta:
+        """The time between two ticks, exact in microseconds."""
+        return timedelta(seconds=self.reading_interval_s)
 
-def validate_script(script: ScenarioScript, eg: EG) -> ValidationReport:
-    """Check that every entity the script's records mention exists in the EG."""
+
+def validate_script(script: ScenarioScript, eg: EG, etg: ETG) -> ValidationReport:
+    """Check that every entity the script's records mention exists in the EG
+    and that every function they name is a property of the ETG."""
     report = ValidationReport()
 
     def check(ref: str | None, what: str) -> None:
         if ref is not None and eg.resolve(ref) is None:
             report.add("unknown-entity", f"{what} {ref!r} not in the EG", ref)
+
+    def check_function(name: str, what: str) -> None:
+        if name not in etg.properties:
+            report.add("unknown-property", f"{what} function {name!r} not in the ETG", name)
 
     for i, seg in enumerate(script.segments):
         r = seg.record
@@ -98,37 +101,16 @@ def validate_script(script: ScenarioScript, eg: EG) -> ValidationReport:
         for name in sorted(r.my_actions or ()):
             check(name, f"{where} action")
         for entry in r.person_entries or ():
+            check_function(entry.function.function_name, f"{where} person")
             check(entry.function.holder, f"{where} person")
             check(entry.function.beneficiary, f"{where} person beneficiary")
             for name in sorted(entry.actions):
                 check(name, f"{where} person action")
         for fa in r.object_entries or ():
+            check_function(fa.function_name, f"{where} object")
             check(fa.holder, f"{where} object")
             check(fa.beneficiary, f"{where} object beneficiary")
     return report
-
-
-def generate_stream(
-    script: ScenarioScript, eg: EG | None = None, seed: int | None = None
-) -> Iterator[tuple[tuple[SensorReading, ...], StreamRecord]]:
-    """Yield per-tick reading batches paired with the active ground-truth
-    record. Byte-identical across runs for the same script and seed."""
-    if eg is not None:
-        report = validate_script(script, eg)
-        if not report.ok:
-            raise ValueError("script references unknown entities: " + report.summary())
-    rng = np.random.default_rng(script.seed if seed is None else seed)
-    step = timedelta(seconds=script.reading_interval_s)
-    for seg in script.segments:
-        ts = seg.begin
-        while ts < seg.end:
-            readings = tuple(
-                SensorReading(ts, ch, float(rng.normal(spec.mean, spec.std)))
-                for ch in script.channels
-                if (spec := seg.emissions.get(ch)) is not None
-            )
-            yield readings, replace(seg.record, ts=ts)
-            ts = ts + step
 
 
 @dataclass(frozen=True)
@@ -174,30 +156,28 @@ class FeatureVector:
 
 
 def aggregate_window(
-    readings: Sequence[SensorReading],
+    samples: Mapping[str, np.ndarray],
     spec: WindowSpec,
     begin: Timestamp,
     end: Timestamp,
 ) -> FeatureVector:
-    """Manifest-ordered aggregates; channels with no readings contribute 0
-    plus a raised empty flag."""
-    by_channel: dict[str, list[float]] = {ch: [] for ch in spec.aggregators}
-    for r in readings:
-        if r.channel in by_channel:
-            by_channel[r.channel].append(r.value)
+    """Manifest-ordered aggregates of each channel's readings in the window,
+    given as one contiguous float64 array per channel in tick order (a
+    strided view is not guaranteed to sum in the same order). Channels with no
+    readings, absent or empty, contribute 0 plus a raised empty flag."""
     values: list[float] = []
     for ch in sorted(spec.aggregators):
-        samples = np.asarray(by_channel[ch], dtype=np.float64)
-        empty = samples.size == 0
+        x = samples.get(ch)
+        empty = x is None or x.size == 0
         for agg in spec.aggregators[ch]:
             if empty:
                 values.append(0.0)
             elif agg == "mean":
-                values.append(float(samples.mean()))
+                values.append(float(x.mean()))
             elif agg == "count":
-                values.append(float(samples.size))
+                values.append(float(x.size))
             else:
-                values.append(float(samples.var()))
+                values.append(float(x.var()))
         values.append(1.0 if empty else 0.0)
     return FeatureVector(np.asarray(values), begin, end, spec.manifest)
 
@@ -244,50 +224,71 @@ def run_simulation(
 ) -> RunResult:
     """Play the script once: aggregate windows, predict, decide whether to
     query, and train on acquired labels (prequential order: the prediction
-    for a window is made before its labels can influence the model)."""
+    for a window is made before its labels can influence the model).
+
+    Windows are cut by tick: a window opens at a tick and holds every tick
+    before its begin + window length, across segment boundaries and gaps;
+    the next one opens at the first tick after that. The record active at
+    the window's last tick labels the whole window, even when its features
+    mix two segments. Raises ValueError if the script names an entity the
+    EG lacks or a function the ETG lacks, or if a reading is not finite."""
+    report = validate_script(script, static_eg, etg)
+    if not report.ok:
+        raise ValueError("script does not match the EG and ETG: " + report.summary())
     effective_seed = script.seed if seed is None else seed
     spec = window_spec or WindowSpec.means(script.channels, 30.0)
     manifest = spec.manifest
     model = OnlinePerceptron.zeros(len(h), len(manifest))
     result = RunResult(node_order=h.node_order, manifest=manifest, seed=effective_seed)
 
+    rng = np.random.default_rng(effective_seed)
+    step = script.step
     window_len = timedelta(minutes=spec.length_minutes)
-    window_begin: Timestamp | None = None
-    window_readings: list[SensorReading] = []
-    window_record: StreamRecord | None = None
+    # the open window: its first tick, reading blocks per channel, last tick's record and time
+    begin: Timestamp | None = None
+    pieces: dict[str, list[np.ndarray]] = {}
+    record: StreamRecord | None = None
+    last_ts: Timestamp | None = None
 
-    def flush(end: Timestamp) -> None:
-        nonlocal window_begin, window_readings, window_record
-        if window_begin is None or window_record is None:
-            return
-        x = aggregate_window(window_readings, spec, window_begin, end)
-        snapshot = snapshot_eg(static_eg, window_record, etg)
+    def flush() -> None:
+        end = begin + window_len
+        samples = {ch: np.concatenate(blocks) for ch, blocks in pieces.items()}
+        x = aggregate_window(samples, spec, begin, end)
+        snapshot = snapshot_eg(static_eg, replace(record, ts=last_ts), etg)
         y = labels_from_eg(h, snapshot, etg)
         pred = predict(model, x.values, h)
         queried = decide_query(strategy, x.values, model)
         if queried:
             train_step(model, x.values, y, h)
-        result.events.append(
-            WindowEvent(window_begin, end, x.values, queried, pred, y)
-        )
-        window_begin, window_readings, window_record = None, [], None
+        result.events.append(WindowEvent(begin, end, x.values, queried, pred, y))
 
-    for readings, record in generate_stream(script, eg=static_eg, seed=effective_seed):
-        ts = record.ts
-        if window_begin is None:
-            window_begin = ts
-        elif ts - window_begin >= window_len:
-            flush(window_begin + window_len)
-            window_begin = ts
-        window_readings.extend(readings)
-        window_record = record
-    if window_begin is not None:
-        flush(window_begin + window_len)
+    for seg in script.segments:
+        channels = [ch for ch in script.channels if ch in seg.emissions]
+        means = np.array([seg.emissions[ch].mean for ch in channels], dtype=np.float64)
+        stds = np.array([seg.emissions[ch].std for ch in channels], dtype=np.float64)
+        # tick k is seg.begin + step * k; ceiling division counts the ticks before seg.end
+        n_ticks = -((seg.begin - seg.end) // step)
+        k = 0
+        while k < n_ticks:
+            ts = seg.begin + step * k
+            if begin is None or ts - begin >= window_len:
+                if begin is not None:
+                    flush()
+                begin, pieces = ts, {}
+            stop = min(n_ticks, -((seg.begin - (begin + window_len)) // step))
+            block = rng.normal(means, stds, size=(stop - k, len(channels)))
+            if not np.isfinite(block).all():
+                bad = np.argwhere(~np.isfinite(block))[0, 1]
+                raise ValueError(f"non-finite reading on channel {channels[bad]!r}")
+            for c, ch in enumerate(channels):
+                pieces.setdefault(ch, []).append(block[:, c])
+            record, last_ts = seg.record, seg.begin + step * (stop - 1)
+            k = stop
+    if begin is not None:
+        flush()
 
     if result.events:
-        result.metrics = evaluate(
-            result.predictions(), result.truths(), node_ids=h.node_order
-        )
+        result.metrics = evaluate(result.predictions(), result.truths(), node_ids=h.node_order)
     result.metrics["n_windows"] = len(result.events)
     result.metrics["n_queries"] = result.n_queries
     result.model = model

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from datetime import timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from contextstream import io
@@ -149,6 +152,10 @@ MALFORMED = {
         _fixture_doc("travel_scenario.json", reading_interval_s=True)), None),
     "scenario-reading-interval-string": ("scenario", json.dumps(
         _fixture_doc("travel_scenario.json", reading_interval_s="60")), None),
+    "scenario-reading-interval-rounds-to-zero": ("scenario", json.dumps(
+        _fixture_doc("travel_scenario.json", reading_interval_s=1e-7)), None),
+    "scenario-reading-interval-overflows": ("scenario", json.dumps(
+        _fixture_doc("travel_scenario.json", reading_interval_s=1e300)), None),
     "scenario-emission-mean-string": ("scenario", _scenario_with(
         lambda doc: doc["segments"][0]["emissions"]["gps_speed"].update(mean="17")), None),
     "scenario-emission-std-nan": ("scenario", _scenario_with(
@@ -210,6 +217,56 @@ def travel_hierarchy(travel_etg, travel_eg):
 @pytest.fixture(scope="session")
 def travel_scenario():
     return io.load_scenario(FIXTURES / "travel_scenario.json")
+
+
+# -- reference sensor path (per tick, per reading; kept dumb on purpose) ----
+
+def reference_ticks(script, seed=None):
+    """Per tick: (ts, ((channel, value), ...), active record), one scalar
+    `rng.normal` draw per reading, channels in `script.channels` order."""
+    rng = np.random.default_rng(script.seed if seed is None else seed)
+    step = timedelta(seconds=script.reading_interval_s)
+    for seg in script.segments:
+        ts = seg.begin
+        while ts < seg.end:
+            readings = tuple(
+                (ch, float(rng.normal(spec.mean, spec.std)))
+                for ch in script.channels
+                if (spec := seg.emissions.get(ch)) is not None
+            )
+            yield ts, readings, seg.record
+            ts = ts + step
+
+
+def reference_windows(script, spec, seed=None):
+    """(begin, end, features, record) per window. A window opens at a tick
+    and takes the ticks before begin + length; the record active at its last
+    tick, stamped with that tick, labels it. Features follow the manifest:
+    each aggregator over the channel's readings, then the empty flag."""
+    length = timedelta(minutes=spec.length_minutes)
+    windows = []  # [begin, readings, record at the last tick]
+    for ts, readings, record in reference_ticks(script, seed):
+        if not windows or ts - windows[-1][0] >= length:
+            windows.append([ts, [], None])
+        windows[-1][1].extend(readings)
+        windows[-1][2] = replace(record, ts=ts)
+    out = []
+    for begin, readings, record in windows:
+        values = []
+        for ch in sorted(spec.aggregators):
+            samples = np.asarray([v for c, v in readings if c == ch], dtype=np.float64)
+            for agg in spec.aggregators[ch]:
+                if samples.size == 0:
+                    values.append(0.0)
+                elif agg == "mean":
+                    values.append(float(samples.mean()))
+                elif agg == "count":
+                    values.append(float(samples.size))
+                else:
+                    values.append(float(samples.var()))
+            values.append(1.0 if samples.size == 0 else 0.0)
+        out.append((begin, begin + length, np.asarray(values), record))
+    return out
 
 
 # -- independent graph oracles (kept dumb on purpose) ----------------------

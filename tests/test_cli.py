@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -167,6 +171,37 @@ def test_simulate_golden_metrics(tmp_path, bless):
         "--out-metrics", str(metrics),
     ]) == 0
     golden_check(GOLDEN / "travel_metrics_seed7.json", metrics.read_text(), bless)
+
+
+@pytest.mark.parametrize(
+    "case", ["scenario-reading-interval-rounds-to-zero", "scenario-reading-interval-overflows"])
+def test_simulate_rejects_a_reading_interval_out_of_range(tmp_path, case):
+    """1e-7 s rounds to a zero tick, which would never advance; run in a
+    child process so that a hang fails the test instead of stalling it."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(MALFORMED[case][1])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run(
+        [sys.executable, "-m", "contextstream", "simulate", "--scenario", str(scenario),
+         "--etg", ETG, "--eg", EG_PATH],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "reading_interval_s" in done.stderr
+
+
+def test_simulate_refuses_an_undeclared_function(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "travel_scenario.json").read_text())
+    doc["segments"][0]["record"]["persons"] = [
+        {"function": "EnemyOf", "holder": "haonan", "beneficiary": "xiaoyue", "actions": []},
+    ]
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    assert main(["validate", str(scenario)]) == 0
+    assert main(["simulate", "--scenario", str(scenario), "--etg", ETG, "--eg", EG_PATH]) == 2
+    assert "[unknown-property] EnemyOf" in capsys.readouterr().err
 
 
 def test_evaluate_from_log_matches_simulate(tmp_path):

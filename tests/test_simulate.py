@@ -6,19 +6,20 @@ import numpy as np
 import pytest
 
 from contextstream.core import FunctionAssignment, PersonEntry, StreamRecord
-from contextstream.labels import check_consistency
+from contextstream.kg import snapshot_eg
+from contextstream.labels import check_consistency, labels_from_eg
 from contextstream.learn import QueryStrategy
 from contextstream.simulate import (
     EmissionSpec,
     ScenarioScript,
     Segment,
-    SensorReading,
     WindowSpec,
     aggregate_window,
-    generate_stream,
     run_simulation,
     validate_script,
 )
+
+from conftest import reference_ticks, reference_windows
 
 UTC = timezone.utc
 T0 = datetime(2021, 6, 2, 12, 0, tzinfo=UTC)
@@ -81,19 +82,31 @@ def test_script_rejects_overlaps_and_unknown_channels():
         Segment(ts(30), ts(30), {}, record)
 
 
-def test_validate_script_flags_unknown_entities(travel_eg):
+def test_script_rejects_an_interval_that_rounds_to_no_time():
+    seg = Segment(ts(0), ts(30), {"a": EmissionSpec(0, 1)}, StreamRecord(ts=T0))
+    for interval in (1e-7, 0.0, -60.0):
+        with pytest.raises(ValueError, match="microsecond"):
+            ScenarioScript(1, interval, ("a",), (seg,))
+    assert ScenarioScript(1, 1e-6, ("a",), (seg,)).step == timedelta(microseconds=1)
+
+
+def test_validate_script_flags_unknown_entities(
+    travel_hierarchy, travel_etg, travel_eg
+):
     record = StreamRecord(ts=T0, location="atlantis", my_actions=frozenset({"Sitting"}))
     script = ScenarioScript(
         1, 60.0, ("a",),
         (Segment(ts(0), ts(10), {"a": EmissionSpec(0, 1)}, record),),
     )
-    report = validate_script(script, travel_eg)
+    report = validate_script(script, travel_eg, travel_etg)
     assert "unknown-entity" in report.codes()
-    with pytest.raises(ValueError):
-        list(generate_stream(script, eg=travel_eg))
+    with pytest.raises(ValueError, match="atlantis"):
+        run_simulation(script, travel_hierarchy, travel_etg, travel_eg)
 
 
-def test_validate_script_flags_unknown_beneficiaries(travel_eg):
+def test_validate_script_flags_unknown_beneficiaries(
+    travel_hierarchy, travel_etg, travel_eg
+):
     nobody = FunctionAssignment("FriendOf", "haonan", "nobody")
     records = [
         StreamRecord(ts=T0, person_entries=(PersonEntry(nobody, frozenset()),)),
@@ -103,86 +116,188 @@ def test_validate_script_flags_unknown_beneficiaries(travel_eg):
         script = ScenarioScript(
             1, 60.0, ("a",), (Segment(ts(0), ts(10), {"a": EmissionSpec(0, 1)}, record),),
         )
-        report = validate_script(script, travel_eg)
+        report = validate_script(script, travel_eg, travel_etg)
         assert [(f.code, f.subject) for f in report.findings] == [("unknown-entity", "nobody")]
         with pytest.raises(ValueError):
-            list(generate_stream(script, eg=travel_eg))
+            run_simulation(script, travel_hierarchy, travel_etg, travel_eg)
 
 
-# -- stream generation ------------------------------------------------------------
-
-def test_generate_stream_deterministic(travel_scenario):
-    a = [
-        (r.ts, tuple((s.channel, s.value) for s in readings))
-        for readings, r in generate_stream(travel_scenario)
+def test_validate_script_flags_undeclared_functions(
+    travel_hierarchy, travel_etg, travel_eg
+):
+    enemy = FunctionAssignment("EnemyOf", "haonan", "xiaoyue")
+    records = [
+        StreamRecord(ts=T0, person_entries=(PersonEntry(enemy, frozenset()),)),
+        StreamRecord(ts=T0, object_entries=(FunctionAssignment("EnemyOf", "seat_1", "xiaoyue"),)),
     ]
-    b = [
-        (r.ts, tuple((s.channel, s.value) for s in readings))
-        for readings, r in generate_stream(travel_scenario)
-    ]
-    assert a == b
+    for record in records:
+        script = ScenarioScript(
+            1, 60.0, ("a",), (Segment(ts(0), ts(10), {"a": EmissionSpec(0, 1)}, record),),
+        )
+        report = validate_script(script, travel_eg, travel_etg)
+        assert [(f.code, f.subject) for f in report.findings] == [("unknown-property", "EnemyOf")]
+        with pytest.raises(ValueError, match="EnemyOf"):
+            run_simulation(script, travel_hierarchy, travel_etg, travel_eg)
 
 
-def test_generate_stream_zero_variance_constant():
+# -- sensor path against the per-tick reference ----------------------------------------
+
+def mixed_script(seed=5):
+    """Segments that meet and segments with gaps between them, a 50 s tick
+    that divides no segment, a channel one segment does not emit, a segment
+    that emits nothing, and a channel with std 0."""
+    train, walk = (seg.record for seg in two_regime_script().segments[:2])
+    full = {"a": EmissionSpec(1.1, 0.05), "b": EmissionSpec(8.0, 0.3), "c": EmissionSpec(4.25, 0.0)}
+    no_b = {"a": EmissionSpec(9.4, 0.2), "c": EmissionSpec(-2.0, 0.0)}
+    segments = (
+        Segment(ts(0), ts(7), full, train),
+        Segment(ts(7), ts(16), no_b, walk),
+        Segment(ts(20.5), ts(41), full, train),
+        Segment(ts(41), ts(43), {}, walk),
+        Segment(ts(43), ts(75), no_b, walk),
+        Segment(ts(140), ts(141), full, train),
+    )
+    return ScenarioScript(seed, 50.0, ("a", "b", "c"), segments)
+
+
+def assert_matches_reference(result, script, spec, h, etg, eg, seed=None):
+    expected = reference_windows(script, spec, seed)
+    assert len(result.events) == len(expected)
+    for event, (begin, end, features, record) in zip(result.events, expected):
+        assert (event.begin, event.end) == (begin, end)
+        assert event.features.dtype == features.dtype
+        assert event.features.tobytes() == features.tobytes()
+        assert np.array_equal(event.truth, labels_from_eg(h, snapshot_eg(eg, record, etg), etg))
+
+
+@pytest.mark.parametrize("minutes", [1.0, 5.0, 30.0])
+def test_run_simulation_matches_reference(minutes, travel_hierarchy, travel_etg, travel_eg):
+    script = mixed_script()
+    spec = WindowSpec(minutes, {ch: ("mean", "count", "variance") for ch in script.channels})
+    result = run_simulation(script, travel_hierarchy, travel_etg, travel_eg, window_spec=spec)
+    assert_matches_reference(result, script, spec, travel_hierarchy, travel_etg, travel_eg)
+    # the cases the script is built for all occur: a window with no b, a
+    # stretch with no window, and a window whose ticks come from two segments
+    windows = reference_windows(script, spec)
+    assert any(f[spec.manifest.index("b:empty")] == 1.0 for _, _, f, _ in windows)
+    assert any(nxt[0] > prev[1] for prev, nxt in zip(windows, windows[1:]))
+
+    def segment_of(t):
+        return next(i for i, seg in enumerate(script.segments) if seg.begin <= t < seg.end)
+
+    assert any(segment_of(b) != segment_of(record.ts) for b, _, _, record in windows)
+
+
+@pytest.mark.parametrize("seed", [None, 11])
+def test_run_simulation_matches_reference_on_fixtures(
+    seed, travel_scenario, travel_hierarchy, travel_etg, travel_eg
+):
+    for script in (travel_scenario, two_regime_script(n_pairs=3, segment_minutes=7.0)):
+        spec = WindowSpec(5.0, {ch: ("mean", "variance") for ch in script.channels})
+        result = run_simulation(script, travel_hierarchy, travel_etg, travel_eg,
+                                window_spec=spec, seed=seed)
+        assert_matches_reference(
+            result, script, spec, travel_hierarchy, travel_etg, travel_eg, seed)
+
+
+def test_run_simulation_non_finite_reading_names_the_channel(
+    travel_hierarchy, travel_etg, travel_eg
+):
+    record = two_regime_script().segments[0].record
+    emissions = {"a": EmissionSpec(1.0, 0.1), "b": EmissionSpec(float("inf"), 0.0)}
+    script = ScenarioScript(
+        1, 60.0, ("a", "b"), (Segment(ts(0), ts(10), emissions, record),),
+    )
+    with pytest.raises(ValueError, match="non-finite reading on channel 'b'"):
+        run_simulation(script, travel_hierarchy, travel_etg, travel_eg)
+
+
+def test_run_simulation_zero_variance_constant(travel_hierarchy, travel_etg, travel_eg):
     record = StreamRecord(ts=T0, location="train_1")
     script = ScenarioScript(
         3, 60.0, ("a",),
         (Segment(ts(0), ts(5), {"a": EmissionSpec(4.25, 0.0)}, record),),
     )
-    values = [s.value for readings, _ in generate_stream(script) for s in readings]
-    assert values == [4.25] * 5
+    spec = WindowSpec(5.0, {"a": ("mean", "count", "variance")})
+    result = run_simulation(script, travel_hierarchy, travel_etg, travel_eg, window_spec=spec)
+    assert [e.features.tolist() for e in result.events] == [[4.25, 5.0, 0.0, 0.0]]
 
 
-def test_generate_stream_two_regimes_statistics(travel_scenario):
-    by_segment: dict[str, list[float]] = {"take_train": [], "walk": []}
-    for readings, record in generate_stream(travel_scenario):
-        for s in readings:
-            if s.channel == "accelerometer_magnitude":
-                by_segment[record.event].append(s.value)
-    train = np.array(by_segment["take_train"])
-    walk = np.array(by_segment["walk"])
-    assert len(train) == 30 and len(walk) == 25
-    assert abs(train.mean() - 1.1) < 0.1
-    assert abs(walk.mean() - 9.4) < 0.2
+def test_run_simulation_two_regimes_statistics(
+    travel_scenario, travel_hierarchy, travel_etg, travel_eg
+):
+    spec = WindowSpec(30.0, {"accelerometer_magnitude": ("mean", "count")})
+    result = run_simulation(travel_scenario, travel_hierarchy, travel_etg, travel_eg,
+                            window_spec=spec)
+    (train_mean, train_n, _), (walk_mean, walk_n, _) = [e.features for e in result.events]
+    assert (train_n, walk_n) == (30, 25)
+    assert abs(train_mean - 1.1) < 0.1
+    assert abs(walk_mean - 9.4) < 0.2
 
 
-def test_generate_stream_ground_truth_matches_script(travel_scenario):
-    for readings, record in generate_stream(travel_scenario):
-        if record.ts < ts(30):
-            assert record.location == "train_1"
-        else:
-            assert record.location == "roads_2"
+def test_run_simulation_ground_truth_matches_script(
+    travel_scenario, travel_hierarchy, travel_etg, travel_eg
+):
+    result = run_simulation(
+        travel_scenario, travel_hierarchy, travel_etg, travel_eg,
+        window_spec=WindowSpec.means(travel_scenario.channels, 5.0),
+    )
+    train = travel_hierarchy.index_of("entity:train_1")
+    roads = travel_hierarchy.index_of("entity:roads_2")
+    for event in result.events:
+        assert bool(event.truth[train]) == (event.begin < ts(30))
+        assert bool(event.truth[roads]) == (event.begin >= ts(30))
+
+
+def test_window_spanning_two_segments_takes_the_last_ticks_label(
+    travel_hierarchy, travel_etg, travel_eg
+):
+    """Segments of 7 minutes, windows of 5: the window [5, 10) holds two
+    train ticks and three walk ticks, and walk labels it."""
+    script = two_regime_script(n_pairs=1, segment_minutes=7.0)
+    spec = WindowSpec(5.0, {"accelerometer_magnitude": ("mean", "count")})
+    result = run_simulation(script, travel_hierarchy, travel_etg, travel_eg, window_spec=spec)
+    straddling = result.events[1]
+    assert (straddling.begin, straddling.end) == (ts(5), ts(10))
+    mean, count, _ = straddling.features
+    assert count == 5 and 1.1 < mean < 9.4
+    walk = travel_hierarchy.index_of("entity:walk")
+    take_train = travel_hierarchy.index_of("entity:take_train")
+    assert straddling.truth[walk] and not straddling.truth[take_train]
 
 
 # -- window aggregation -------------------------------------------------------------
 
 def test_aggregate_mean_example():
     spec = WindowSpec(30.0, {"bluetooth_count": ("mean",)})
-    readings = [SensorReading(ts(i), "bluetooth_count", v) for i, v in enumerate([3, 5, 4])]
-    fv = aggregate_window(readings, spec, ts(0), ts(30))
+    fv = aggregate_window({"bluetooth_count": np.array([3.0, 5.0, 4.0])}, spec, ts(0), ts(30))
     assert fv.manifest == ("bluetooth_count:mean", "bluetooth_count:empty")
     assert fv.values.tolist() == [4.0, 0.0]
 
 
 def test_aggregate_empty_window_zeros_and_flags():
     spec = WindowSpec(30.0, {"a": ("mean", "variance"), "b": ("count",)})
-    fv = aggregate_window([], spec, ts(0), ts(30))
-    assert fv.manifest == ("a:mean", "a:variance", "a:empty", "b:count", "b:empty")
-    assert fv.values.tolist() == [0.0, 0.0, 1.0, 0.0, 1.0]
+    for samples in ({}, {"a": np.empty(0), "b": np.empty(0)}):
+        fv = aggregate_window(samples, spec, ts(0), ts(30))
+        assert fv.manifest == ("a:mean", "a:variance", "a:empty", "b:count", "b:empty")
+        assert fv.values.tolist() == [0.0, 0.0, 1.0, 0.0, 1.0]
 
 
 def test_aggregate_matches_independent_recompute(travel_scenario):
     spec = WindowSpec(30.0, {ch: ("mean", "count", "variance") for ch in travel_scenario.channels})
-    ticks = list(generate_stream(travel_scenario))
-    first_window = [s for readings, r in ticks if r.ts < ts(30) for s in readings]
-    fv = aggregate_window(first_window, spec, ts(0), ts(30))
+    first_window = [
+        r for t, readings, _ in reference_ticks(travel_scenario) if t < ts(30) for r in readings
+    ]
+    samples = {
+        ch: np.array([v for c, v in first_window if c == ch]) for ch in travel_scenario.channels
+    }
+    fv = aggregate_window(samples, spec, ts(0), ts(30))
     for ch in travel_scenario.channels:
-        samples = [s.value for s in first_window if s.channel == ch]
-        base = fv.manifest.index(f"{ch}:mean")
-        assert fv.values[base] == pytest.approx(sum(samples) / len(samples))
-        assert fv.values[fv.manifest.index(f"{ch}:count")] == len(samples)
-        mean = sum(samples) / len(samples)
-        var = sum((v - mean) ** 2 for v in samples) / len(samples)
+        values = [v for c, v in first_window if c == ch]
+        mean = sum(values) / len(values)
+        var = sum((v - mean) ** 2 for v in values) / len(values)
+        assert fv.values[fv.manifest.index(f"{ch}:mean")] == pytest.approx(mean)
+        assert fv.values[fv.manifest.index(f"{ch}:count")] == len(values)
         assert fv.values[fv.manifest.index(f"{ch}:variance")] == pytest.approx(var)
 
 
@@ -194,13 +309,8 @@ def test_window_spec_validation():
 
 
 def test_example_pairs_window_features_with_labels(travel_hierarchy, travel_etg, travel_eg):
-    from contextstream.kg import snapshot_eg
-    from contextstream.labels import check_consistency, labels_from_eg
-
     spec = WindowSpec(30.0, {"bluetooth_count": ("mean",)})
-    x = aggregate_window(
-        [SensorReading(ts(0), "bluetooth_count", 4.0)], spec, ts(0), ts(30)
-    )
+    x = aggregate_window({"bluetooth_count": np.array([4.0])}, spec, ts(0), ts(30))
     record = StreamRecord(ts=ts(30), location="train_1", event="take_train",
                           super_event="travel_1")
     y = labels_from_eg(travel_hierarchy, snapshot_eg(travel_eg, record, travel_etg), travel_etg)
