@@ -33,7 +33,7 @@ from .errors import FormatError
 from .hierarchy import ConceptNode, Hierarchy, NodeKind
 from .kg import EG, ETG, DataPropertyDef, Entity, EntityType, ObjectPropertyDef, PropertyValue
 from .learn import QueryStrategy
-from .simulate import EmissionSpec, ScenarioScript, Segment, WindowEvent
+from .simulate import EmissionSpec, ScenarioScript, Segment, WindowEvent, positive_delta
 
 FORMATS = {
     "etg": "etg/1",
@@ -375,18 +375,16 @@ def scenario_from_dict(doc: Mapping[str, Any], path: Any = "<memory>") -> Scenar
         segments = []
         for seg in doc.get("segments", ()):
             begin = parse_timestamp(seg["begin"])
-            segments.append(
-                Segment(
-                    begin=begin,
-                    end=parse_timestamp(seg["end"]),
-                    emissions={
-                        ch: EmissionSpec(_number(spec["mean"], "emission mean"),
-                                         _number(spec["std"], "emission std"))
-                        for ch, spec in seg.get("emissions", {}).items()
-                    },
-                    record=_record_from_json(seg["record"], ts=begin),
-                )
-            )
+            segments.append(Segment(
+                begin=begin,
+                end=parse_timestamp(seg["end"]),
+                emissions={
+                    ch: EmissionSpec(_number(spec["mean"], "emission mean"),
+                                     _number(spec["std"], "emission std"))
+                    for ch, spec in seg.get("emissions", {}).items()
+                },
+                record=_record_from_json(seg["record"], ts=begin),
+            ))
         return ScenarioScript(
             seed=_integer(doc["seed"], "seed"),
             reading_interval_s=_number(doc["reading_interval_s"], "reading_interval_s"),
@@ -413,8 +411,7 @@ class Config:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.window_minutes <= 0:
-            raise ValueError("window_minutes must be positive")
+        positive_delta("window_minutes", minutes=self.window_minutes)
 
 
 def config_from_dict(doc: Mapping[str, Any], path: Any = "<memory>") -> Config:

@@ -49,6 +49,18 @@ class Segment:
             raise ValueError("segment must have positive duration")
 
 
+def positive_delta(name: str, **amount: float) -> timedelta:
+    """`timedelta(**amount)`, refused unless it lasts at least one microsecond:
+    a zero tick or window length would never let the tick loop advance."""
+    try:
+        delta = timedelta(**amount)
+    except OverflowError:
+        raise ValueError(f"{name} is too large") from None
+    if delta <= timedelta(0):
+        raise ValueError(f"{name} must be at least one microsecond")
+    return delta
+
+
 @dataclass(frozen=True)
 class ScenarioScript:
     seed: int
@@ -57,11 +69,7 @@ class ScenarioScript:
     segments: tuple[Segment, ...]
 
     def __post_init__(self):
-        try:
-            if self.step <= timedelta(0):
-                raise ValueError("reading_interval_s must be at least one microsecond")
-        except OverflowError:
-            raise ValueError("reading_interval_s is too large") from None
+        positive_delta("reading_interval_s", seconds=self.reading_interval_s)
         for prev, cur in zip(self.segments, self.segments[1:]):
             if cur.begin < prev.end:
                 raise ValueError(
@@ -123,8 +131,7 @@ class WindowSpec:
     aggregators: Mapping[str, tuple[str, ...]]
 
     def __post_init__(self):
-        if self.length_minutes <= 0:
-            raise ValueError("window length must be positive")
+        positive_delta("window length", minutes=self.length_minutes)
         for ch, aggs in self.aggregators.items():
             for agg in aggs:
                 if agg not in AGGREGATORS:
@@ -156,10 +163,7 @@ class FeatureVector:
 
 
 def aggregate_window(
-    samples: Mapping[str, np.ndarray],
-    spec: WindowSpec,
-    begin: Timestamp,
-    end: Timestamp,
+    samples: Mapping[str, np.ndarray], spec: WindowSpec, begin: Timestamp, end: Timestamp
 ) -> FeatureVector:
     """Manifest-ordered aggregates of each channel's readings in the window,
     given as one contiguous float64 array per channel in tick order (a
@@ -237,9 +241,8 @@ def run_simulation(
         raise ValueError("script does not match the EG and ETG: " + report.summary())
     effective_seed = script.seed if seed is None else seed
     spec = window_spec or WindowSpec.means(script.channels, 30.0)
-    manifest = spec.manifest
-    model = OnlinePerceptron.zeros(len(h), len(manifest))
-    result = RunResult(node_order=h.node_order, manifest=manifest, seed=effective_seed)
+    model = OnlinePerceptron.zeros(len(h), len(spec.manifest))
+    result = RunResult(node_order=h.node_order, manifest=spec.manifest, seed=effective_seed)
 
     rng = np.random.default_rng(effective_seed)
     step = script.step

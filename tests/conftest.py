@@ -162,6 +162,8 @@ MALFORMED = {
         lambda doc: doc["segments"][0]["emissions"]["gps_speed"].update(std=float("nan"))), None),
     "config-window-minutes-boolean": ("config", _config(window_minutes=True), None),
     "config-window-minutes-infinite": ("config", _config(window_minutes=float("inf")), None),
+    "config-window-minutes-rounds-to-zero": ("config", _config(window_minutes=1e-9), None),
+    "config-window-minutes-overflows": ("config", _config(window_minutes=1e300), None),
     "config-near-threshold-string": ("config", _config(near_threshold_m="3"), None),
     "config-tau-boolean": ("config", _config(strategy={"kind": "margin", "tau": True}), None),
 }

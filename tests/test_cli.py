@@ -173,23 +173,47 @@ def test_simulate_golden_metrics(tmp_path, bless):
     golden_check(GOLDEN / "travel_metrics_seed7.json", metrics.read_text(), bless)
 
 
-@pytest.mark.parametrize(
-    "case", ["scenario-reading-interval-rounds-to-zero", "scenario-reading-interval-overflows"])
-def test_simulate_rejects_a_reading_interval_out_of_range(tmp_path, case):
-    """1e-7 s rounds to a zero tick, which would never advance; run in a
-    child process so that a hang fails the test instead of stalling it."""
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(MALFORMED[case][1])
+def _simulate_in_child(*args: str) -> subprocess.CompletedProcess:
+    """Run the CLI with `args`, which end in a `simulate` on the travel ETG
+    and EG, in a child process so that a hang fails the test instead of
+    stalling it."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run(
-        [sys.executable, "-m", "contextstream", "simulate", "--scenario", str(scenario),
-         "--etg", ETG, "--eg", EG_PATH],
+    return subprocess.run(
+        [sys.executable, "-m", "contextstream", *args, "--etg", ETG, "--eg", EG_PATH],
         capture_output=True, text=True, env=env, timeout=20,
     )
+
+
+@pytest.mark.parametrize(
+    "case", ["scenario-reading-interval-rounds-to-zero", "scenario-reading-interval-overflows"])
+def test_simulate_rejects_a_reading_interval_out_of_range(tmp_path, case):
+    """1e-7 s rounds to a zero tick, which would never advance."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(MALFORMED[case][1])
+    done = _simulate_in_child("simulate", "--scenario", str(scenario))
     assert done.returncode == 2, done.stderr
     assert "reading_interval_s" in done.stderr
+
+
+@pytest.mark.parametrize("minutes", ["1e-9", "1e300"])
+def test_simulate_rejects_a_window_out_of_range(minutes):
+    """1e-9 minutes rounds to a zero window, which would never let a tick
+    close it; 1e300 minutes overflows timedelta."""
+    done = _simulate_in_child("simulate", "--scenario", SCENARIO, "--window", minutes)
+    assert done.returncode == 2, done.stderr
+    assert "window length" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "case", ["config-window-minutes-rounds-to-zero", "config-window-minutes-overflows"])
+def test_simulate_rejects_a_config_window_out_of_range(tmp_path, case):
+    config = tmp_path / "config.json"
+    config.write_text(MALFORMED[case][1])
+    done = _simulate_in_child("--config", str(config), "simulate", "--scenario", SCENARIO)
+    assert done.returncode == 2, done.stderr
+    assert "window_minutes" in done.stderr
 
 
 def test_simulate_refuses_an_undeclared_function(tmp_path, capsys):

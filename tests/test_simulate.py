@@ -308,6 +308,15 @@ def test_window_spec_validation():
         WindowSpec(5, {"a": ("median",)})
 
 
+def test_window_spec_rejects_a_length_that_rounds_to_no_time():
+    for minutes in (1e-9, 0.0, -5.0):
+        with pytest.raises(ValueError, match="microsecond"):
+            WindowSpec(minutes, {})
+    with pytest.raises(ValueError, match="too large"):
+        WindowSpec(1e300, {})
+    assert WindowSpec(1e-6 / 60, {}).length_minutes == 1e-6 / 60
+
+
 def test_example_pairs_window_features_with_labels(travel_hierarchy, travel_etg, travel_eg):
     spec = WindowSpec(30.0, {"bluetooth_count": ("mean",)})
     x = aggregate_window({"bluetooth_count": np.array([4.0])}, spec, ts(0), ts(30))
