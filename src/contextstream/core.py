@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, Optional
 
 from .errors import (
@@ -131,6 +132,14 @@ class Containment:
     location_parent: Mapping[str, str] = field(default_factory=dict)
     event_parent: Mapping[str, str] = field(default_factory=dict)
 
+    @cached_property
+    def _location_parents(self) -> frozenset[str]:
+        return frozenset(self.location_parent.values())
+
+    @cached_property
+    def _event_parents(self) -> frozenset[str]:
+        return frozenset(self.event_parent.values())
+
 
 def super_of(entity_id: str, parents: Mapping[str, str]) -> tuple[str, ...]:
     """Ancestor chain of `entity_id`, immediate parent first.
@@ -154,25 +163,27 @@ def super_of(entity_id: str, parents: Mapping[str, str]) -> tuple[str, ...]:
     return tuple(chain)
 
 
-def _known_chain(entity_id: str, parents: Mapping[str, str]) -> tuple[str, ...] | None:
-    """Ancestor chain when the containment knows the id, else None (ids the
-    maps have never heard of cannot be verified and are skipped)."""
-    try:
+def _known_chain(entity_id: str, parents: Mapping[str, str],
+                 parent_ids: frozenset[str]) -> tuple[str, ...] | None:
+    """`super_of(entity_id, parents)` when the map knows the id, else None
+    (ids the maps have never heard of cannot be verified and are skipped).
+    `parent_ids` is the set of the map's values, built once per map."""
+    if entity_id in parents:
         return super_of(entity_id, parents)
-    except UnknownIdError:
-        return None
+    return () if entity_id in parent_ids else None
 
 
 def _validate_record_chains(r: StreamRecord, containment: Containment) -> None:
     if r.location is not None and r.super_location is not None:
-        chain = _known_chain(r.location, containment.location_parent)
+        chain = _known_chain(r.location, containment.location_parent,
+                             containment._location_parents)
         if chain is not None and r.super_location not in chain:
             raise SuperChainError(
                 f"location {r.location!r}: parent chain {list(chain)} "
                 f"does not contain declared super location {r.super_location!r}"
             )
     if r.event is not None and r.super_event is not None:
-        chain = _known_chain(r.event, containment.event_parent)
+        chain = _known_chain(r.event, containment.event_parent, containment._event_parents)
         if chain is not None and r.super_event not in chain:
             raise SuperChainError(
                 f"event {r.event!r}: super chain {list(chain)} "
@@ -184,10 +195,7 @@ def _top_event(r: StreamRecord, containment: Containment | None) -> str | None:
     """Topmost known event group of a record: the containment chain top when
     available, else the declared super event, else the event itself."""
     if r.event is not None and containment is not None:
-        try:
-            chain = super_of(r.event, containment.event_parent)
-        except UnknownIdError:
-            chain = ()
+        chain = _known_chain(r.event, containment.event_parent, containment._event_parents)
         if chain:
             return chain[-1]
     if r.super_event is not None:

@@ -48,8 +48,12 @@ def etype_node_id(etype_id: str) -> str:
     return f"etype:{etype_id}"
 
 
+ENTITY_PREFIX = "entity:"
+PINST_PREFIX = "pinst:"
+
+
 def entity_node_id(entity_id: str) -> str:
-    return f"entity:{entity_id}"
+    return ENTITY_PREFIX + entity_id
 
 
 def property_node_id(prop_id: str) -> str:
@@ -57,7 +61,7 @@ def property_node_id(prop_id: str) -> str:
 
 
 def pinst_node_id(prop_id: str, subject_id: str, object_id: str) -> str:
-    return f"pinst:{prop_id}/{subject_id}/{object_id}"
+    return f"{PINST_PREFIX}{prop_id}/{subject_id}/{object_id}"
 
 
 class Hierarchy:
@@ -137,6 +141,29 @@ class Hierarchy:
     @cached_property
     def _index(self) -> dict[str, int]:
         return {nid: i for i, nid in enumerate(self.node_order)}
+
+    @cached_property
+    def entity_index(self) -> dict[str, int]:
+        """Entity id -> index of the node `entity_node_id` names for it."""
+        cut = len(ENTITY_PREFIX)
+        return {nid[cut:]: i for nid, i in self._index.items() if nid.startswith(ENTITY_PREFIX)}
+
+    @cached_property
+    def pinst_index(self) -> dict[tuple[str, str, str], int]:
+        """(property, subject, object) -> index of the node `pinst_node_id`
+        names for it. An id whose parts hold slashes is read every way
+        `pinst_node_id` could have spelled it: k slashes give k(k-1)/2 keys,
+        and a compiled id from slash-free parts has two, so one key."""
+        out: dict[tuple[str, str, str], int] = {}
+        cut = len(PINST_PREFIX)
+        for nid, i in self._index.items():
+            if not nid.startswith(PINST_PREFIX):
+                continue
+            parts = nid[cut:].split("/")
+            for a in range(1, len(parts) - 1):
+                for b in range(a + 1, len(parts)):
+                    out["/".join(parts[:a]), "/".join(parts[a:b]), "/".join(parts[b:])] = i
+        return out
 
     def index_of(self, node_id: str) -> int:
         try:

@@ -437,34 +437,80 @@ def load_config(path: str | Path) -> Config:
 
 # -- run logs and metrics --------------------------------------------------
 
-def event_to_dict(e: WindowEvent) -> dict:
-    return {
-        "begin": format_timestamp(e.begin),
-        "end": format_timestamp(e.end),
-        "features": e.features.tolist(),
-        "queried": e.queried,
-        "prediction": e.prediction.tolist(),
-        "truth": e.truth.tolist(),
-    }
+# Events rendered per numpy pass: large enough to amortise the pass, small
+# enough that a block's text stays a small part of the whole log
+RUNLOG_BLOCK = 64
+
+
+def _bit_matrix(rows: Sequence[Any], n: int) -> np.ndarray:
+    """`rows` stacked as a (len(rows), n) uint8 matrix; ValueError unless every
+    row holds n values, each 0 or 1 (bools are written as 0/1)."""
+    try:
+        m = np.array(rows)
+    except ValueError:  # rows of unequal width
+        m = np.empty((0, 0))
+    if m.shape != (len(rows), n) or m.dtype.kind not in "biuf" or ((m != 0) & (m != 1)).any():
+        raise ValueError(f"run-log rows must hold {n} bits (0 or 1), one per node")
+    return m.astype(np.uint8)
+
+
+def _bit_rows(m: np.ndarray) -> list[str]:
+    """The inside of each row's JSON list (`0, 1, 0`), rendered in one pass."""
+    k, n = m.shape
+    if n == 0:
+        return [""] * k
+    text = np.empty((k, 3 * n), dtype=np.uint8)
+    text[:, 0::3] = m + ord("0")
+    text[:, 1::3] = ord(",")
+    text[:, 2::3] = ord(" ")
+    width = 3 * n - 2
+    flat = text[:, :width].tobytes().decode("ascii")
+    return [flat[i * width:(i + 1) * width] for i in range(k)]
+
+
+def _event_blocks(events: Sequence[WindowEvent], n: int) -> Iterator[list[str]]:
+    """The `runlog/1` lines of `events`, without newlines, RUNLOG_BLOCK at a
+    time; each is what `json.dumps` writes for the event's fields."""
+    for start in range(0, len(events), RUNLOG_BLOCK):
+        block = events[start:start + RUNLOG_BLOCK]
+        preds = _bit_rows(_bit_matrix([e.prediction for e in block], n))
+        truths = _bit_rows(_bit_matrix([e.truth for e in block], n))
+        yield [
+            json.dumps({"begin": format_timestamp(e.begin), "end": format_timestamp(e.end),
+                        "features": e.features.tolist(), "queried": e.queried},
+                       ensure_ascii=False)[:-1]
+            + f', "prediction": [{pred}], "truth": [{truth}]}}'
+            for e, pred, truth in zip(block, preds, truths)
+        ]
+
+
+def _runlog_header(node_order: Sequence[str], manifest: Sequence[str], seed: int) -> str:
+    return json.dumps({"format": FORMATS["runlog"], "seed": seed, "nodes": list(node_order),
+                       "manifest": list(manifest)}, ensure_ascii=False)
 
 
 def runlog_to_lines(node_order: Sequence[str], manifest: Sequence[str], seed: int,
                     events: Iterable[WindowEvent]) -> list[str]:
-    header = {
-        "format": FORMATS["runlog"],
-        "seed": seed,
-        "nodes": list(node_order),
-        "manifest": list(manifest),
-    }
-    return [json.dumps(header, ensure_ascii=False)] + [
-        json.dumps(event_to_dict(e), ensure_ascii=False) for e in events
-    ]
+    lines = [_runlog_header(node_order, manifest, seed)]
+    for block in _event_blocks(list(events), len(node_order)):
+        lines += block
+    return lines
 
 
 def save_runlog(path: str | Path, node_order: Sequence[str], manifest: Sequence[str],
                 seed: int, events: Iterable[WindowEvent]) -> None:
-    lines = runlog_to_lines(node_order, manifest, seed, events)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write a `runlog/1` file, streaming it one block of events at a time.
+    Every row must hold one bit (0 or 1) per node: a ValueError is raised
+    before the file is opened otherwise."""
+    events = list(events)
+    n = len(node_order)
+    for start in range(0, len(events), RUNLOG_BLOCK):
+        for key in ("prediction", "truth"):
+            _bit_matrix([getattr(e, key) for e in events[start:start + RUNLOG_BLOCK]], n)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(_runlog_header(node_order, manifest, seed) + "\n")
+        for block in _event_blocks(events, n):
+            fh.write("\n".join(block) + "\n")
 
 
 def load_runlog(path: str | Path) -> tuple[dict, np.ndarray, np.ndarray, list[dict]]:
@@ -490,8 +536,8 @@ def load_runlog(path: str | Path) -> tuple[dict, np.ndarray, np.ndarray, list[di
                 raise FormatError(path, f"event {key} must list {n} bits (0 or 1), one per node",
                                   line=lineno)
         events.append(doc)
-    preds = np.array([e["prediction"] for e in events], dtype=np.uint8).reshape(-1, n)
-    truths = np.array([e["truth"] for e in events], dtype=np.uint8).reshape(-1, n)
+    preds = np.array([e["prediction"] for e in events], dtype=np.uint8).reshape(len(events), n)
+    truths = np.array([e["truth"] for e in events], dtype=np.uint8).reshape(len(events), n)
     return header, preds, truths, events
 
 

@@ -206,10 +206,12 @@ class EG:
         for e in self.entities:
             self._by_id.setdefault(e.id, e)
             self._by_name.setdefault(e.name, []).append(e)
-        # (etg, observer) and (etg, context-free triples, their set), keyed on
-        # the ETG object itself: ETGs are immutable but not hashable
+        # (etg, observer), (etg, context-free triples, their set) and (etg,
+        # context-dependent triples), keyed on the ETG object itself: ETGs are
+        # immutable but not hashable
         self._observer: tuple[ETG, Entity | None] | None = None
         self._static: tuple[ETG, tuple[PropertyValue, ...], frozenset[PropertyValue]] | None = None
+        self._dynamic: tuple[ETG, tuple[PropertyValue, ...]] | None = None
 
     def _with_triples(self, triples: tuple[PropertyValue, ...], at: Timestamp | None) -> EG:
         """A graph over the same entities with duplicate-free `triples`; it
@@ -217,7 +219,7 @@ class EG:
         eg = object.__new__(EG)
         eg.entities, eg.triples, eg.at = self.entities, triples, at
         eg._by_id, eg._by_name = self._by_id, self._by_name
-        eg._observer, eg._static = self._observer, None
+        eg._observer, eg._static, eg._dynamic = self._observer, None, None
         return eg
 
     def entity(self, entity_id: str) -> Entity:
@@ -254,13 +256,16 @@ class EG:
         """The triples whose property is not context-dependent under `etg`
         (undeclared properties count as static), in order and as a set."""
         if self._static is None or self._static[0] is not etg:
-            kept = tuple(
-                t
-                for t in self.triples
-                if t.property not in etg.properties or not etg.properties[t.property].context_dependent
-            )
+            kept = tuple(t for t in self.triples if not _context_dependent(t, etg))
             self._static = (etg, kept, frozenset(kept))
         return self._static[1], self._static[2]
+
+    def context_triples(self, etg: ETG) -> tuple[PropertyValue, ...]:
+        """The triples whose property `etg` declares context-dependent, in
+        order; a snapshot knows them from its making."""
+        if self._dynamic is None or self._dynamic[0] is not etg:
+            self._dynamic = (etg, tuple(t for t in self.triples if _context_dependent(t, etg)))
+        return self._dynamic[1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EG):
@@ -270,6 +275,11 @@ class EG:
             and self.triple_set() == other.triple_set()
             and self.at == other.at
         )
+
+
+def _context_dependent(t: PropertyValue, etg: ETG) -> bool:
+    prop = etg.properties.get(t.property)
+    return prop is not None and prop.context_dependent
 
 
 def _value_matches(dp: DataPropertyDef, value: object) -> bool:
@@ -377,7 +387,9 @@ def snapshot_eg(
     """The entity graph at record.ts: static triples are kept, every
     context-dependent triple is dropped and regenerated from the record.
     The snapshot shares the static graph's entities and indexes; the
-    observer and the static triples are computed once per (static_eg, etg).
+    observer and the static triples are computed once per (static_eg, etg),
+    and the snapshot's `context_triples` are the fresh ones, found without a
+    scan.
 
     Regeneration: me `in` location, me `do` my actions, each annotated person
     `do` their actions, event `happenIn` location, me and persons
@@ -434,7 +446,10 @@ def snapshot_eg(
         materialize(fa, None, is_person=False)
 
     fresh = tuple(t for t in dict.fromkeys(new) if t not in static_set)
-    return static_eg._with_triples(static_triples + fresh, record.ts)
+    snapshot = static_eg._with_triples(static_triples + fresh, record.ts)
+    # the static prefix is context-free, so only fresh triples can be context-dependent
+    snapshot._dynamic = (etg, tuple(t for t in fresh if _context_dependent(t, etg)))
+    return snapshot
 
 
 def containment_from_eg(eg: EG, etg: ETG) -> Containment:

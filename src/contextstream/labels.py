@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .hierarchy import Hierarchy, entity_node_id, pinst_node_id
+from .hierarchy import Hierarchy
 from .kg import EG, ETG
 
 log = logging.getLogger(__name__)
@@ -74,27 +74,19 @@ def labels_from_eg(h: Hierarchy, snapshot: EG, etg: ETG) -> LabelVector:
     closure. References without a node (the observer, properties in Q,
     structural triples) are expected and skipped; anything else is logged."""
     seeds = zeros(h)
-    index = h._index
+    entities, instances = h.entity_index, h.pinst_index
     me = snapshot.me_entity(etg)
     me_id = me.id if me is not None else None
-
-    def seed_entity(entity_id: str) -> None:
-        if entity_id == me_id:
-            return
-        nid = entity_node_id(entity_id)
-        i = index.get(nid)
-        if i is None:
-            log.warning("snapshot entity %r has no node in the hierarchy", entity_id)
-            return
-        seeds[i] = 1
-
-    for t in snapshot.triples:
-        prop = etg.properties.get(t.property)
-        if prop is None or not prop.context_dependent:
-            continue
-        seed_entity(t.subject)
-        seed_entity(t.object)
-        inst = index.get(pinst_node_id(t.property, t.subject, t.object))
-        if inst is not None:
-            seeds[inst] = 1
+    for t in snapshot.context_triples(etg):
+        for entity_id in (t.subject, t.object):
+            if entity_id == me_id:
+                continue
+            i = entities.get(entity_id)
+            if i is None:
+                log.warning("snapshot entity %r has no node in the hierarchy", entity_id)
+                continue
+            seeds[i] = 1
+        i = instances.get((t.property, t.subject, t.object))
+        if i is not None:
+            seeds[i] = 1
     return repair_upward(h, seeds)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 
 from contextstream import io
-from contextstream.core import Containment
-from contextstream.hierarchy import compile_hierarchy
+from contextstream.core import Containment, format_timestamp
+from contextstream.hierarchy import compile_hierarchy, entity_node_id, pinst_node_id
+from contextstream.labels import repair_upward, zeros
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -269,6 +271,50 @@ def reference_windows(script, spec, seed=None):
             values.append(1.0 if samples.size == 0 else 0.0)
         out.append((begin, begin + length, np.asarray(values), record))
     return out
+
+
+# -- reference writer and labeller (per element, per string; kept dumb) -----
+
+def reference_runlog_lines(node_order, manifest, seed, events) -> list[str]:
+    """`runlog/1` lines built value by value with `json.dumps`."""
+    header = {"format": "runlog/1", "seed": seed, "nodes": list(node_order),
+              "manifest": list(manifest)}
+    lines = [json.dumps(header, ensure_ascii=False)]
+    for e in events:
+        lines.append(json.dumps({
+            "begin": format_timestamp(e.begin),
+            "end": format_timestamp(e.end),
+            "features": [float(v) for v in e.features],
+            "queried": e.queried,
+            "prediction": [int(b) for b in e.prediction],
+            "truth": [int(b) for b in e.truth],
+        }, ensure_ascii=False))
+    return lines
+
+
+def reference_labels(h, snapshot, etg):
+    """Labels looked up by node-id string over every snapshot triple."""
+    log = logging.getLogger("contextstream.labels")
+    seeds = zeros(h)
+    index = {nid: i for i, nid in enumerate(h.node_order)}
+    me = snapshot.me_entity(etg)
+    me_id = me.id if me is not None else None
+    for t in snapshot.triples:
+        prop = etg.properties.get(t.property)
+        if prop is None or not prop.context_dependent:
+            continue
+        for entity_id in (t.subject, t.object):
+            if entity_id == me_id:
+                continue
+            i = index.get(entity_node_id(entity_id))
+            if i is None:
+                log.warning("snapshot entity %r has no node in the hierarchy", entity_id)
+                continue
+            seeds[i] = 1
+        inst = index.get(pinst_node_id(t.property, t.subject, t.object))
+        if inst is not None:
+            seeds[inst] = 1
+    return repair_upward(h, seeds)
 
 
 # -- independent graph oracles (kept dumb on purpose) ----------------------

@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import json
 import random
+from collections.abc import Mapping
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
 from contextstream.core import (
+    Containment,
     ContextPattern,
     Coordinates,
     FunctionAssignment,
     StreamRecord,
     StreamingContext,
+    _validate_record_chains,
     classify_pattern,
     format_timestamp,
     parse_timestamp,
@@ -19,9 +23,11 @@ from contextstream.core import (
 from contextstream.errors import (
     CompositeWindowError,
     CycleError,
+    SuperChainError,
     TimestampOrderError,
     UnknownIdError,
 )
+from contextstream.io import load_stream
 
 UTC = timezone.utc
 T0 = datetime(2021, 6, 2, 12, 0, tzinfo=UTC)
@@ -181,6 +187,74 @@ def test_super_of_cycle_detected():
     with pytest.raises(CycleError) as exc:
         super_of("a", {"a": "b", "b": "c", "c": "a"})
     assert "a" in exc.value.path
+
+
+class CountingMap(Mapping):
+    """A parent map that counts the scans of its values."""
+
+    def __init__(self, parents):
+        self._parents = dict(parents)
+        self.scans = 0
+
+    def __getitem__(self, key):
+        return self._parents[key]
+
+    def __iter__(self):
+        return iter(self._parents)
+
+    def __len__(self):
+        return len(self._parents)
+
+    def values(self):
+        self.scans += 1
+        return self._parents.values()
+
+
+def test_chain_checks_scan_each_parent_map_once(tmp_path):
+    # 1,000 records whose ids are mostly unknown to the maps, with known
+    # children and roots in between
+    locations = CountingMap({f"room_{i}": f"floor_{i % 7}" for i in range(50)})
+    events = CountingMap({f"step_{i}": f"task_{i % 5}" for i in range(50)})
+    containment = Containment(location_parent=locations, event_parent=events)
+    lines = [json.dumps({"format": "stream/1"})]
+    for i in range(1000):
+        room, step = f"room_{i % 50}", f"step_{i % 50}"
+        location, event, super_event = [
+            (f"nowhere_{i}", f"task_{i % 5}", None),
+            (room, f"unheard_{i}", "task_0"),
+            (f"nowhere_{i}", step, f"task_{i % 50 % 5}"),
+        ][i % 3]
+        lines.append(json.dumps({
+            "ts": format_timestamp(ts(i)),
+            "location": location,
+            "super_location": f"floor_{i % 50 % 7}",
+            "event": event,
+            "super_event": super_event,
+        }))
+    path = tmp_path / "s.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    stream = load_stream(path, containment)
+    assert len(stream) == 1000
+    with pytest.raises(CompositeWindowError):
+        classify_pattern(stream, containment=containment)
+    assert locations.scans <= 1 and events.scans <= 1
+
+
+def test_chain_checks_keep_their_errors():
+    containment = Containment(location_parent={"a": "b", "b": "c"},
+                              event_parent={"x": "y", "y": "x"})
+    wrong_super = StreamRecord(ts=ts(0), location="a", super_location="z")
+    with pytest.raises(SuperChainError, match="does not contain"):
+        _validate_record_chains(wrong_super, containment)
+    cyclic = StreamRecord(ts=ts(0), event="x", super_event="y")
+    with pytest.raises(CycleError):
+        _validate_record_chains(cyclic, containment)
+    # a root has an empty chain; an unknown id passes unchecked
+    with pytest.raises(SuperChainError, match=r"parent chain \[\]"):
+        _validate_record_chains(StreamRecord(ts=ts(0), location="c", super_location="z"),
+                                containment)
+    _validate_record_chains(StreamRecord(ts=ts(0), location="q", super_location="z"),
+                            containment)
 
 
 # -- function assignments -----------------------------------------------------

@@ -11,8 +11,10 @@ from contextstream.hierarchy import (
     Hierarchy,
     NodeKind,
     compile_hierarchy,
+    entity_node_id,
     find_cycle,
     node_display_name,
+    pinst_node_id,
     transitive_reduction,
     validate_hierarchy,
 )
@@ -40,6 +42,21 @@ def hierarchy_from_indexed(n: int, edges: set[tuple[int, int]]) -> Hierarchy:
         if names[i] not in with_parent:
             named.add((names[i], "root"))
     return Hierarchy(nodes, named, "root")
+
+
+def test_id_indexes_resolve_what_the_id_strings_resolve(travel_hierarchy):
+    ids = ["pinst:a/b/c/d", "pinst:p/s/o", "pinst:x/y", "entity:x/y", "entity:", "etype:z"]
+    h = Hierarchy([plain_node(nid) for nid in ids] + [ConceptNode("root", NodeKind.ROOT, "", None)],
+                  [(nid, "root") for nid in ids], "root")
+    assert h.entity_index == {"x/y": h.index_of("entity:x/y"), "": h.index_of("entity:")}
+    assert set(h.pinst_index) == {("a/b", "c", "d"), ("a", "b/c", "d"), ("a", "b", "c/d"),
+                                  ("p", "s", "o")}
+    for h in (h, travel_hierarchy):
+        for triple, i in h.pinst_index.items():
+            assert h.index_of(pinst_node_id(*triple)) == i
+        for entity_id, i in h.entity_index.items():
+            assert h.index_of(entity_node_id(entity_id)) == i
+    assert len(travel_hierarchy.entity_index) == 13 and len(travel_hierarchy.pinst_index) == 2
 
 
 # -- the golden travel DAG -----------------------------------------------------

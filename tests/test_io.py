@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
-from datetime import timedelta
+import tracemalloc
+from dataclasses import replace
+from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 
 from contextstream import io
@@ -11,7 +14,9 @@ from contextstream.errors import FormatError, SuperChainError, TimestampOrderErr
 from contextstream.kg import EG
 from contextstream.learn import QueryStrategy
 
-from conftest import FIXTURES, MALFORMED, encode_case, fixture_record
+from contextstream.simulate import WindowEvent
+
+from conftest import FIXTURES, MALFORMED, encode_case, fixture_record, reference_runlog_lines
 
 
 def test_eg_round_trip(tmp_path, travel_etg, travel_eg):
@@ -234,6 +239,71 @@ def test_runlog_round_trip(tmp_path, travel_scenario, travel_hierarchy, travel_e
     assert preds.shape == (len(result.events), len(travel_hierarchy))
     assert (preds == result.predictions()).all()
     assert (truths == result.truths()).all()
+
+
+def _events(bits, queried=True):
+    """One event per row pair of `bits` (shape (2, k, n)), a minute apart."""
+    t0 = datetime(2021, 6, 2, 12, 0, tzinfo=timezone.utc)
+    return [
+        WindowEvent(t0 + timedelta(minutes=i), t0 + timedelta(minutes=i + 1),
+                    np.array([0.1 * i, -3.0, 1e300]), queried, bits[0, i], bits[1, i])
+        for i in range(bits.shape[1])
+    ]
+
+
+@pytest.mark.parametrize("k, n, queried, dtype", [
+    (3, 0, True, np.uint8),
+    (3, 1, True, np.uint8),
+    (io.RUNLOG_BLOCK + 1, 5, True, np.uint8),
+    (4, 7, False, np.uint8),
+    (io.RUNLOG_BLOCK + 1, 6, False, bool),
+])
+def test_runlog_writer_matches_reference(tmp_path, k, n, queried, dtype):
+    bits = np.random.default_rng(k * 10 + n).integers(0, 2, size=(2, k, n)).astype(dtype)
+    events = _events(bits, queried)
+    nodes = [f"n{i}" for i in range(n)]
+    expected = reference_runlog_lines(nodes, ["a", "b", "c"], 7, events)
+    assert io.runlog_to_lines(nodes, ["a", "b", "c"], 7, events) == expected
+    path = tmp_path / "run.jsonl"
+    io.save_runlog(path, nodes, ["a", "b", "c"], 7, iter(events))
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
+    _, preds, truths, _ = io.load_runlog(path)
+    assert (preds == bits[0]).all() and (truths == bits[1]).all()
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5, float("nan")])
+def test_runlog_writer_rejects_a_value_other_than_a_bit_before_opening(tmp_path, bad):
+    bits = np.zeros((2, io.RUNLOG_BLOCK + 1, 3), dtype=np.float64)
+    bits[1, io.RUNLOG_BLOCK, 2] = bad  # the truth row of the last event
+    path = tmp_path / "run.jsonl"
+    with pytest.raises(ValueError, match="bits"):
+        io.save_runlog(path, ["a", "b", "c"], [], 1, _events(bits))
+    assert not path.exists()
+    with pytest.raises(ValueError, match="bits"):
+        io.runlog_to_lines(["a", "b", "c"], [], 1, _events(bits))
+
+
+def test_runlog_writer_rejects_a_row_of_the_wrong_width(tmp_path):
+    events = _events(np.zeros((2, 2, 3), dtype=np.uint8))
+    events[1] = replace(events[1], prediction=np.zeros(4, dtype=np.uint8))
+    path = tmp_path / "run.jsonl"
+    with pytest.raises(ValueError, match="3 bits"):
+        io.save_runlog(path, ["a", "b", "c"], [], 1, events)
+    assert not path.exists()
+
+
+def test_runlog_writer_streams_in_little_memory(tmp_path):
+    bits = np.random.default_rng(5).integers(0, 2, size=(2, 2000, 2000), dtype=np.uint8)
+    events = _events(bits)
+    nodes = [f"n{i}" for i in range(2000)]
+    path = tmp_path / "run.jsonl"
+    tracemalloc.start()
+    try:
+        io.save_runlog(path, nodes, ["a"], 1, events)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
 
 
 def test_metrics_round_trip(tmp_path):

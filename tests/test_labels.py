@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import logging
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from contextstream.kg import EG, PropertyValue, snapshot_eg
+from contextstream.io import load_hierarchy, save_hierarchy
+from contextstream.kg import EG, Entity, PropertyValue, snapshot_eg
 from contextstream.labels import (
     check_consistency,
     labels_from_eg,
@@ -12,7 +16,7 @@ from contextstream.labels import (
     zeros,
 )
 
-from conftest import dfs_closure_ids
+from conftest import GOLDEN, dfs_closure_ids, reference_labels
 from test_hierarchy import hierarchy_from_indexed
 from test_kg import ROW2
 
@@ -110,6 +114,41 @@ def test_labels_skip_unknown_references_with_warning(travel_hierarchy, travel_et
         y = labels_from_eg(travel_hierarchy, odd, travel_etg)
     assert any("atlantis" in m for m in caplog.messages)
     assert check_consistency(travel_hierarchy, y) == []
+
+
+def test_labels_match_the_string_lookup_on_every_fixture_snapshot(
+        tmp_path, travel_hierarchy, travel_etg, travel_eg, travel_stream, travel_scenario):
+    path = tmp_path / "h.json"
+    save_hierarchy(path, load_hierarchy(GOLDEN / "travel_hierarchy.json"))
+    golden = load_hierarchy(path)
+    # every fixture record: the stream's, the scenario segments' and ROW2
+    records = [*travel_stream.records, *(seg.record for seg in travel_scenario.segments), ROW2]
+    snapshots = [snapshot_eg(travel_eg, r, travel_etg) for r in records]
+    for snap in snapshots:
+        scanned = tuple(t for t in snap.triples
+                        if t.property in travel_etg.properties
+                        and travel_etg.properties[t.property].context_dependent)
+        assert snap.context_triples(travel_etg) == scanned
+        for h in (travel_hierarchy, golden):
+            expected = reference_labels(h, snap, travel_etg)
+            assert np.array_equal(labels_from_eg(h, snap, travel_etg), expected)
+    friend = golden.index_of("pinst:FriendOf/xiaoyue/haonan")
+    assert any(labels_from_eg(golden, snap, travel_etg)[friend] for snap in snapshots)
+
+
+def test_labels_warn_like_the_string_lookup_for_an_entity_with_no_node(
+        travel_hierarchy, travel_etg, travel_eg, caplog):
+    wider = EG([*travel_eg.entities, Entity("atlantis", "Atlantis", "region")], travel_eg.triples)
+    snap = snapshot_eg(wider, replace(ROW2, location="atlantis"), travel_etg)
+    with caplog.at_level(logging.WARNING):
+        expected = reference_labels(travel_hierarchy, snap, travel_etg)
+    oracle_messages = list(caplog.messages)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        y = labels_from_eg(travel_hierarchy, snap, travel_etg)
+    assert np.array_equal(y, expected)
+    assert caplog.messages == oracle_messages
+    assert any("'atlantis'" in m for m in oracle_messages)
 
 
 # -- consistency checking ---------------------------------------------------------
