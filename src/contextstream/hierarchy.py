@@ -68,9 +68,9 @@ class Hierarchy:
     """A rooted DAG of concept nodes with child->parent edges.
 
     The node order (topological with lexicographic tie-break, children before
-    parents) indexes label vectors; it is a pure function of the graph and is
-    recomputed rather than stored. The edges are the only stored form of the
-    order: label repairs walk them grouped by depth (`levels`).
+    parents) indexes label vectors; it is a pure function of the graph,
+    computed once on first use, and a transitive reduction takes it over
+    from its input. Label repairs walk the edges grouped by depth (`levels`).
     """
 
     def __init__(self, nodes: Iterable[ConceptNode], edges: Iterable[tuple[str, str]], root: str):
@@ -109,21 +109,17 @@ class Hierarchy:
             out[child].append(parent)
         return {nid: tuple(sorted(ps)) for nid, ps in out.items()}
 
-    @cached_property
-    def _children(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {nid: [] for nid in self.nodes}
-        for child, parent in self.edges:
-            out[parent].append(child)
-        return {nid: tuple(sorted(cs)) for nid, cs in out.items()}
-
     def parents_of(self, node_id: str) -> tuple[str, ...]:
         return self._parents[node_id]
 
     @cached_property
     def node_order(self) -> tuple[str, ...]:
         """Topological order (every node before its parents), lexicographic
-        tie-break. Raises CycleError when the edge set is cyclic."""
-        incoming = {nid: len(self._children[nid]) for nid in self.nodes}
+        tie-break. Raises CycleError with a witness loop when the edge set
+        is cyclic."""
+        incoming = dict.fromkeys(self.nodes, 0)
+        for _, parent in self.edges:
+            incoming[parent] += 1
         ready = [nid for nid, deg in incoming.items() if deg == 0]
         heapq.heapify(ready)
         order: list[str] = []
@@ -135,8 +131,23 @@ class Hierarchy:
                 if incoming[parent] == 0:
                     heapq.heappush(ready, parent)
         if len(order) != len(self.nodes):
-            raise CycleError(find_cycle(self.edges) or ["<unknown>"])
+            raise CycleError(self._cycle_among({nid for nid, deg in incoming.items() if deg}))
         return tuple(order)
+
+    def _cycle_among(self, left: set[str]) -> list[str]:
+        """A cycle through the nodes Kahn's pass left unordered, child ->
+        parent, first node equal to last. Each of them still has an unordered
+        child, so walking child-ward from the smallest comes back around."""
+        child_of: dict[str, str] = {}
+        for child, parent in self.edges:  # sorted, so each parent keeps its smallest child
+            if child in left:
+                child_of.setdefault(parent, child)
+        at: dict[str, int] = {}
+        nid = min(left)
+        while nid not in at:
+            at[nid] = len(at)
+            nid = child_of[nid]
+        return [*list(at)[at[nid]:], nid][::-1]
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -190,45 +201,6 @@ class Hierarchy:
             groups[depth[child] - 1].append(k)
         pairs = self.edge_index_pairs
         return tuple((pairs[g, 0], pairs[g, 1]) for g in groups)
-
-
-def find_cycle(edges: Iterable[tuple[str, str]]) -> list[str] | None:
-    """A witness cycle in a child->parent edge set, or None."""
-    adjacency: dict[str, list[str]] = {}
-    for child, parent in edges:
-        adjacency.setdefault(child, []).append(parent)
-        adjacency.setdefault(parent, [])
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {nid: WHITE for nid in adjacency}
-    trail: list[str] = []
-
-    def visit(start: str) -> list[str] | None:
-        stack: list[tuple[str, int]] = [(start, 0)]
-        color[start] = GRAY
-        trail.append(start)
-        while stack:
-            node, i = stack[-1]
-            if i < len(adjacency[node]):
-                stack[-1] = (node, i + 1)
-                nxt = adjacency[node][i]
-                if color[nxt] == GRAY:
-                    return trail[trail.index(nxt):] + [nxt]
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    trail.append(nxt)
-                    stack.append((nxt, 0))
-            else:
-                stack.pop()
-                trail.pop()
-                color[node] = BLACK
-        return None
-
-    for nid in sorted(adjacency):
-        if color[nid] == WHITE:
-            cycle = visit(nid)
-            if cycle is not None:
-                return cycle
-    return None
 
 
 def node_display_name(node: ConceptNode, etg: ETG, eg: EG) -> str:
@@ -353,9 +325,7 @@ def compile_hierarchy(
         if nid != ROOT_ID and nid not in with_parent:
             edges.add((nid, ROOT_ID))
 
-    h = Hierarchy(nodes.values(), edges, ROOT_ID)
-    h.node_order  # noqa: B018 - forces cycle detection before reduction
-    return transitive_reduction(h)
+    return transitive_reduction(Hierarchy(nodes.values(), edges, ROOT_ID))
 
 
 def _pinst_display(etg: ETG, eg: EG, t: PropertyValue) -> str:
@@ -386,7 +356,10 @@ def transitive_reduction(h: Hierarchy) -> Hierarchy:
     Ullman 1972); nodes and root are unchanged. Cyclic input raises
     CycleError with a witness."""
     implied = set(_implied_edges(h))
-    return Hierarchy(h.nodes.values(), [e for e in h.edges if e not in implied], h.root)
+    reduced = Hierarchy(h.nodes.values(), [e for e in h.edges if e not in implied], h.root)
+    # both graphs have the same descendant sets, so every node becomes ready at the same heap step
+    reduced.node_order = h.node_order
+    return reduced
 
 
 def validate_hierarchy(

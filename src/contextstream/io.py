@@ -342,21 +342,16 @@ def hierarchy_to_dict(h: Hierarchy) -> dict:
 def hierarchy_from_dict(doc: Mapping[str, Any], path: Any = "<memory>") -> Hierarchy:
     _check_format(doc, "hierarchy", path)
     with _Malformed(path, "hierarchy document"):
-        nodes = [
-            ConceptNode(
-                id=n["id"],
-                kind=NodeKind(n["kind"]),
-                display_name=n["display_name"],
-                source_ref=tuple(n["source_ref"])
-                if isinstance(n["source_ref"], list)
-                else n["source_ref"],
-            )
-            for n in doc["nodes"]
-        ]
+        nodes = []
+        for n in doc["nodes"]:
+            nid, name = _strings([n["id"], n["display_name"]], "a node's id and display_name")
+            r = n["source_ref"]
+            ref = tuple(_strings(r, "source_ref")) if isinstance(r, list) else _id(r, "source_ref")
+            nodes.append(ConceptNode(nid, NodeKind(n["kind"]), name, ref))
         edges = [tuple(_strings(e, "an edge")) for e in doc["edges"]]
         if any(len(e) != 2 for e in edges):
             raise ValueError("an edge is not a [child, parent] pair")
-        return Hierarchy(nodes, edges, root=doc["root"])
+        return Hierarchy(nodes, edges, root=_strings([doc["root"]], "root")[0])
 
 
 def load_hierarchy(path: str | Path) -> Hierarchy:
@@ -521,8 +516,10 @@ def load_runlog(path: str | Path) -> tuple[dict, np.ndarray, np.ndarray, list[di
     header: dict | None = None
     for lineno, header in docs:
         _check_format(header, "runlog", path)
-        if not isinstance(header.get("nodes"), list):
-            raise FormatError(path, "run log header lists no nodes", line=lineno)
+        nodes = header.get("nodes")
+        if (not isinstance(nodes, list) or {*map(type, nodes)} - {str}
+                or len(set(nodes)) != len(nodes)):
+            raise FormatError(path, "run log header must list distinct node ids", line=lineno)
         break
     if header is None:
         raise FormatError(path, "empty run log")

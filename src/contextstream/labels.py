@@ -1,10 +1,14 @@
 """Indicator-vector labels over the concept DAG and the child-implies-parent
 consistency constraint: construction from snapshots, checking, and repair.
 
-Vectors are uint8 numpy arrays indexed by the hierarchy's node order. A
-vector is consistent when every set bit's parents are set too; upward repair
-adds the missing ancestors, downward repair drops unsupported bits. Both walk
-the hierarchy's edges level by level (`Hierarchy.levels`).
+Vectors are uint8 numpy arrays of 0/1 indexed by the hierarchy's node order.
+A vector is consistent when every set bit's parents are set too; upward
+repair adds the missing ancestors, downward repair drops unsupported bits.
+Both walk the hierarchy's edges level by level (`Hierarchy.levels`): one
+(child, parent) pair of index arrays per depth of the child, shallowest
+first, so every parent sits in an earlier level than its children. The
+repairs are bool logic, so no path count can wrap around (at 256 parents,
+say).
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _kernels
 from .hierarchy import Hierarchy
 from .kg import EG, ETG
 
@@ -57,15 +60,22 @@ def check_consistency(h: Hierarchy, y: Sequence[int] | np.ndarray) -> list[Consi
 
 def repair_upward(h: Hierarchy, y: Sequence[int] | np.ndarray) -> LabelVector:
     """Minimal consistent superset: set bits plus all their ancestors."""
-    arr = _as_vector(h, y)
-    return _kernels.repair_up(arr, h.levels)
+    up = _as_vector(h, y).astype(bool)
+    if up.any():
+        # deepest level first, so each child bit is final before it passes up
+        for child, parent in reversed(h.levels):
+            up[parent[up[child]]] = True
+    return up.astype(np.uint8)
 
 
 def repair_downward(h: Hierarchy, y: Sequence[int] | np.ndarray) -> LabelVector:
     """Maximal consistent subset: keep a bit only when all its ancestors are
     set in the input."""
-    arr = _as_vector(h, y)
-    return _kernels.repair_down(arr, h.levels)
+    keep = _as_vector(h, y).astype(bool)
+    # shallowest level first, so a child is kept exactly when every parent was
+    for child, parent in h.levels:
+        keep[child[~keep[parent]]] = False
+    return keep.astype(np.uint8)
 
 
 def labels_from_eg(h: Hierarchy, snapshot: EG, etg: ETG) -> LabelVector:

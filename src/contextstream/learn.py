@@ -12,7 +12,6 @@ from typing import Literal
 
 import numpy as np
 
-from . import _kernels
 from .errors import InconsistentLabelError
 from .hierarchy import Hierarchy
 from .labels import LabelVector, check_consistency, repair_downward
@@ -72,7 +71,9 @@ def decide_query(strategy: QueryStrategy, x: np.ndarray, model: OnlinePerceptron
 def train_step(
     model: OnlinePerceptron, x: np.ndarray, y: LabelVector, h: Hierarchy
 ) -> OnlinePerceptron:
-    """One online update on (x, y); y must be hierarchy-consistent."""
+    """One online update on (x, y), in place; y must be hierarchy-consistent.
+    Every node whose prediction was wrong moves by +-x (bias +-1) toward its
+    target; a zero score counts negative."""
     violations = check_consistency(h, y)
     if violations:
         v = violations[0]
@@ -81,7 +82,11 @@ def train_step(
         )
     x64 = np.ascontiguousarray(x, dtype=np.float64)
     y8 = np.ascontiguousarray(y, dtype=np.uint8)
-    _kernels.perceptron_step(model.weights, model.bias, x64, y8)
+    wrong = (model.scores(x64) > 0.0) != y8.astype(bool)
+    if wrong.any():
+        delta = 2.0 * y8[wrong].astype(np.float64) - 1.0
+        model.weights[wrong] += delta[:, None] * x64[None, :]
+        model.bias[wrong] += delta
     model.steps += 1
     return model
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from datetime import timedelta
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -141,7 +142,7 @@ class WindowSpec:
     def means(cls, channels: Sequence[str], length_minutes: float) -> "WindowSpec":
         return cls(length_minutes, {ch: ("mean",) for ch in channels})
 
-    @property
+    @cached_property
     def manifest(self) -> tuple[str, ...]:
         names: list[str] = []
         for ch in sorted(self.aggregators):

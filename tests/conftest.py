@@ -70,11 +70,20 @@ def _etg_with(change) -> str:
     return json.dumps(doc)
 
 
-def _hierarchy(edges) -> str:
-    """A two-node hierarchy whose one-letter ids a string edge would spell."""
+def _hierarchy(edges, **changes) -> str:
+    """A two-node hierarchy whose one-letter ids a string edge would spell;
+    `changes` apply to node "a"."""
     node = lambda nid: {"id": nid, "kind": "etype", "display_name": nid, "source_ref": nid}
-    return json.dumps({"format": "hierarchy/1", "root": "r", "nodes": [node("a"), node("r")],
-                       "edges": edges})
+    return json.dumps({"format": "hierarchy/1", "root": "r",
+                       "nodes": [{**node("a"), **changes}, node("r")], "edges": edges})
+
+
+def _runlog(nodes) -> str:
+    """A run log whose header lists `nodes`, with one event of two bits."""
+    header = {"format": "runlog/1", "seed": 7, "nodes": nodes, "manifest": []}
+    event = {"begin": "2021-06-02T12:00:00+00:00", "end": "2021-06-02T12:01:00+00:00",
+             "features": [], "queried": True, "prediction": [1, 0], "truth": [1, 1]}
+    return json.dumps(header) + "\n" + json.dumps(event) + "\n"
 
 
 # A byte that is not UTF-8, in a case's text; `encode_case` writes it as 0xff
@@ -119,6 +128,17 @@ MALFORMED = {
     ])), 3),
     "hierarchy-edge-not-list": ("hierarchy", _hierarchy(["ar"]), None),
     "hierarchy-edge-not-pair": ("hierarchy", _hierarchy([["a", "r", "a"]]), None),
+    "hierarchy-node-id-not-string": ("hierarchy", _hierarchy([], id=5), None),
+    "hierarchy-lone-root-id-not-string": ("hierarchy", json.dumps({
+        "format": "hierarchy/1", "root": 5, "edges": [], "nodes": [
+            {"id": 5, "kind": "root", "display_name": "context", "source_ref": None}]}), None),
+    "hierarchy-display-name-not-string": (
+        "hierarchy", _hierarchy([["a", "r"]], display_name=["B"]), None),
+    "hierarchy-source-ref-not-string": ("hierarchy", _hierarchy([["a", "r"]], source_ref=5), None),
+    "hierarchy-source-ref-list-not-strings": (
+        "hierarchy", _hierarchy([["a", "r"]], source_ref=["p", 1, "o"]), None),
+    "runlog-node-not-string": ("runlog", _runlog([["a"], {"b": 1}]), 1),
+    "runlog-nodes-repeat": ("runlog", _runlog(["a", "a"]), 1),
     "scenario-channels-not-list": ("scenario", json.dumps(
         _fixture_doc("travel_scenario.json", channels="ab", segments=[])), None),
     "scenario-seed-not-integer": ("scenario", json.dumps(

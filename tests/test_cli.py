@@ -104,7 +104,7 @@ def test_validate_corrupt_json_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("case", MALFORMED)
 def test_validate_reports_a_malformed_document_and_goes_on(tmp_path, capsys, case):
     kind, text, _ = MALFORMED[case]
-    bad = tmp_path / ("bad.jsonl" if kind == "stream" else "bad.json")
+    bad = tmp_path / ("bad.jsonl" if kind in ("stream", "runlog") else "bad.json")
     bad.write_bytes(encode_case(text))
     assert main(["validate", str(bad), ETG]) == 2
     findings = capsys.readouterr().err.splitlines()

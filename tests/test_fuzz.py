@@ -1,6 +1,8 @@
 """Seeded fuzzing of the loaders and of `validate`: every mutated fixture
 either loads or raises a ContextStreamError, and `contextstream validate`
-exits 0 or 2 on it (run with -s to see the PASS line on success)."""
+exits 0 or 2 on it; a run log or hierarchy that loads also goes through
+`evaluate` or `export-dot`, which exit 0 or 2 as well (run with -s to see
+the PASS line on success)."""
 
 from __future__ import annotations
 
@@ -111,26 +113,32 @@ def test_mutated_documents_load_or_raise_format_errors(tmp_path, capsys):
     start = time.perf_counter()
     failures: list[str] = []
     loaded = rejected = 0
+    # file name -> the command that reads the document once it loads
+    readers = {"run.jsonl": ["evaluate", "--log"],
+               "hierarchy.json": ["export-dot", "--out", str(tmp_path / "h.dot")]}
     for round_ in range(100):
         for name, (data, loader) in DOCUMENTS.items():
             what, mutated = _mutate(rng, name, data)
             path = tmp_path / name
             path.write_bytes(mutated)
             case = f"round {round_}, {name}, {what}"
+            commands = [["validate", str(path)]]
             try:
                 loader(path)
                 loaded += 1
+                commands += [readers[name] + [str(path)]] if name in readers else []
             except ContextStreamError:
                 rejected += 1
             except Exception as exc:  # noqa: BLE001 - any other error is the defect
                 failures.append(f"{case}: load raised {exc!r}")
-            try:
-                code = main(["validate", str(path)])
-            except Exception as exc:  # noqa: BLE001
-                failures.append(f"{case}: validate raised {exc!r}")
-            else:
-                if code not in (0, 2):
-                    failures.append(f"{case}: validate exited {code}")
+            for command in commands:
+                try:
+                    code = main(command)
+                except Exception as exc:  # noqa: BLE001
+                    failures.append(f"{case}: {command[0]} raised {exc!r}")
+                else:
+                    if code not in (0, 2):
+                        failures.append(f"{case}: {command[0]} exited {code}")
     elapsed = time.perf_counter() - start
     capsys.readouterr()
     assert not failures, f"{len(failures)} failures, first: {failures[:5]}"

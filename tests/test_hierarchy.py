@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from contextstream import hierarchy
 from contextstream.errors import CycleError, UnknownIdError
 from contextstream.hierarchy import (
     ConceptNode,
@@ -12,7 +13,6 @@ from contextstream.hierarchy import (
     NodeKind,
     compile_hierarchy,
     entity_node_id,
-    find_cycle,
     node_display_name,
     pinst_node_id,
     transitive_reduction,
@@ -304,8 +304,37 @@ def test_reduction_rejects_cycles_with_witness():
     assert len(exc.value.path) >= 3
 
 
-def test_find_cycle_on_acyclic_is_none():
-    assert find_cycle({("a", "b"), ("b", "c")}) is None
+def test_cycle_witness_is_a_closed_walk_over_input_edges():
+    """Random cycles with a DAG hanging above and below: the witness starts
+    and ends on one node, steps along input edges only and repeats nothing
+    in between."""
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(4, 40)
+        edges = random_dag(rng, n, p=rng.uniform(0.05, 0.3))
+        ring = rng.sample(range(1, n - 1), rng.randint(2, min(6, n - 2)))
+        edges |= {(a, b) for a, b in zip(ring, ring[1:] + ring[:1])}
+        edges |= {(0, ring[0]), (ring[-1], n - 1)}  # a node below and one above
+        h = hierarchy_from_indexed(n, edges)
+        with pytest.raises(CycleError) as exc:
+            h.node_order
+        path = exc.value.path
+        assert path[0] == path[-1] and len(set(path)) == len(path) - 1 >= 2
+        assert set(zip(path, path[1:])) <= set(h.edges)
+
+
+def test_reduction_keeps_the_input_order_object(travel_etg, travel_eg, monkeypatch):
+    """Kahn's pass runs once per compile: the reduced graph's order is the
+    very tuple the input computed."""
+    inputs = []
+    reduce = hierarchy.transitive_reduction
+    monkeypatch.setattr(hierarchy, "transitive_reduction", lambda h: inputs.append(h) or reduce(h))
+    compiled = compile_hierarchy(travel_etg, travel_eg)
+    assert len(inputs) == 1 and len(inputs[0].edges) > len(compiled.edges)
+    assert compiled.node_order is inputs[0].node_order
+    assert reduce(inputs[0]).node_order is inputs[0].node_order
+    assert compiled.node_order == Hierarchy(compiled.nodes.values(), compiled.edges,
+                                            compiled.root).node_order
 
 
 # -- hierarchy validation -----------------------------------------------------------

@@ -4,9 +4,9 @@ import random
 
 import numpy as np
 
-from contextstream import _kernels
 from contextstream.hierarchy import Hierarchy, transitive_reduction
-from contextstream.labels import repair_upward
+from contextstream.labels import repair_downward, repair_upward
+from contextstream.learn import OnlinePerceptron, train_step
 
 from conftest import dfs_reachable_pairs, random_dag
 from test_hierarchy import hierarchy_from_indexed, plain_node
@@ -103,12 +103,25 @@ def test_sweep_large_and_wide_dags_match_dfs_oracles():
         check_against_oracles(n, random_dag(rng, n, p=rng.uniform(0.005, 0.05)))
 
 
-def index_levels(n, edges):
-    """The levels a Hierarchy builds for an indexed DAG, in the DAG's indexes."""
+def test_reduced_order_is_the_order_of_the_reduced_edges():
+    """The reduction takes its input's order over; Kahn's pass run afresh on
+    the reduced edges must give the same order, 256-wide layers included."""
+    rng = random.Random(29)
+    dags = [(n, random_dag(rng, n, p=rng.uniform(0.02, 0.4))) for n in (2, 5, 12, 30, 60)]
+    dags += [(n, wide_dag(rng, n, width=256)) for n in (300, 260)]
+    dags += [chain_and_wide_layer(40, 256), chain_and_wide_layer(3, 300)]
+    for n, edges in dags:
+        reduced, _ = reduce(n, edges)
+        fresh = Hierarchy(reduced.nodes.values(), reduced.edges, reduced.root)
+        assert reduced.node_order == fresh.node_order
+
+
+def indexed_hierarchy(n, edges):
+    """A Hierarchy over an indexed DAG, and the DAG index of each node in
+    its order."""
     names = [f"n{i:02d}" for i in range(n)]
     h = Hierarchy(map(plain_node, names), {(names[a], names[b]) for a, b in edges}, names[0])
-    to_index = np.array([int(nid[1:]) for nid in h.node_order], dtype=np.intp)
-    return [(to_index[c], to_index[p]) for c, p in h.levels]
+    return h, np.array([int(nid[1:]) for nid in h.node_order], dtype=np.intp)
 
 
 def test_repair_kernels_match_naive():
@@ -118,7 +131,7 @@ def test_repair_kernels_match_naive():
     dags += [chain_and_wide_layer(40, 256), chain_and_wide_layer(3, 300)]
     for n, edges in dags:
         anc = reach_oracle(n, edges)
-        levels = index_levels(n, edges)
+        h, to_index = indexed_hierarchy(n, edges)
         for density in (0.05, 0.4, 0.95):
             y = (rng.random(n) < density).astype(np.uint8)
 
@@ -130,24 +143,26 @@ def test_repair_kernels_match_naive():
                 [bool(y[i]) and not (anc[i] & ~y.astype(bool)).any() for i in range(n)]
             )
 
-            assert np.array_equal(_kernels.repair_up(y, levels).astype(bool), naive_up)
-            assert np.array_equal(_kernels.repair_down(y, levels).astype(bool), naive_down)
+            # the repairs index by the hierarchy's order, the oracles by the DAG's
+            for repair, naive in ((repair_upward, naive_up), (repair_downward, naive_down)):
+                got = np.empty(n, dtype=bool)
+                got[to_index] = repair(h, y[to_index])
+                assert np.array_equal(got, naive)
 
 
 def test_perceptron_step_math():
-    step = _kernels.perceptron_step
-    W = np.zeros((2, 3))
-    b = np.zeros(2)
+    h = Hierarchy([plain_node("a"), plain_node("b")], [], "a")
+    model = OnlinePerceptron.zeros(2, 3)
+    W, b = model.weights, model.bias
     x = np.array([1.0, 2.0, 0.0])
-    y = np.array([1, 0], dtype=np.uint8)
     # zero scores -> predictions negative -> only node 0 wrong
-    wrong = step(W, b, x, y)
-    assert wrong == 1
+    train_step(model, x, np.array([1, 0], dtype=np.uint8), h)
     assert W[0].tolist() == [1.0, 2.0, 0.0]
     assert b[0] == 1.0
     assert not W[1].any() and b[1] == 0.0
     # now node 0 is right; flip the target to force a negative update
-    wrong = step(W, b, x, np.array([0, 0], dtype=np.uint8))
-    assert wrong == 1
+    train_step(model, x, np.array([0, 0], dtype=np.uint8), h)
     assert W[0].tolist() == [0.0, 0.0, 0.0]
     assert b[0] == 0.0
+    assert not W[1].any() and b[1] == 0.0
+    assert model.steps == 2

@@ -306,6 +306,9 @@ def test_window_spec_validation():
         WindowSpec(0, {})
     with pytest.raises(ValueError):
         WindowSpec(5, {"a": ("median",)})
+    spec = WindowSpec(5, {"b": ("mean",), "a": ("mean", "variance")})
+    assert spec.manifest == ("a:mean", "a:variance", "a:empty", "b:mean", "b:empty")
+    assert spec.manifest is spec.manifest  # built once per spec
 
 
 def test_window_spec_rejects_a_length_that_rounds_to_no_time():
