@@ -45,7 +45,6 @@ from .learn import OnlinePerceptron, QueryStrategy, decide_query, predict, train
 from .metrics import evaluate
 from .report import Finding, ValidationReport
 from .simulate import (
-    FeatureVector,
     ScenarioScript,
     Segment,
     WindowSpec,

@@ -7,6 +7,7 @@ determinism) and predictions are made consistent by downward repair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -23,7 +24,6 @@ class OnlinePerceptron:
 
     weights: np.ndarray
     bias: np.ndarray
-    steps: int = 0
 
     @classmethod
     def zeros(cls, nodes: int, features: int) -> "OnlinePerceptron":
@@ -46,8 +46,8 @@ class QueryStrategy:
     def __post_init__(self):
         if self.kind not in ("always", "never", "margin"):
             raise ValueError(f"unknown query strategy {self.kind!r}")
-        if self.kind == "margin" and self.tau < 0:
-            raise ValueError("margin tau must be >= 0")
+        if self.kind == "margin" and not 0 <= self.tau < math.inf:
+            raise ValueError(f"margin tau must be a finite number >= 0, not {self.tau!r}")
 
     @classmethod
     def parse(cls, spec: str) -> "QueryStrategy":
@@ -87,7 +87,6 @@ def train_step(
         delta = 2.0 * y8[wrong].astype(np.float64) - 1.0
         model.weights[wrong] += delta[:, None] * x64[None, :]
         model.bias[wrong] += delta
-    model.steps += 1
     return model
 
 

@@ -25,8 +25,6 @@ from .learn import OnlinePerceptron, QueryStrategy, decide_query, predict, train
 from .metrics import evaluate
 from .report import ValidationReport
 
-AGGREGATORS = ("mean", "count", "variance")
-
 
 @dataclass(frozen=True)
 class EmissionSpec:
@@ -57,6 +55,8 @@ def positive_delta(name: str, **amount: float) -> timedelta:
         delta = timedelta(**amount)
     except OverflowError:
         raise ValueError(f"{name} is too large") from None
+    except ValueError:  # NaN
+        raise ValueError(f"{name} must be a number") from None
     if delta <= timedelta(0):
         raise ValueError(f"{name} must be at least one microsecond")
     return delta
@@ -124,67 +124,36 @@ def validate_script(script: ScenarioScript, eg: EG, etg: ETG) -> ValidationRepor
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Aggregation plan: window length plus per-channel aggregators. The
-    manifest orders features as channel:aggregator plus a channel:empty flag
-    raised when the window held no readings for that channel."""
+    """Window length plus the channels it aggregates, kept sorted. The
+    manifest lists, per channel, its mean and an empty flag raised when the
+    window held no readings for it."""
 
     length_minutes: float
-    aggregators: Mapping[str, tuple[str, ...]]
+    channels: tuple[str, ...]
 
     def __post_init__(self):
         positive_delta("window length", minutes=self.length_minutes)
-        for ch, aggs in self.aggregators.items():
-            for agg in aggs:
-                if agg not in AGGREGATORS:
-                    raise ValueError(f"unknown aggregator {agg!r} for channel {ch!r}")
+        object.__setattr__(self, "channels", tuple(sorted(set(self.channels))))
 
     @classmethod
     def means(cls, channels: Sequence[str], length_minutes: float) -> "WindowSpec":
-        return cls(length_minutes, {ch: ("mean",) for ch in channels})
+        return cls(length_minutes, tuple(channels))
 
     @cached_property
     def manifest(self) -> tuple[str, ...]:
-        names: list[str] = []
-        for ch in sorted(self.aggregators):
-            names.extend(f"{ch}:{agg}" for agg in self.aggregators[ch])
-            names.append(f"{ch}:empty")
-        return tuple(names)
+        return tuple(f"{ch}:{kind}" for ch in self.channels for kind in ("mean", "empty"))
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureVector:
-    values: np.ndarray
-    begin: Timestamp
-    end: Timestamp
-    manifest: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.values.shape != (len(self.manifest),):
-            raise ValueError("feature length does not match the manifest")
-
-
-def aggregate_window(
-    samples: Mapping[str, np.ndarray], spec: WindowSpec, begin: Timestamp, end: Timestamp
-) -> FeatureVector:
-    """Manifest-ordered aggregates of each channel's readings in the window,
-    given as one contiguous float64 array per channel in tick order (a
-    strided view is not guaranteed to sum in the same order). Channels with no
-    readings, absent or empty, contribute 0 plus a raised empty flag."""
+def aggregate_window(samples: Mapping[str, np.ndarray], spec: WindowSpec) -> np.ndarray:
+    """Manifest-ordered features of the window, given each channel's readings
+    as one contiguous float64 array in tick order (a strided view is not
+    guaranteed to sum in the same order). A channel with no readings, absent
+    or empty, contributes 0 plus a raised empty flag."""
     values: list[float] = []
-    for ch in sorted(spec.aggregators):
+    for ch in spec.channels:
         x = samples.get(ch)
-        empty = x is None or x.size == 0
-        for agg in spec.aggregators[ch]:
-            if empty:
-                values.append(0.0)
-            elif agg == "mean":
-                values.append(float(x.mean()))
-            elif agg == "count":
-                values.append(float(x.size))
-            else:
-                values.append(float(x.var()))
-        values.append(1.0 if empty else 0.0)
-    return FeatureVector(np.asarray(values), begin, end, spec.manifest)
+        values += (0.0, 1.0) if x is None or x.size == 0 else (float(x.mean()), 0.0)
+    return np.asarray(values, dtype=np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,11 +173,6 @@ class RunResult:
     seed: int
     events: list[WindowEvent] = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
-    model: OnlinePerceptron | None = None
-
-    @property
-    def n_queries(self) -> int:
-        return sum(1 for e in self.events if e.queried)
 
     def predictions(self) -> np.ndarray:
         return np.stack([e.prediction for e in self.events])
@@ -236,18 +200,26 @@ def run_simulation(
     the next one opens at the first tick after that. The record active at
     the window's last tick labels the whole window, even when its features
     mix two segments. Raises ValueError if the script names an entity the
-    EG lacks or a function the ETG lacks, or if a reading is not finite."""
+    EG lacks or a function the ETG lacks, if a window would end past the
+    last representable date, or if a reading is not finite."""
     report = validate_script(script, static_eg, etg)
     if not report.ok:
         raise ValueError("script does not match the EG and ETG: " + report.summary())
     effective_seed = script.seed if seed is None else seed
     spec = window_spec or WindowSpec.means(script.channels, 30.0)
+    window_len = timedelta(minutes=spec.length_minutes)
+    if script.segments:
+        try:
+            script.segments[-1].end + window_len
+        except OverflowError:
+            raise ValueError(
+                f"window length of {spec.length_minutes} minutes runs past the last date"
+            ) from None
     model = OnlinePerceptron.zeros(len(h), len(spec.manifest))
     result = RunResult(node_order=h.node_order, manifest=spec.manifest, seed=effective_seed)
 
     rng = np.random.default_rng(effective_seed)
     step = script.step
-    window_len = timedelta(minutes=spec.length_minutes)
     # the open window: its first tick, reading blocks per channel, last tick's record and time
     begin: Timestamp | None = None
     pieces: dict[str, list[np.ndarray]] = {}
@@ -255,16 +227,15 @@ def run_simulation(
     last_ts: Timestamp | None = None
 
     def flush() -> None:
-        end = begin + window_len
         samples = {ch: np.concatenate(blocks) for ch, blocks in pieces.items()}
-        x = aggregate_window(samples, spec, begin, end)
+        x = aggregate_window(samples, spec)
         snapshot = snapshot_eg(static_eg, replace(record, ts=last_ts), etg)
         y = labels_from_eg(h, snapshot, etg)
-        pred = predict(model, x.values, h)
-        queried = decide_query(strategy, x.values, model)
+        pred = predict(model, x, h)
+        queried = decide_query(strategy, x, model)
         if queried:
-            train_step(model, x.values, y, h)
-        result.events.append(WindowEvent(begin, end, x.values, queried, pred, y))
+            train_step(model, x, y, h)
+        result.events.append(WindowEvent(begin, begin + window_len, x, queried, pred, y))
 
     for seg in script.segments:
         channels = [ch for ch in script.channels if ch in seg.emissions]
@@ -294,6 +265,5 @@ def run_simulation(
     if result.events:
         result.metrics = evaluate(result.predictions(), result.truths(), node_ids=h.node_order)
     result.metrics["n_windows"] = len(result.events)
-    result.metrics["n_queries"] = result.n_queries
-    result.model = model
+    result.metrics["n_queries"] = sum(e.queried for e in result.events)
     return result

@@ -266,7 +266,8 @@ def reference_windows(script, spec, seed=None):
     """(begin, end, features, record) per window. A window opens at a tick
     and takes the ticks before begin + length; the record active at its last
     tick, stamped with that tick, labels it. Features follow the manifest:
-    each aggregator over the channel's readings, then the empty flag."""
+    per channel in sorted order, the mean of its readings, then the empty
+    flag."""
     length = timedelta(minutes=spec.length_minutes)
     windows = []  # [begin, readings, record at the last tick]
     for ts, readings, record in reference_ticks(script, seed):
@@ -277,17 +278,9 @@ def reference_windows(script, spec, seed=None):
     out = []
     for begin, readings, record in windows:
         values = []
-        for ch in sorted(spec.aggregators):
+        for ch in sorted(spec.channels):
             samples = np.asarray([v for c, v in readings if c == ch], dtype=np.float64)
-            for agg in spec.aggregators[ch]:
-                if samples.size == 0:
-                    values.append(0.0)
-                elif agg == "mean":
-                    values.append(float(samples.mean()))
-                elif agg == "count":
-                    values.append(float(samples.size))
-                else:
-                    values.append(float(samples.var()))
+            values.append(float(samples.mean()) if samples.size else 0.0)
             values.append(1.0 if samples.size == 0 else 0.0)
         out.append((begin, begin + length, np.asarray(values), record))
     return out

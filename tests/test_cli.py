@@ -197,10 +197,11 @@ def test_simulate_rejects_a_reading_interval_out_of_range(tmp_path, case):
     assert "reading_interval_s" in done.stderr
 
 
-@pytest.mark.parametrize("minutes", ["1e-9", "1e300"])
+@pytest.mark.parametrize("minutes", ["1e-9", "1e300", "1e10", "nan"])
 def test_simulate_rejects_a_window_out_of_range(minutes):
     """1e-9 minutes rounds to a zero window, which would never let a tick
-    close it; 1e300 minutes overflows timedelta."""
+    close it; 1e300 minutes overflows timedelta; 1e10 minutes fits a
+    timedelta but ends past the last date; NaN is no length at all."""
     done = _simulate_in_child("simulate", "--scenario", SCENARIO, "--window", minutes)
     assert done.returncode == 2, done.stderr
     assert "window length" in done.stderr
@@ -214,6 +215,13 @@ def test_simulate_rejects_a_config_window_out_of_range(tmp_path, case):
     done = _simulate_in_child("--config", str(config), "simulate", "--scenario", SCENARIO)
     assert done.returncode == 2, done.stderr
     assert "window_minutes" in done.stderr
+
+
+@pytest.mark.parametrize("strategy", ["margin:nan", "margin:inf"])
+def test_simulate_rejects_a_margin_tau_that_is_not_finite(strategy, capsys):
+    assert main(["simulate", "--scenario", SCENARIO, "--etg", ETG, "--eg", EG_PATH,
+                 "--strategy", strategy]) == 2
+    assert "margin tau" in capsys.readouterr().err
 
 
 def test_simulate_refuses_an_undeclared_function(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Seeded fuzzing of the loaders and of `validate`: every mutated fixture
 either loads or raises a ContextStreamError, and `contextstream validate`
-exits 0 or 2 on it; a run log or hierarchy that loads also goes through
-`evaluate` or `export-dot`, which exit 0 or 2 as well (run with -s to see
-the PASS line on success)."""
+exits 0 or 2 on it; a run log, hierarchy or config that loads also goes
+through `evaluate`, `export-dot` or a `simulate` on the travel fixture,
+which exit 0 or 2 as well (run with -s to see the PASS line on success)."""
 
 from __future__ import annotations
 
@@ -41,6 +41,20 @@ DOCUMENTS = {
 
 VALUES = [None, True, False, 0, -1, 7.9, 300, "", "x", "ar", [], ["x"], {}, {"x": 1}]
 BAD_BITS = [2, -1, 300, True, False, 0.5, "x", None, [1]]
+
+# config key -> the edge values the config test sets it to
+CONFIG_EDGES = {
+    ("window_minutes",): [0, -1, 1e-9, 1e-8, 0.5, 5, 1e6, 1e10, 1e300, float("nan"), "5"],
+    ("near_threshold_m",): [0, -1, 1e-300, 1e300, float("inf")],
+    ("seed",): [None, 0, -1, 2**32, 2**63, 7.5],
+    ("strategy", "kind"): ["always", "never", "margin", "x"],
+    ("strategy", "tau"): [0, -1, 0.5, 1e300, float("inf"), float("nan")],
+}
+
+# `simulate` on the travel fixture; a config path goes before it
+SIMULATE_TRAVEL = ["simulate", "--scenario", str(FIXTURES / "travel_scenario.json"),
+                   "--etg", str(FIXTURES / "travel_etg.json"),
+                   "--eg", str(FIXTURES / "travel_eg.json")]
 
 
 def _value_paths(node, path=()):
@@ -113,9 +127,12 @@ def test_mutated_documents_load_or_raise_format_errors(tmp_path, capsys):
     start = time.perf_counter()
     failures: list[str] = []
     loaded = rejected = 0
-    # file name -> the command that reads the document once it loads
-    readers = {"run.jsonl": ["evaluate", "--log"],
-               "hierarchy.json": ["export-dot", "--out", str(tmp_path / "h.dot")]}
+    # file name -> the command that reads the document at a path once it loads
+    readers = {
+        "run.jsonl": lambda p: ["evaluate", "--log", p],
+        "hierarchy.json": lambda p: ["export-dot", "--out", str(tmp_path / "h.dot"), p],
+        "config.json": lambda p: ["--config", p, *SIMULATE_TRAVEL],
+    }
     for round_ in range(100):
         for name, (data, loader) in DOCUMENTS.items():
             what, mutated = _mutate(rng, name, data)
@@ -126,7 +143,7 @@ def test_mutated_documents_load_or_raise_format_errors(tmp_path, capsys):
             try:
                 loader(path)
                 loaded += 1
-                commands += [readers[name] + [str(path)]] if name in readers else []
+                commands += [readers[name](str(path))] if name in readers else []
             except ContextStreamError:
                 rejected += 1
             except Exception as exc:  # noqa: BLE001 - any other error is the defect
@@ -135,12 +152,45 @@ def test_mutated_documents_load_or_raise_format_errors(tmp_path, capsys):
                 try:
                     code = main(command)
                 except Exception as exc:  # noqa: BLE001
-                    failures.append(f"{case}: {command[0]} raised {exc!r}")
+                    failures.append(f"{case}: {' '.join(command)} raised {exc!r}")
                 else:
                     if code not in (0, 2):
-                        failures.append(f"{case}: {command[0]} exited {code}")
+                        failures.append(f"{case}: {' '.join(command)} exited {code}")
     elapsed = time.perf_counter() - start
     capsys.readouterr()
     assert not failures, f"{len(failures)} failures, first: {failures[:5]}"
     print(f"\nFUZZ: PASS - {loaded + rejected} variants of {len(DOCUMENTS)} documents, "
           f"{loaded} loaded, {rejected} rejected with a ContextStreamError, in {elapsed:.2f}s")
+
+
+def test_configs_with_edge_values_simulate_or_exit_2(tmp_path, capsys):
+    """Byte and type mutants of the config seldom load, so this sets one or
+    two config keys to edge values instead: each config either fails to
+    load with a ContextStreamError or drives `simulate` on the travel
+    fixture to exit 0 or 2."""
+    rng = random.Random(977)
+    original = json.loads(DOCUMENTS["config.json"][0])
+    path = tmp_path / "config.json"
+    failures: list[str] = []
+    ran = 0
+    for round_ in range(200):
+        doc = json.loads(json.dumps(original))
+        for key in rng.sample(sorted(CONFIG_EDGES), rng.randint(1, 2)):
+            _replace(doc, key, rng.choice(CONFIG_EDGES[key]))
+        path.write_text(json.dumps(doc))
+        case = f"round {round_}, {json.dumps(doc)}"
+        try:
+            io.load_config(path)
+        except ContextStreamError:
+            continue
+        ran += 1
+        try:
+            code = main(["--config", str(path), *SIMULATE_TRAVEL])
+        except Exception as exc:  # noqa: BLE001 - any error is the defect
+            failures.append(f"{case}: simulate raised {exc!r}")
+        else:
+            if code not in (0, 2):
+                failures.append(f"{case}: simulate exited {code}")
+    capsys.readouterr()
+    assert not failures, f"{len(failures)} failures, first: {failures[:5]}"
+    assert ran >= 50, f"only {ran} configs loaded"

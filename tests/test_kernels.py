@@ -165,4 +165,3 @@ def test_perceptron_step_math():
     assert W[0].tolist() == [0.0, 0.0, 0.0]
     assert b[0] == 0.0
     assert not W[1].any() and b[1] == 0.0
-    assert model.steps == 2

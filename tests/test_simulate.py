@@ -5,6 +5,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from contextstream import simulate
 from contextstream.core import FunctionAssignment, PersonEntry, StreamRecord
 from contextstream.kg import snapshot_eg
 from contextstream.labels import check_consistency, labels_from_eg
@@ -170,10 +171,16 @@ def assert_matches_reference(result, script, spec, h, etg, eg, seed=None):
         assert np.array_equal(event.truth, labels_from_eg(h, snapshot_eg(eg, record, etg), etg))
 
 
+def reference_readings(script, channel, begin, end):
+    """The reference path's readings of `channel` at ticks in [begin, end)."""
+    return [v for t, readings, _ in reference_ticks(script) if begin <= t < end
+            for c, v in readings if c == channel]
+
+
 @pytest.mark.parametrize("minutes", [1.0, 5.0, 30.0])
 def test_run_simulation_matches_reference(minutes, travel_hierarchy, travel_etg, travel_eg):
     script = mixed_script()
-    spec = WindowSpec(minutes, {ch: ("mean", "count", "variance") for ch in script.channels})
+    spec = WindowSpec.means(script.channels, minutes)
     result = run_simulation(script, travel_hierarchy, travel_etg, travel_eg, window_spec=spec)
     assert_matches_reference(result, script, spec, travel_hierarchy, travel_etg, travel_eg)
     # the cases the script is built for all occur: a window with no b, a
@@ -193,7 +200,7 @@ def test_run_simulation_matches_reference_on_fixtures(
     seed, travel_scenario, travel_hierarchy, travel_etg, travel_eg
 ):
     for script in (travel_scenario, two_regime_script(n_pairs=3, segment_minutes=7.0)):
-        spec = WindowSpec(5.0, {ch: ("mean", "variance") for ch in script.channels})
+        spec = WindowSpec.means(script.channels, 5.0)
         result = run_simulation(script, travel_hierarchy, travel_etg, travel_eg,
                                 window_spec=spec, seed=seed)
         assert_matches_reference(
@@ -218,19 +225,24 @@ def test_run_simulation_zero_variance_constant(travel_hierarchy, travel_etg, tra
         3, 60.0, ("a",),
         (Segment(ts(0), ts(5), {"a": EmissionSpec(4.25, 0.0)}, record),),
     )
-    spec = WindowSpec(5.0, {"a": ("mean", "count", "variance")})
+    spec = WindowSpec(5.0, ("a",))
     result = run_simulation(script, travel_hierarchy, travel_etg, travel_eg, window_spec=spec)
-    assert [e.features.tolist() for e in result.events] == [[4.25, 5.0, 0.0, 0.0]]
+    assert [e.features.tolist() for e in result.events] == [[4.25, 0.0]]
 
 
 def test_run_simulation_two_regimes_statistics(
     travel_scenario, travel_hierarchy, travel_etg, travel_eg
 ):
-    spec = WindowSpec(30.0, {"accelerometer_magnitude": ("mean", "count")})
+    spec = WindowSpec(30.0, ("accelerometer_magnitude",))
     result = run_simulation(travel_scenario, travel_hierarchy, travel_etg, travel_eg,
                             window_spec=spec)
-    (train_mean, train_n, _), (walk_mean, walk_n, _) = [e.features for e in result.events]
-    assert (train_n, walk_n) == (30, 25)
+    (train_mean, _), (walk_mean, _) = [e.features for e in result.events]
+    train, walk = (
+        reference_readings(travel_scenario, "accelerometer_magnitude", e.begin, e.end)
+        for e in result.events
+    )
+    assert (len(train), len(walk)) == (30, 25)
+    assert (train_mean, walk_mean) == (np.mean(train), np.mean(walk))
     assert abs(train_mean - 1.1) < 0.1
     assert abs(walk_mean - 9.4) < 0.2
 
@@ -255,12 +267,14 @@ def test_window_spanning_two_segments_takes_the_last_ticks_label(
     """Segments of 7 minutes, windows of 5: the window [5, 10) holds two
     train ticks and three walk ticks, and walk labels it."""
     script = two_regime_script(n_pairs=1, segment_minutes=7.0)
-    spec = WindowSpec(5.0, {"accelerometer_magnitude": ("mean", "count")})
+    spec = WindowSpec(5.0, ("accelerometer_magnitude",))
     result = run_simulation(script, travel_hierarchy, travel_etg, travel_eg, window_spec=spec)
     straddling = result.events[1]
     assert (straddling.begin, straddling.end) == (ts(5), ts(10))
-    mean, count, _ = straddling.features
-    assert count == 5 and 1.1 < mean < 9.4
+    mean, empty = straddling.features
+    readings = reference_readings(script, "accelerometer_magnitude", ts(5), ts(10))
+    assert len(readings) == 5 and mean == np.mean(readings) and empty == 0.0
+    assert 1.1 < mean < 9.4
     walk = travel_hierarchy.index_of("entity:walk")
     take_train = travel_hierarchy.index_of("entity:take_train")
     assert straddling.truth[walk] and not straddling.truth[take_train]
@@ -269,64 +283,85 @@ def test_window_spanning_two_segments_takes_the_last_ticks_label(
 # -- window aggregation -------------------------------------------------------------
 
 def test_aggregate_mean_example():
-    spec = WindowSpec(30.0, {"bluetooth_count": ("mean",)})
-    fv = aggregate_window({"bluetooth_count": np.array([3.0, 5.0, 4.0])}, spec, ts(0), ts(30))
-    assert fv.manifest == ("bluetooth_count:mean", "bluetooth_count:empty")
-    assert fv.values.tolist() == [4.0, 0.0]
+    spec = WindowSpec(30.0, ("bluetooth_count",))
+    x = aggregate_window({"bluetooth_count": np.array([3.0, 5.0, 4.0])}, spec)
+    assert spec.manifest == ("bluetooth_count:mean", "bluetooth_count:empty")
+    assert x.dtype == np.float64
+    assert x.tolist() == [4.0, 0.0]
 
 
 def test_aggregate_empty_window_zeros_and_flags():
-    spec = WindowSpec(30.0, {"a": ("mean", "variance"), "b": ("count",)})
+    spec = WindowSpec(30.0, ("b", "a"))
+    assert spec.manifest == ("a:mean", "a:empty", "b:mean", "b:empty")
     for samples in ({}, {"a": np.empty(0), "b": np.empty(0)}):
-        fv = aggregate_window(samples, spec, ts(0), ts(30))
-        assert fv.manifest == ("a:mean", "a:variance", "a:empty", "b:count", "b:empty")
-        assert fv.values.tolist() == [0.0, 0.0, 1.0, 0.0, 1.0]
+        assert aggregate_window(samples, spec).tolist() == [0.0, 1.0, 0.0, 1.0]
+    # a channel outside the spec is ignored; one without readings is flagged
+    x = aggregate_window({"b": np.array([2.0, 4.0]), "z": np.array([9.0])}, spec)
+    assert x.tolist() == [0.0, 1.0, 3.0, 0.0]
 
 
 def test_aggregate_matches_independent_recompute(travel_scenario):
-    spec = WindowSpec(30.0, {ch: ("mean", "count", "variance") for ch in travel_scenario.channels})
+    spec = WindowSpec.means(travel_scenario.channels, 30.0)
     first_window = [
         r for t, readings, _ in reference_ticks(travel_scenario) if t < ts(30) for r in readings
     ]
     samples = {
         ch: np.array([v for c, v in first_window if c == ch]) for ch in travel_scenario.channels
     }
-    fv = aggregate_window(samples, spec, ts(0), ts(30))
+    x = aggregate_window(samples, spec)
+    assert x.shape == (2 * len(travel_scenario.channels),)
     for ch in travel_scenario.channels:
         values = [v for c, v in first_window if c == ch]
-        mean = sum(values) / len(values)
-        var = sum((v - mean) ** 2 for v in values) / len(values)
-        assert fv.values[fv.manifest.index(f"{ch}:mean")] == pytest.approx(mean)
-        assert fv.values[fv.manifest.index(f"{ch}:count")] == len(values)
-        assert fv.values[fv.manifest.index(f"{ch}:variance")] == pytest.approx(var)
+        assert x[spec.manifest.index(f"{ch}:mean")] == pytest.approx(sum(values) / len(values))
+        assert x[spec.manifest.index(f"{ch}:empty")] == 0.0
 
 
 def test_window_spec_validation():
     with pytest.raises(ValueError):
-        WindowSpec(0, {})
-    with pytest.raises(ValueError):
-        WindowSpec(5, {"a": ("median",)})
-    spec = WindowSpec(5, {"b": ("mean",), "a": ("mean", "variance")})
-    assert spec.manifest == ("a:mean", "a:variance", "a:empty", "b:mean", "b:empty")
+        WindowSpec(0, ())
+    spec = WindowSpec(5, ("b", "a", "b"))
+    assert spec.channels == ("a", "b")
+    assert spec.manifest == ("a:mean", "a:empty", "b:mean", "b:empty")
     assert spec.manifest is spec.manifest  # built once per spec
+    assert WindowSpec.means(["b", "a"], 5) == spec
 
 
 def test_window_spec_rejects_a_length_that_rounds_to_no_time():
     for minutes in (1e-9, 0.0, -5.0):
         with pytest.raises(ValueError, match="microsecond"):
-            WindowSpec(minutes, {})
+            WindowSpec(minutes, ())
     with pytest.raises(ValueError, match="too large"):
-        WindowSpec(1e300, {})
-    assert WindowSpec(1e-6 / 60, {}).length_minutes == 1e-6 / 60
+        WindowSpec(1e300, ())
+    with pytest.raises(ValueError, match="window length must be a number"):
+        WindowSpec(float("nan"), ())
+    assert WindowSpec(1e-6 / 60, ()).length_minutes == 1e-6 / 60
+
+
+def test_run_simulation_refuses_a_window_past_the_last_date_before_drawing(
+    travel_scenario, travel_hierarchy, travel_etg, travel_eg
+):
+    """1e10 minutes fits a timedelta but not a date after the script's end.
+    The script's only reading is infinite, so a draw would fail otherwise."""
+    record = two_regime_script().segments[0].record
+    script = ScenarioScript(
+        1, 60.0, ("a",), (Segment(ts(0), ts(10), {"a": EmissionSpec(float("inf"), 0.0)}, record),),
+    )
+    with pytest.raises(ValueError, match="window length of 10000000000.0 minutes"):
+        run_simulation(script, travel_hierarchy, travel_etg, travel_eg,
+                       window_spec=WindowSpec(1e10, ("a",)))
+    # a window as long as a million minutes still fits: the session is one window
+    result = run_simulation(travel_scenario, travel_hierarchy, travel_etg, travel_eg,
+                            window_spec=WindowSpec.means(travel_scenario.channels, 1e6))
+    assert result.metrics["n_windows"] == 1
 
 
 def test_example_pairs_window_features_with_labels(travel_hierarchy, travel_etg, travel_eg):
-    spec = WindowSpec(30.0, {"bluetooth_count": ("mean",)})
-    x = aggregate_window({"bluetooth_count": np.array([4.0])}, spec, ts(0), ts(30))
+    spec = WindowSpec(30.0, ("bluetooth_count",))
+    x = aggregate_window({"bluetooth_count": np.array([4.0])}, spec)
     record = StreamRecord(ts=ts(30), location="train_1", event="take_train",
                           super_event="travel_1")
     y = labels_from_eg(travel_hierarchy, snapshot_eg(travel_eg, record, travel_etg), travel_etg)
-    assert x.values.tolist() == [4.0, 0.0]
+    assert x.tolist() == [4.0, 0.0]
     assert check_consistency(travel_hierarchy, y) == []
 
 
@@ -349,15 +384,17 @@ def test_run_simulation_travel(travel_scenario, travel_hierarchy, travel_etg, tr
 
 
 def test_run_simulation_never_strategy_trains_nothing(
-    travel_scenario, travel_hierarchy, travel_etg, travel_eg
+    monkeypatch, travel_scenario, travel_hierarchy, travel_etg, travel_eg
 ):
+    calls = []
+    monkeypatch.setattr(simulate, "train_step", lambda *args: calls.append(args))
     result = run_simulation(
         travel_scenario, travel_hierarchy, travel_etg, travel_eg,
         window_spec=WindowSpec.means(travel_scenario.channels, 5.0),
         strategy=QueryStrategy("never"),
     )
     assert result.metrics["n_queries"] == 0
-    assert not result.model.weights.any()
+    assert calls == []
     assert not any(e.prediction.any() for e in result.events)
 
 
