@@ -201,7 +201,7 @@ def _cmd_simulate(args, config: io.Config) -> int:
         io.save_metrics(args.out_metrics, result.metrics)
     print(
         f"{result.metrics['n_windows']} windows, {result.metrics['n_queries']} queries, "
-        f"hierarchical F1 {result.metrics.get('hierarchical_f1', float('nan')):.3f}"
+        f"hierarchical F1 {result.metrics['hierarchical_f1']:.3f}"
     )
     return EXIT_OK
 

@@ -151,13 +151,12 @@ def etg_from_dict(doc: Mapping[str, Any], path: Any = "<memory>") -> ETG:
     with _Malformed(path, "ETG document"):
         etypes = [
             EntityType(
-                id=et["id"],
-                name=et["name"],
-                parent=et.get("parent"),
+                *_strings([et["id"], et["name"]], "an etype's id and name"),
+                parent=_id(et.get("parent"), "an etype's parent"),
                 data_properties=tuple(
                     DataPropertyDef(
-                        name=dp["name"],
-                        datatype=dp["datatype"],
+                        *_strings([dp["name"], dp["datatype"]],
+                                  "a data property's name and datatype"),
                         enum_values=tuple(_strings(dp.get("values", []), "enum values")),
                     )
                     for dp in et.get("data_properties", ())
@@ -167,14 +166,14 @@ def etg_from_dict(doc: Mapping[str, Any], path: Any = "<memory>") -> ETG:
         ]
         properties = []
         for p in doc.get("properties", ()):
+            fields = _strings([p["id"], p["name"], p["domain"], p["codomain"]],
+                              "a property's id, name, domain and codomain")
             context_dependent = p.get("context_dependent", False)
             if not isinstance(context_dependent, bool):
                 raise TypeError(f"context_dependent of {p['id']!r} must be true or false")
-            properties.append(ObjectPropertyDef(id=p["id"], name=p["name"], domain=p["domain"],
-                                                codomain=p["codomain"],
-                                                context_dependent=context_dependent))
+            properties.append(ObjectPropertyDef(*fields, context_dependent=context_dependent))
         q = doc.get("q")
-        return ETG(etypes, properties, me_etype=doc["me_etype"],
+        return ETG(etypes, properties, me_etype=_strings([doc["me_etype"]], "me_etype")[0],
                    q=_strings(q, "q") if q is not None else None)
 
 
@@ -225,16 +224,19 @@ def eg_from_dict(doc: Mapping[str, Any], etg: ETG | None = None, path: Any = "<m
     with _Malformed(path, "EG document"):
         entities = []
         for e in doc.get("entities", ()):
+            eid, name, etype = _strings([e["id"], e["name"], e["etype"]],
+                                        "an entity's id, name and etype")
             values: dict[str, Any] = dict(e.get("values", {}))
-            if etg is not None and e.get("etype") in etg.etypes:
-                effective = etg.effective_data_properties(e["etype"])
+            if etg is not None and etype in etg.etypes:
+                effective = etg.effective_data_properties(etype)
                 values = {
                     k: _value_from_json(effective[k].datatype, v) if k in effective else v
                     for k, v in values.items()
                 }
-            entities.append(Entity(id=e["id"], name=e["name"], etype=e["etype"], values=values))
+            entities.append(Entity(eid, name, etype, values))
         triples = [
-            PropertyValue(t["property"], t["subject"], t["object"])
+            PropertyValue(*_strings([t["property"], t["subject"], t["object"]],
+                                    "a triple's property, subject and object"))
             for t in doc.get("triples", ())
         ]
         at = doc.get("at")

@@ -395,7 +395,8 @@ def snapshot_eg(
     `do` their actions, event `happenIn` location, me and persons
     `participate` in the event, event `during` its super event, and each
     function assignment as a triple of the property named like the function.
-    Unresolvable references are reported; the snapshot is still produced.
+    Unresolvable references, the super location included, are reported; the
+    snapshot is still produced.
     """
     if report is None:
         report = ValidationReport()
@@ -404,15 +405,17 @@ def snapshot_eg(
     me = static_eg.me_entity(etg)
     if me is None:
         report.add("unresolved", "no unique observer entity in the static EG")
-    location = static_eg.resolve(record.location) if record.location else None
-    if record.location and location is None:
-        report.add("unresolved", f"location {record.location!r} not in the EG")
-    event = static_eg.resolve(record.event) if record.event else None
-    if record.event and event is None:
-        report.add("unresolved", f"event {record.event!r} not in the EG")
-    super_event = static_eg.resolve(record.super_event) if record.super_event else None
-    if record.super_event and super_event is None:
-        report.add("unresolved", f"super event {record.super_event!r} not in the EG")
+
+    def resolve(ref: str | None, what: str) -> Entity | None:
+        entity = None if ref is None else static_eg.resolve(ref)
+        if ref is not None and entity is None:
+            report.add("unresolved", f"{what} {ref!r} not in the EG")
+        return entity
+
+    location = resolve(record.location, "location")
+    resolve(record.super_location, "super location")  # checked only: it makes no triple
+    event = resolve(record.event, "event")
+    super_event = resolve(record.super_event, "super event")
 
     if me is not None and location is not None:
         _add_triple(new, etg, "in", me, location, report, "me in location")

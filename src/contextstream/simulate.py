@@ -10,7 +10,7 @@ per-reading draws. Runs are deterministic for a given seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import timedelta
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -87,41 +87,6 @@ class ScenarioScript:
         return timedelta(seconds=self.reading_interval_s)
 
 
-def validate_script(script: ScenarioScript, eg: EG, etg: ETG) -> ValidationReport:
-    """Check that every entity the script's records mention exists in the EG
-    and that every function they name is a property of the ETG."""
-    report = ValidationReport()
-
-    def check(ref: str | None, what: str) -> None:
-        if ref is not None and eg.resolve(ref) is None:
-            report.add("unknown-entity", f"{what} {ref!r} not in the EG", ref)
-
-    def check_function(name: str, what: str) -> None:
-        if name not in etg.properties:
-            report.add("unknown-property", f"{what} function {name!r} not in the ETG", name)
-
-    for i, seg in enumerate(script.segments):
-        r = seg.record
-        where = f"segment {i}"
-        check(r.location, f"{where} location")
-        check(r.super_location, f"{where} super location")
-        check(r.event, f"{where} event")
-        check(r.super_event, f"{where} super event")
-        for name in sorted(r.my_actions or ()):
-            check(name, f"{where} action")
-        for entry in r.person_entries or ():
-            check_function(entry.function.function_name, f"{where} person")
-            check(entry.function.holder, f"{where} person")
-            check(entry.function.beneficiary, f"{where} person beneficiary")
-            for name in sorted(entry.actions):
-                check(name, f"{where} person action")
-        for fa in r.object_entries or ():
-            check_function(fa.function_name, f"{where} object")
-            check(fa.holder, f"{where} object")
-            check(fa.beneficiary, f"{where} object beneficiary")
-    return report
-
-
 @dataclass(frozen=True)
 class WindowSpec:
     """Window length plus the channels it aggregates, kept sorted. The
@@ -175,10 +140,16 @@ class RunResult:
     metrics: dict = field(default_factory=dict)
 
     def predictions(self) -> np.ndarray:
-        return np.stack([e.prediction for e in self.events])
+        return self._matrix("prediction")
 
     def truths(self) -> np.ndarray:
-        return np.stack([e.truth for e in self.events])
+        return self._matrix("truth")
+
+    def _matrix(self, key: str) -> np.ndarray:
+        """The events' `key` rows as a (windows, nodes) uint8 matrix, (0, n)
+        when there are no windows, as `io.load_runlog` reads them."""
+        rows = [getattr(e, key) for e in self.events]
+        return np.array(rows, dtype=np.uint8).reshape(len(rows), len(self.node_order))
 
 
 def run_simulation(
@@ -197,12 +168,21 @@ def run_simulation(
 
     Windows are cut by tick: a window opens at a tick and holds every tick
     before its begin + window length, across segment boundaries and gaps;
-    the next one opens at the first tick after that. The record active at
-    the window's last tick labels the whole window, even when its features
-    mix two segments. Raises ValueError if the script names an entity the
-    EG lacks or a function the ETG lacks, if a window would end past the
-    last representable date, or if a reading is not finite."""
-    report = validate_script(script, static_eg, etg)
+    the next one opens at the first tick after that. Each segment's record
+    is snapshotted and labelled once, before any reading is drawn, and the
+    segment that holds a window's last tick gives the whole window its
+    truth, even when its features mix two segments. Raises ValueError if a
+    segment's snapshot reports a finding (an entity the EG lacks, a function
+    or structural property the ETG lacks, no unique observer), if a window
+    would end past the last representable date, or if a reading is not
+    finite."""
+    report = ValidationReport()
+    truths = []
+    for i, seg in enumerate(script.segments):
+        found = ValidationReport()
+        truths.append(labels_from_eg(h, snapshot_eg(static_eg, seg.record, etg, found), etg))
+        for f in found:
+            report.add(f.code, f.message, f"segment {i}" + (f" {f.subject}" if f.subject else ""))
     if not report.ok:
         raise ValueError("script does not match the EG and ETG: " + report.summary())
     effective_seed = script.seed if seed is None else seed
@@ -220,24 +200,21 @@ def run_simulation(
 
     rng = np.random.default_rng(effective_seed)
     step = script.step
-    # the open window: its first tick, reading blocks per channel, last tick's record and time
+    # the open window: its first tick, reading blocks per channel, last tick's truth
     begin: Timestamp | None = None
     pieces: dict[str, list[np.ndarray]] = {}
-    record: StreamRecord | None = None
-    last_ts: Timestamp | None = None
+    y: np.ndarray | None = None
 
     def flush() -> None:
         samples = {ch: np.concatenate(blocks) for ch, blocks in pieces.items()}
         x = aggregate_window(samples, spec)
-        snapshot = snapshot_eg(static_eg, replace(record, ts=last_ts), etg)
-        y = labels_from_eg(h, snapshot, etg)
         pred = predict(model, x, h)
         queried = decide_query(strategy, x, model)
         if queried:
             train_step(model, x, y, h)
         result.events.append(WindowEvent(begin, begin + window_len, x, queried, pred, y))
 
-    for seg in script.segments:
+    for seg, truth in zip(script.segments, truths):
         channels = [ch for ch in script.channels if ch in seg.emissions]
         means = np.array([seg.emissions[ch].mean for ch in channels], dtype=np.float64)
         stds = np.array([seg.emissions[ch].std for ch in channels], dtype=np.float64)
@@ -257,13 +234,12 @@ def run_simulation(
                 raise ValueError(f"non-finite reading on channel {channels[bad]!r}")
             for c, ch in enumerate(channels):
                 pieces.setdefault(ch, []).append(block[:, c])
-            record, last_ts = seg.record, seg.begin + step * (stop - 1)
+            y = truth
             k = stop
     if begin is not None:
         flush()
 
-    if result.events:
-        result.metrics = evaluate(result.predictions(), result.truths(), node_ids=h.node_order)
+    result.metrics = evaluate(result.predictions(), result.truths(), node_ids=h.node_order)
     result.metrics["n_windows"] = len(result.events)
     result.metrics["n_queries"] = sum(e.queried for e in result.events)
     return result

@@ -70,6 +70,12 @@ def _etg_with(change) -> str:
     return json.dumps(doc)
 
 
+def _eg_with(change) -> str:
+    doc = _fixture_doc("travel_eg.json")
+    change(doc)
+    return json.dumps(doc)
+
+
 def _hierarchy(edges, **changes) -> str:
     """A two-node hierarchy whose one-letter ids a string edge would spell;
     `changes` apply to node "a"."""
@@ -188,6 +194,27 @@ MALFORMED = {
     "config-window-minutes-overflows": ("config", _config(window_minutes=1e300), None),
     "config-near-threshold-string": ("config", _config(near_threshold_m="3"), None),
     "config-tau-boolean": ("config", _config(strategy={"kind": "margin", "tau": True}), None),
+    "etg-etype-id-not-string": ("etg", _etg_with(
+        lambda doc: doc["etypes"].append({"id": 300, "name": "Extra"})), None),
+    "etg-etype-name-not-string": ("etg", _etg_with(
+        lambda doc: doc["etypes"][0].update(name=5)), None),
+    "etg-data-property-name-not-string": ("etg", _etg_with(
+        lambda doc: doc["etypes"][0]["data_properties"][0].update(name=5)), None),
+    "etg-property-id-not-string": ("etg", _etg_with(lambda doc: doc["properties"].append(
+        {"id": 300, "name": "x", "domain": "person", "codomain": "person"})), None),
+    "etg-property-name-not-string": ("etg", _etg_with(
+        lambda doc: doc["properties"][0].update(name={"x": 1})), None),
+    "eg-entity-id-not-string": ("eg", _eg_with(lambda doc: doc["entities"][1].update(id=300)), None),
+    "eg-entity-name-not-string": ("eg", _eg_with(
+        lambda doc: doc["entities"][1].update(name=5)), None),
+    "eg-entity-etype-not-string": ("eg", _eg_with(
+        lambda doc: doc["entities"][1].update(etype=5)), None),
+    "eg-triple-property-not-string": ("eg", _eg_with(
+        lambda doc: doc["triples"][0].update(property=5)), None),
+    "eg-triple-subject-not-string": ("eg", _eg_with(
+        lambda doc: doc["triples"][0].update(subject=5)), None),
+    "eg-triple-object-not-string": ("eg", _eg_with(
+        lambda doc: doc["triples"][0].update(object=5)), None),
 }
 
 

@@ -112,6 +112,18 @@ def test_validate_reports_a_malformed_document_and_goes_on(tmp_path, capsys, cas
     assert findings[0].startswith(f"[invalid-document] {bad}: ")
 
 
+@pytest.mark.parametrize("case", [case for case, doc in MALFORMED.items()
+                                  if doc[0] in ("etg", "eg")])
+def test_compile_and_simulate_refuse_a_malformed_etg_or_eg(tmp_path, capsys, case):
+    kind, text, _ = MALFORMED[case]
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(encode_case(text))
+    etg, eg = (str(bad), EG_PATH) if kind == "etg" else (ETG, str(bad))
+    assert main(["compile", etg, eg, "--out", str(tmp_path / "h.json")]) == 2
+    assert main(["simulate", "--scenario", SCENARIO, "--etg", etg, "--eg", eg]) == 2
+    assert capsys.readouterr().err.count(f"error: {bad}") == 2
+
+
 def test_validate_reads_the_jsonl_header_tag(tmp_path):
     """A stream whose header merely mentions the run-log tag is a stream."""
     lines = (FIXTURES / "travel_stream.jsonl").read_text().splitlines()
@@ -233,7 +245,45 @@ def test_simulate_refuses_an_undeclared_function(tmp_path, capsys):
     scenario.write_text(json.dumps(doc))
     assert main(["validate", str(scenario)]) == 0
     assert main(["simulate", "--scenario", str(scenario), "--etg", ETG, "--eg", EG_PATH]) == 2
-    assert "[unknown-property] EnemyOf" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "segment 0 EnemyOf" in err and "not declared" in err
+
+
+def _without_property(name):
+    def change(docs):
+        docs["etg"]["properties"] = [p for p in docs["etg"]["properties"] if p["id"] != name]
+        docs["etg"]["q"].remove(name)
+    return change
+
+
+def _second_observer(docs):
+    docs["eg"]["entities"].append({"id": "zhang", "name": "Zhang", "etype": "me", "values": {}})
+
+
+def _unknown_super_location(docs):
+    docs["scenario"]["segments"][1]["record"]["super_location"] = "atlantis"
+
+
+@pytest.mark.parametrize("change, expected", [
+    (_without_property("during"), "[unresolved] segment 0 event during super event: "
+                                  "property 'during' not declared"),
+    (_without_property("in"), "[unresolved] segment 1 me in location: property 'in' not declared"),
+    (_second_observer, "[unresolved] segment 1: no unique observer entity in the static EG"),
+    (_unknown_super_location, "[unresolved] segment 1: super location 'atlantis' not in the EG"),
+], ids=["etg-without-during", "etg-without-in", "eg-with-two-observers",
+        "unknown-super-location"])
+def test_simulate_refuses_a_record_snapshot_would_report(tmp_path, capsys, change, expected):
+    """Every segment's record must snapshot without a finding; the ETG and
+    EG themselves still compile."""
+    docs = {kind: json.loads((FIXTURES / f"travel_{kind}.json").read_text())
+            for kind in ("etg", "eg", "scenario")}
+    change(docs)
+    for kind, doc in docs.items():
+        (tmp_path / f"{kind}.json").write_text(json.dumps(doc))
+    etg, eg, scenario = (str(tmp_path / f"{kind}.json") for kind in docs)
+    assert main(["compile", etg, eg, "--out", str(tmp_path / "h.json")]) == 0
+    assert main(["simulate", "--scenario", scenario, "--etg", etg, "--eg", eg]) == 2
+    assert expected in capsys.readouterr().err
 
 
 def test_evaluate_from_log_matches_simulate(tmp_path):
@@ -266,6 +316,35 @@ def test_snapshot_command_writes_snapshots(tmp_path, capsys):
     snap = io.load_eg(out_dir / "snapshot_000.json", etg)
     assert snap.at is not None
     assert any(t.property == "in" for t in snap.triples)
+
+
+def test_snapshot_refuses_an_unknown_super_location(tmp_path, capsys):
+    """The record has no location, so no containment chain can refuse it."""
+    lines = (FIXTURES / "travel_stream.jsonl").read_text().splitlines()
+    record = json.loads(lines[2])
+    record.update(location=None, super_location="atlantis")
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text("\n".join(lines[:2] + [json.dumps(record)]) + "\n")
+    assert main(["snapshot", "--etg", ETG, "--eg", EG_PATH, "--stream", str(stream),
+                 "--out-dir", str(tmp_path / "snaps")]) == 2
+    assert "1 finding(s): [unresolved] super location 'atlantis' not in the EG" in \
+        capsys.readouterr().err
+
+
+def test_simulate_and_evaluate_agree_on_a_session_without_windows(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "travel_scenario.json").read_text())
+    doc["segments"] = []
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    log, simulated, evaluated = (tmp_path / name for name in ("run.jsonl", "a.json", "b.json"))
+    assert main(["simulate", "--scenario", str(scenario), "--etg", ETG, "--eg", EG_PATH,
+                 "--out-log", str(log), "--out-metrics", str(simulated)]) == 0
+    assert "0 windows, 0 queries, hierarchical F1 1.000" in capsys.readouterr().out
+    assert main(["evaluate", "--log", str(log), "--out", str(evaluated)]) == 0
+    a, b = io.load_metrics(simulated), io.load_metrics(evaluated)
+    assert set(b) <= set(a)
+    assert {key: a[key] for key in b} == b
+    assert b["n_windows"] == 0 and b["hierarchical_f1"] == 1.0
 
 
 def test_export_dot_standalone(tmp_path):

@@ -1,8 +1,10 @@
 """Seeded fuzzing of the loaders and of `validate`: every mutated fixture
 either loads or raises a ContextStreamError, and `contextstream validate`
 exits 0 or 2 on it; a run log, hierarchy or config that loads also goes
-through `evaluate`, `export-dot` or a `simulate` on the travel fixture,
-which exit 0 or 2 as well (run with -s to see the PASS line on success)."""
+through `evaluate`, `export-dot` or a `simulate` on the travel fixture, and
+an ETG or EG that loads through `compile` and `simulate` against the other
+travel document, which exit 0 or 2 as well (run with -s to see the PASS
+line on success)."""
 
 from __future__ import annotations
 
@@ -127,11 +129,21 @@ def test_mutated_documents_load_or_raise_format_errors(tmp_path, capsys):
     start = time.perf_counter()
     failures: list[str] = []
     loaded = rejected = 0
-    # file name -> the command that reads the document at a path once it loads
+    etg, eg = str(FIXTURES / "travel_etg.json"), str(FIXTURES / "travel_eg.json")
+    compiled = str(tmp_path / "compiled.json")
+
+    def compile_and_simulate(etg: str, eg: str) -> list[list[str]]:
+        return [["compile", etg, eg, "--out", compiled],
+                ["simulate", "--scenario", str(FIXTURES / "travel_scenario.json"),
+                 "--etg", etg, "--eg", eg]]
+
+    # file name -> the commands that read the document at a path once it loads
     readers = {
-        "run.jsonl": lambda p: ["evaluate", "--log", p],
-        "hierarchy.json": lambda p: ["export-dot", "--out", str(tmp_path / "h.dot"), p],
-        "config.json": lambda p: ["--config", p, *SIMULATE_TRAVEL],
+        "run.jsonl": lambda p: [["evaluate", "--log", p]],
+        "hierarchy.json": lambda p: [["export-dot", "--out", str(tmp_path / "h.dot"), p]],
+        "config.json": lambda p: [["--config", p, *SIMULATE_TRAVEL]],
+        "etg.json": lambda p: compile_and_simulate(p, eg),
+        "eg.json": lambda p: compile_and_simulate(etg, p),
     }
     for round_ in range(100):
         for name, (data, loader) in DOCUMENTS.items():
@@ -143,7 +155,7 @@ def test_mutated_documents_load_or_raise_format_errors(tmp_path, capsys):
             try:
                 loader(path)
                 loaded += 1
-                commands += [readers[name](str(path))] if name in readers else []
+                commands += readers[name](str(path)) if name in readers else []
             except ContextStreamError:
                 rejected += 1
             except Exception as exc:  # noqa: BLE001 - any other error is the defect

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -17,10 +18,9 @@ from contextstream.simulate import (
     WindowSpec,
     aggregate_window,
     run_simulation,
-    validate_script,
 )
 
-from conftest import reference_ticks, reference_windows
+from conftest import reference_labels, reference_ticks, reference_windows
 
 UTC = timezone.utc
 T0 = datetime(2021, 6, 2, 12, 0, tzinfo=UTC)
@@ -91,54 +91,61 @@ def test_script_rejects_an_interval_that_rounds_to_no_time():
     assert ScenarioScript(1, 1e-6, ("a",), (seg,)).step == timedelta(microseconds=1)
 
 
-def test_validate_script_flags_unknown_entities(
-    travel_hierarchy, travel_etg, travel_eg
-):
-    record = StreamRecord(ts=T0, location="atlantis", my_actions=frozenset({"Sitting"}))
-    script = ScenarioScript(
-        1, 60.0, ("a",),
-        (Segment(ts(0), ts(10), {"a": EmissionSpec(0, 1)}, record),),
-    )
-    report = validate_script(script, travel_eg, travel_etg)
-    assert "unknown-entity" in report.codes()
-    with pytest.raises(ValueError, match="atlantis"):
-        run_simulation(script, travel_hierarchy, travel_etg, travel_eg)
+def script_ending_with(record):
+    """A clean travel segment, then a 10-minute segment that plays `record`."""
+    clean = two_regime_script().segments[0].record
+    return ScenarioScript(1, 60.0, ("a",), (
+        Segment(ts(0), ts(10), {"a": EmissionSpec(0, 1)}, clean),
+        Segment(ts(10), ts(20), {"a": EmissionSpec(0, 1)}, record),
+    ))
 
 
-def test_validate_script_flags_unknown_beneficiaries(
-    travel_hierarchy, travel_etg, travel_eg
-):
+def test_run_simulation_refuses_unknown_entities(travel_hierarchy, travel_etg, travel_eg):
+    """An empty id is a reference too, not a missing one."""
+    for location in ("atlantis", ""):
+        record = StreamRecord(ts=T0, location=location, my_actions=frozenset({"Sitting"}))
+        with pytest.raises(ValueError, match=r"1 finding\(s\): \[unresolved\] segment 1: "
+                                             rf"location '{location}' not in the EG$"):
+            run_simulation(script_ending_with(record), travel_hierarchy, travel_etg, travel_eg)
+
+
+def test_run_simulation_refuses_unknown_beneficiaries(travel_hierarchy, travel_etg, travel_eg):
     nobody = FunctionAssignment("FriendOf", "haonan", "nobody")
-    records = [
-        StreamRecord(ts=T0, person_entries=(PersonEntry(nobody, frozenset()),)),
-        StreamRecord(ts=T0, object_entries=(FunctionAssignment("RestToolOf", "seat_1", "nobody"),)),
-    ]
-    for record in records:
-        script = ScenarioScript(
-            1, 60.0, ("a",), (Segment(ts(0), ts(10), {"a": EmissionSpec(0, 1)}, record),),
-        )
-        report = validate_script(script, travel_eg, travel_etg)
-        assert [(f.code, f.subject) for f in report.findings] == [("unknown-entity", "nobody")]
-        with pytest.raises(ValueError):
-            run_simulation(script, travel_hierarchy, travel_etg, travel_eg)
+    records = {
+        "FriendOf": StreamRecord(ts=T0, person_entries=(PersonEntry(nobody, frozenset()),)),
+        "RestToolOf": StreamRecord(
+            ts=T0, object_entries=(FunctionAssignment("RestToolOf", "seat_1", "nobody"),)),
+    }
+    for function, record in records.items():
+        expected = (rf"1 finding\(s\): \[unresolved\] segment 1 {function}\(nobody, \w+\): "
+                    r"endpoint entity not found$")
+        with pytest.raises(ValueError, match=expected):
+            run_simulation(script_ending_with(record), travel_hierarchy, travel_etg, travel_eg)
 
 
-def test_validate_script_flags_undeclared_functions(
-    travel_hierarchy, travel_etg, travel_eg
-):
+def test_run_simulation_refuses_undeclared_functions(travel_hierarchy, travel_etg, travel_eg):
     enemy = FunctionAssignment("EnemyOf", "haonan", "xiaoyue")
     records = [
         StreamRecord(ts=T0, person_entries=(PersonEntry(enemy, frozenset()),)),
         StreamRecord(ts=T0, object_entries=(FunctionAssignment("EnemyOf", "seat_1", "xiaoyue"),)),
     ]
     for record in records:
-        script = ScenarioScript(
-            1, 60.0, ("a",), (Segment(ts(0), ts(10), {"a": EmissionSpec(0, 1)}, record),),
-        )
-        report = validate_script(script, travel_eg, travel_etg)
-        assert [(f.code, f.subject) for f in report.findings] == [("unknown-property", "EnemyOf")]
-        with pytest.raises(ValueError, match="EnemyOf"):
-            run_simulation(script, travel_hierarchy, travel_etg, travel_eg)
+        expected = (r"1 finding\(s\): \[unresolved\] segment 1 EnemyOf\(xiaoyue, \w+\): "
+                    r"property 'EnemyOf' not declared$")
+        with pytest.raises(ValueError, match=expected):
+            run_simulation(script_ending_with(record), travel_hierarchy, travel_etg, travel_eg)
+
+
+def test_run_simulation_refuses_an_unknown_super_location_before_drawing(
+    travel_hierarchy, travel_etg, travel_eg
+):
+    """The script's only emission is infinite, so a draw would fail first."""
+    record = replace(two_regime_script().segments[0].record, super_location="atlantis")
+    script = ScenarioScript(1, 60.0, ("a",), (
+        Segment(ts(0), ts(10), {"a": EmissionSpec(float("inf"), 0.0)}, record),))
+    with pytest.raises(ValueError, match=r"1 finding\(s\): \[unresolved\] segment 0: "
+                                         r"super location 'atlantis' not in the EG$"):
+        run_simulation(script, travel_hierarchy, travel_etg, travel_eg)
 
 
 # -- sensor path against the per-tick reference ----------------------------------------
@@ -193,6 +200,55 @@ def test_run_simulation_matches_reference(minutes, travel_hierarchy, travel_etg,
         return next(i for i, seg in enumerate(script.segments) if seg.begin <= t < seg.end)
 
     assert any(segment_of(b) != segment_of(record.ts) for b, _, _, record in windows)
+
+
+def test_each_segment_is_labelled_once(
+    monkeypatch, travel_hierarchy, travel_etg, travel_eg
+):
+    """Four distinct records: a 2-minute segment, shorter than the 5-minute
+    windows, a window that spans two segments and one that spans a gap.
+    Each segment's record is snapshotted and labelled once, and every window
+    carries the labels of the record at its last tick."""
+    base = two_regime_script().segments[0].record
+    friend = PersonEntry(FunctionAssignment("FriendOf", "haonan", "xiaoyue"),
+                         frozenset({"Listening"}))
+    records = [
+        replace(base, object_entries=(FunctionAssignment("RestToolOf", "seat_1", "xiaoyue"),)),
+        replace(base, location="roads_2", event="walk", my_actions=frozenset({"Walking"})),
+        replace(base, location="roads_2", event="walk", person_entries=(friend,)),
+        StreamRecord(ts=T0, location="train_1"),
+    ]
+    bounds = [(0, 7), (7, 9), (9, 16), (20.5, 31)]
+    emissions = {"a": EmissionSpec(1.0, 0.1)}
+    script = ScenarioScript(3, 50.0, ("a",), tuple(
+        Segment(ts(b), ts(e), emissions, r) for (b, e), r in zip(bounds, records)))
+    spec = WindowSpec(5.0, ("a",))
+    calls = {"snapshot_eg": 0, "labels_from_eg": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name, original in (("snapshot_eg", snapshot_eg), ("labels_from_eg", labels_from_eg)):
+        monkeypatch.setattr(simulate, name, counted(name, original))
+    result = run_simulation(script, travel_hierarchy, travel_etg, travel_eg, window_spec=spec)
+    assert calls == {"snapshot_eg": 4, "labels_from_eg": 4}
+
+    windows = reference_windows(script, spec)
+    assert len(result.events) == len(windows)
+    for event, (begin, _, _, record) in zip(result.events, windows):
+        assert event.begin == begin
+        snapshot = snapshot_eg(travel_eg, record, travel_etg)
+        assert np.array_equal(event.truth, reference_labels(travel_hierarchy, snapshot, travel_etg))
+    assert len({tuple(e.truth) for e in result.events}) == 3  # one record ends no window
+
+    def segment_of(t):
+        return next(i for i, seg in enumerate(script.segments) if seg.begin <= t < seg.end)
+
+    spans = {(segment_of(b), segment_of(record.ts)) for b, _, _, record in windows}
+    assert (0, 2) in spans and (2, 3) in spans
 
 
 @pytest.mark.parametrize("seed", [None, 11])
