@@ -17,7 +17,7 @@ from .core import classify_pattern
 from .dot import export_dot
 from .errors import ContextStreamError, FormatError
 from .hierarchy import compile_hierarchy, validate_hierarchy
-from .kg import COLLAPSE_PROPERTIES, containment_from_eg, snapshot_eg, validate_eg
+from .kg import COLLAPSE_PROPERTIES, check_observer, containment_from_eg, snapshot_eg, validate_eg
 from .learn import QueryStrategy
 from .report import ValidationReport
 from .simulate import WindowSpec, run_simulation
@@ -132,7 +132,7 @@ def _validate_one(path: str) -> ValidationReport:
     doc = io._read_json(path)
     with io._Malformed(path, "document"):
         tag = doc.get("format", "")
-    kind = tag.split("/")[0] if isinstance(tag, str) else ""
+    kind = tag.partition("/")[0] if isinstance(tag, str) else ""
     if kind == "etg":
         io.etg_from_dict(doc, path)
     elif kind == "eg":
@@ -146,7 +146,7 @@ def _validate_one(path: str) -> ValidationReport:
     elif kind == "config":
         io.config_from_dict(doc, path)
     elif kind == "metrics":
-        pass
+        io.metrics_from_dict(doc, path)
     else:
         raise FormatError(path, f"unrecognized format tag {tag!r}")
     return report
@@ -180,6 +180,11 @@ def _cmd_simulate(args, config: io.Config) -> int:
     script = io.load_scenario(args.scenario)
     if args.hierarchy:
         h = io.load_hierarchy(args.hierarchy)
+        report = validate_hierarchy(h, etg, eg)
+        if not report.ok:
+            print(f"{args.hierarchy} does not match the ETG and EG: {report.summary()}",
+                  file=sys.stderr)
+            return EXIT_VALIDATION
     else:
         h = compile_hierarchy(etg, eg)
     window_minutes = args.window if args.window is not None else config.window_minutes
@@ -239,6 +244,7 @@ def _cmd_snapshot(args, config: io.Config) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = ValidationReport()
+    check_observer(eg, etg, report)
     for i, record in enumerate(stream.records):
         snap = snapshot_eg(eg, record, etg, report)
         io.save_eg(out_dir / f"snapshot_{i:03d}.json", snap)

@@ -48,12 +48,8 @@ def etype_node_id(etype_id: str) -> str:
     return f"etype:{etype_id}"
 
 
-ENTITY_PREFIX = "entity:"
-PINST_PREFIX = "pinst:"
-
-
 def entity_node_id(entity_id: str) -> str:
-    return ENTITY_PREFIX + entity_id
+    return f"entity:{entity_id}"
 
 
 def property_node_id(prop_id: str) -> str:
@@ -61,7 +57,7 @@ def property_node_id(prop_id: str) -> str:
 
 
 def pinst_node_id(prop_id: str, subject_id: str, object_id: str) -> str:
-    return f"{PINST_PREFIX}{prop_id}/{subject_id}/{object_id}"
+    return f"pinst:{prop_id}/{subject_id}/{object_id}"
 
 
 class Hierarchy:
@@ -154,27 +150,12 @@ class Hierarchy:
         return {nid: i for i, nid in enumerate(self.node_order)}
 
     @cached_property
-    def entity_index(self) -> dict[str, int]:
-        """Entity id -> index of the node `entity_node_id` names for it."""
-        cut = len(ENTITY_PREFIX)
-        return {nid[cut:]: i for nid, i in self._index.items() if nid.startswith(ENTITY_PREFIX)}
-
-    @cached_property
-    def pinst_index(self) -> dict[tuple[str, str, str], int]:
-        """(property, subject, object) -> index of the node `pinst_node_id`
-        names for it. An id whose parts hold slashes is read every way
-        `pinst_node_id` could have spelled it: k slashes give k(k-1)/2 keys,
-        and a compiled id from slash-free parts has two, so one key."""
-        out: dict[tuple[str, str, str], int] = {}
-        cut = len(PINST_PREFIX)
-        for nid, i in self._index.items():
-            if not nid.startswith(PINST_PREFIX):
-                continue
-            parts = nid[cut:].split("/")
-            for a in range(1, len(parts) - 1):
-                for b in range(a + 1, len(parts)):
-                    out["/".join(parts[:a]), "/".join(parts[a:b]), "/".join(parts[b:])] = i
-        return out
+    def source_index(self) -> dict[SourceRef, int]:
+        """Back-reference -> order index of the entity and property-instance
+        nodes: an entity id, or a (property, subject, object) tuple. Nodes
+        that share one keep the last (`validate_hierarchy` reports them)."""
+        kinds = (NodeKind.ENTITY, NodeKind.PROPERTY_INSTANCE)
+        return {n.source_ref: self._index[n.id] for n in self.nodes.values() if n.kind in kinds}
 
     def index_of(self, node_id: str) -> int:
         try:
@@ -214,11 +195,8 @@ def node_display_name(node: ConceptNode, etg: ETG, eg: EG) -> str:
     if node.kind is NodeKind.PROPERTY:
         return etg.property(str(node.source_ref)).name
     if node.kind is NodeKind.PROPERTY_INSTANCE:
-        prop_id, subject_id, object_id = node.source_ref  # type: ignore[misc]
-        return (
-            f"{etg.property(prop_id).name}"
-            f"({eg.entity(subject_id).name}, {eg.entity(object_id).name})"
-        )
+        p, s, o = node.source_ref  # type: ignore[misc]
+        return f"{etg.property(p).name}({eg.entity(s).name}, {eg.entity(o).name})"
     raise ValueError(f"unknown node kind {node.kind!r}")
 
 
@@ -232,7 +210,9 @@ def compile_hierarchy(
 
     `q` defaults to the ETG's declared context-dependent set; `collapse`
     names the structural properties turned into direct edges. Cycles surface
-    as CycleError with a witness path before reduction.
+    as CycleError with a witness path before reduction. Two concepts that
+    spell one node id from different back-references (`likes(x/y, z)` and
+    `likes(x, y/z)`) raise ValueError; a repeated triple is one node.
     """
     q_set = frozenset(q) if q is not None else etg.q
     collapse_set = frozenset(collapse)
@@ -241,7 +221,10 @@ def compile_hierarchy(
     edges: set[tuple[str, str]] = set()
 
     def add_node(node: ConceptNode) -> None:
-        nodes.setdefault(node.id, node)
+        known = nodes.setdefault(node.id, node)
+        if known.source_ref != node.source_ref:
+            raise ValueError(f"{known.source_ref} and {node.source_ref} both compile to the "
+                             f"node id {node.id!r}")
 
     me_entities = {
         e.id for e in eg.entities if e.etype in etg.etypes and etg.is_subtype(e.etype, etg.me_etype)
@@ -389,17 +372,21 @@ def validate_hierarchy(
     index = h._index
     for child, parent in sorted(_implied_edges(h), key=lambda e: (index[e[0]], index[e[1]])):
         report.add("redundant-edge", f"edge implied by a longer path: {child} -> {parent}")
+    seen: dict[tuple[NodeKind, SourceRef], str] = {}
     for node in h.nodes.values():
         if node.kind is NodeKind.ROOT:
             continue
         if node.source_ref is None:
             report.add("missing-source-ref", "non-root node lacks a back-reference", node.id)
             continue
-        if node.kind is NodeKind.PROPERTY_INSTANCE and (
-            not isinstance(node.source_ref, tuple) or len(node.source_ref) != 3
-        ):
-            report.add("bad-source-ref", "property instance needs a 3-part ref", node.id)
+        triple = node.kind is NodeKind.PROPERTY_INSTANCE
+        if isinstance(node.source_ref, tuple) != triple or triple and len(node.source_ref) != 3:
+            need = "a 3-part ref" if triple else "an id as its ref"
+            report.add("bad-source-ref", f"a {node.kind.value} node needs {need}", node.id)
             continue
+        first = seen.setdefault((node.kind, node.source_ref), node.id)
+        if first != node.id:
+            report.add("duplicate-source-ref", f"shares its back-reference with {first}", node.id)
         if etg is not None and eg is not None:
             try:
                 node_display_name(node, etg, eg)

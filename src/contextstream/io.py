@@ -226,14 +226,16 @@ def eg_from_dict(doc: Mapping[str, Any], etg: ETG | None = None, path: Any = "<m
         for e in doc.get("entities", ()):
             eid, name, etype = _strings([e["id"], e["name"], e["etype"]],
                                         "an entity's id, name and etype")
-            values: dict[str, Any] = dict(e.get("values", {}))
+            values = e.get("values", {})
+            if not isinstance(values, dict):
+                raise TypeError("an entity's values must be an object")
             if etg is not None and etype in etg.etypes:
                 effective = etg.effective_data_properties(etype)
                 values = {
                     k: _value_from_json(effective[k].datatype, v) if k in effective else v
                     for k, v in values.items()
                 }
-            entities.append(Entity(eid, name, etype, values))
+            entities.append(Entity(eid, name, etype, dict(values)))
         triples = [
             PropertyValue(*_strings([t["property"], t["subject"], t["object"]],
                                     "a triple's property, subject and object"))
@@ -545,7 +547,10 @@ def save_metrics(path: str | Path, metrics: Mapping[str, Any]) -> None:
     _write_json(path, doc)
 
 
-def load_metrics(path: str | Path) -> dict:
-    doc = _read_json(path)
+def metrics_from_dict(doc: Mapping[str, Any], path: Any = "<memory>") -> dict:
     _check_format(doc, "metrics", path)
     return {k: v for k, v in doc.items() if k != "format"}
+
+
+def load_metrics(path: str | Path) -> dict:
+    return metrics_from_dict(_read_json(path), path)

@@ -378,6 +378,12 @@ def _add_triple(
     triples.append(PropertyValue(prop_id, subject.id, obj.id))
 
 
+def check_observer(static_eg: EG, etg: ETG, report: ValidationReport) -> None:
+    """Report a static graph without a unique observer entity."""
+    if static_eg.me_entity(etg) is None:
+        report.add("unresolved", "no unique observer entity in the static EG")
+
+
 def snapshot_eg(
     static_eg: EG,
     record: StreamRecord,
@@ -396,15 +402,15 @@ def snapshot_eg(
     `participate` in the event, event `during` its super event, and each
     function assignment as a triple of the property named like the function.
     Unresolvable references, the super location included, are reported; the
-    snapshot is still produced.
+    snapshot is still produced. Without a unique observer no observer triple
+    is made: that is a defect of the static graph, which `check_observer`
+    reports once per run rather than once per record.
     """
     if report is None:
         report = ValidationReport()
     static_triples, static_set = static_eg._context_free(etg)
     new: list[PropertyValue] = []
     me = static_eg.me_entity(etg)
-    if me is None:
-        report.add("unresolved", "no unique observer entity in the static EG")
 
     def resolve(ref: str | None, what: str) -> Entity | None:
         entity = None if ref is None else static_eg.resolve(ref)

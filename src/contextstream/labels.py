@@ -81,22 +81,23 @@ def repair_downward(h: Hierarchy, y: Sequence[int] | np.ndarray) -> LabelVector:
 def labels_from_eg(h: Hierarchy, snapshot: EG, etg: ETG) -> LabelVector:
     """Ground-truth bits for a snapshot: property-instance nodes whose triple
     holds, entity nodes incident to any context-dependent triple, then upward
-    closure. References without a node (the observer, properties in Q,
-    structural triples) are expected and skipped; anything else is logged."""
+    closure. Both are found by their back-reference (`Hierarchy.source_index`).
+    References without a node (the observer, properties in Q, structural
+    triples) are expected and skipped; anything else is logged."""
     seeds = zeros(h)
-    entities, instances = h.entity_index, h.pinst_index
+    nodes = h.source_index
     me = snapshot.me_entity(etg)
     me_id = me.id if me is not None else None
     for t in snapshot.context_triples(etg):
         for entity_id in (t.subject, t.object):
             if entity_id == me_id:
                 continue
-            i = entities.get(entity_id)
+            i = nodes.get(entity_id)
             if i is None:
                 log.warning("snapshot entity %r has no node in the hierarchy", entity_id)
                 continue
             seeds[i] = 1
-        i = instances.get((t.property, t.subject, t.object))
+        i = nodes.get((t.property, t.subject, t.object))
         if i is not None:
             seeds[i] = 1
     return repair_upward(h, seeds)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import StreamRecord, Timestamp
 from .hierarchy import Hierarchy
-from .kg import EG, ETG, snapshot_eg
+from .kg import EG, ETG, check_observer, snapshot_eg
 from .labels import labels_from_eg
 from .learn import OnlinePerceptron, QueryStrategy, decide_query, predict, train_step
 from .metrics import evaluate
@@ -171,20 +171,22 @@ def run_simulation(
     the next one opens at the first tick after that. Each segment's record
     is snapshotted and labelled once, before any reading is drawn, and the
     segment that holds a window's last tick gives the whole window its
-    truth, even when its features mix two segments. Raises ValueError if a
-    segment's snapshot reports a finding (an entity the EG lacks, a function
-    or structural property the ETG lacks, no unique observer), if a window
-    would end past the last representable date, or if a reading is not
-    finite."""
+    truth, even when its features mix two segments. Raises ValueError if the
+    EG has no unique observer, if a segment's snapshot reports a finding (an
+    entity the EG lacks, a function or structural property the ETG lacks),
+    if a window would end past the last representable date, or if a reading
+    is not finite."""
     report = ValidationReport()
-    truths = []
+    check_observer(static_eg, etg, report)
+    snapshots = []
     for i, seg in enumerate(script.segments):
         found = ValidationReport()
-        truths.append(labels_from_eg(h, snapshot_eg(static_eg, seg.record, etg, found), etg))
+        snapshots.append(snapshot_eg(static_eg, seg.record, etg, found))
         for f in found:
             report.add(f.code, f.message, f"segment {i}" + (f" {f.subject}" if f.subject else ""))
     if not report.ok:
         raise ValueError("script does not match the EG and ETG: " + report.summary())
+    truths = [labels_from_eg(h, snapshot, etg) for snapshot in snapshots]
     effective_seed = script.seed if seed is None else seed
     spec = window_spec or WindowSpec.means(script.channels, 30.0)
     window_len = timedelta(minutes=spec.length_minutes)

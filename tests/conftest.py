@@ -215,6 +215,9 @@ MALFORMED = {
         lambda doc: doc["triples"][0].update(subject=5)), None),
     "eg-triple-object-not-string": ("eg", _eg_with(
         lambda doc: doc["triples"][0].update(object=5)), None),
+    "eg-entity-values-not-object": ("eg", _eg_with(
+        lambda doc: doc["entities"][1].update(values=[["mood", "sad"]])), None),
+    "metrics-format-unknown-version": ("metrics", json.dumps({"format": "metrics/99"}), None),
 }
 
 

@@ -185,6 +185,31 @@ def test_simulate_golden_metrics(tmp_path, bless):
     golden_check(GOLDEN / "travel_metrics_seed7.json", metrics.read_text(), bless)
 
 
+def test_simulate_with_the_golden_hierarchy_matches_compiling_on_the_fly(tmp_path):
+    metrics = {}
+    for name, extra in (("compiled", []),
+                        ("stored", ["--hierarchy", str(GOLDEN / "travel_hierarchy.json")])):
+        metrics[name] = tmp_path / f"{name}.json"
+        assert main(["--config", CONFIG, "--seed", "7", "simulate", "--scenario", SCENARIO,
+                     "--etg", ETG, "--eg", EG_PATH, "--out-metrics", str(metrics[name]),
+                     *extra]) == 0
+    assert metrics["stored"].read_text() == metrics["compiled"].read_text()
+    assert metrics["stored"].read_text() == (GOLDEN / "travel_metrics_seed7.json").read_text()
+
+
+def test_simulate_refuses_a_hierarchy_with_a_dangling_back_reference(tmp_path, capsys):
+    doc = json.loads((GOLDEN / "travel_hierarchy.json").read_text())
+    node = next(n for n in doc["nodes"] if n["id"] == "entity:train_1")
+    node["source_ref"] = "atlantis"
+    hierarchy = tmp_path / "h.json"
+    hierarchy.write_text(json.dumps(doc))
+    assert main(["validate", str(hierarchy)]) == 0
+    assert main(["simulate", "--scenario", SCENARIO, "--etg", ETG, "--eg", EG_PATH,
+                 "--hierarchy", str(hierarchy)]) == 2
+    assert ("1 finding(s): [dangling-source-ref] entity:train_1: unknown entity 'atlantis'"
+            in capsys.readouterr().err)
+
+
 def _simulate_in_child(*args: str) -> subprocess.CompletedProcess:
     """Run the CLI with `args`, which end in a `simulate` on the travel ETG
     and EG, in a child process so that a hang fails the test instead of
@@ -268,7 +293,7 @@ def _unknown_super_location(docs):
     (_without_property("during"), "[unresolved] segment 0 event during super event: "
                                   "property 'during' not declared"),
     (_without_property("in"), "[unresolved] segment 1 me in location: property 'in' not declared"),
-    (_second_observer, "[unresolved] segment 1: no unique observer entity in the static EG"),
+    (_second_observer, "1 finding(s): [unresolved] no unique observer entity in the static EG"),
     (_unknown_super_location, "[unresolved] segment 1: super location 'atlantis' not in the EG"),
 ], ids=["etg-without-during", "etg-without-in", "eg-with-two-observers",
         "unknown-super-location"])
@@ -284,6 +309,35 @@ def test_simulate_refuses_a_record_snapshot_would_report(tmp_path, capsys, chang
     assert main(["compile", etg, eg, "--out", str(tmp_path / "h.json")]) == 0
     assert main(["simulate", "--scenario", scenario, "--etg", etg, "--eg", eg]) == 2
     assert expected in capsys.readouterr().err
+
+
+def test_compile_and_simulate_refuse_two_triples_that_spell_one_node_id(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "travel_eg.json").read_text())
+    doc["entities"] += [{"id": eid, "name": eid, "etype": "person", "values": {}}
+                        for eid in ("x/y", "z", "x", "y/z")]
+    doc["triples"] += [{"property": "FriendOf", "subject": s, "object": o}
+                       for s, o in (("x/y", "z"), ("x", "y/z"))]
+    eg = tmp_path / "eg.json"
+    eg.write_text(json.dumps(doc))
+    assert main(["compile", ETG, str(eg), "--out", str(tmp_path / "h.json")]) == 2
+    assert main(["simulate", "--scenario", SCENARIO, "--etg", ETG, "--eg", str(eg)]) == 2
+    assert capsys.readouterr().err.count("'pinst:FriendOf/x/y/z'") == 2
+    assert not (tmp_path / "h.json").exists()
+
+
+def test_a_static_eg_defect_is_reported_once_per_command(tmp_path, capsys):
+    """Two segments and two records share one EG with two observers: one
+    finding each, not one per segment or record."""
+    doc = json.loads((FIXTURES / "travel_eg.json").read_text())
+    _second_observer({"eg": doc})
+    eg = tmp_path / "eg.json"
+    eg.write_text(json.dumps(doc))
+    expected = "1 finding(s): [unresolved] no unique observer entity in the static EG\n"
+    assert main(["simulate", "--scenario", SCENARIO, "--etg", ETG, "--eg", str(eg)]) == 2
+    assert capsys.readouterr().err.endswith(expected)
+    assert main(["snapshot", "--etg", ETG, "--eg", str(eg), "--stream", STREAM,
+                 "--out-dir", str(tmp_path / "snaps")]) == 2
+    assert capsys.readouterr().err.endswith(expected)
 
 
 def test_evaluate_from_log_matches_simulate(tmp_path):

@@ -4,7 +4,9 @@ exits 0 or 2 on it; a run log, hierarchy or config that loads also goes
 through `evaluate`, `export-dot` or a `simulate` on the travel fixture, and
 an ETG or EG that loads through `compile` and `simulate` against the other
 travel document, which exit 0 or 2 as well (run with -s to see the PASS
-line on success)."""
+line on success). Mutants of the golden metrics document, drawn from their
+own seed, make `validate` exit 2 exactly when `io.load_metrics` refuses
+them."""
 
 from __future__ import annotations
 
@@ -40,6 +42,9 @@ DOCUMENTS = {
     "hierarchy.json": ((GOLDEN / "travel_hierarchy.json").read_bytes(), io.load_hierarchy),
     "run.jsonl": (RUNLOG.encode(), io.load_runlog),
 }
+
+# read, mutated and written to a temporary path; the golden file is never written
+METRICS = (GOLDEN / "travel_metrics_seed7.json").read_bytes()
 
 VALUES = [None, True, False, 0, -1, 7.9, 300, "", "x", "ar", [], ["x"], {}, {"x": 1}]
 BAD_BITS = [2, -1, 300, True, False, 0.5, "x", None, [1]]
@@ -173,6 +178,28 @@ def test_mutated_documents_load_or_raise_format_errors(tmp_path, capsys):
     assert not failures, f"{len(failures)} failures, first: {failures[:5]}"
     print(f"\nFUZZ: PASS - {loaded + rejected} variants of {len(DOCUMENTS)} documents, "
           f"{loaded} loaded, {rejected} rejected with a ContextStreamError, in {elapsed:.2f}s")
+
+
+def test_mutated_metrics_fail_validate_exactly_when_they_fail_to_load(tmp_path, capsys):
+    rng = random.Random(4343)
+    path = tmp_path / "metrics.json"
+    failures: list[str] = []
+    rejected = 0
+    for round_ in range(100):
+        what, mutated = _mutate(rng, path.name, METRICS)
+        path.write_bytes(mutated)
+        try:
+            io.load_metrics(path)
+            expected = 0
+        except ContextStreamError:
+            expected = 2
+            rejected += 1
+        code = main(["validate", str(path)])
+        if code != expected:
+            failures.append(f"round {round_}, {what}: validate exited {code}, not {expected}")
+    capsys.readouterr()
+    assert not failures, f"{len(failures)} failures, first: {failures[:5]}"
+    assert 0 < rejected < 100
 
 
 def test_configs_with_edge_values_simulate_or_exit_2(tmp_path, capsys):

@@ -12,9 +12,7 @@ from contextstream.hierarchy import (
     Hierarchy,
     NodeKind,
     compile_hierarchy,
-    entity_node_id,
     node_display_name,
-    pinst_node_id,
     transitive_reduction,
     validate_hierarchy,
 )
@@ -44,19 +42,25 @@ def hierarchy_from_indexed(n: int, edges: set[tuple[int, int]]) -> Hierarchy:
     return Hierarchy(nodes, named, "root")
 
 
-def test_id_indexes_resolve_what_the_id_strings_resolve(travel_hierarchy):
-    ids = ["pinst:a/b/c/d", "pinst:p/s/o", "pinst:x/y", "entity:x/y", "entity:", "etype:z"]
-    h = Hierarchy([plain_node(nid) for nid in ids] + [ConceptNode("root", NodeKind.ROOT, "", None)],
-                  [(nid, "root") for nid in ids], "root")
-    assert h.entity_index == {"x/y": h.index_of("entity:x/y"), "": h.index_of("entity:")}
-    assert set(h.pinst_index) == {("a/b", "c", "d"), ("a", "b/c", "d"), ("a", "b", "c/d"),
-                                  ("p", "s", "o")}
-    for h in (h, travel_hierarchy):
-        for triple, i in h.pinst_index.items():
-            assert h.index_of(pinst_node_id(*triple)) == i
-        for entity_id, i in h.entity_index.items():
-            assert h.index_of(entity_node_id(entity_id)) == i
-    assert len(travel_hierarchy.entity_index) == 13 and len(travel_hierarchy.pinst_index) == 2
+def test_source_index_finds_nodes_by_their_back_reference(travel_hierarchy):
+    """Entity and property-instance nodes are found by `source_ref` alone,
+    whatever their ids spell; other kinds are not indexed."""
+    nodes = [ConceptNode("pinst:a/b/c/d", NodeKind.PROPERTY_INSTANCE, "", ("a/b", "c", "d")),
+             ConceptNode("pinst:p/s", NodeKind.PROPERTY_INSTANCE, "", ("p", "s", "o")),
+             ConceptNode("entity:", NodeKind.ENTITY, "", "x/y"),
+             ConceptNode("etype:z", NodeKind.ETYPE, "", "z")]
+    h = Hierarchy([*nodes, ConceptNode("root", NodeKind.ROOT, "", None)],
+                  [(n.id, "root") for n in nodes], "root")
+    assert h.source_index == {("a/b", "c", "d"): h.index_of("pinst:a/b/c/d"),
+                              ("p", "s", "o"): h.index_of("pinst:p/s"),
+                              "x/y": h.index_of("entity:")}
+    h = travel_hierarchy
+    for node in h.nodes.values():
+        if node.kind in (NodeKind.ENTITY, NodeKind.PROPERTY_INSTANCE):
+            assert h.source_index[node.source_ref] == h.index_of(node.id)
+    refs = list(h.source_index)
+    assert sum(isinstance(r, str) for r in refs) == 13
+    assert sum(isinstance(r, tuple) for r in refs) == 2
 
 
 # -- the golden travel DAG -----------------------------------------------------
@@ -192,6 +196,22 @@ def test_duplicate_triples_collapse_to_one_instance_node():
     h = compile_hierarchy(etg, eg)
     instances = [n for n in h.nodes.values() if n.kind is NodeKind.PROPERTY_INSTANCE]
     assert len(instances) == 1
+
+
+def test_compile_refuses_two_triples_that_spell_one_node_id():
+    etg = minimal_etg(
+        properties=[ObjectPropertyDef("likes", "likes", "thing", "thing", False)],
+        q=[],
+    )
+    eg = EG(
+        [Entity(eid, eid, "thing") for eid in ("x/y", "z", "x", "y/z")],
+        [PropertyValue("likes", "x/y", "z"), PropertyValue("likes", "x", "y/z")],
+    )
+    with pytest.raises(ValueError) as exc:
+        compile_hierarchy(etg, eg)
+    message = str(exc.value)
+    assert "('likes', 'x/y', 'z')" in message and "('likes', 'x', 'y/z')" in message
+    assert "'pinst:likes/x/y/z'" in message
 
 
 def test_me_touching_collapse_triples_drop_edges():
@@ -371,6 +391,29 @@ def test_validate_detects_dangling_source_ref(travel_etg, travel_eg):
     h = Hierarchy(nodes, {("entity:ghost", "root")}, "root")
     report = validate_hierarchy(h, travel_etg, travel_eg)
     assert "dangling-source-ref" in report.codes()
+
+
+def test_validate_detects_a_shared_back_reference():
+    nodes = [ConceptNode("entity:a", NodeKind.ENTITY, "A", "a"),
+             ConceptNode("entity:b", NodeKind.ENTITY, "B", "a"),
+             ConceptNode("etype:a", NodeKind.ETYPE, "A", "a"),
+             ConceptNode("root", NodeKind.ROOT, "context", None)]
+    h = Hierarchy(nodes, {(n.id, "root") for n in nodes[:-1]}, "root")
+    report = validate_hierarchy(h)
+    assert report.codes() == ["duplicate-source-ref"]
+    assert [(f.subject, f.message) for f in report] == [
+        ("entity:b", "shares its back-reference with entity:a")]
+
+
+def test_validate_detects_a_ref_of_the_wrong_shape():
+    nodes = [ConceptNode("entity:a", NodeKind.ENTITY, "A", ("p", "s", "o")),
+             ConceptNode("pinst:p", NodeKind.PROPERTY_INSTANCE, "p", "p"),
+             ConceptNode("pinst:q", NodeKind.PROPERTY_INSTANCE, "q", ("q", "s")),
+             ConceptNode("root", NodeKind.ROOT, "context", None)]
+    h = Hierarchy(nodes, {(n.id, "root") for n in nodes[:-1]}, "root")
+    assert [(f.code, f.subject) for f in validate_hierarchy(h)] == [
+        ("bad-source-ref", "entity:a"), ("bad-source-ref", "pinst:p"),
+        ("bad-source-ref", "pinst:q")]
 
 
 # -- display names ------------------------------------------------------------------

@@ -127,6 +127,7 @@ LOADERS = {
     "scenario": io.load_scenario,
     "config": io.load_config,
     "runlog": io.load_runlog,
+    "metrics": io.load_metrics,
 }
 
 MALFORMED_FOR_LOADERS = {

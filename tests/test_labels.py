@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from contextstream.hierarchy import compile_hierarchy
 from contextstream.io import load_hierarchy, save_hierarchy
 from contextstream.kg import EG, Entity, PropertyValue, snapshot_eg
 from contextstream.labels import (
@@ -101,6 +102,18 @@ def test_labels_deterministic(travel_hierarchy, travel_etg, travel_eg):
     a = labels_from_eg(travel_hierarchy, snap, travel_etg)
     b = labels_from_eg(travel_hierarchy, snap, travel_etg)
     assert np.array_equal(a, b)
+
+
+def test_labels_find_an_instance_by_its_triple_not_its_id(travel_etg, travel_eg):
+    """`FriendOf(x/y, z)` and `FriendOf(x, y/z)` spell one node id; a
+    snapshot that holds only the second sets no bit on the first's node."""
+    people = [Entity(eid, eid, "person") for eid in ("x/y", "z", "x", "y/z")]
+    static = EG([*travel_eg.entities, *people],
+                [*travel_eg.triples, PropertyValue("FriendOf", "x/y", "z")])
+    h = compile_hierarchy(travel_etg, static)
+    y = labels_from_eg(h, EG(static.entities, [PropertyValue("FriendOf", "x", "y/z")]), travel_etg)
+    assert y[h.index_of("pinst:FriendOf/x/y/z")] == 0
+    assert bits_to_ids(h, y) == dfs_closure_ids(set(h.edges), {"entity:x", "entity:y/z"})
 
 
 def test_labels_skip_unknown_references_with_warning(travel_hierarchy, travel_etg, travel_eg, caplog):
