@@ -348,8 +348,11 @@ def transitive_reduction(h: Hierarchy) -> Hierarchy:
 def validate_hierarchy(
     h: Hierarchy, etg: ETG | None = None, eg: EG | None = None
 ) -> ValidationReport:
-    """Acyclicity, rootedness, reducedness, and back-reference checks; deep
-    source resolution only when the source graphs are supplied."""
+    """Acyclicity, rootedness, reducedness, and back-reference checks. With
+    the source graphs it also resolves every back-reference, and reports a
+    node that compiling them would make but `h` lacks (`missing-node`): a
+    non-observer entity's, or an instance's of a triple whose property has a
+    node. A property in Q or collapsed has no node, so custom sets pass."""
     report = ValidationReport()
     try:
         h.node_order
@@ -392,4 +395,15 @@ def validate_hierarchy(
                 node_display_name(node, etg, eg)
             except UnknownIdError as exc:
                 report.add("dangling-source-ref", str(exc), node.id)
+    if etg is not None and eg is not None:
+        for e in eg.entities:
+            observer = e.etype in etg.etypes and etg.is_subtype(e.etype, etg.me_etype)
+            if not observer and (NodeKind.ENTITY, e.id) not in seen:
+                report.add("missing-node", f"entity {e.id!r} has no node", entity_node_id(e.id))
+        for t in eg.triples:
+            ref = (t.property, t.subject, t.object)
+            if (NodeKind.PROPERTY, t.property) in seen and (
+                NodeKind.PROPERTY_INSTANCE, ref) not in seen:
+                report.add("missing-node", f"triple {t.property}({t.subject}, {t.object}) has "
+                           "no node", pinst_node_id(*ref))
     return report

@@ -5,7 +5,10 @@ A scenario script plays non-overlapping timeline segments; each segment emits
 Gaussian readings per channel at a fixed tick and declares the stream record
 that is the ground truth while it is active. Readings are drawn and
 aggregated as arrays, one window at a time, in the tick-major order of
-per-reading draws. Runs are deterministic for a given seed.
+per-reading draws. Each segment's truth is labelled, checked for
+consistency and frozen once; each window is scored once, and those scores
+give its prediction, its query decision and its update. Runs are
+deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .core import StreamRecord, Timestamp
 from .hierarchy import Hierarchy
 from .kg import EG, ETG, check_observer, snapshot_eg
 from .labels import labels_from_eg
-from .learn import OnlinePerceptron, QueryStrategy, decide_query, predict, train_step
+from .learn import OnlinePerceptron, QueryStrategy, labels_from_scores, require_consistent
 from .metrics import evaluate
 from .report import ValidationReport
 
@@ -32,7 +35,7 @@ class EmissionSpec:
     std: float
 
     def __post_init__(self):
-        if self.std < 0:
+        if not self.std >= 0:  # NaN too
             raise ValueError("std must be >= 0")
 
 
@@ -117,7 +120,8 @@ def aggregate_window(samples: Mapping[str, np.ndarray], spec: WindowSpec) -> np.
     values: list[float] = []
     for ch in spec.channels:
         x = samples.get(ch)
-        values += (0.0, 1.0) if x is None or x.size == 0 else (float(x.mean()), 0.0)
+        # sum / size is x.mean() bit for bit, without its dispatch
+        values += (0.0, 1.0) if x is None or x.size == 0 else (float(x.sum()) / x.size, 0.0)
     return np.asarray(values, dtype=np.float64)
 
 
@@ -169,13 +173,16 @@ def run_simulation(
     Windows are cut by tick: a window opens at a tick and holds every tick
     before its begin + window length, across segment boundaries and gaps;
     the next one opens at the first tick after that. Each segment's record
-    is snapshotted and labelled once, before any reading is drawn, and the
-    segment that holds a window's last tick gives the whole window its
-    truth, even when its features mix two segments. Raises ValueError if the
-    EG has no unique observer, if a segment's snapshot reports a finding (an
-    entity the EG lacks, a function or structural property the ETG lacks),
-    if a window would end past the last representable date, or if a reading
-    is not finite."""
+    is snapshotted, labelled and checked for consistency once, before any
+    reading is drawn, and its truth vector is made read-only; the segment
+    that holds a window's last tick gives the whole window that truth, even
+    when its features mix two segments. Each window is scored once, and the
+    scores serve its prediction, its query decision and its update. Raises
+    InconsistentLabelError if a truth vector sets a child without its
+    parent, and ValueError if the EG has no unique observer, if a segment's
+    snapshot reports a finding (an entity the EG lacks, a function or
+    structural property the ETG lacks), if a window would end past the last
+    representable date, or if a reading is not finite."""
     report = ValidationReport()
     check_observer(static_eg, etg, report)
     snapshots = []
@@ -187,6 +194,9 @@ def run_simulation(
     if not report.ok:
         raise ValueError("script does not match the EG and ETG: " + report.summary())
     truths = [labels_from_eg(h, snapshot, etg) for snapshot in snapshots]
+    for truth in truths:
+        require_consistent(h, truth)
+        truth.flags.writeable = False
     effective_seed = script.seed if seed is None else seed
     spec = window_spec or WindowSpec.means(script.channels, 30.0)
     window_len = timedelta(minutes=spec.length_minutes)
@@ -210,10 +220,11 @@ def run_simulation(
     def flush() -> None:
         samples = {ch: np.concatenate(blocks) for ch, blocks in pieces.items()}
         x = aggregate_window(samples, spec)
-        pred = predict(model, x, h)
-        queried = decide_query(strategy, x, model)
+        s = model.scores(x)
+        pred = labels_from_scores(h, s)
+        queried = strategy.wants_labels(s)
         if queried:
-            train_step(model, x, y, h)
+            model.update(x, y, s)
         result.events.append(WindowEvent(begin, begin + window_len, x, queried, pred, y))
 
     for seg, truth in zip(script.segments, truths):
@@ -230,7 +241,8 @@ def run_simulation(
                     flush()
                 begin, pieces = ts, {}
             stop = min(n_ticks, -((seg.begin - (begin + window_len)) // step))
-            block = rng.normal(means, stds, size=(stop - k, len(channels)))
+            # rng.normal(means, stds, size) bit for bit, without its broadcasting
+            block = means + stds * rng.standard_normal((stop - k, len(channels)))
             if not np.isfinite(block).all():
                 bad = np.argwhere(~np.isfinite(block))[0, 1]
                 raise ValueError(f"non-finite reading on channel {channels[bad]!r}")

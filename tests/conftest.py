@@ -12,7 +12,10 @@ import pytest
 from contextstream import io
 from contextstream.core import Containment, format_timestamp
 from contextstream.hierarchy import compile_hierarchy, entity_node_id, pinst_node_id
+from contextstream.kg import snapshot_eg
 from contextstream.labels import repair_upward, zeros
+from contextstream.learn import OnlinePerceptron, decide_query, predict, train_step
+from contextstream.metrics import evaluate
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -314,6 +317,29 @@ def reference_windows(script, spec, seed=None):
             values.append(1.0 if samples.size == 0 else 0.0)
         out.append((begin, begin + length, np.asarray(values), record))
     return out
+
+
+def reference_session(script, h, etg, eg, spec, strategy, seed=None):
+    """A session by the public learner calls: per window of
+    `reference_windows`, `predict`, then `decide_query`, then `train_step` on
+    `reference_labels` of its record when queried, each scoring the window
+    itself. Returns (events, metrics); an event is (features, prediction,
+    truth, queried), and the metrics are `evaluate`'s plus the counts."""
+    model = OnlinePerceptron.zeros(len(h), len(spec.manifest))
+    events = []
+    for _, _, x, record in reference_windows(script, spec, seed):
+        y = reference_labels(h, snapshot_eg(eg, record, etg), etg)
+        prediction = predict(model, x, h)
+        queried = decide_query(strategy, x, model)
+        if queried:
+            train_step(model, x, y, h)
+        events.append((x, prediction, y, queried))
+    preds, truths = (np.array([e[k] for e in events], dtype=np.uint8).reshape(len(events), len(h))
+                     for k in (1, 2))
+    metrics = evaluate(preds, truths, node_ids=h.node_order)
+    metrics["n_windows"] = len(events)
+    metrics["n_queries"] = sum(e[3] for e in events)
+    return events, metrics
 
 
 # -- reference writer and labeller (per element, per string; kept dumb) -----

@@ -206,8 +206,36 @@ def test_simulate_refuses_a_hierarchy_with_a_dangling_back_reference(tmp_path, c
     assert main(["validate", str(hierarchy)]) == 0
     assert main(["simulate", "--scenario", SCENARIO, "--etg", ETG, "--eg", EG_PATH,
                  "--hierarchy", str(hierarchy)]) == 2
-    assert ("1 finding(s): [dangling-source-ref] entity:train_1: unknown entity 'atlantis'"
+    assert ("2 finding(s): [dangling-source-ref] entity:train_1: unknown entity 'atlantis'; "
+            "[missing-node] entity:train_1: entity 'train_1' has no node"
             in capsys.readouterr().err)
+
+
+def test_simulate_refuses_a_hierarchy_compiled_from_another_eg(tmp_path, capsys):
+    """Compiled without FriendOf(xiaoyue, haonan), the hierarchy has no node
+    for that truth bit; every back-reference it has still resolves."""
+    doc = json.loads(Path(EG_PATH).read_text())
+    doc["triples"] = [t for t in doc["triples"] if t["property"] != "FriendOf"]
+    stale_eg, hierarchy = tmp_path / "eg.json", tmp_path / "h.json"
+    stale_eg.write_text(json.dumps(doc))
+    assert main(["compile", ETG, str(stale_eg), "--out", str(hierarchy)]) == 0
+    simulate = ["simulate", "--scenario", SCENARIO, "--etg", ETG, "--hierarchy", str(hierarchy)]
+    assert main([*simulate, "--eg", str(stale_eg)]) == 0
+    capsys.readouterr()
+    assert main([*simulate, "--eg", EG_PATH]) == 2
+    assert ("1 finding(s): [missing-node] pinst:FriendOf/xiaoyue/haonan: "
+            "triple FriendOf(xiaoyue, haonan) has no node" in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("option", [
+    ["--q", "near,use,interact,in,do,happenIn,during,participate,FriendOf,RestToolOf"],
+    ["--collapse", "isA,has"],
+])
+def test_simulate_accepts_a_hierarchy_compiled_with_custom_sets(option, tmp_path):
+    hierarchy = tmp_path / "h.json"
+    assert main(["compile", ETG, EG_PATH, "--out", str(hierarchy), *option]) == 0
+    assert main(["simulate", "--scenario", SCENARIO, "--etg", ETG, "--eg", EG_PATH,
+                 "--hierarchy", str(hierarchy)]) == 0
 
 
 def _simulate_in_child(*args: str) -> subprocess.CompletedProcess:

@@ -17,7 +17,9 @@ from contextstream.hierarchy import (
     validate_hierarchy,
 )
 from contextstream.io import load_hierarchy
-from contextstream.kg import EG, ETG, Entity, EntityType, ObjectPropertyDef, PropertyValue
+from contextstream.kg import (
+    COLLAPSE_PROPERTIES, EG, ETG, Entity, EntityType, ObjectPropertyDef, PropertyValue,
+)
 from contextstream.labels import check_consistency, repair_upward, zeros
 from contextstream.learn import OnlinePerceptron, train_step
 
@@ -414,6 +416,33 @@ def test_validate_detects_a_ref_of_the_wrong_shape():
     assert [(f.code, f.subject) for f in validate_hierarchy(h)] == [
         ("bad-source-ref", "entity:a"), ("bad-source-ref", "pinst:p"),
         ("bad-source-ref", "pinst:q")]
+
+
+def test_validate_detects_nodes_a_compile_of_the_sources_would_make(travel_etg, travel_eg):
+    """A hierarchy compiled from the travel EG without one entity and one
+    FriendOf triple lacks their nodes; the observer and the triples of
+    collapsed properties (partOf, has) need none."""
+    stale = EG([e for e in travel_eg.entities if e.id != "talking"],
+               [t for t in travel_eg.triples if t.property != "FriendOf"])
+    h = compile_hierarchy(travel_etg, stale)
+    assert validate_hierarchy(h, travel_etg, stale).ok
+    report = validate_hierarchy(h, travel_etg, travel_eg)
+    assert [(f.code, f.subject, f.message) for f in report] == [
+        ("missing-node", "entity:talking", "entity 'talking' has no node"),
+        ("missing-node", "pinst:FriendOf/xiaoyue/haonan",
+         "triple FriendOf(xiaoyue, haonan) has no node"),
+    ]
+
+
+@pytest.mark.parametrize("q, collapse", [
+    (["near", "use", "interact", "in", "do", "happenIn", "during", "participate", "FriendOf"],
+     COLLAPSE_PROPERTIES),
+    (None, ["isA", "has"]),
+    (None, ["isA", "partOf", "has", "RestToolOf"]),
+])
+def test_validate_accepts_a_compile_with_custom_q_or_collapse(q, collapse, travel_etg, travel_eg):
+    h = compile_hierarchy(travel_etg, travel_eg, q=q, collapse=collapse)
+    assert validate_hierarchy(h, travel_etg, travel_eg).ok
 
 
 # -- display names ------------------------------------------------------------------

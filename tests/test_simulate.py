@@ -6,11 +6,13 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from contextstream import simulate
+from contextstream import learn, simulate
 from contextstream.core import FunctionAssignment, PersonEntry, StreamRecord
+from contextstream.errors import InconsistentLabelError
+from contextstream.hierarchy import Hierarchy
 from contextstream.kg import snapshot_eg
 from contextstream.labels import check_consistency, labels_from_eg
-from contextstream.learn import QueryStrategy
+from contextstream.learn import OnlinePerceptron, QueryStrategy
 from contextstream.simulate import (
     EmissionSpec,
     ScenarioScript,
@@ -20,7 +22,7 @@ from contextstream.simulate import (
     run_simulation,
 )
 
-from conftest import reference_labels, reference_ticks, reference_windows
+from conftest import reference_labels, reference_session, reference_ticks, reference_windows
 
 UTC = timezone.utc
 T0 = datetime(2021, 6, 2, 12, 0, tzinfo=UTC)
@@ -81,6 +83,13 @@ def test_script_rejects_overlaps_and_unknown_channels():
         ScenarioScript(1, 60.0, ("other",), (seg,))
     with pytest.raises(ValueError):
         Segment(ts(30), ts(30), {}, record)
+
+
+def test_emission_spec_refuses_a_negative_or_nan_std():
+    for std in (-0.5, float("nan")):
+        with pytest.raises(ValueError, match="std must be >= 0"):
+            EmissionSpec(1.0, std)
+    assert EmissionSpec(1.0, 0.0).std == 0.0
 
 
 def test_script_rejects_an_interval_that_rounds_to_no_time():
@@ -443,7 +452,7 @@ def test_run_simulation_never_strategy_trains_nothing(
     monkeypatch, travel_scenario, travel_hierarchy, travel_etg, travel_eg
 ):
     calls = []
-    monkeypatch.setattr(simulate, "train_step", lambda *args: calls.append(args))
+    monkeypatch.setattr(OnlinePerceptron, "update", lambda *args: calls.append(args))
     result = run_simulation(
         travel_scenario, travel_hierarchy, travel_etg, travel_eg,
         window_spec=WindowSpec.means(travel_scenario.channels, 5.0),
@@ -505,3 +514,110 @@ def test_training_accuracy_monotone_over_blocks(travel_hierarchy, travel_etg, tr
     assert len(blocks) >= 5
     drops = sum(1 for a, b in zip(blocks, blocks[1:]) if b < a - 1e-12)
     assert drops <= 2, f"accuracy dropped {drops} times across blocks {blocks}"
+
+
+# -- one pass per window --------------------------------------------------------------
+
+STRATEGIES = ["always", "never", "margin:0.0", "margin:0.5"]
+
+
+def labelled_nodes_only(h, result):
+    """`h` cut to the nodes some window of `result` labels. That set is
+    closed upward, so the cut keeps its edges reduced. On the full travel
+    hierarchy a node no window labels keeps a zero score, so "margin" asks
+    for labels on every window."""
+    keep = {h.node_order[i] for i in np.flatnonzero(result.truths().any(axis=0))}
+    return Hierarchy([h.nodes[n] for n in keep], [e for e in h.edges if e[0] in keep], h.root)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_run_simulation_equals_the_public_learner_calls(
+    strategy, travel_scenario, travel_hierarchy, travel_etg, travel_eg
+):
+    """Scoring once per window and checking each truth once change nothing:
+    events and metrics equal a session of `predict`, `decide_query` and
+    `train_step` calls, bit for bit, under every strategy."""
+    regimes = two_regime_script(n_pairs=6)
+    cut = labelled_nodes_only(travel_hierarchy, run_simulation(
+        regimes, travel_hierarchy, travel_etg, travel_eg,
+        window_spec=WindowSpec.means(regimes.channels, 5.0)))
+    queries = []
+    for h, script, seed in ((travel_hierarchy, regimes, None), (cut, regimes, None),
+                            (travel_hierarchy, mixed_script(), 3),
+                            (travel_hierarchy, travel_scenario, None)):
+        spec = WindowSpec.means(script.channels, 5.0)
+        result = run_simulation(script, h, travel_etg, travel_eg, window_spec=spec,
+                                strategy=QueryStrategy.parse(strategy), seed=seed)
+        events, metrics = reference_session(script, h, travel_etg, travel_eg, spec,
+                                            QueryStrategy.parse(strategy), seed)
+        assert len(result.events) == len(events)
+        for got, (x, prediction, truth, queried) in zip(result.events, events):
+            assert got.features.tobytes() == x.tobytes()
+            assert got.prediction.tobytes() == prediction.tobytes()
+            assert got.truth.tobytes() == truth.tobytes()
+            assert got.queried is queried
+        assert result.metrics == metrics
+        queries.append(metrics["n_queries"] / metrics["n_windows"])
+    if strategy.startswith("margin"):
+        # on the cut hierarchy the margin decides both ways
+        assert queries[0] == 1.0 and 0 < queries[1] < 1
+
+
+@pytest.mark.parametrize("strategy", ["always", "never", "margin:0.5"])
+def test_each_window_is_scored_once_and_each_truth_checked_once(
+    strategy, monkeypatch, travel_hierarchy, travel_etg, travel_eg
+):
+    script = mixed_script()
+    calls = {"scores": 0, "check_consistency": 0}
+    scores, check = OnlinePerceptron.scores, learn.check_consistency
+
+    def counted_scores(self, x):
+        calls["scores"] += 1
+        return scores(self, x)
+
+    def counted_check(h, y):
+        calls["check_consistency"] += 1
+        return check(h, y)
+
+    monkeypatch.setattr(OnlinePerceptron, "scores", counted_scores)
+    monkeypatch.setattr(learn, "check_consistency", counted_check)
+    result = run_simulation(script, travel_hierarchy, travel_etg, travel_eg,
+                            window_spec=WindowSpec.means(script.channels, 5.0),
+                            strategy=QueryStrategy.parse(strategy))
+    assert calls == {"scores": len(result.events), "check_consistency": len(script.segments)}
+    assert len(result.events) > len(script.segments)
+    for event in result.events:
+        assert not event.truth.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            event.truth[0] = 1
+
+
+def test_run_simulation_refuses_an_inconsistent_truth_before_drawing(
+    monkeypatch, travel_hierarchy, travel_etg, travel_eg
+):
+    """The second segment's labels set train_1 without its region. The
+    first segment's only emission is infinite, so a draw would fail first."""
+    h = travel_hierarchy
+    labelled = []
+
+    def inconsistent_after_the_first(h, snapshot, etg):
+        y = labels_from_eg(h, snapshot, etg)
+        if labelled:
+            y = np.zeros_like(y)
+            y[h.index_of("entity:train_1")] = 1
+        labelled.append(y)
+        return y
+
+    monkeypatch.setattr(simulate, "labels_from_eg", inconsistent_after_the_first)
+    record = two_regime_script().segments[0].record
+    script = ScenarioScript(1, 60.0, ("a",), (
+        Segment(ts(0), ts(10), {"a": EmissionSpec(float("inf"), 0.0)}, record),
+        Segment(ts(10), ts(20), {"a": EmissionSpec(1.0, 0.1)}, record),
+    ))
+    for strategy in ("always", "never"):
+        labelled.clear()
+        with pytest.raises(InconsistentLabelError,
+                           match="sets entity:train_1 without its parent entity:trentino"):
+            run_simulation(script, h, travel_etg, travel_eg,
+                           strategy=QueryStrategy.parse(strategy))
+        assert len(labelled) == 2
