@@ -214,9 +214,10 @@ def _cmd_simulate(args, config: io.Config) -> int:
 def _cmd_evaluate(args, config: io.Config) -> int:
     from .metrics import evaluate
 
-    header, preds, truths, _ = io.load_runlog(args.log)
+    header, preds, truths, events = io.load_runlog(args.log)
     metrics = evaluate(preds, truths, node_ids=header["nodes"])
     metrics["n_windows"] = len(preds)
+    metrics["n_queries"] = sum(e["queried"] for e in events)
     if args.out:
         io.save_metrics(args.out, metrics)
         print(f"metrics -> {args.out}")

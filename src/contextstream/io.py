@@ -515,7 +515,7 @@ def save_runlog(path: str | Path, node_order: Sequence[str], manifest: Sequence[
 def load_runlog(path: str | Path) -> tuple[dict, np.ndarray, np.ndarray, list[dict]]:
     """Returns (header, predictions, truths, raw event dicts). The header is
     the first non-blank line; every event's rows hold one bit (the integer 0
-    or 1) per node."""
+    or 1) per node, and its `queried` is a JSON bool."""
     docs = _jsonl_docs(path)
     header: dict | None = None
     for lineno, header in docs:
@@ -536,6 +536,8 @@ def load_runlog(path: str | Path) -> tuple[dict, np.ndarray, np.ndarray, list[di
                     or {*map(type, row)} - {int} or not {*row} <= {0, 1}):
                 raise FormatError(path, f"event {key} must list {n} bits (0 or 1), one per node",
                                   line=lineno)
+        if type(doc.get("queried")) is not bool:
+            raise FormatError(path, "event queried must be true or false", line=lineno)
         events.append(doc)
     preds = np.array([e["prediction"] for e in events], dtype=np.uint8).reshape(len(events), n)
     truths = np.array([e["truth"] for e in events], dtype=np.uint8).reshape(len(events), n)

@@ -3,11 +3,12 @@
 The baseline learner keeps one binary perceptron per concept node; raw
 decisions threshold at score > 0 (a zero score counts negative for
 determinism) and predictions are made consistent by downward repair.
-`predict`, `decide_query` and `train_step` each score the instance they are
-given; a streaming loop scores a window once and hands those scores to
-`labels_from_scores`, `QueryStrategy.wants_labels` and
-`OnlinePerceptron.update` instead, after checking its label vector once with
-`require_consistent`.
+
+The API is five calls, in the order a streaming loop makes them: check a
+label vector once with `require_consistent`; score a window once with
+`OnlinePerceptron.scores`; hand those scores to `labels_from_scores` for the
+prediction, to `QueryStrategy.wants_labels` for the query decision and, when
+queried, to `OnlinePerceptron.update`.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ class QueryStrategy:
             raise ValueError(f"unknown query strategy {self.kind!r}")
         if self.kind == "margin" and not 0 <= self.tau < math.inf:
             raise ValueError(f"margin tau must be a finite number >= 0, not {self.tau!r}")
+        if self.kind != "margin" and self.tau != 0:
+            raise ValueError(f"only a margin strategy takes a tau, not {self.kind!r}")
 
     @classmethod
     def parse(cls, spec: str) -> "QueryStrategy":
@@ -81,11 +84,6 @@ class QueryStrategy:
         return self.kind == "always"
 
 
-def decide_query(strategy: QueryStrategy, x: np.ndarray, model: OnlinePerceptron) -> bool:
-    """True when the learner should acquire labels for this instance."""
-    return strategy.wants_labels(model.scores(x))
-
-
 def require_consistent(h: Hierarchy, y: LabelVector) -> None:
     """Raise InconsistentLabelError, naming the first violated edge, unless
     every set bit of `y` has its parents set."""
@@ -97,21 +95,6 @@ def require_consistent(h: Hierarchy, y: LabelVector) -> None:
         )
 
 
-def train_step(
-    model: OnlinePerceptron, x: np.ndarray, y: LabelVector, h: Hierarchy
-) -> OnlinePerceptron:
-    """One online update on (x, y), in place; y must be hierarchy-consistent."""
-    require_consistent(h, y)
-    x64 = np.ascontiguousarray(x, dtype=np.float64)
-    model.update(x64, np.ascontiguousarray(y, dtype=np.uint8), model.scores(x64))
-    return model
-
-
 def labels_from_scores(h: Hierarchy, s: np.ndarray) -> LabelVector:
     """Threshold raw scores at 0 and repair downward; always consistent."""
     return repair_downward(h, (s > 0.0).astype(np.uint8))
-
-
-def predict(model: OnlinePerceptron, x: np.ndarray, h: Hierarchy) -> LabelVector:
-    """`labels_from_scores` of the model's scores for x."""
-    return labels_from_scores(h, model.scores(x))

@@ -14,7 +14,7 @@ from contextstream.core import Containment, format_timestamp
 from contextstream.hierarchy import compile_hierarchy, entity_node_id, pinst_node_id
 from contextstream.kg import snapshot_eg
 from contextstream.labels import repair_upward, zeros
-from contextstream.learn import OnlinePerceptron, decide_query, predict, train_step
+from contextstream.learn import OnlinePerceptron
 from contextstream.metrics import evaluate
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -87,11 +87,13 @@ def _hierarchy(edges, **changes) -> str:
                        "nodes": [{**node("a"), **changes}, node("r")], "edges": edges})
 
 
-def _runlog(nodes) -> str:
-    """A run log whose header lists `nodes`, with one event of two bits."""
+def _runlog(nodes, change=lambda event: None) -> str:
+    """A run log whose header lists `nodes`, with one event of two bits;
+    `change` edits the event."""
     header = {"format": "runlog/1", "seed": 7, "nodes": nodes, "manifest": []}
     event = {"begin": "2021-06-02T12:00:00+00:00", "end": "2021-06-02T12:01:00+00:00",
              "features": [], "queried": True, "prediction": [1, 0], "truth": [1, 1]}
+    change(event)
     return json.dumps(header) + "\n" + json.dumps(event) + "\n"
 
 
@@ -148,6 +150,8 @@ MALFORMED = {
         "hierarchy", _hierarchy([["a", "r"]], source_ref=["p", 1, "o"]), None),
     "runlog-node-not-string": ("runlog", _runlog([["a"], {"b": 1}]), 1),
     "runlog-nodes-repeat": ("runlog", _runlog(["a", "a"]), 1),
+    "runlog-queried-not-boolean": ("runlog", _runlog(["a", "b"], lambda e: e.update(queried=1)), 2),
+    "runlog-queried-missing": ("runlog", _runlog(["a", "b"], lambda e: e.pop("queried")), 2),
     "scenario-channels-not-list": ("scenario", json.dumps(
         _fixture_doc("travel_scenario.json", channels="ab", segments=[])), None),
     "scenario-seed-not-integer": ("scenario", json.dumps(
@@ -197,6 +201,7 @@ MALFORMED = {
     "config-window-minutes-overflows": ("config", _config(window_minutes=1e300), None),
     "config-near-threshold-string": ("config", _config(near_threshold_m="3"), None),
     "config-tau-boolean": ("config", _config(strategy={"kind": "margin", "tau": True}), None),
+    "config-tau-without-margin": ("config", _config(strategy={"kind": "always", "tau": 0.5}), None),
     "etg-etype-id-not-string": ("etg", _etg_with(
         lambda doc: doc["etypes"].append({"id": 300, "name": "Extra"})), None),
     "etg-etype-name-not-string": ("etg", _etg_with(
@@ -320,19 +325,30 @@ def reference_windows(script, spec, seed=None):
 
 
 def reference_session(script, h, etg, eg, spec, strategy, seed=None):
-    """A session by the public learner calls: per window of
-    `reference_windows`, `predict`, then `decide_query`, then `train_step` on
-    `reference_labels` of its record when queried, each scoring the window
-    itself. Returns (events, metrics); an event is (features, prediction,
-    truth, queried), and the metrics are `evaluate`'s plus the counts."""
+    """A session by the learning rule spelled out per window of
+    `reference_windows`: scores `weights @ x + bias`; a node is predicted
+    when its score and every ancestor's is above 0; "always" queries,
+    "never" does not, and "margin" queries when any score is within tau of 0;
+    a queried window moves each node whose score sides against its
+    `reference_labels` bit by +-x (bias +-1). Returns (events, metrics); an
+    event is (features, prediction, truth, queried), and the metrics are
+    `evaluate`'s plus the counts."""
     model = OnlinePerceptron.zeros(len(h), len(spec.manifest))
+    ancestors = [dfs_closure_ids(set(h.edges), {nid}) for nid in h.node_order]
     events = []
     for _, _, x, record in reference_windows(script, spec, seed):
         y = reference_labels(h, snapshot_eg(eg, record, etg), etg)
-        prediction = predict(model, x, h)
-        queried = decide_query(strategy, x, model)
+        s = model.weights @ x + model.bias
+        raw = {nid for nid, v in zip(h.node_order, s) if v > 0}
+        prediction = np.array([int(up <= raw) for up in ancestors], dtype=np.uint8)
+        queried = (strategy.kind == "always"
+                   or strategy.kind == "margin" and any(abs(v) <= strategy.tau for v in s))
         if queried:
-            train_step(model, x, y, h)
+            for i in range(len(h)):
+                if (s[i] > 0) != bool(y[i]):
+                    sign = 1.0 if y[i] else -1.0
+                    model.weights[i] += sign * x
+                    model.bias[i] += sign
         events.append((x, prediction, y, queried))
     preds, truths = (np.array([e[k] for e in events], dtype=np.uint8).reshape(len(events), len(h))
                      for k in (1, 2))

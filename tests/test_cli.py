@@ -289,6 +289,13 @@ def test_simulate_rejects_a_margin_tau_that_is_not_finite(strategy, capsys):
     assert "margin tau" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("strategy", ["always:3", "never:0.5"])
+def test_simulate_refuses_a_tau_that_only_margin_reads(strategy, capsys):
+    assert main(["simulate", "--scenario", SCENARIO, "--etg", ETG, "--eg", EG_PATH,
+                 "--strategy", strategy]) == 2
+    assert "only a margin strategy takes a tau" in capsys.readouterr().err
+
+
 def test_simulate_refuses_an_undeclared_function(tmp_path, capsys):
     doc = json.loads((FIXTURES / "travel_scenario.json").read_text())
     doc["segments"][0]["record"]["persons"] = [
@@ -378,11 +385,7 @@ def test_evaluate_from_log_matches_simulate(tmp_path):
         "--out-log", str(log), "--out-metrics", str(metrics_a),
     ]) == 0
     assert main(["evaluate", "--log", str(log), "--out", str(metrics_b)]) == 0
-    a = io.load_metrics(metrics_a)
-    b = io.load_metrics(metrics_b)
-    for key in ("hierarchical_precision", "hierarchical_recall", "hierarchical_f1",
-                "exact_match", "hamming_accuracy", "per_node", "n_windows"):
-        assert a[key] == b[key]
+    assert io.load_metrics(metrics_a) == io.load_metrics(metrics_b)
 
 
 def test_snapshot_command_writes_snapshots(tmp_path, capsys):
@@ -424,8 +427,7 @@ def test_simulate_and_evaluate_agree_on_a_session_without_windows(tmp_path, caps
     assert "0 windows, 0 queries, hierarchical F1 1.000" in capsys.readouterr().out
     assert main(["evaluate", "--log", str(log), "--out", str(evaluated)]) == 0
     a, b = io.load_metrics(simulated), io.load_metrics(evaluated)
-    assert set(b) <= set(a)
-    assert {key: a[key] for key in b} == b
+    assert a == b
     assert b["n_windows"] == 0 and b["hierarchical_f1"] == 1.0
 
 

@@ -21,7 +21,7 @@ from contextstream.kg import (
     COLLAPSE_PROPERTIES, EG, ETG, Entity, EntityType, ObjectPropertyDef, PropertyValue,
 )
 from contextstream.labels import check_consistency, repair_upward, zeros
-from contextstream.learn import OnlinePerceptron, train_step
+from contextstream.learn import OnlinePerceptron, require_consistent
 
 from conftest import GOLDEN, dfs_closure_ids, dfs_reachable_pairs, random_dag
 
@@ -183,7 +183,8 @@ def test_entity_liked_256_times_keeps_every_ancestor():
     assert ("entity:star", "etype:thing") not in h.edges
     assert check_consistency(h, up) == []
     model = OnlinePerceptron.zeros(len(h), 2)
-    train_step(model, np.ones(2), up, h)
+    require_consistent(h, up)
+    model.update(np.ones(2), up, model.scores(np.ones(2)))
 
 
 def test_duplicate_triples_collapse_to_one_instance_node():

@@ -6,7 +6,7 @@ import numpy as np
 
 from contextstream.hierarchy import Hierarchy, transitive_reduction
 from contextstream.labels import repair_downward, repair_upward
-from contextstream.learn import OnlinePerceptron, train_step
+from contextstream.learn import OnlinePerceptron, require_consistent
 
 from conftest import dfs_reachable_pairs, random_dag
 from test_hierarchy import hierarchy_from_indexed, plain_node
@@ -156,12 +156,16 @@ def test_perceptron_step_math():
     W, b = model.weights, model.bias
     x = np.array([1.0, 2.0, 0.0])
     # zero scores -> predictions negative -> only node 0 wrong
-    train_step(model, x, np.array([1, 0], dtype=np.uint8), h)
+    y = np.array([1, 0], dtype=np.uint8)
+    require_consistent(h, y)
+    model.update(x, y, model.scores(x))
     assert W[0].tolist() == [1.0, 2.0, 0.0]
     assert b[0] == 1.0
     assert not W[1].any() and b[1] == 0.0
     # now node 0 is right; flip the target to force a negative update
-    train_step(model, x, np.array([0, 0], dtype=np.uint8), h)
+    y = np.array([0, 0], dtype=np.uint8)
+    require_consistent(h, y)
+    model.update(x, y, model.scores(x))
     assert W[0].tolist() == [0.0, 0.0, 0.0]
     assert b[0] == 0.0
     assert not W[1].any() and b[1] == 0.0

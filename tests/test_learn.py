@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from contextstream.errors import InconsistentLabelError
-from contextstream.labels import repair_upward, zeros
+from contextstream.labels import check_consistency, repair_upward, zeros
 from contextstream.learn import (
     OnlinePerceptron,
     QueryStrategy,
-    decide_query,
-    predict,
-    train_step,
+    labels_from_scores,
+    require_consistent,
 )
 
 
@@ -27,19 +26,19 @@ def consistent_label(h, leaf_ids):
 
 
 def test_always_strategy(model):
-    assert decide_query(QueryStrategy("always"), np.ones(4), model)
+    assert QueryStrategy("always").wants_labels(model.scores(np.ones(4)))
 
 
 def test_never_strategy(model):
-    assert not decide_query(QueryStrategy("never"), np.ones(4), model)
+    assert not QueryStrategy("never").wants_labels(model.scores(np.ones(4)))
 
 
 def test_margin_zero_queries_only_boundary(model):
     # zero model: every score is exactly 0 -> on the boundary
-    assert decide_query(QueryStrategy("margin", tau=0.0), np.ones(4), model)
+    assert QueryStrategy("margin", tau=0.0).wants_labels(model.scores(np.ones(4)))
     model.bias[:] = 5.0
-    assert not decide_query(QueryStrategy("margin", tau=0.0), np.ones(4), model)
-    assert decide_query(QueryStrategy("margin", tau=5.0), np.zeros(4), model)
+    assert not QueryStrategy("margin", tau=0.0).wants_labels(model.scores(np.ones(4)))
+    assert QueryStrategy("margin", tau=5.0).wants_labels(model.scores(np.zeros(4)))
 
 
 def test_strategy_parsing():
@@ -49,6 +48,12 @@ def test_strategy_parsing():
         QueryStrategy.parse("sometimes")
     with pytest.raises(ValueError):
         QueryStrategy("margin", tau=-1.0)
+    assert QueryStrategy.parse("never:0") == QueryStrategy("never")
+    for spec in ("always:3", "never:0.5", "always:nan"):
+        with pytest.raises(ValueError, match="only a margin strategy takes a tau"):
+            QueryStrategy.parse(spec)
+    with pytest.raises(ValueError, match="only a margin strategy takes a tau"):
+        QueryStrategy("always", tau=0.5)
 
 
 @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
@@ -60,11 +65,14 @@ def test_margin_rejects_a_tau_that_is_not_finite(tau):
         QueryStrategy.parse(f"margin:{tau}")
 
 
-def test_train_step_rejects_inconsistent_labels(travel_hierarchy, model):
-    y = zeros(travel_hierarchy)
-    y[travel_hierarchy.index_of("entity:walk")] = 1  # parent unset
-    with pytest.raises(InconsistentLabelError):
-        train_step(model, np.ones(4), y, travel_hierarchy)
+def test_require_consistent_names_the_set_child_and_its_unset_parent(travel_hierarchy):
+    h = travel_hierarchy
+    y = zeros(h)
+    y[h.index_of("entity:walk")] = 1  # its one parent, etype:event, unset
+    with pytest.raises(InconsistentLabelError,
+                       match="sets entity:walk without its parent etype:event$"):
+        require_consistent(h, y)
+    require_consistent(h, repair_upward(h, y))
 
 
 def test_repeated_example_mistakes_non_increasing(travel_hierarchy, model):
@@ -75,14 +83,16 @@ def test_repeated_example_mistakes_non_increasing(travel_hierarchy, model):
     for _ in range(20):
         before = model.scores(x) > 0
         mistakes.append(int((before != y.astype(bool)).sum()))
-        train_step(model, x, y, travel_hierarchy)
+        require_consistent(travel_hierarchy, y)
+        model.update(x, y, model.scores(x))
     assert all(a >= b for a, b in zip(mistakes, mistakes[1:]))
     assert mistakes[-1] == 0
 
 
 def test_zero_feature_example_updates_bias_only(travel_hierarchy, model):
     y = consistent_label(travel_hierarchy, ["entity:walk"])
-    train_step(model, np.zeros(4), y, travel_hierarchy)
+    require_consistent(travel_hierarchy, y)
+    model.update(np.zeros(4), y, model.scores(np.zeros(4)))
     assert not model.weights.any()
     assert model.bias[travel_hierarchy.index_of("entity:walk")] == 1.0
     assert model.bias[travel_hierarchy.index_of("root")] == 1.0
@@ -90,27 +100,25 @@ def test_zero_feature_example_updates_bias_only(travel_hierarchy, model):
 
 def test_untrained_model_predicts_all_zeros(travel_hierarchy, model):
     # zero scores count negative, so nothing is asserted
-    pred = predict(model, np.ones(4), travel_hierarchy)
+    pred = labels_from_scores(travel_hierarchy, model.scores(np.ones(4)))
     assert not pred.any()
 
 
 def test_prediction_repair_suppresses_unsupported_child(travel_hierarchy, model):
     i_child = travel_hierarchy.index_of("entity:walk")
     model.bias[i_child] = 1.0  # raw output: child on, every parent off
-    pred = predict(model, np.zeros(4), travel_hierarchy)
+    pred = labels_from_scores(travel_hierarchy, model.scores(np.zeros(4)))
     assert pred[i_child] == 0
     assert not pred.any()
 
 
 def test_prediction_always_consistent_random(travel_hierarchy):
-    from contextstream.labels import check_consistency
-
     rng = np.random.default_rng(17)
     model = OnlinePerceptron.zeros(len(travel_hierarchy), 4)
     model.weights[:] = rng.normal(size=model.weights.shape)
     model.bias[:] = rng.normal(size=model.bias.shape)
     for _ in range(100):
-        pred = predict(model, rng.normal(size=4), travel_hierarchy)
+        pred = labels_from_scores(travel_hierarchy, model.scores(rng.normal(size=4)))
         assert check_consistency(travel_hierarchy, pred) == []
 
 
@@ -122,7 +130,8 @@ def test_training_deterministic(travel_hierarchy):
     for _ in range(2):
         m = OnlinePerceptron.zeros(len(travel_hierarchy), 4)
         for x in xs:
-            train_step(m, x, y, travel_hierarchy)
+            require_consistent(travel_hierarchy, y)
+            m.update(x, y, m.scores(x))
         models.append(m)
     assert np.array_equal(models[0].weights, models[1].weights)
     assert np.array_equal(models[0].bias, models[1].bias)
@@ -139,11 +148,13 @@ def test_separable_two_regime_training(travel_hierarchy):
         regime = i % 2
         center = np.array([1.0, 8.0, 15.0, 1.0]) if regime == 0 else np.array([9.0, 2.0, 1.5, 1.0])
         x = center + rng.normal(0, 0.05, size=4)
-        examples.append((x, y_a if regime == 0 else y_b))
-        train_step(model, x, y_a if regime == 0 else y_b, h)
+        y = y_a if regime == 0 else y_b
+        examples.append((x, y))
+        require_consistent(h, y)
+        model.update(x, y, model.scores(x))
     correct = np.zeros(len(h))
     for x, y in examples:
-        correct += (predict(model, x, h) == y)
+        correct += (labels_from_scores(h, model.scores(x)) == y)
     accuracy = correct / len(examples)
     active = (np.stack([y for _, y in examples]).any(axis=0)).nonzero()[0]
     assert (accuracy[active] >= 0.95).all()

@@ -535,8 +535,9 @@ def test_run_simulation_equals_the_public_learner_calls(
     strategy, travel_scenario, travel_hierarchy, travel_etg, travel_eg
 ):
     """Scoring once per window and checking each truth once change nothing:
-    events and metrics equal a session of `predict`, `decide_query` and
-    `train_step` calls, bit for bit, under every strategy."""
+    events and metrics equal `reference_session`, which spells the learning
+    rule out per window in the test code, bit for bit, under every
+    strategy."""
     regimes = two_regime_script(n_pairs=6)
     cut = labelled_nodes_only(travel_hierarchy, run_simulation(
         regimes, travel_hierarchy, travel_etg, travel_eg,
