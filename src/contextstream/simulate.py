@@ -3,12 +3,15 @@ aggregation, query decisions, online training, and logging.
 
 A scenario script plays non-overlapping timeline segments; each segment emits
 Gaussian readings per channel at a fixed tick and declares the stream record
-that is the ground truth while it is active. Readings are drawn and
-aggregated as arrays, one window at a time, in the tick-major order of
-per-reading draws. Each segment's truth is labelled, checked for
-consistency and frozen once; each window is scored once, and those scores
-give its prediction, its query decision and its update. Runs are
-deterministic for a given seed.
+that is the ground truth while it is active. A segment's readings are drawn
+in chunks of at most CHUNK_TICKS ticks, one random-number call per chunk, in
+the tick-major order of per-reading draws. The windows that open and close
+inside one chunk are summed in one reduction; a window that crosses a chunk,
+segment or gap edge is summed from its pieces. Both sum a channel's readings
+in tick order, so the features do not depend on the chunk size. Each
+segment's truth is labelled, checked for consistency and frozen once; each
+window is scored once, and those scores give its prediction, its query
+decision and its update. Runs are deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -27,6 +30,16 @@ from .labels import labels_from_eg
 from .learn import OnlinePerceptron, QueryStrategy, labels_from_scores, require_consistent
 from .metrics import evaluate
 from .report import ValidationReport
+
+# Ticks drawn per random-number call: large enough to amortise numpy's
+# per-call cost over many windows, small enough that a segment's readings
+# never sit in memory whole
+CHUNK_TICKS = 4096
+
+# The most ticks one window may hold. A window that crosses a chunk, segment
+# or gap edge keeps every reading until it closes, so this bounds its memory
+# (8 MB per channel) before anything is drawn
+MAX_WINDOW_TICKS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -182,7 +195,8 @@ def run_simulation(
     parent, and ValueError if the EG has no unique observer, if a segment's
     snapshot reports a finding (an entity the EG lacks, a function or
     structural property the ETG lacks), if a window would end past the last
-    representable date, or if a reading is not finite."""
+    representable date or would hold more than MAX_WINDOW_TICKS ticks, or if
+    a reading is not finite."""
     report = ValidationReport()
     check_observer(static_eg, etg, report)
     snapshots = []
@@ -207,8 +221,22 @@ def run_simulation(
             raise ValueError(
                 f"window length of {spec.length_minutes} minutes runs past the last date"
             ) from None
+    window_ticks = -(-window_len // script.step)
+    if window_ticks > MAX_WINDOW_TICKS:
+        raise ValueError(
+            f"window length of {spec.length_minutes} minutes holds {window_ticks} ticks of "
+            f"{script.reading_interval_s} s, more than MAX_WINDOW_TICKS ({MAX_WINDOW_TICKS})"
+        )
     model = OnlinePerceptron.zeros(len(h), len(spec.manifest))
     result = RunResult(node_order=h.node_order, manifest=spec.manifest, seed=effective_seed)
+
+    def learn_window(begin: Timestamp, x: np.ndarray, y: np.ndarray) -> None:
+        s = model.scores(x)
+        pred = labels_from_scores(h, s)
+        queried = strategy.wants_labels(s)
+        if queried:
+            model.update(x, y, s)
+        result.events.append(WindowEvent(begin, begin + window_len, x, queried, pred, y))
 
     rng = np.random.default_rng(effective_seed)
     step = script.step
@@ -219,37 +247,52 @@ def run_simulation(
 
     def flush() -> None:
         samples = {ch: np.concatenate(blocks) for ch, blocks in pieces.items()}
-        x = aggregate_window(samples, spec)
-        s = model.scores(x)
-        pred = labels_from_scores(h, s)
-        queried = strategy.wants_labels(s)
-        if queried:
-            model.update(x, y, s)
-        result.events.append(WindowEvent(begin, begin + window_len, x, queried, pred, y))
+        learn_window(begin, aggregate_window(samples, spec), y)
 
     for seg, truth in zip(script.segments, truths):
         channels = [ch for ch in script.channels if ch in seg.emissions]
         means = np.array([seg.emissions[ch].mean for ch in channels], dtype=np.float64)
         stds = np.array([seg.emissions[ch].std for ch in channels], dtype=np.float64)
+        # a whole window's features: the mean of each channel the segment
+        # emits, and 0 and a raised empty flag for each it does not
+        mean_rows = [channels.index(ch) for ch in spec.channels if ch in seg.emissions]
+        mean_cols = [2 * f for f, ch in enumerate(spec.channels) if ch in seg.emissions]
+        empty_cols = [2 * f + 1 for f, ch in enumerate(spec.channels) if ch not in seg.emissions]
         # tick k is seg.begin + step * k; ceiling division counts the ticks before seg.end
         n_ticks = -((seg.begin - seg.end) // step)
-        k = 0
-        while k < n_ticks:
-            ts = seg.begin + step * k
-            if begin is None or ts - begin >= window_len:
-                if begin is not None:
-                    flush()
-                begin, pieces = ts, {}
-            stop = min(n_ticks, -((seg.begin - (begin + window_len)) // step))
+        for k0 in range(0, n_ticks, CHUNK_TICKS):
+            k1 = min(n_ticks, k0 + CHUNK_TICKS)
             # rng.normal(means, stds, size) bit for bit, without its broadcasting
-            block = means + stds * rng.standard_normal((stop - k, len(channels)))
+            block = means + stds * rng.standard_normal((k1 - k0, len(channels)))
             if not np.isfinite(block).all():
                 bad = np.argwhere(~np.isfinite(block))[0, 1]
                 raise ValueError(f"non-finite reading on channel {channels[bad]!r}")
-            for c, ch in enumerate(channels):
-                pieces.setdefault(ch, []).append(block[:, c])
-            y = truth
-            k = stop
+            rows = np.ascontiguousarray(block.T)  # a channel's readings are one row
+            k = k0
+            while k < k1:
+                ts = seg.begin + step * k
+                if begin is None or ts - begin >= window_len:
+                    if begin is not None:
+                        flush()
+                    # whole windows open here, each closed by a later tick of this chunk
+                    q = (k1 - 1 - k) // window_ticks
+                    if q:
+                        sums = rows[:, k - k0:k - k0 + q * window_ticks].reshape(
+                            len(channels), q, window_ticks).sum(axis=2)
+                        x = np.zeros((q, len(spec.manifest)))
+                        x[:, mean_cols] = sums[mean_rows].T / window_ticks
+                        x[:, empty_cols] = 1.0
+                        for j in range(q):
+                            learn_window(seg.begin + step * (k + j * window_ticks), x[j], truth)
+                        k += q * window_ticks
+                        begin = None
+                        continue
+                    begin, pieces = ts, {}
+                stop = min(k1, -((seg.begin - (begin + window_len)) // step))
+                for c, ch in enumerate(channels):
+                    pieces.setdefault(ch, []).append(rows[c, k - k0:stop - k0])
+                y = truth
+                k = stop
     if begin is not None:
         flush()
 

@@ -262,6 +262,18 @@ def test_simulate_rejects_a_reading_interval_out_of_range(tmp_path, case):
     assert "reading_interval_s" in done.stderr
 
 
+def test_simulate_refuses_a_window_of_too_many_ticks(tmp_path):
+    """At a 1 us tick the default 30-minute window holds 1.8e9 ticks, 40 GiB
+    of readings for three channels; it is refused before any is drawn."""
+    scenario = tmp_path / "scenario.json"
+    doc = json.loads((FIXTURES / "travel_scenario.json").read_text())
+    scenario.write_text(json.dumps({**doc, "reading_interval_s": 0.000001}))
+    done = _simulate_in_child("simulate", "--scenario", str(scenario))
+    assert done.returncode == 2, done.stderr
+    assert "holds 1800000000 ticks" in done.stderr and "MAX_WINDOW_TICKS" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize("minutes", ["1e-9", "1e300", "1e10", "nan"])
 def test_simulate_rejects_a_window_out_of_range(minutes):
     """1e-9 minutes rounds to a zero window, which would never let a tick

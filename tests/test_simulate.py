@@ -162,7 +162,9 @@ def test_run_simulation_refuses_an_unknown_super_location_before_drawing(
 def mixed_script(seed=5):
     """Segments that meet and segments with gaps between them, a 50 s tick
     that divides no segment, a channel one segment does not emit, a segment
-    that emits nothing, and a channel with std 0."""
+    that emits nothing, and a channel with std 0. The last segment but one
+    ends 5 s after its tenth tick, so a 1-minute window of its last two ticks
+    also takes the next segment's first tick."""
     train, walk = (seg.record for seg in two_regime_script().segments[:2])
     full = {"a": EmissionSpec(1.1, 0.05), "b": EmissionSpec(8.0, 0.3), "c": EmissionSpec(4.25, 0.0)}
     no_b = {"a": EmissionSpec(9.4, 0.2), "c": EmissionSpec(-2.0, 0.0)}
@@ -173,6 +175,8 @@ def mixed_script(seed=5):
         Segment(ts(41), ts(43), {}, walk),
         Segment(ts(43), ts(75), no_b, walk),
         Segment(ts(140), ts(141), full, train),
+        Segment(ts(150), ts(150) + timedelta(seconds=455), full, train),
+        Segment(ts(150) + timedelta(seconds=455), ts(160), no_b, walk),
     )
     return ScenarioScript(seed, 50.0, ("a", "b", "c"), segments)
 
@@ -193,12 +197,24 @@ def reference_readings(script, channel, begin, end):
             for c, v in readings if c == channel]
 
 
+# Ticks per draw: one, a chunk that cuts windows, and the default
+CHUNKS = [1, 7, simulate.CHUNK_TICKS]
+
+
 @pytest.mark.parametrize("minutes", [1.0, 5.0, 30.0])
-def test_run_simulation_matches_reference(minutes, travel_hierarchy, travel_etg, travel_eg):
+def test_run_simulation_matches_reference(
+    minutes, monkeypatch, travel_hierarchy, travel_etg, travel_eg
+):
+    """Windows cut by a chunk, segment or gap edge, and whole windows summed
+    in one reduction, give the reference features bit for bit at every
+    chunk size."""
     script = mixed_script()
     spec = WindowSpec.means(script.channels, minutes)
-    result = run_simulation(script, travel_hierarchy, travel_etg, travel_eg, window_spec=spec)
-    assert_matches_reference(result, script, spec, travel_hierarchy, travel_etg, travel_eg)
+    for chunk_ticks in CHUNKS:
+        monkeypatch.setattr(simulate, "CHUNK_TICKS", chunk_ticks)
+        result = run_simulation(script, travel_hierarchy, travel_etg, travel_eg,
+                                window_spec=spec)
+        assert_matches_reference(result, script, spec, travel_hierarchy, travel_etg, travel_eg)
     # the cases the script is built for all occur: a window with no b, a
     # stretch with no window, and a window whose ticks come from two segments
     windows = reference_windows(script, spec)
@@ -262,14 +278,44 @@ def test_each_segment_is_labelled_once(
 
 @pytest.mark.parametrize("seed", [None, 11])
 def test_run_simulation_matches_reference_on_fixtures(
-    seed, travel_scenario, travel_hierarchy, travel_etg, travel_eg
+    seed, monkeypatch, travel_scenario, travel_hierarchy, travel_etg, travel_eg
 ):
-    for script in (travel_scenario, two_regime_script(n_pairs=3, segment_minutes=7.0)):
-        spec = WindowSpec.means(script.channels, 5.0)
-        result = run_simulation(script, travel_hierarchy, travel_etg, travel_eg,
-                                window_spec=spec, seed=seed)
-        assert_matches_reference(
-            result, script, spec, travel_hierarchy, travel_etg, travel_eg, seed)
+    for chunk_ticks in CHUNKS:
+        monkeypatch.setattr(simulate, "CHUNK_TICKS", chunk_ticks)
+        for script in (travel_scenario, two_regime_script(n_pairs=3, segment_minutes=7.0)):
+            spec = WindowSpec.means(script.channels, 5.0)
+            result = run_simulation(script, travel_hierarchy, travel_etg, travel_eg,
+                                    window_spec=spec, seed=seed)
+            assert_matches_reference(
+                result, script, spec, travel_hierarchy, travel_etg, travel_eg, seed)
+
+
+def test_no_draw_asks_for_more_than_a_chunk(
+    monkeypatch, travel_hierarchy, travel_etg, travel_eg
+):
+    """A day at 1 Hz in one segment is drawn CHUNK_TICKS ticks at a time, so
+    the readings in memory do not grow with the segment's length."""
+    default_rng = np.random.default_rng
+    drawn = []
+
+    class RecordingGenerator:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, size):
+            drawn.append(size[0])
+            return self.rng.standard_normal(size)
+
+    monkeypatch.setattr(np.random, "default_rng", RecordingGenerator)
+    record = two_regime_script().segments[0].record
+    emissions = {"a": EmissionSpec(1.0, 0.1), "b": EmissionSpec(2.0, 0.5)}
+    script = ScenarioScript(2, 1.0, ("a", "b"),
+                            (Segment(ts(0), ts(24 * 60), emissions, record),))
+    result = run_simulation(script, travel_hierarchy, travel_etg, travel_eg,
+                            window_spec=WindowSpec(1.0, ("a", "b")))
+    assert result.metrics["n_windows"] == 24 * 60
+    assert sum(drawn) == 24 * 60 * 60
+    assert max(drawn) <= simulate.CHUNK_TICKS
 
 
 def test_run_simulation_non_finite_reading_names_the_channel(
@@ -418,6 +464,25 @@ def test_run_simulation_refuses_a_window_past_the_last_date_before_drawing(
     result = run_simulation(travel_scenario, travel_hierarchy, travel_etg, travel_eg,
                             window_spec=WindowSpec.means(travel_scenario.channels, 1e6))
     assert result.metrics["n_windows"] == 1
+
+
+def test_run_simulation_refuses_a_window_of_too_many_ticks_before_drawing(
+    travel_hierarchy, travel_etg, travel_eg
+):
+    """At 60 s a tick, a window of MAX_WINDOW_TICKS minutes holds exactly the
+    cap and one a minute longer holds a tick too many. The script's only
+    reading is infinite, so a draw would fail otherwise."""
+    record = two_regime_script().segments[0].record
+    script = ScenarioScript(
+        1, 60.0, ("a",), (Segment(ts(0), ts(10), {"a": EmissionSpec(float("inf"), 0.0)}, record),),
+    )
+    cap = simulate.MAX_WINDOW_TICKS
+    with pytest.raises(ValueError, match=rf"holds {cap + 1} ticks .* MAX_WINDOW_TICKS \({cap}\)"):
+        run_simulation(script, travel_hierarchy, travel_etg, travel_eg,
+                       window_spec=WindowSpec(cap + 1, ("a",)))
+    with pytest.raises(ValueError, match="non-finite reading"):
+        run_simulation(script, travel_hierarchy, travel_etg, travel_eg,
+                       window_spec=WindowSpec(cap, ("a",)))
 
 
 def test_example_pairs_window_features_with_labels(travel_hierarchy, travel_etg, travel_eg):
