@@ -411,6 +411,8 @@ class Config:
 
     def __post_init__(self):
         positive_delta("window_minutes", minutes=self.window_minutes)
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
 
 
 def config_from_dict(doc: Mapping[str, Any], path: Any = "<memory>") -> Config:

@@ -3,15 +3,18 @@ aggregation, query decisions, online training, and logging.
 
 A scenario script plays non-overlapping timeline segments; each segment emits
 Gaussian readings per channel at a fixed tick and declares the stream record
-that is the ground truth while it is active. A segment's readings are drawn
-in chunks of at most CHUNK_TICKS ticks, one random-number call per chunk, in
-the tick-major order of per-reading draws. The windows that open and close
-inside one chunk are summed in one reduction; a window that crosses a chunk,
-segment or gap edge is summed from its pieces. Both sum a channel's readings
-in tick order, so the features do not depend on the chunk size. Each
-segment's truth is labelled, checked for consistency and frozen once; each
-window is scored once, and those scores give its prediction, its query
-decision and its update. Runs are deterministic for a given seed.
+that is the ground truth while it is active. Tick arithmetic cuts each
+segment in three before anything is drawn: the head, the ticks that the
+window still open from earlier segments takes; the whole windows, which open
+and close inside the segment; and the tail, which opens the next window.
+Readings are drawn in that order, tick-major as per-reading draws would be,
+the whole windows at most CHUNK_TICKS ticks (or one window) per
+random-number call. Every window's features come from `aggregate_window`:
+whole windows a draw at a time, the window built from the pieces that a
+segment or gap edge splits once it closes. Each segment's truth is labelled,
+checked for consistency and frozen once; each window is scored once, and
+those scores give its prediction, its query decision and its update. Runs
+are deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -31,15 +34,23 @@ from .learn import OnlinePerceptron, QueryStrategy, labels_from_scores, require_
 from .metrics import evaluate
 from .report import ValidationReport
 
-# Ticks drawn per random-number call: large enough to amortise numpy's
-# per-call cost over many windows, small enough that a segment's readings
-# never sit in memory whole
+# Ticks of whole windows drawn per random-number call (one window when a
+# window holds more): large enough to amortise numpy's per-call cost over
+# many windows, small enough that a segment's readings never sit in memory
+# whole
 CHUNK_TICKS = 4096
 
-# The most ticks one window may hold. A window that crosses a chunk, segment
-# or gap edge keeps every reading until it closes, so this bounds its memory
-# (8 MB per channel) before anything is drawn
+# The most ticks one window may hold. A draw holds one window's readings
+# when a window holds more than CHUNK_TICKS ticks, and a window that a
+# segment or gap edge splits keeps its pieces until it closes, so this
+# bounds their memory (8 MB per channel) before anything is drawn
 MAX_WINDOW_TICKS = 1_000_000
+
+# The most ticks a script may hold, summed over its segments, 23 times a day
+# at 1 Hz. At the cap the travel scenario (60 s ticks, 30-minute windows)
+# simulates in 2.5 s on a 2-vCPU VM; a segment that runs to year 9999 (4.2e9
+# ticks of 60 s) is refused as the script is built, before anything is drawn
+MAX_SCRIPT_TICKS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -86,7 +97,12 @@ class ScenarioScript:
     segments: tuple[Segment, ...]
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
         positive_delta("reading_interval_s", seconds=self.reading_interval_s)
+        repeated = {ch for ch in self.channels if self.channels.count(ch) > 1}
+        if repeated:
+            raise ValueError(f"channels listed more than once: {sorted(repeated)}")
         for prev, cur in zip(self.segments, self.segments[1:]):
             if cur.begin < prev.end:
                 raise ValueError(
@@ -96,11 +112,23 @@ class ScenarioScript:
             unknown = set(seg.emissions) - set(self.channels)
             if unknown:
                 raise ValueError(f"segment emits undeclared channels: {sorted(unknown)}")
+        if sum(self.ticks) > MAX_SCRIPT_TICKS:
+            raise ValueError(
+                f"segments hold {sum(self.ticks)} ticks of {self.reading_interval_s} s, "
+                f"more than MAX_SCRIPT_TICKS ({MAX_SCRIPT_TICKS})"
+            )
 
     @property
     def step(self) -> timedelta:
         """The time between two ticks, exact in microseconds."""
         return timedelta(seconds=self.reading_interval_s)
+
+    @cached_property
+    def ticks(self) -> tuple[int, ...]:
+        """Each segment's tick count: tick k of a segment is its begin +
+        step * k, and ceiling division counts those before its end."""
+        step = self.step
+        return tuple(-((seg.begin - seg.end) // step) for seg in self.segments)
 
 
 @dataclass(frozen=True)
@@ -125,17 +153,21 @@ class WindowSpec:
         return tuple(f"{ch}:{kind}" for ch in self.channels for kind in ("mean", "empty"))
 
 
-def aggregate_window(samples: Mapping[str, np.ndarray], spec: WindowSpec) -> np.ndarray:
-    """Manifest-ordered features of the window, given each channel's readings
-    as one contiguous float64 array in tick order (a strided view is not
-    guaranteed to sum in the same order). A channel with no readings, absent
-    or empty, contributes 0 plus a raised empty flag."""
-    values: list[float] = []
-    for ch in spec.channels:
-        x = samples.get(ch)
-        # sum / size is x.mean() bit for bit, without its dispatch
-        values += (0.0, 1.0) if x is None or x.size == 0 else (float(x.sum()) / x.size, 0.0)
-    return np.asarray(values, dtype=np.float64)
+def aggregate_window(samples: Mapping[str, np.ndarray], spec: WindowSpec, n: int = 1) -> np.ndarray:
+    """Manifest-ordered features of `n` windows, one row each, given each
+    channel's readings as a C-contiguous float64 (n, m) block whose row i
+    holds window i's readings in tick order (a strided view is not
+    guaranteed to sum in the same order). A channel with no readings,
+    absent or with m = 0, contributes 0 plus a raised empty flag."""
+    x = np.zeros((n, len(spec.manifest)))
+    for f, ch in enumerate(spec.channels):
+        block = samples.get(ch)
+        if block is None or block.shape[-1] == 0:
+            x[:, 2 * f + 1] = 1.0
+        else:
+            # each row's sum / m is that row's mean() bit for bit, without its dispatch
+            x[:, 2 * f] = block.sum(axis=-1) / block.shape[-1]
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,59 +272,53 @@ def run_simulation(
 
     rng = np.random.default_rng(effective_seed)
     step = script.step
-    # the open window: its first tick, reading blocks per channel, last tick's truth
+    per_draw = max(1, CHUNK_TICKS // window_ticks)
+    # the open window: its first tick, reading pieces per channel, last tick's truth
     begin: Timestamp | None = None
     pieces: dict[str, list[np.ndarray]] = {}
     y: np.ndarray | None = None
 
-    def flush() -> None:
-        samples = {ch: np.concatenate(blocks) for ch, blocks in pieces.items()}
-        learn_window(begin, aggregate_window(samples, spec), y)
+    def draw(n: int) -> dict[str, np.ndarray]:
+        """The segment's next n ticks, each channel's readings one contiguous row."""
+        # rng.normal(means, stds, size) bit for bit, without its broadcasting
+        block = means + stds * rng.standard_normal((n, len(channels)))
+        if not np.isfinite(block).all():
+            bad = np.argwhere(~np.isfinite(block))[0, 1]
+            raise ValueError(f"non-finite reading on channel {channels[bad]!r}")
+        return dict(zip(channels, np.ascontiguousarray(block.T)))
 
-    for seg, truth in zip(script.segments, truths):
+    def flush() -> None:
+        samples = {ch: np.concatenate(p).reshape(1, -1) for ch, p in pieces.items()}
+        learn_window(begin, aggregate_window(samples, spec)[0], y)
+
+    for seg, n_ticks, truth in zip(script.segments, script.ticks, truths):
         channels = [ch for ch in script.channels if ch in seg.emissions]
         means = np.array([seg.emissions[ch].mean for ch in channels], dtype=np.float64)
         stds = np.array([seg.emissions[ch].std for ch in channels], dtype=np.float64)
-        # a whole window's features: the mean of each channel the segment
-        # emits, and 0 and a raised empty flag for each it does not
-        mean_rows = [channels.index(ch) for ch in spec.channels if ch in seg.emissions]
-        mean_cols = [2 * f for f, ch in enumerate(spec.channels) if ch in seg.emissions]
-        empty_cols = [2 * f + 1 for f, ch in enumerate(spec.channels) if ch not in seg.emissions]
-        # tick k is seg.begin + step * k; ceiling division counts the ticks before seg.end
-        n_ticks = -((seg.begin - seg.end) // step)
-        for k0 in range(0, n_ticks, CHUNK_TICKS):
-            k1 = min(n_ticks, k0 + CHUNK_TICKS)
-            # rng.normal(means, stds, size) bit for bit, without its broadcasting
-            block = means + stds * rng.standard_normal((k1 - k0, len(channels)))
-            if not np.isfinite(block).all():
-                bad = np.argwhere(~np.isfinite(block))[0, 1]
-                raise ValueError(f"non-finite reading on channel {channels[bad]!r}")
-            rows = np.ascontiguousarray(block.T)  # a channel's readings are one row
-            k = k0
-            while k < k1:
-                ts = seg.begin + step * k
-                if begin is None or ts - begin >= window_len:
-                    if begin is not None:
-                        flush()
-                    # whole windows open here, each closed by a later tick of this chunk
-                    q = (k1 - 1 - k) // window_ticks
-                    if q:
-                        sums = rows[:, k - k0:k - k0 + q * window_ticks].reshape(
-                            len(channels), q, window_ticks).sum(axis=2)
-                        x = np.zeros((q, len(spec.manifest)))
-                        x[:, mean_cols] = sums[mean_rows].T / window_ticks
-                        x[:, empty_cols] = 1.0
-                        for j in range(q):
-                            learn_window(seg.begin + step * (k + j * window_ticks), x[j], truth)
-                        k += q * window_ticks
-                        begin = None
-                        continue
-                    begin, pieces = ts, {}
-                stop = min(k1, -((seg.begin - (begin + window_len)) // step))
-                for c, ch in enumerate(channels):
-                    pieces.setdefault(ch, []).append(rows[c, k - k0:stop - k0])
-                y = truth
-                k = stop
+        # head: the ticks before the open window's end
+        head = 0 if begin is None else min(
+            n_ticks, max(0, -((seg.begin - (begin + window_len)) // step)))
+        if head:
+            for ch, row in draw(head).items():
+                pieces.setdefault(ch, []).append(row)
+            y = truth
+        if head == n_ticks:
+            continue
+        if begin is not None:
+            flush()
+        # whole windows: each leaves at least one tick of the segment after it,
+        # so the next segment's ticks can never belong to it
+        q = (n_ticks - 1 - head) // window_ticks
+        for j0 in range(0, q, per_draw):
+            n = min(per_draw, q - j0)
+            rows = {ch: r.reshape(n, window_ticks) for ch, r in draw(n * window_ticks).items()}
+            x = aggregate_window(rows, spec, n)
+            for j in range(n):
+                learn_window(seg.begin + step * (head + (j0 + j) * window_ticks), x[j], truth)
+        # tail: opens the next window
+        k = head + q * window_ticks
+        begin, y = seg.begin + step * k, truth
+        pieces = {ch: [row] for ch, row in draw(n_ticks - k).items()}
     if begin is not None:
         flush()
 

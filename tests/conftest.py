@@ -158,7 +158,15 @@ MALFORMED = {
         _fixture_doc("travel_scenario.json", seed=7.9)), None),
     "scenario-seed-boolean": ("scenario", json.dumps(
         _fixture_doc("travel_scenario.json", seed=True)), None),
+    "scenario-seed-negative": ("scenario", json.dumps(
+        _fixture_doc("travel_scenario.json", seed=-1)), None),
+    "scenario-channels-repeated": ("scenario", json.dumps(_fixture_doc(
+        "travel_scenario.json", channels=["accelerometer_magnitude", "bluetooth_count",
+                                          "gps_speed", "accelerometer_magnitude"])), None),
+    "scenario-ticks-past-the-cap": ("scenario", _scenario_with(
+        lambda doc: doc["segments"][-1].update(end="9999-12-31T23:00:00+00:00")), None),
     "config-seed-not-integer": ("config", json.dumps({"format": "config/1", "seed": 7.9}), None),
+    "config-seed-negative": ("config", json.dumps({"format": "config/1", "seed": -3}), None),
     "config-seed-boolean": ("config", json.dumps({"format": "config/1", "seed": True}), None),
     "etg-not-utf-8": ("etg", (FIXTURES / "travel_etg.json").read_text().replace(
         '"Person"', f'"Pers{NOT_UTF8}on"', 1), 5),

@@ -264,14 +264,49 @@ def test_simulate_rejects_a_reading_interval_out_of_range(tmp_path, case):
 
 def test_simulate_refuses_a_window_of_too_many_ticks(tmp_path):
     """At a 1 us tick the default 30-minute window holds 1.8e9 ticks, 40 GiB
-    of readings for three channels; it is refused before any is drawn."""
+    of readings for three channels; it is refused before any is drawn. Each
+    segment lasts one second, so the script stays under MAX_SCRIPT_TICKS."""
     scenario = tmp_path / "scenario.json"
     doc = json.loads((FIXTURES / "travel_scenario.json").read_text())
+    doc["segments"][0]["end"] = "2021-06-02T12:00:01+00:00"
+    doc["segments"][1]["end"] = "2021-06-02T12:30:01+00:00"
     scenario.write_text(json.dumps({**doc, "reading_interval_s": 0.000001}))
     done = _simulate_in_child("simulate", "--scenario", str(scenario))
     assert done.returncode == 2, done.stderr
     assert "holds 1800000000 ticks" in done.stderr and "MAX_WINDOW_TICKS" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+# case -> what the message names
+REFUSED_BEFORE_DRAWING = {
+    "scenario-channels-repeated": "channels listed more than once: ['accelerometer_magnitude']",
+    "scenario-seed-negative": "seed must be >= 0, not -1",
+    "scenario-ticks-past-the-cap": "more than MAX_SCRIPT_TICKS",
+    "config-seed-negative": "seed must be >= 0, not -3",
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_BEFORE_DRAWING)
+def test_simulate_refuses_a_scenario_or_config_that_validate_refuses(tmp_path, case):
+    """A repeated channel would be drawn twice per tick, a negative seed
+    reaches numpy's bare "expected non-negative integer", and a last
+    segment that ends in year 9999 holds 4.2e9 ticks of 60 s: each is
+    refused as the document loads."""
+    kind, text, _ = MALFORMED[case]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(text)
+    if kind == "scenario":
+        done = _simulate_in_child("simulate", "--scenario", str(path))
+    else:
+        done = _simulate_in_child("--config", str(path), "simulate", "--scenario", SCENARIO)
+    assert done.returncode == 2, done.stderr
+    assert REFUSED_BEFORE_DRAWING[case] in done.stderr and "Traceback" not in done.stderr
+
+
+def test_simulate_refuses_a_negative_seed_flag(capsys):
+    assert main(["--seed", "-4", "simulate", "--scenario", SCENARIO,
+                 "--etg", ETG, "--eg", EG_PATH]) == 2
+    assert "error: seed must be >= 0, not -4" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("minutes", ["1e-9", "1e300", "1e10", "nan"])

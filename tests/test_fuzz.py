@@ -1,10 +1,12 @@
 """Seeded fuzzing of the loaders and of `validate`: every mutated fixture
 either loads or raises a ContextStreamError, and `contextstream validate`
 exits 0 or 2 on it; a run log, hierarchy or config that loads also goes
-through `evaluate`, `export-dot` or a `simulate` on the travel fixture, and
-an ETG or EG that loads through `compile` and `simulate` against the other
-travel document, which exit 0 or 2 as well (run with -s to see the PASS
-line on success). Mutants of the golden metrics document, drawn from their
+through `evaluate`, `export-dot` or a `simulate` on the travel fixture, a
+scenario that loads through `simulate` on the travel ETG and EG, and an ETG
+or EG that loads through `compile` and `simulate` against the other travel
+document, which exit 0 or 2 as well (run with -s to see the PASS line on
+success). A scenario that loads holds at most `simulate.MAX_SCRIPT_TICKS`
+ticks, which bounds each of its runs. Mutants of the golden metrics document, drawn from their
 own seed, make `validate` exit 2 exactly when `io.load_metrics` refuses
 them."""
 
@@ -147,6 +149,7 @@ def test_mutated_documents_load_or_raise_format_errors(tmp_path, capsys):
         "run.jsonl": lambda p: [["evaluate", "--log", p]],
         "hierarchy.json": lambda p: [["export-dot", "--out", str(tmp_path / "h.dot"), p]],
         "config.json": lambda p: [["--config", p, *SIMULATE_TRAVEL]],
+        "scenario.json": lambda p: [["simulate", "--scenario", p, "--etg", etg, "--eg", eg]],
         "etg.json": lambda p: compile_and_simulate(p, eg),
         "eg.json": lambda p: compile_and_simulate(etg, p),
     }

@@ -97,7 +97,21 @@ def test_script_rejects_an_interval_that_rounds_to_no_time():
     for interval in (1e-7, 0.0, -60.0):
         with pytest.raises(ValueError, match="microsecond"):
             ScenarioScript(1, interval, ("a",), (seg,))
-    assert ScenarioScript(1, 1e-6, ("a",), (seg,)).step == timedelta(microseconds=1)
+    # a second of 1 us ticks: the 30-minute segment would hold more than MAX_SCRIPT_TICKS
+    second = replace(seg, end=ts(0) + timedelta(seconds=1))
+    assert ScenarioScript(1, 1e-6, ("a",), (second,)).step == timedelta(microseconds=1)
+
+
+def test_script_refuses_more_ticks_than_the_cap():
+    """A segment's ticks are counted with the ceiling: MAX_SCRIPT_TICKS
+    minutes at 60 s a tick hold the cap, and 30 s more hold one tick more."""
+    cap = simulate.MAX_SCRIPT_TICKS
+    record = StreamRecord(ts=T0)
+    at_cap = Segment(ts(0), ts(cap), {}, record)
+    assert ScenarioScript(1, 60.0, (), (at_cap,)).ticks == (cap,)
+    after = Segment(ts(cap + 1), ts(cap + 1.5), {}, record)
+    with pytest.raises(ValueError, match=rf"hold {cap + 1} ticks .* MAX_SCRIPT_TICKS \({cap}\)"):
+        ScenarioScript(1, 60.0, (), (at_cap, after))
 
 
 def script_ending_with(record):
@@ -197,7 +211,8 @@ def reference_readings(script, channel, begin, end):
             for c, v in readings if c == channel]
 
 
-# Ticks per draw: one, a chunk that cuts windows, and the default
+# Ticks per draw of whole windows: one window a draw, a few short windows a
+# draw, and the default
 CHUNKS = [1, 7, simulate.CHUNK_TICKS]
 
 
@@ -205,9 +220,9 @@ CHUNKS = [1, 7, simulate.CHUNK_TICKS]
 def test_run_simulation_matches_reference(
     minutes, monkeypatch, travel_hierarchy, travel_etg, travel_eg
 ):
-    """Windows cut by a chunk, segment or gap edge, and whole windows summed
-    in one reduction, give the reference features bit for bit at every
-    chunk size."""
+    """Heads that close a window open from earlier segments, whole windows
+    summed a draw at a time, and tails that open the next window give the
+    reference features bit for bit at every chunk size."""
     script = mixed_script()
     spec = WindowSpec.means(script.channels, minutes)
     for chunk_ticks in CHUNKS:
@@ -290,11 +305,20 @@ def test_run_simulation_matches_reference_on_fixtures(
                 result, script, spec, travel_hierarchy, travel_etg, travel_eg, seed)
 
 
+def day_at_1hz():
+    """A day at 1 Hz in one segment."""
+    record = two_regime_script().segments[0].record
+    emissions = {"a": EmissionSpec(1.0, 0.1), "b": EmissionSpec(2.0, 0.5)}
+    return ScenarioScript(2, 1.0, ("a", "b"), (Segment(ts(0), ts(24 * 60), emissions, record),))
+
+
 def test_no_draw_asks_for_more_than_a_chunk(
     monkeypatch, travel_hierarchy, travel_etg, travel_eg
 ):
-    """A day at 1 Hz in one segment is drawn CHUNK_TICKS ticks at a time, so
-    the readings in memory do not grow with the segment's length."""
+    """A day at 1 Hz in one segment is drawn CHUNK_TICKS ticks at a time, or
+    one window at a time when a window holds more (a 2-hour window holds
+    7,200 ticks), so the readings in memory do not grow with the segment's
+    length."""
     default_rng = np.random.default_rng
     drawn = []
 
@@ -307,15 +331,34 @@ def test_no_draw_asks_for_more_than_a_chunk(
             return self.rng.standard_normal(size)
 
     monkeypatch.setattr(np.random, "default_rng", RecordingGenerator)
-    record = two_regime_script().segments[0].record
-    emissions = {"a": EmissionSpec(1.0, 0.1), "b": EmissionSpec(2.0, 0.5)}
-    script = ScenarioScript(2, 1.0, ("a", "b"),
-                            (Segment(ts(0), ts(24 * 60), emissions, record),))
-    result = run_simulation(script, travel_hierarchy, travel_etg, travel_eg,
+    for minutes in (1, 120):
+        drawn.clear()
+        result = run_simulation(day_at_1hz(), travel_hierarchy, travel_etg, travel_eg,
+                                window_spec=WindowSpec(minutes, ("a", "b")))
+        assert result.metrics["n_windows"] == 24 * 60 // minutes
+        assert sum(drawn) == 24 * 60 * 60
+        assert max(drawn) <= max(simulate.CHUNK_TICKS, 60 * minutes)
+
+
+def test_only_the_window_at_the_segment_end_is_built_from_pieces(
+    monkeypatch, travel_hierarchy, travel_etg, travel_eg
+):
+    """On a day at 1 Hz in one segment, every 1-minute window's features
+    come from aggregate_window: the 1,439 whole windows CHUNK_TICKS // 60
+    per call, and the last, which the segment's end cuts, alone from its
+    pieces."""
+    calls = []
+
+    def counted(samples, spec, n=1):
+        calls.append(n)
+        return aggregate_window(samples, spec, n)
+
+    monkeypatch.setattr(simulate, "aggregate_window", counted)
+    result = run_simulation(day_at_1hz(), travel_hierarchy, travel_etg, travel_eg,
                             window_spec=WindowSpec(1.0, ("a", "b")))
-    assert result.metrics["n_windows"] == 24 * 60
-    assert sum(drawn) == 24 * 60 * 60
-    assert max(drawn) <= simulate.CHUNK_TICKS
+    assert sum(calls) == result.metrics["n_windows"] == 24 * 60
+    per_call = simulate.CHUNK_TICKS // 60
+    assert calls == [per_call] * (1439 // per_call) + [1439 % per_call, 1]
 
 
 def test_run_simulation_non_finite_reading_names_the_channel(
@@ -395,20 +438,25 @@ def test_window_spanning_two_segments_takes_the_last_ticks_label(
 
 def test_aggregate_mean_example():
     spec = WindowSpec(30.0, ("bluetooth_count",))
-    x = aggregate_window({"bluetooth_count": np.array([3.0, 5.0, 4.0])}, spec)
+    x = aggregate_window({"bluetooth_count": np.array([[3.0, 5.0, 4.0]])}, spec)
     assert spec.manifest == ("bluetooth_count:mean", "bluetooth_count:empty")
     assert x.dtype == np.float64
-    assert x.tolist() == [4.0, 0.0]
+    assert x.tolist() == [[4.0, 0.0]]
+    # n windows of m readings each give n rows, one per window
+    two = aggregate_window({"bluetooth_count": np.array([[3.0, 5.0, 4.0], [1.0, 2.0, 6.0]])},
+                           spec, 2)
+    assert two.tolist() == [[4.0, 0.0], [3.0, 0.0]]
 
 
 def test_aggregate_empty_window_zeros_and_flags():
     spec = WindowSpec(30.0, ("b", "a"))
     assert spec.manifest == ("a:mean", "a:empty", "b:mean", "b:empty")
-    for samples in ({}, {"a": np.empty(0), "b": np.empty(0)}):
-        assert aggregate_window(samples, spec).tolist() == [0.0, 1.0, 0.0, 1.0]
+    for samples in ({}, {"a": np.empty((1, 0)), "b": np.empty((1, 0))}):
+        assert aggregate_window(samples, spec).tolist() == [[0.0, 1.0, 0.0, 1.0]]
+    assert aggregate_window({}, spec, 2).tolist() == [[0.0, 1.0, 0.0, 1.0]] * 2
     # a channel outside the spec is ignored; one without readings is flagged
-    x = aggregate_window({"b": np.array([2.0, 4.0]), "z": np.array([9.0])}, spec)
-    assert x.tolist() == [0.0, 1.0, 3.0, 0.0]
+    x = aggregate_window({"b": np.array([[2.0, 4.0]]), "z": np.array([[9.0]])}, spec)
+    assert x.tolist() == [[0.0, 1.0, 3.0, 0.0]]
 
 
 def test_aggregate_matches_independent_recompute(travel_scenario):
@@ -417,14 +465,14 @@ def test_aggregate_matches_independent_recompute(travel_scenario):
         r for t, readings, _ in reference_ticks(travel_scenario) if t < ts(30) for r in readings
     ]
     samples = {
-        ch: np.array([v for c, v in first_window if c == ch]) for ch in travel_scenario.channels
+        ch: np.array([[v for c, v in first_window if c == ch]]) for ch in travel_scenario.channels
     }
     x = aggregate_window(samples, spec)
-    assert x.shape == (2 * len(travel_scenario.channels),)
+    assert x.shape == (1, 2 * len(travel_scenario.channels))
     for ch in travel_scenario.channels:
         values = [v for c, v in first_window if c == ch]
-        assert x[spec.manifest.index(f"{ch}:mean")] == pytest.approx(sum(values) / len(values))
-        assert x[spec.manifest.index(f"{ch}:empty")] == 0.0
+        assert x[0, spec.manifest.index(f"{ch}:mean")] == pytest.approx(sum(values) / len(values))
+        assert x[0, spec.manifest.index(f"{ch}:empty")] == 0.0
 
 
 def test_window_spec_validation():
@@ -487,11 +535,11 @@ def test_run_simulation_refuses_a_window_of_too_many_ticks_before_drawing(
 
 def test_example_pairs_window_features_with_labels(travel_hierarchy, travel_etg, travel_eg):
     spec = WindowSpec(30.0, ("bluetooth_count",))
-    x = aggregate_window({"bluetooth_count": np.array([4.0])}, spec)
+    x = aggregate_window({"bluetooth_count": np.array([[4.0]])}, spec)
     record = StreamRecord(ts=ts(30), location="train_1", event="take_train",
                           super_event="travel_1")
     y = labels_from_eg(travel_hierarchy, snapshot_eg(travel_eg, record, travel_etg), travel_etg)
-    assert x.tolist() == [4.0, 0.0]
+    assert x.tolist() == [[4.0, 0.0]]
     assert check_consistency(travel_hierarchy, y) == []
 
 
