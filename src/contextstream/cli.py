@@ -1,5 +1,9 @@
 """Command-line surface.
 
+`compile`, `simulate` and `snapshot` refuse an EG that does not conform to
+its ETG before writing anything. `validate` loads each document through
+`io.load_document`, which routes it by its format tag.
+
 Exit codes: 0 success, 1 I/O or usage errors, 2 validation or compilation
 failures.
 """
@@ -19,6 +23,7 @@ from .errors import ContextStreamError, FormatError
 from .hierarchy import compile_hierarchy, validate_hierarchy
 from .kg import COLLAPSE_PROPERTIES, check_observer, containment_from_eg, snapshot_eg, validate_eg
 from .learn import QueryStrategy
+from .metrics import session_metrics
 from .report import ValidationReport
 from .simulate import WindowSpec, run_simulation
 
@@ -97,15 +102,18 @@ def _load_config(args) -> io.Config:
     return config
 
 
-def _cmd_compile(args, config: io.Config) -> int:
+def _load_graphs(args):
+    """(ETG, EG) as `args` name them; ValueError unless the EG conforms."""
     etg = io.load_etg(args.etg)
     eg = io.load_eg(args.eg, etg)
     report = validate_eg(etg, eg)
     if not report.ok:
-        print("EG does not conform to the ETG:", file=sys.stderr)
-        for finding in report:
-            print(f"  {finding}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError("EG does not conform to the ETG: " + report.summary())
+    return etg, eg
+
+
+def _cmd_compile(args, config: io.Config) -> int:
+    etg, eg = _load_graphs(args)
     q = [s for s in args.q.split(",") if s] if args.q is not None else None
     collapse = (
         [s for s in args.collapse.split(",") if s]
@@ -121,35 +129,8 @@ def _cmd_compile(args, config: io.Config) -> int:
 
 
 def _validate_one(path: str) -> ValidationReport:
-    report = ValidationReport()
-    if path.endswith(".jsonl"):
-        # JSONL streams and run logs validate by loading; the header names the kind
-        if io.jsonl_format(path) == io.FORMATS["runlog"]:
-            io.load_runlog(path)
-        else:
-            io.load_stream(path)
-        return report
-    doc = io._read_json(path)
-    with io._Malformed(path, "document"):
-        tag = doc.get("format", "")
-    kind = tag.partition("/")[0] if isinstance(tag, str) else ""
-    if kind == "etg":
-        io.etg_from_dict(doc, path)
-    elif kind == "eg":
-        # structural checks only without a schema; conformance runs in compile
-        io.eg_from_dict(doc, path=path)
-    elif kind == "hierarchy":
-        h = io.hierarchy_from_dict(doc, path)
-        report.extend(validate_hierarchy(h))
-    elif kind == "scenario":
-        io.scenario_from_dict(doc, path)
-    elif kind == "config":
-        io.config_from_dict(doc, path)
-    elif kind == "metrics":
-        io.metrics_from_dict(doc, path)
-    else:
-        raise FormatError(path, f"unrecognized format tag {tag!r}")
-    return report
+    kind, doc = io.load_document(path)
+    return validate_hierarchy(doc) if kind == "hierarchy" else ValidationReport()
 
 
 def _cmd_validate(args, config: io.Config) -> int:
@@ -171,13 +152,10 @@ def _cmd_validate(args, config: io.Config) -> int:
 
 
 def _cmd_simulate(args, config: io.Config) -> int:
-    etg = io.load_etg(args.etg)
-    eg = io.load_eg(args.eg, etg)
-    report = validate_eg(etg, eg)
-    if not report.ok:
-        print("EG does not conform to the ETG: " + report.summary(), file=sys.stderr)
-        return EXIT_VALIDATION
+    etg, eg = _load_graphs(args)
     script = io.load_scenario(args.scenario)
+    if config.seed is not None:
+        script = dataclasses.replace(script, seed=config.seed)
     if args.hierarchy:
         h = io.load_hierarchy(args.hierarchy)
         report = validate_hierarchy(h, etg, eg)
@@ -198,7 +176,6 @@ def _cmd_simulate(args, config: io.Config) -> int:
         eg,
         window_spec=WindowSpec.means(script.channels, window_minutes),
         strategy=strategy,
-        seed=config.seed,
     )
     if args.out_log:
         io.save_runlog(args.out_log, result.node_order, result.manifest, result.seed, result.events)
@@ -212,12 +189,8 @@ def _cmd_simulate(args, config: io.Config) -> int:
 
 
 def _cmd_evaluate(args, config: io.Config) -> int:
-    from .metrics import evaluate
-
     header, preds, truths, events = io.load_runlog(args.log)
-    metrics = evaluate(preds, truths, node_ids=header["nodes"])
-    metrics["n_windows"] = len(preds)
-    metrics["n_queries"] = sum(e["queried"] for e in events)
+    metrics = session_metrics(preds, truths, [e["queried"] for e in events], header["nodes"])
     if args.out:
         io.save_metrics(args.out, metrics)
         print(f"metrics -> {args.out}")
@@ -238,8 +211,7 @@ def _cmd_export_dot(args, config: io.Config) -> int:
 
 
 def _cmd_snapshot(args, config: io.Config) -> int:
-    etg = io.load_etg(args.etg)
-    eg = io.load_eg(args.eg, etg)
+    etg, eg = _load_graphs(args)
     containment = containment_from_eg(eg, etg)
     stream = io.load_stream(args.stream, containment)
     out_dir = Path(args.out_dir)

@@ -140,6 +140,24 @@ class Containment:
     def _event_parents(self) -> frozenset[str]:
         return frozenset(self.event_parent.values())
 
+    def check_record(self, r: StreamRecord) -> None:
+        """Raise SuperChainError when a record's declared super location or
+        super event is not on its location's or event's known chain."""
+        if r.location is not None and r.super_location is not None:
+            chain = _known_chain(r.location, self.location_parent, self._location_parents)
+            if chain is not None and r.super_location not in chain:
+                raise SuperChainError(
+                    f"location {r.location!r}: parent chain {list(chain)} "
+                    f"does not contain declared super location {r.super_location!r}"
+                )
+        if r.event is not None and r.super_event is not None:
+            chain = _known_chain(r.event, self.event_parent, self._event_parents)
+            if chain is not None and r.super_event not in chain:
+                raise SuperChainError(
+                    f"event {r.event!r}: super chain {list(chain)} "
+                    f"does not contain declared super event {r.super_event!r}"
+                )
+
 
 def super_of(entity_id: str, parents: Mapping[str, str]) -> tuple[str, ...]:
     """Ancestor chain of `entity_id`, immediate parent first.
@@ -171,24 +189,6 @@ def _known_chain(entity_id: str, parents: Mapping[str, str],
     if entity_id in parents:
         return super_of(entity_id, parents)
     return () if entity_id in parent_ids else None
-
-
-def _validate_record_chains(r: StreamRecord, containment: Containment) -> None:
-    if r.location is not None and r.super_location is not None:
-        chain = _known_chain(r.location, containment.location_parent,
-                             containment._location_parents)
-        if chain is not None and r.super_location not in chain:
-            raise SuperChainError(
-                f"location {r.location!r}: parent chain {list(chain)} "
-                f"does not contain declared super location {r.super_location!r}"
-            )
-    if r.event is not None and r.super_event is not None:
-        chain = _known_chain(r.event, containment.event_parent, containment._event_parents)
-        if chain is not None and r.super_event not in chain:
-            raise SuperChainError(
-                f"event {r.event!r}: super chain {list(chain)} "
-                f"does not contain declared super event {r.super_event!r}"
-            )
 
 
 def _top_event(r: StreamRecord, containment: Containment | None) -> str | None:

@@ -29,13 +29,8 @@ def _is_action_entity(node, etg: ETG | None, eg: EG | None) -> bool:
     entity_id = str(node.source_ref)
     if not eg.has_entity(entity_id):
         return False
-    etype_id = eg.entity(entity_id).etype
-    cur = etype_id
-    while cur is not None and cur in etg.etypes:
-        if etg.etypes[cur].name.lower() == ACTION_ETYPE_NAME:
-            return True
-        cur = etg.etypes[cur].parent
-    return False
+    lineage = etg.lineage.get(eg.entity(entity_id).etype, ())
+    return any(etg.etypes[et_id].name.lower() == ACTION_ETYPE_NAME for et_id in lineage)
 
 
 def _escape(s: str) -> str:

@@ -226,9 +226,7 @@ def compile_hierarchy(
             raise ValueError(f"{known.source_ref} and {node.source_ref} both compile to the "
                              f"node id {node.id!r}")
 
-    me_entities = {
-        e.id for e in eg.entities if e.etype in etg.etypes and etg.is_subtype(e.etype, etg.me_etype)
-    }
+    me_entities = {e.id for e in eg.entities if etg.is_observer(e.etype)}
 
     for et_id in sorted(etg.etypes):
         if et_id == etg.me_etype:
@@ -397,8 +395,7 @@ def validate_hierarchy(
                 report.add("dangling-source-ref", str(exc), node.id)
     if etg is not None and eg is not None:
         for e in eg.entities:
-            observer = e.etype in etg.etypes and etg.is_subtype(e.etype, etg.me_etype)
-            if not observer and (NodeKind.ENTITY, e.id) not in seen:
+            if not etg.is_observer(e.etype) and (NodeKind.ENTITY, e.id) not in seen:
                 report.add("missing-node", f"entity {e.id!r} has no node", entity_node_id(e.id))
         for t in eg.triples:
             ref = (t.property, t.subject, t.object)

@@ -3,8 +3,9 @@ hierarchies, scenarios and configuration, JSONL for streams and run logs.
 
 Every document carries a `format` tag (`<kind>/<version>`); loaders reject
 unknown kinds and versions, and any other malformed document, with a
-FormatError. The program writes only EGs, hierarchies, run logs and metrics;
-for those four formats, saving then loading yields equal objects.
+FormatError; `load_document` loads any of them, routed by that tag alone.
+The program writes only EGs, hierarchies, run logs and metrics; for those
+four formats, saving then loading yields equal objects.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .core import (
     StreamRecord,
     StreamingContext,
     Timestamp,
-    _validate_record_chains,
     format_timestamp,
     parse_timestamp,
 )
@@ -33,7 +33,8 @@ from .errors import FormatError
 from .hierarchy import ConceptNode, Hierarchy, NodeKind
 from .kg import EG, ETG, DataPropertyDef, Entity, EntityType, ObjectPropertyDef, PropertyValue
 from .learn import QueryStrategy
-from .simulate import EmissionSpec, ScenarioScript, Segment, WindowEvent, positive_delta
+from .simulate import (DEFAULT_WINDOW_MINUTES, EmissionSpec, ScenarioScript, Segment,
+                       WindowEvent, positive_delta)
 
 FORMATS = {
     "etg": "etg/1",
@@ -128,12 +129,12 @@ def _id(value: Any, what: str) -> str | None:
     return value
 
 
-def jsonl_format(path: str | Path) -> Any:
-    """The `format` tag of a JSONL file's header (its first non-blank line);
-    None when the file is blank or the header is not an object."""
-    for _, header in _jsonl_docs(path):
-        return header.get("format") if isinstance(header, Mapping) else None
-    return None
+def _coordinates(d: Mapping[str, Any]) -> Coordinates:
+    frame = d.get("frame", "local")
+    if type(frame) is not str:
+        raise TypeError("a coordinates frame must be a string")
+    return Coordinates(_number(d["x"], "coordinate x"), _number(d["y"], "coordinate y"),
+                       _number(d["z"], "coordinate z"), frame)
 
 
 def dumps_canonical(doc: Any) -> str:
@@ -193,7 +194,7 @@ def _value_to_json(v: Any) -> Any:
 
 def _value_from_json(datatype: str, v: Any) -> Any:
     if datatype == "coordinates" and isinstance(v, Mapping):
-        return Coordinates(v["x"], v["y"], v["z"], v.get("frame", "local"))
+        return _coordinates(v)
     if datatype == "timestamp" and isinstance(v, str):
         return parse_timestamp(v)
     return v
@@ -255,12 +256,6 @@ def save_eg(path: str | Path, eg: EG) -> None:
 
 # -- stream records (JSONL) ---------------------------------------------
 
-def _coordinates_from_json(d: Any) -> Coordinates | None:
-    if d is None:
-        return None
-    return Coordinates(d["x"], d["y"], d["z"], d.get("frame", "local"))
-
-
 def _function(d: Mapping[str, Any]) -> FunctionAssignment:
     return FunctionAssignment(
         function_name=_id(d["function"], "function"),
@@ -273,13 +268,14 @@ def _record_from_json(d: Mapping[str, Any], ts: Timestamp | None = None) -> Stre
     my_actions = d.get("my_actions")
     persons = d.get("persons")
     objects = d.get("objects")
+    coo_me = d.get("coo_me")
     return StreamRecord(
         ts=ts if ts is not None else parse_timestamp(d["ts"]),
         super_location=_id(d.get("super_location"), "super_location"),
         super_event=_id(d.get("super_event"), "super_event"),
         location=_id(d.get("location"), "location"),
         event=_id(d.get("event"), "event"),
-        coo_me=_coordinates_from_json(d.get("coo_me")),
+        coo_me=_coordinates(coo_me) if coo_me is not None else None,
         my_actions=frozenset(_strings(my_actions, "my_actions"))
         if my_actions is not None
         else None,
@@ -313,7 +309,7 @@ def load_stream(path: str | Path, containment: Containment | None = None) -> Str
             where.line = lineno
             record = _record_from_json(doc)
             if containment is not None:
-                _validate_record_chains(record, containment)
+                containment.check_record(record)
             records.append(record)
     return StreamingContext(tuple(records))
 
@@ -405,7 +401,7 @@ CONFIG_KEYS = {"format", "near_threshold_m", "window_minutes", "strategy", "seed
 
 @dataclass(frozen=True)
 class Config:
-    window_minutes: float = 30.0
+    window_minutes: float = DEFAULT_WINDOW_MINUTES
     strategy: QueryStrategy = QueryStrategy("always")
     seed: int | None = None
 
@@ -425,7 +421,8 @@ def config_from_dict(doc: Mapping[str, Any], path: Any = "<memory>") -> Config:
             raise ValueError("near_threshold_m must be positive")
         strategy = doc.get("strategy", {"kind": "always"})
         return Config(
-            window_minutes=_number(doc.get("window_minutes", 30.0), "window_minutes"),
+            window_minutes=_number(doc.get("window_minutes", Config.window_minutes),
+                                   "window_minutes"),
             strategy=QueryStrategy(kind=strategy.get("kind", "always"),
                                    tau=_number(strategy.get("tau", 0.0), "strategy tau")),
             seed=_integer(doc["seed"], "seed") if doc.get("seed") is not None else None,
@@ -558,3 +555,33 @@ def metrics_from_dict(doc: Mapping[str, Any], path: Any = "<memory>") -> dict:
 
 def load_metrics(path: str | Path) -> dict:
     return metrics_from_dict(_read_json(path), path)
+
+
+# -- any document ----------------------------------------------------------
+
+_FROM_DICT = {
+    "etg": etg_from_dict,
+    "eg": eg_from_dict,
+    "hierarchy": hierarchy_from_dict,
+    "scenario": scenario_from_dict,
+    "config": config_from_dict,
+    "metrics": metrics_from_dict,
+}
+
+
+def load_document(path: str | Path) -> tuple[str, Any]:
+    """(kind, loaded object) of the document at `path`: a `.jsonl` file is a
+    run log when its header has the run-log tag, else a stream; a JSON one
+    goes by the tag's kind, and an EG loads without a schema."""
+    if str(path).endswith(".jsonl"):
+        header = next((doc for _, doc in _jsonl_docs(path)), None)
+        if isinstance(header, Mapping) and header.get("format") == FORMATS["runlog"]:
+            return "runlog", load_runlog(path)
+        return "stream", load_stream(path)
+    doc = _read_json(path)
+    with _Malformed(path, "document"):
+        tag = doc.get("format", "")
+    kind = tag.partition("/")[0] if isinstance(tag, str) else ""
+    if kind not in _FROM_DICT:
+        raise FormatError(path, f"unrecognized format tag {tag!r}")
+    return kind, _FROM_DICT[kind](doc, path=path)

@@ -102,8 +102,12 @@ class ETG:
         parent_map = {
             et.id: et.parent for et in self.etypes.values() if et.parent is not None
         }
-        for et_id in parent_map:
-            super_of(et_id, parent_map)  # raises CycleError on inheritance cycles
+        # each etype, then its ancestors nearest first; super_of raises
+        # CycleError on an inheritance cycle
+        self.lineage: dict[str, tuple[str, ...]] = {
+            et_id: (et_id, *super_of(et_id, parent_map)) if et_id in parent_map else (et_id,)
+            for et_id in self.etypes
+        }
         self._effective: dict[str, dict[str, DataPropertyDef]] = {}
         for et_id in self.etypes:
             self._effective[et_id] = self._build_effective(et_id)
@@ -117,15 +121,10 @@ class ETG:
             self.q = q
 
     def _build_effective(self, etype_id: str) -> dict[str, DataPropertyDef]:
-        chain: list[EntityType] = []
-        cur: Optional[str] = etype_id
-        while cur is not None:
-            chain.append(self.etypes[cur])
-            cur = self.etypes[cur].parent
         merged: dict[str, DataPropertyDef] = {}
         # walk from the topmost ancestor down so collisions name the culprit
-        for et in reversed(chain):
-            for dp in et.data_properties:
+        for et_id in reversed(self.lineage[etype_id]):
+            for dp in self.etypes[et_id].data_properties:
                 if dp.name in merged:
                     raise ValueError(
                         f"etype {etype_id!r}: data property {dp.name!r} collides "
@@ -153,12 +152,12 @@ class ETG:
 
     def is_subtype(self, etype_id: str, ancestor_id: str) -> bool:
         """True when etype_id is ancestor_id or inherits from it."""
-        cur: Optional[str] = etype_id
-        while cur is not None:
-            if cur == ancestor_id:
-                return True
-            cur = self.etypes[cur].parent if cur in self.etypes else None
-        return False
+        return ancestor_id in self.lineage.get(etype_id, (etype_id,))
+
+    def is_observer(self, etype_id: str) -> bool:
+        """True when etype_id is a declared etype that is or inherits the
+        observer etype."""
+        return self.me_etype in self.lineage.get(etype_id, ())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ETG):
@@ -244,11 +243,7 @@ class EG:
     def me_entity(self, etg: ETG) -> Entity | None:
         """The unique entity typed by the observer etype, if any."""
         if self._observer is None or self._observer[0] is not etg:
-            mine = [
-                e
-                for e in self.entities
-                if e.etype in etg.etypes and etg.is_subtype(e.etype, etg.me_etype)
-            ]
+            mine = [e for e in self.entities if etg.is_observer(e.etype)]
             self._observer = (etg, mine[0] if len(mine) == 1 else None)
         return self._observer[1]
 

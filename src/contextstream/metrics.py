@@ -60,6 +60,16 @@ def evaluate(
     }
 
 
+def session_metrics(predictions: np.ndarray, ground_truth: np.ndarray,
+                    queried: Sequence[bool], node_ids: Sequence[str]) -> dict:
+    """The metrics document of a session: `evaluate`'s metrics, then
+    `n_windows` and `n_queries`."""
+    metrics = evaluate(predictions, ground_truth, node_ids=node_ids)
+    metrics["n_windows"] = len(predictions)
+    metrics["n_queries"] = sum(queried)
+    return metrics
+
+
 def per_node_accuracy(
     predictions: np.ndarray, ground_truth: np.ndarray, last: int | None = None
 ) -> np.ndarray:

@@ -14,7 +14,7 @@ whole windows a draw at a time, the window built from the pieces that a
 segment or gap edge splits once it closes. Each segment's truth is labelled,
 checked for consistency and frozen once; each window is scored once, and
 those scores give its prediction, its query decision and its update. Runs
-are deterministic for a given seed.
+are deterministic: the script's seed fixes every reading.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .hierarchy import Hierarchy
 from .kg import EG, ETG, check_observer, snapshot_eg
 from .labels import labels_from_eg
 from .learn import OnlinePerceptron, QueryStrategy, labels_from_scores, require_consistent
-from .metrics import evaluate
+from .metrics import session_metrics
 from .report import ValidationReport
 
 # Ticks of whole windows drawn per random-number call (one window when a
@@ -39,6 +39,9 @@ from .report import ValidationReport
 # many windows, small enough that a segment's readings never sit in memory
 # whole
 CHUNK_TICKS = 4096
+
+# The window length, in minutes, of a session that names none
+DEFAULT_WINDOW_MINUTES = 30.0
 
 # The most ticks one window may hold. A draw holds one window's readings
 # when a window holds more than CHUNK_TICKS ticks, and a window that a
@@ -209,7 +212,6 @@ def run_simulation(
     *,
     window_spec: WindowSpec | None = None,
     strategy: QueryStrategy = QueryStrategy("always"),
-    seed: int | None = None,
 ) -> RunResult:
     """Play the script once: aggregate windows, predict, decide whether to
     query, and train on acquired labels (prequential order: the prediction
@@ -243,8 +245,7 @@ def run_simulation(
     for truth in truths:
         require_consistent(h, truth)
         truth.flags.writeable = False
-    effective_seed = script.seed if seed is None else seed
-    spec = window_spec or WindowSpec.means(script.channels, 30.0)
+    spec = window_spec or WindowSpec.means(script.channels, DEFAULT_WINDOW_MINUTES)
     window_len = timedelta(minutes=spec.length_minutes)
     if script.segments:
         try:
@@ -260,7 +261,7 @@ def run_simulation(
             f"{script.reading_interval_s} s, more than MAX_WINDOW_TICKS ({MAX_WINDOW_TICKS})"
         )
     model = OnlinePerceptron.zeros(len(h), len(spec.manifest))
-    result = RunResult(node_order=h.node_order, manifest=spec.manifest, seed=effective_seed)
+    result = RunResult(node_order=h.node_order, manifest=spec.manifest, seed=script.seed)
 
     def learn_window(begin: Timestamp, x: np.ndarray, y: np.ndarray) -> None:
         s = model.scores(x)
@@ -270,7 +271,7 @@ def run_simulation(
             model.update(x, y, s)
         result.events.append(WindowEvent(begin, begin + window_len, x, queried, pred, y))
 
-    rng = np.random.default_rng(effective_seed)
+    rng = np.random.default_rng(script.seed)
     step = script.step
     per_draw = max(1, CHUNK_TICKS // window_ticks)
     # the open window: its first tick, reading pieces per channel, last tick's truth
@@ -322,7 +323,6 @@ def run_simulation(
     if begin is not None:
         flush()
 
-    result.metrics = evaluate(result.predictions(), result.truths(), node_ids=h.node_order)
-    result.metrics["n_windows"] = len(result.events)
-    result.metrics["n_queries"] = sum(e.queried for e in result.events)
+    result.metrics = session_metrics(result.predictions(), result.truths(),
+                                     [e.queried for e in result.events], h.node_order)
     return result

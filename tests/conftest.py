@@ -117,6 +117,13 @@ MALFORMED = {
     ])), 3),
     "stream-coordinate-overflows": ("stream", _stream_ending_with(
         _second_record(coo_me={"x": 0, "y": 0, "z": 0}).replace('"x": 0', '"x": 1e999')), 3),
+    "stream-coordinate-boolean": ("stream", _stream_ending_with(
+        _second_record(coo_me={"x": True, "y": 1, "z": 2, "frame": "local"})), 3),
+    "stream-coordinate-frame-not-string": ("stream", _stream_ending_with(
+        _second_record(coo_me={"x": 0, "y": 1, "z": 2, "frame": 5})), 3),
+    "stream-coordinate-int-overflows": ("stream", _stream_ending_with(
+        _second_record(coo_me={"x": 0, "y": 0, "z": 0}).replace('"x": 0', '"x": 1' + "0" * 400)),
+        3),
     "document-not-object": ("json", "[1]", None),
     "eg-entity-not-object": ("eg", json.dumps(_fixture_doc("travel_eg.json", entities=[1])), None),
     "eg-at-not-string": ("eg", json.dumps(_fixture_doc("travel_eg.json", at=5)), None),
@@ -445,6 +452,15 @@ def dfs_closure_ids(edges: set[tuple[str, str]], seeds: set[str]) -> set[str]:
                 out.add(parent)
                 stack.append(parent)
     return out
+
+
+def parent_chain(etypes, etype_id: str) -> list[str]:
+    """`etype_id`, then each ancestor, found by following the `parent` links
+    of the EntityType map `etypes` one at a time."""
+    chain = [etype_id]
+    while etypes[chain[-1]].parent is not None:
+        chain.append(etypes[chain[-1]].parent)
+    return chain
 
 
 def random_dag(rng, n: int, p: float = 0.15) -> set[tuple[int, int]]:

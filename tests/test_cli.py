@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from contextstream import io
 from contextstream.cli import main
+from contextstream.simulate import WindowSpec, run_simulation
 
 from conftest import FIXTURES, GOLDEN, MALFORMED, encode_case
 
@@ -50,6 +52,24 @@ def test_compile_nonconforming_eg_exits_2(tmp_path, travel_eg):
     out = tmp_path / "h.json"
     assert main(["compile", ETG, str(bad_path), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_compile_simulate_and_snapshot_refuse_a_nonconforming_eg(tmp_path, capsys):
+    """An enum value outside its values and a triple outside its property's
+    domain: every command that reads the EG refuses it before any output."""
+    doc = json.loads((FIXTURES / "travel_eg.json").read_text())
+    next(e for e in doc["entities"] if e["id"] == "haonan")["values"]["mood"] = "furious"
+    doc["triples"].append({"property": "partOf", "subject": "walk", "object": "trentino"})
+    eg = tmp_path / "eg.json"
+    eg.write_text(json.dumps(doc))
+    out, snaps = tmp_path / "h.json", tmp_path / "snaps"
+    assert main(["compile", ETG, str(eg), "--out", str(out)]) == 2
+    assert main(["simulate", "--scenario", SCENARIO, "--etg", ETG, "--eg", str(eg)]) == 2
+    assert main(["snapshot", "--etg", ETG, "--eg", str(eg), "--stream", STREAM,
+                 "--out-dir", str(snaps)]) == 2
+    assert not out.exists() and not snaps.exists()
+    err = capsys.readouterr().err
+    assert err.count("error: EG does not conform to the ETG: 2 finding(s)") == 3
 
 
 def test_compile_missing_file_exits_1(tmp_path):
@@ -301,6 +321,17 @@ def test_simulate_refuses_a_scenario_or_config_that_validate_refuses(tmp_path, c
         done = _simulate_in_child("--config", str(path), "simulate", "--scenario", SCENARIO)
     assert done.returncode == 2, done.stderr
     assert REFUSED_BEFORE_DRAWING[case] in done.stderr and "Traceback" not in done.stderr
+
+
+def test_simulate_seed_flag_replaces_the_scenario_seed(tmp_path, travel_scenario,
+                                                        travel_hierarchy, travel_etg, travel_eg):
+    log = tmp_path / "run.jsonl"
+    assert main(["--seed", "3", "simulate", "--scenario", SCENARIO, "--etg", ETG,
+                 "--eg", EG_PATH, "--window", "5", "--out-log", str(log)]) == 0
+    expected = run_simulation(replace(travel_scenario, seed=3), travel_hierarchy, travel_etg,
+                              travel_eg, window_spec=WindowSpec.means(travel_scenario.channels, 5))
+    assert log.read_text().splitlines() == io.runlog_to_lines(
+        expected.node_order, expected.manifest, 3, expected.events)
 
 
 def test_simulate_refuses_a_negative_seed_flag(capsys):

@@ -14,7 +14,6 @@ from contextstream.core import (
     FunctionAssignment,
     StreamRecord,
     StreamingContext,
-    _validate_record_chains,
     classify_pattern,
     format_timestamp,
     parse_timestamp,
@@ -245,16 +244,14 @@ def test_chain_checks_keep_their_errors():
                               event_parent={"x": "y", "y": "x"})
     wrong_super = StreamRecord(ts=ts(0), location="a", super_location="z")
     with pytest.raises(SuperChainError, match="does not contain"):
-        _validate_record_chains(wrong_super, containment)
+        containment.check_record(wrong_super)
     cyclic = StreamRecord(ts=ts(0), event="x", super_event="y")
     with pytest.raises(CycleError):
-        _validate_record_chains(cyclic, containment)
+        containment.check_record(cyclic)
     # a root has an empty chain; an unknown id passes unchecked
     with pytest.raises(SuperChainError, match=r"parent chain \[\]"):
-        _validate_record_chains(StreamRecord(ts=ts(0), location="c", super_location="z"),
-                                containment)
-    _validate_record_chains(StreamRecord(ts=ts(0), location="q", super_location="z"),
-                            containment)
+        containment.check_record(StreamRecord(ts=ts(0), location="c", super_location="z"))
+    containment.check_record(StreamRecord(ts=ts(0), location="q", super_location="z"))
 
 
 # -- function assignments -----------------------------------------------------

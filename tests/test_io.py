@@ -9,14 +9,22 @@ import numpy as np
 import pytest
 
 from contextstream import io
-from contextstream.core import StreamingContext
+from contextstream.core import Coordinates, StreamingContext
 from contextstream.errors import FormatError, SuperChainError, TimestampOrderError
-from contextstream.kg import EG
+from contextstream.kg import EG, ETG, DataPropertyDef, EntityType
 from contextstream.learn import QueryStrategy
 
 from contextstream.simulate import WindowEvent
 
-from conftest import FIXTURES, MALFORMED, encode_case, fixture_record, reference_runlog_lines
+from conftest import (
+    FIXTURES,
+    GOLDEN,
+    MALFORMED,
+    _runlog,
+    encode_case,
+    fixture_record,
+    reference_runlog_lines,
+)
 
 
 def test_eg_round_trip(tmp_path, travel_etg, travel_eg):
@@ -29,6 +37,25 @@ def test_typed_values_round_trip(tmp_path, travel_etg, travel_eg):
     loaded = io.load_eg(FIXTURES / "travel_eg.json", travel_etg)
     assert loaded.entity("train_1").values["indoor"] is True
     assert loaded.entity("xiaoyue").values["mood"] == "happy"
+
+
+def test_eg_coordinates_values_are_typed():
+    """A coordinates value takes finite numbers for its axes (ints become
+    floats) and a string frame; anything else is a FormatError."""
+    etg = ETG([EntityType("me", "Me", data_properties=(DataPropertyDef("home", "coordinates"),))],
+              [], me_etype="me")
+
+    def load(value):
+        return io.eg_from_dict({"format": "eg/1", "triples": [], "entities": [
+            {"id": "m", "name": "M", "etype": "me", "values": {"home": value}}]}, etg)
+
+    home = load({"x": 1, "y": 2.5, "z": -3}).entity("m").values["home"]
+    assert home == Coordinates(1.0, 2.5, -3.0, "local")
+    assert type(home.x) is float
+    for bad in ({"x": True, "y": 1, "z": 2}, {"x": 0, "y": 1, "z": 2, "frame": 5},
+                {"x": "0", "y": 1, "z": 2}, {"x": 0, "y": 1}):
+        with pytest.raises(FormatError):
+            load(bad)
 
 
 def test_stream_rejects_disorder(tmp_path):
@@ -153,6 +180,27 @@ def test_malformed_document_raises_format_error(tmp_path, case):
     with pytest.raises(FormatError) as exc:
         LOADERS[kind](path)
     assert exc.value.line == line
+
+
+@pytest.mark.parametrize("path, kind", [
+    (FIXTURES / "travel_etg.json", "etg"),
+    (FIXTURES / "travel_eg.json", "eg"),
+    (FIXTURES / "travel_stream.jsonl", "stream"),
+    (FIXTURES / "travel_scenario.json", "scenario"),
+    (FIXTURES / "config.json", "config"),
+    (GOLDEN / "travel_hierarchy.json", "hierarchy"),
+    (GOLDEN / "travel_metrics_seed7.json", "metrics"),
+], ids=lambda v: v if isinstance(v, str) else v.name)
+def test_load_document_routes_by_the_format_tag(path, kind):
+    assert io.load_document(path) == (kind, LOADERS[kind](path))
+
+
+def test_load_document_reads_a_run_log(tmp_path):
+    path = tmp_path / "run.jsonl"
+    path.write_text(_runlog(["a", "b"]))
+    kind, (header, preds, truths, events) = io.load_document(path)
+    assert kind == "runlog"
+    assert header["nodes"] == ["a", "b"] and preds.tolist() == [[1, 0]] and len(events) == 1
 
 
 def test_hierarchy_round_trip(tmp_path, travel_hierarchy):

@@ -21,6 +21,8 @@ from contextstream.kg import (
 )
 from contextstream.report import ValidationReport
 
+from conftest import parent_chain
+
 UTC = timezone.utc
 
 
@@ -38,6 +40,46 @@ def test_etg_rejects_inheritance_cycle():
             [],
             me_etype="me",
         )
+
+
+@pytest.mark.parametrize("etypes, path", [
+    ([("root", None), ("a", "b"), ("b", "c"), ("c", "a"), ("me", "root")], ["a", "b", "c", "a"]),
+    ([("d", "a"), ("a", "b"), ("b", "a"), ("me", None)], ["d", "a", "b", "a"]),
+    ([("me", "me")], ["me", "me"]),
+], ids=["three-cycle", "tail-into-a-cycle", "self-parent"])
+def test_inheritance_cycle_keeps_its_path(etypes, path):
+    """The first etype, in declaration order, whose chain meets a cycle names it."""
+    with pytest.raises(CycleError) as exc:
+        ETG([EntityType(et_id, et_id.upper(), parent=parent) for et_id, parent in etypes],
+            [], me_etype="me")
+    assert exc.value.path == path
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_lineage_matches_the_parent_chain_oracle(seed):
+    """On a random single-parent ETG, declared in random order, every type
+    question agrees with following the `parent` links one at a time."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    parents = {i: rng.choice([None, *range(i)]) for i in range(n)}
+    etypes = [
+        EntityType(f"e{i}", f"E{i}", None if parents[i] is None else f"e{parents[i]}",
+                   tuple(DataPropertyDef(f"p{i}_{k}", "string") for k in range(rng.randint(0, 2))))
+        for i in rng.sample(range(n), n)
+    ]
+    me = f"e{rng.randrange(n)}"
+    etg = ETG(etypes, [], me_etype=me)
+    by_id = {et.id: et for et in etypes}
+    for a in by_id:
+        chain = parent_chain(by_id, a)
+        assert etg.lineage[a] == tuple(chain)
+        assert etg.is_observer(a) == (me in chain)
+        inherited = [dp for et_id in reversed(chain) for dp in by_id[et_id].data_properties]
+        assert list(etg.effective_data_properties(a).values()) == inherited
+        for b in by_id:
+            assert etg.is_subtype(a, b) == (b in chain)
+    assert etg.is_subtype("ghost", "ghost")
+    assert not etg.is_subtype("ghost", me) and not etg.is_observer("ghost")
 
 
 def test_etg_rejects_duplicate_and_dangling_ids():

@@ -299,8 +299,9 @@ def test_run_simulation_matches_reference_on_fixtures(
         monkeypatch.setattr(simulate, "CHUNK_TICKS", chunk_ticks)
         for script in (travel_scenario, two_regime_script(n_pairs=3, segment_minutes=7.0)):
             spec = WindowSpec.means(script.channels, 5.0)
-            result = run_simulation(script, travel_hierarchy, travel_etg, travel_eg,
-                                    window_spec=spec, seed=seed)
+            seeded = script if seed is None else replace(script, seed=seed)
+            result = run_simulation(seeded, travel_hierarchy, travel_etg, travel_eg,
+                                    window_spec=spec)
             assert_matches_reference(
                 result, script, spec, travel_hierarchy, travel_etg, travel_eg, seed)
 
@@ -595,10 +596,10 @@ def test_run_simulation_reproducible(travel_scenario, travel_hierarchy, travel_e
 
 def test_run_simulation_seed_changes_stream(travel_scenario, travel_hierarchy, travel_etg, travel_eg):
     spec = WindowSpec.means(travel_scenario.channels, 5.0)
-    a = run_simulation(travel_scenario, travel_hierarchy, travel_etg, travel_eg,
-                       window_spec=spec, seed=1)
-    b = run_simulation(travel_scenario, travel_hierarchy, travel_etg, travel_eg,
-                       window_spec=spec, seed=2)
+    a = run_simulation(replace(travel_scenario, seed=1), travel_hierarchy, travel_etg,
+                       travel_eg, window_spec=spec)
+    b = run_simulation(replace(travel_scenario, seed=2), travel_hierarchy, travel_etg,
+                       travel_eg, window_spec=spec)
     assert a.seed != b.seed
     assert not np.array_equal(a.events[0].features, b.events[0].features)
 
@@ -660,8 +661,9 @@ def test_run_simulation_equals_the_public_learner_calls(
                             (travel_hierarchy, mixed_script(), 3),
                             (travel_hierarchy, travel_scenario, None)):
         spec = WindowSpec.means(script.channels, 5.0)
-        result = run_simulation(script, h, travel_etg, travel_eg, window_spec=spec,
-                                strategy=QueryStrategy.parse(strategy), seed=seed)
+        seeded = script if seed is None else replace(script, seed=seed)
+        result = run_simulation(seeded, h, travel_etg, travel_eg, window_spec=spec,
+                                strategy=QueryStrategy.parse(strategy))
         events, metrics = reference_session(script, h, travel_etg, travel_eg, spec,
                                             QueryStrategy.parse(strategy), seed)
         assert len(result.events) == len(events)
