@@ -2,7 +2,9 @@
 
 `compile`, `simulate` and `snapshot` refuse an EG that does not conform to
 its ETG before writing anything. `validate` loads each document through
-`io.load_document`, which routes it by its format tag.
+`io.load_document`, which routes it by its format tag; when its paths name
+exactly one ETG, it also loads each EG under that ETG and reports what the
+other commands would refuse.
 
 Exit codes: 0 success, 1 I/O or usage errors, 2 validation or compilation
 failures.
@@ -21,7 +23,15 @@ from .core import classify_pattern
 from .dot import export_dot
 from .errors import ContextStreamError, FormatError
 from .hierarchy import compile_hierarchy, validate_hierarchy
-from .kg import COLLAPSE_PROPERTIES, check_observer, containment_from_eg, snapshot_eg, validate_eg
+from .kg import (
+    COLLAPSE_PROPERTIES,
+    EG,
+    ETG,
+    check_observer,
+    containment_from_eg,
+    snapshot_eg,
+    validate_eg,
+)
 from .learn import QueryStrategy
 from .metrics import session_metrics
 from .report import ValidationReport
@@ -102,11 +112,17 @@ def _load_config(args) -> io.Config:
     return config
 
 
+def _eg_under(etg: ETG, path: str) -> tuple[EG, ValidationReport]:
+    """The EG at `path` loaded under `etg`, which parses its typed values,
+    and every way it does not conform to `etg`."""
+    eg = io.load_eg(path, etg)
+    return eg, validate_eg(etg, eg)
+
+
 def _load_graphs(args):
     """(ETG, EG) as `args` name them; ValueError unless the EG conforms."""
     etg = io.load_etg(args.etg)
-    eg = io.load_eg(args.eg, etg)
-    report = validate_eg(etg, eg)
+    eg, report = _eg_under(etg, args.eg)
     if not report.ok:
         raise ValueError("EG does not conform to the ETG: " + report.summary())
     return etg, eg
@@ -128,16 +144,33 @@ def _cmd_compile(args, config: io.Config) -> int:
     return EXIT_OK
 
 
-def _validate_one(path: str) -> ValidationReport:
-    kind, doc = io.load_document(path)
-    return validate_hierarchy(doc) if kind == "hierarchy" else ValidationReport()
+def _validate_one(path: str, kind: str, doc, etg: ETG | None) -> ValidationReport:
+    """What loading `doc` does not check: a hierarchy's structure, and an
+    EG's conformance to `etg`, loaded under it as the other commands do."""
+    if kind == "hierarchy":
+        return validate_hierarchy(doc)
+    if kind == "eg" and etg is not None:
+        return _eg_under(etg, path)[1]
+    return ValidationReport()
 
 
 def _cmd_validate(args, config: io.Config) -> int:
-    aggregated = ValidationReport()
+    loaded = []
     for path in args.paths:
         try:
-            report = _validate_one(path)
+            loaded.append((path, *io.load_document(path)))
+        except ContextStreamError as exc:
+            loaded.append((path, "invalid-document", str(exc)))
+    # an EG is checked against the ETG when the paths name exactly one
+    etgs = [doc for _, kind, doc in loaded if kind == "etg"]
+    etg = etgs[0] if len(etgs) == 1 else None
+    aggregated = ValidationReport()
+    for path, kind, doc in loaded:
+        if kind == "invalid-document":
+            aggregated.add(kind, doc, path)
+            continue
+        try:
+            report = _validate_one(path, kind, doc, etg)
         except ContextStreamError as exc:
             aggregated.add("invalid-document", str(exc), path)
             continue

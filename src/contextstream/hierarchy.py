@@ -85,6 +85,9 @@ class Hierarchy:
         if root not in self.nodes:
             raise ValueError(f"root {root!r} is not a node")
         self.root = root
+        # labels.labels_from_eg's last (observer id, context triples,
+        # read-only vector, entity ids without a node)
+        self.last_labels: tuple | None = None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hierarchy):

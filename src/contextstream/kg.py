@@ -5,7 +5,8 @@ The streaming context is treated as a stream of entity graphs: each snapshot
 keeps the static graph's context-free triples and regenerates every
 context-dependent triple from one stream record. A snapshot shares the static
 graph's entities, its id and name indexes and its observer instead of
-rebuilding them, so the per-record work does not grow with the entity count.
+rebuilding them, so the per-record work does not grow with the entity count,
+and a record with its predecessor's context shares that snapshot's triples.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterable, Mapping, Optional
 
 from .core import Containment, Coordinates, StreamRecord, Timestamp, super_of
 from .errors import UnknownIdError
-from .report import ValidationReport
+from .report import Finding, ValidationReport
 
 log = logging.getLogger(__name__)
 
@@ -205,12 +206,15 @@ class EG:
         for e in self.entities:
             self._by_id.setdefault(e.id, e)
             self._by_name.setdefault(e.name, []).append(e)
-        # (etg, observer), (etg, context-free triples, their set) and (etg,
-        # context-dependent triples), keyed on the ETG object itself: ETGs are
-        # immutable but not hashable
+        # (etg, observer), (etg, context-free triples, their set), (etg,
+        # context-dependent triples) and snapshot_eg's last (etg, record
+        # context, triples, context triples, findings), keyed on the ETG object
+        # itself: ETGs are immutable but not hashable
         self._observer: tuple[ETG, Entity | None] | None = None
         self._static: tuple[ETG, tuple[PropertyValue, ...], frozenset[PropertyValue]] | None = None
         self._dynamic: tuple[ETG, tuple[PropertyValue, ...]] | None = None
+        self._last: tuple[ETG, tuple, tuple[PropertyValue, ...], tuple[PropertyValue, ...],
+                          tuple[Finding, ...]] | None = None
 
     def _with_triples(self, triples: tuple[PropertyValue, ...], at: Timestamp | None) -> EG:
         """A graph over the same entities with duplicate-free `triples`; it
@@ -218,7 +222,7 @@ class EG:
         eg = object.__new__(EG)
         eg.entities, eg.triples, eg.at = self.entities, triples, at
         eg._by_id, eg._by_name = self._by_id, self._by_name
-        eg._observer, eg._static, eg._dynamic = self._observer, None, None
+        eg._observer, eg._static, eg._dynamic, eg._last = self._observer, None, None, None
         return eg
 
     def entity(self, entity_id: str) -> Entity:
@@ -400,10 +404,37 @@ def snapshot_eg(
     snapshot is still produced. Without a unique observer no observer triple
     is made: that is a defect of the static graph, which `check_observer`
     reports once per run rather than once per record.
+
+    The static graph remembers its last snapshot under this `etg`, keyed on
+    every record field the regeneration reads (all but `ts` and `coo_me`). A
+    record whose key equals its predecessor's gets that snapshot's triples
+    tuple and context triples again, at its own `ts`, and the same findings
+    are added to `report` in the same order.
     """
-    if report is None:
-        report = ValidationReport()
-    static_triples, static_set = static_eg._context_free(etg)
+    context = (record.location, record.super_location, record.event, record.super_event,
+               record.my_actions, record.person_entries, record.object_entries)
+    last = static_eg._last
+    if last is None or last[0] is not etg or last[1] != context:
+        static_triples, static_set = static_eg._context_free(etg)
+        found = ValidationReport()
+        fresh = tuple(t for t in dict.fromkeys(_regenerate(static_eg, record, etg, found))
+                      if t not in static_set)
+        # the static prefix is context-free, so only fresh triples can be context-dependent
+        dynamic = tuple(t for t in fresh if _context_dependent(t, etg))
+        last = static_eg._last = (etg, context, static_triples + fresh, dynamic, tuple(found))
+    _, _, triples, dynamic, findings = last
+    if report is not None:
+        report.findings.extend(findings)
+    snapshot = static_eg._with_triples(triples, record.ts)
+    snapshot._dynamic = (etg, dynamic)
+    return snapshot
+
+
+def _regenerate(
+    static_eg: EG, record: StreamRecord, etg: ETG, report: ValidationReport
+) -> list[PropertyValue]:
+    """The triples `record` asserts, in order and with repeats; unresolved
+    references go to `report`."""
     new: list[PropertyValue] = []
     me = static_eg.me_entity(etg)
 
@@ -448,12 +479,7 @@ def snapshot_eg(
         materialize(entry.function, entry.actions, is_person=True)
     for fa in record.object_entries or ():
         materialize(fa, None, is_person=False)
-
-    fresh = tuple(t for t in dict.fromkeys(new) if t not in static_set)
-    snapshot = static_eg._with_triples(static_triples + fresh, record.ts)
-    # the static prefix is context-free, so only fresh triples can be context-dependent
-    snapshot._dynamic = (etg, tuple(t for t in fresh if _context_dependent(t, etg)))
-    return snapshot
+    return new
 
 
 def containment_from_eg(eg: EG, etg: ETG) -> Containment:

@@ -83,21 +83,37 @@ def labels_from_eg(h: Hierarchy, snapshot: EG, etg: ETG) -> LabelVector:
     holds, entity nodes incident to any context-dependent triple, then upward
     closure. Both are found by their back-reference (`Hierarchy.source_index`).
     References without a node (the observer, properties in Q, structural
-    triples) are expected and skipped; anything else is logged."""
-    seeds = zeros(h)
-    nodes = h.source_index
+    triples) are expected and skipped; anything else is logged.
+
+    The hierarchy remembers the last vector, keyed on the observer's id and
+    the snapshot's context triples, the only inputs read besides `h`.
+    A snapshot with the same key logs the same warnings and gets a fresh
+    copy of that vector: no returned array is shared with the memo or with
+    another call."""
     me = snapshot.me_entity(etg)
     me_id = me.id if me is not None else None
-    for t in snapshot.context_triples(etg):
-        for entity_id in (t.subject, t.object):
-            if entity_id == me_id:
-                continue
-            i = nodes.get(entity_id)
-            if i is None:
-                log.warning("snapshot entity %r has no node in the hierarchy", entity_id)
-                continue
-            seeds[i] = 1
-        i = nodes.get((t.property, t.subject, t.object))
-        if i is not None:
-            seeds[i] = 1
-    return repair_upward(h, seeds)
+    context = snapshot.context_triples(etg)
+    last = h.last_labels
+    if last is None or last[0] != me_id or last[1] != context:
+        seeds = zeros(h)
+        nodes = h.source_index
+        missing = []
+        for t in context:
+            for entity_id in (t.subject, t.object):
+                if entity_id == me_id:
+                    continue
+                i = nodes.get(entity_id)
+                if i is None:
+                    missing.append(entity_id)
+                    continue
+                seeds[i] = 1
+            i = nodes.get((t.property, t.subject, t.object))
+            if i is not None:
+                seeds[i] = 1
+        y = repair_upward(h, seeds)
+        y.flags.writeable = False
+        last = h.last_labels = (me_id, context, y, tuple(missing))
+    _, _, y, missing = last
+    for entity_id in missing:
+        log.warning("snapshot entity %r has no node in the hierarchy", entity_id)
+    return y.copy()

@@ -13,7 +13,7 @@ from contextstream import io
 from contextstream.cli import main
 from contextstream.simulate import WindowSpec, run_simulation
 
-from conftest import FIXTURES, GOLDEN, MALFORMED, encode_case
+from conftest import FIXTURES, GOLDEN, MALFORMED, encode_case, fixture_record
 
 ETG = str(FIXTURES / "travel_etg.json")
 EG_PATH = str(FIXTURES / "travel_eg.json")
@@ -100,6 +100,49 @@ def test_validate_clean_fixtures_exit_0(capsys):
     assert main(["validate", ETG, EG_PATH, STREAM, SCENARIO, CONFIG,
                  str(GOLDEN / "travel_hierarchy.json")]) == 0
     assert "valid" in capsys.readouterr().out
+
+
+def _graphs_with_a_boolean_home(tmp_path) -> tuple[str, str]:
+    """The travel ETG with `me.home: coordinates`, and the travel EG whose
+    observer's home has a boolean axis: it loads alone, not under the ETG."""
+    etg = json.loads(Path(ETG).read_text())
+    me = next(e for e in etg["etypes"] if e["id"] == "me")
+    me["data_properties"].append({"name": "home", "datatype": "coordinates"})
+    eg = json.loads(Path(EG_PATH).read_text())
+    xiaoyue = next(e for e in eg["entities"] if e["id"] == "xiaoyue")
+    xiaoyue["values"]["home"] = {"x": True, "y": 0, "z": 0}
+    (tmp_path / "etg.json").write_text(json.dumps(etg))
+    (tmp_path / "eg.json").write_text(json.dumps(eg))
+    return str(tmp_path / "etg.json"), str(tmp_path / "eg.json")
+
+
+def test_validate_loads_an_eg_under_the_one_etg_named(tmp_path, capsys):
+    etg, eg = _graphs_with_a_boolean_home(tmp_path)
+    assert main(["compile", etg, eg, "--out", str(tmp_path / "h.json")]) == 2
+    compile_err = capsys.readouterr().err
+    assert "coordinate x must be a finite number" in compile_err
+    assert main(["validate", etg, eg]) == 2
+    findings = capsys.readouterr().err.splitlines()
+    assert len(findings) == 1
+    assert findings[0].startswith(f"[invalid-document] {eg}: ")
+    assert "coordinate x must be a finite number" in findings[0]
+    # alone, or beside two ETGs, the EG has no schema to load under
+    assert main(["validate", eg]) == 0
+    assert main(["validate", etg, ETG, eg]) == 0
+
+
+def test_validate_reports_the_conformance_findings_of_an_eg(tmp_path, capsys):
+    doc = json.loads(Path(EG_PATH).read_text())
+    next(e for e in doc["entities"] if e["id"] == "haonan")["values"]["mood"] = "furious"
+    doc["triples"].append({"property": "partOf", "subject": "walk", "object": "trentino"})
+    eg = tmp_path / "eg.json"
+    eg.write_text(json.dumps(doc))
+    assert main(["validate", str(eg), STREAM, ETG]) == 2
+    findings = capsys.readouterr().err.splitlines()
+    assert [f.split("]")[0] for f in findings] == ["[datatype-mismatch", "[domain-violation"]
+    assert all(f"] {eg}: " in f for f in findings)
+    assert main(["validate", ETG, EG_PATH]) == 0
+    assert capsys.readouterr().out == "2 document(s) valid\n"
 
 
 def test_validate_defect_exits_2(tmp_path, travel_hierarchy, capsys):
@@ -479,6 +522,24 @@ def test_snapshot_command_writes_snapshots(tmp_path, capsys):
     snap = io.load_eg(out_dir / "snapshot_000.json", etg)
     assert snap.at is not None
     assert any(t.property == "in" for t in snap.triples)
+
+
+def test_snapshot_reports_each_of_three_equal_records(tmp_path, capsys):
+    """Equal records share one snapshot's work, but each counts its own
+    finding and each snapshot is at its own record's time."""
+    times = ["2021-06-02T12:15:00+00:00", "2021-06-02T12:15:01+00:00", "2021-06-02T12:15:02+00:00"]
+    records = [fixture_record(0, ts=ts, location="atlantis") for ts in times]
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text("\n".join(json.dumps(d) for d in [{"format": "stream/1"}, *records]) + "\n")
+    out_dir = tmp_path / "snaps"
+    assert main(["snapshot", "--etg", ETG, "--eg", EG_PATH, "--stream", str(stream),
+                 "--out-dir", str(out_dir)]) == 2
+    assert ("3 finding(s): " + "; ".join(["[unresolved] location 'atlantis' not in the EG"] * 3)
+            in capsys.readouterr().err)
+    etg = io.load_etg(ETG)
+    snaps = [io.load_eg(out_dir / f"snapshot_{i:03d}.json", etg) for i in range(3)]
+    assert [io.format_timestamp(s.at) for s in snaps] == times
+    assert snaps[0].triples == snaps[1].triples == snaps[2].triples
 
 
 def test_snapshot_refuses_an_unknown_super_location(tmp_path, capsys):

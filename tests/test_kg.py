@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import logging
 import random
-from datetime import datetime, timezone
+from dataclasses import replace
+from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 
-from contextstream.core import FunctionAssignment, PersonEntry, StreamRecord
+from contextstream.core import Coordinates, FunctionAssignment, PersonEntry, StreamRecord
 from contextstream.errors import CycleError
 from contextstream.kg import (
     EG,
@@ -19,9 +22,10 @@ from contextstream.kg import (
     snapshot_eg,
     validate_eg,
 )
+from contextstream.labels import labels_from_eg
 from contextstream.report import ValidationReport
 
-from conftest import parent_chain
+from conftest import parent_chain, reference_labels
 
 UTC = timezone.utc
 
@@ -367,6 +371,103 @@ def test_snapshot_random_records_conform(travel_etg, travel_eg):
         )
         snap = snapshot_eg(travel_eg, rec, travel_etg)
         assert validate_eg(travel_etg, snap).ok
+
+
+# -- a record with its predecessor's context -----------------------------------
+
+FRIEND = FunctionAssignment("FriendOf", holder="haonan", beneficiary="xiaoyue")
+# the values a record field takes below; each list holds an unresolved
+# reference ("ghost", "Flying", "EnemyOf") and "atlantis", an entity that only
+# some static graphs have and the travel hierarchy has no node for
+RECORD_FIELDS = {
+    "location": [None, "train_1", "roads_2", "atlantis", "ghost"],
+    "super_location": [None, "trentino", "atlantis", "ghost"],
+    "event": [None, "take_train", "walk", "travel_1", "ghost"],
+    "super_event": [None, "travel_1", "ghost"],
+    "my_actions": [None, frozenset(), frozenset({"Sitting"}),
+                   frozenset({"Walking", "Talking"}), frozenset({"Flying", "Sitting"})],
+    "person_entries": [None, (PersonEntry(FRIEND, frozenset({"Walking", "Listening"})),),
+                       (PersonEntry(FRIEND),),
+                       (PersonEntry(FunctionAssignment("FriendOf", "ghost", "xiaoyue")),)],
+    "object_entries": [None, (FunctionAssignment("RestToolOf", "seat_1", "xiaoyue"),),
+                       (FunctionAssignment("EnemyOf", "seat_1", "xiaoyue"),)],
+}
+TEMPLATES = [ROW1, ROW2, StreamRecord(ts=ROW1.ts),
+             # its one context triple names the observer of one static graph only
+             StreamRecord(ts=ROW1.ts, object_entries=ROW1.object_entries),
+             replace(ROW2, location="atlantis", super_location="ghost", event="ghost")]
+
+
+def _records_with_runs(rng: random.Random, n: int):
+    """`n` (graph choice, record) pairs: mostly a run of equal records, else a
+    record that differs from its predecessor in one field, `ts` or `coo_me`
+    alone, a fresh template, or another static graph or ETG."""
+    base = datetime(2021, 6, 2, 12, 0, tzinfo=UTC)
+    graph, record = (0, 0), TEMPLATES[0]
+    for i in range(n):
+        change = rng.choice(["ts"] * 4 + ["coo_me", "template", "graph", *RECORD_FIELDS] * 2)
+        if change == "coo_me":
+            record = replace(record, coo_me=Coordinates(rng.random(), 0.0, 0.0))
+        else:
+            record = replace(record, ts=base + timedelta(seconds=i))
+        if change == "template":
+            record = replace(rng.choice(TEMPLATES), ts=record.ts)
+        elif change == "graph":
+            graph = (rng.randrange(2), rng.randrange(2))
+        elif change in RECORD_FIELDS:
+            values = [v for v in RECORD_FIELDS[change] if v != getattr(record, change)]
+            record = replace(record, **{change: rng.choice(values)})
+        yield graph, record
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_snapshot_and_labels_reuse_match_a_fresh_graph(
+        seed, travel_etg, travel_eg, travel_hierarchy, caplog):
+    """Every snapshot and label vector equals one made on a fresh copy of its
+    static graph, which has no earlier record to reuse, and the labels
+    oracle; findings and warnings come in the same order."""
+    statics = [
+        EG([*travel_eg.entities, Entity("atlantis", "Atlantis", "region")], travel_eg.triples),
+        # two observers: no observer triple, and the observer is an entity to label
+        EG([*travel_eg.entities, Entity("xiaoyue_2", "Xiaoyue 2", "me")], travel_eg.triples),
+    ]
+    etgs = [travel_etg, _travel_etg_variant(travel_etg, "me", static={"FriendOf"})]
+    h = travel_hierarchy
+    findings = warnings = 0
+    for (s, e), record in _records_with_runs(random.Random(seed), 150):
+        static, etg = statics[s], etgs[e]
+        report, fresh_report = ValidationReport(), ValidationReport()
+        snap = snapshot_eg(static, record, etg, report)
+        fresh = snapshot_eg(EG(static.entities, static.triples), record, etg, fresh_report)
+        assert snap.triples == fresh.triples
+        assert snap.context_triples(etg) == fresh.context_triples(etg)
+        assert snap.at == fresh.at == record.ts
+        assert report.findings == fresh_report.findings
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            y = labels_from_eg(h, snap, etg)
+        messages = list(caplog.messages)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            expected = reference_labels(h, fresh, etg)
+        assert np.array_equal(y, expected)
+        assert messages == caplog.messages
+        findings, warnings = findings + len(report), warnings + len(messages)
+    assert findings and warnings
+
+
+def test_a_label_vector_is_never_shared(travel_etg, travel_eg, travel_hierarchy):
+    h, snap = travel_hierarchy, snapshot_eg(travel_eg, ROW2, travel_etg)
+    expected = reference_labels(h, snap, travel_etg)
+    first = labels_from_eg(h, snap, travel_etg)
+    first[:] = 1 - first
+    second = labels_from_eg(h, snapshot_eg(travel_eg, replace(ROW2, ts=ROW1.ts), travel_etg),
+                            travel_etg)
+    assert np.array_equal(second, expected)
+    assert not np.shares_memory(first, second)
+    second.flags.writeable = False
+    third = labels_from_eg(h, snap, travel_etg)
+    assert third.flags.writeable and np.array_equal(third, expected)
 
 
 # -- containment ----------------------------------------------------------------
