@@ -21,7 +21,7 @@ from pathlib import Path
 from . import io
 from .core import classify_pattern
 from .dot import export_dot
-from .errors import ContextStreamError, FormatError
+from .errors import ContextStreamError
 from .hierarchy import compile_hierarchy, validate_hierarchy
 from .kg import (
     COLLAPSE_PROPERTIES,
@@ -288,9 +288,6 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except (ContextStreamError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

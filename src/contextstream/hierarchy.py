@@ -1,10 +1,17 @@
 """Compile an ETG + EG pair into the rooted concept DAG used for labeling.
 
 Nodes stand for entity types, entities, reified object properties and their
-instances; edges run child -> parent and mean is-a. The observer's etype and
-entity never appear. Structural properties (isA/partOf/has by default)
-collapse to direct edges, context-dependent properties (Q) are excluded
-entirely, everything else is reified. The result is transitively reduced.
+instances; edges run child -> parent and mean is-a. Structural properties
+(isA/partOf/has by default) collapse to direct edges, context-dependent
+properties (Q) are excluded entirely, everything else is reified. Two rules
+shape the graph:
+
+- node rule: the observer's etype and entities get no node;
+- edge rule: every edge the graphs assert is added, and one filter, once all
+  nodes exist, drops each self-loop and each edge without a node at both
+  ends; then every node left without a parent hangs off the root.
+
+The result is transitively reduced.
 """
 
 from __future__ import annotations
@@ -211,114 +218,71 @@ def compile_hierarchy(
 ) -> Hierarchy:
     """Convert the schema and instance graphs into the concept DAG.
 
-    `q` defaults to the ETG's declared context-dependent set; `collapse`
-    names the structural properties turned into direct edges. Cycles surface
-    as CycleError with a witness path before reduction. Two concepts that
-    spell one node id from different back-references (`likes(x/y, z)` and
-    `likes(x, y/z)`) raise ValueError; a repeated triple is one node.
+    `q` defaults to the ETG's declared context-dependent set and may name
+    only declared properties (ValueError); `collapse` names the structural
+    properties turned into direct edges. Cycles surface as CycleError with a
+    witness path before reduction. Two concepts that spell one node id from
+    different back-references (`likes(x/y, z)` and `likes(x, y/z)`) raise
+    ValueError; a repeated triple is one node, and of a repeated entity id
+    the first entity counts.
     """
-    q_set = frozenset(q) if q is not None else etg.q
+    q_set = etg.checked_q(q)
     collapse_set = frozenset(collapse)
-
+    # node rule: the observer's etype and entities get no node
+    observer = {etype_node_id(etg.me_etype)}
+    observer.update(entity_node_id(e.id) for e in eg.entities if etg.is_observer(e.etype))
     nodes: dict[str, ConceptNode] = {}
-    edges: set[tuple[str, str]] = set()
+    edges: list[tuple[str, str]] = []
 
-    def add_node(node: ConceptNode) -> None:
-        known = nodes.setdefault(node.id, node)
-        if known.source_ref != node.source_ref:
-            raise ValueError(f"{known.source_ref} and {node.source_ref} both compile to the "
-                             f"node id {node.id!r}")
-
-    me_entities = {e.id for e in eg.entities if etg.is_observer(e.etype)}
-
-    for et_id in sorted(etg.etypes):
-        if et_id == etg.me_etype:
-            continue
-        et = etg.etypes[et_id]
-        add_node(ConceptNode(etype_node_id(et_id), NodeKind.ETYPE, et.name, et_id))
-
-    entity_nodes: dict[str, str] = {}
-    for entity in sorted(eg.entities, key=lambda e: e.id):
-        if entity.id in me_entities or entity.id in entity_nodes:
-            continue
-        nid = entity_node_id(entity.id)
-        entity_nodes[entity.id] = nid
-        add_node(ConceptNode(nid, NodeKind.ENTITY, entity.name, entity.id))
-        if entity.etype in etg.etypes and entity.etype != etg.me_etype:
-            edges.add((nid, etype_node_id(entity.etype)))
-
-    # inheritance links are etype-level isA assertions
-    for et_id in sorted(etg.etypes):
-        et = etg.etypes[et_id]
-        if et.parent is None:
-            continue
-        if et_id == etg.me_etype or et.parent == etg.me_etype:
-            continue
-        edges.add((etype_node_id(et_id), etype_node_id(et.parent)))
-
-    triples_by_property: dict[str, list[PropertyValue]] = {}
-    for t in eg.triples:
-        triples_by_property.setdefault(t.property, []).append(t)
-
-    for prop_id in sorted(etg.properties):
-        if prop_id in q_set:
-            continue
-        prop = etg.properties[prop_id]
-        prop_nid = property_node_id(prop_id)
-        if prop_id in collapse_set or prop.name in collapse_set:
-            # schema assertion p(A, B) becomes a direct edge; self-loops and
-            # Me endpoints are skipped so no dangling or cyclic edge appears
-            if (
-                prop.domain != prop.codomain
-                and prop.domain != etg.me_etype
-                and prop.codomain != etg.me_etype
-            ):
-                edges.add((etype_node_id(prop.domain), etype_node_id(prop.codomain)))
-            for t in sorted(
-                triples_by_property.get(prop_id, ()), key=lambda t: (t.subject, t.object)
-            ):
-                if t.subject in me_entities or t.object in me_entities:
-                    continue
-                if t.subject == t.object:
-                    continue
-                if t.subject in entity_nodes and t.object in entity_nodes:
-                    edges.add((entity_nodes[t.subject], entity_nodes[t.object]))
-            continue
-        add_node(ConceptNode(prop_nid, NodeKind.PROPERTY, prop.name, prop_id))
-        if prop.codomain != etg.me_etype:
-            edges.add((prop_nid, etype_node_id(prop.codomain)))
-        for t in sorted(
-            triples_by_property.get(prop_id, ()), key=lambda t: (t.subject, t.object)
-        ):
-            inst_nid = pinst_node_id(prop_id, t.subject, t.object)
-            add_node(
-                ConceptNode(
-                    inst_nid,
-                    NodeKind.PROPERTY_INSTANCE,
-                    _pinst_display(etg, eg, t),
-                    (prop_id, t.subject, t.object),
-                )
-            )
-            edges.add((inst_nid, prop_nid))
-            if t.object not in me_entities and t.object in entity_nodes:
-                edges.add((entity_nodes[t.object], inst_nid))
-
-    add_node(ConceptNode(ROOT_ID, NodeKind.ROOT, ROOT_DISPLAY_NAME, None))
-    with_parent = {child for child, _ in edges}
-    for nid in sorted(nodes):
-        if nid != ROOT_ID and nid not in with_parent:
-            edges.add((nid, ROOT_ID))
-
-    return transitive_reduction(Hierarchy(nodes.values(), edges, ROOT_ID))
-
-
-def _pinst_display(etg: ETG, eg: EG, t: PropertyValue) -> str:
-    prop_name = etg.properties[t.property].name if t.property in etg.properties else t.property
+    def add_node(nid: str, kind: NodeKind, name: str, ref: SourceRef) -> None:
+        if nid in observer:
+            return
+        known = nodes.setdefault(nid, ConceptNode(nid, kind, name, ref))
+        if known.source_ref != ref:
+            raise ValueError(f"{known.source_ref} and {ref} both compile to the node id {nid!r}")
 
     def name_of(entity_id: str) -> str:
         return eg.entity(entity_id).name if eg.has_entity(entity_id) else entity_id
 
-    return f"{prop_name}({name_of(t.subject)}, {name_of(t.object)})"
+    for et_id in sorted(etg.etypes):
+        et = etg.etypes[et_id]
+        add_node(etype_node_id(et_id), NodeKind.ETYPE, et.name, et_id)
+        if et.parent is not None:  # inheritance links are etype-level isA assertions
+            edges.append((etype_node_id(et_id), etype_node_id(et.parent)))
+    for entity_id in sorted({e.id for e in eg.entities}):
+        entity = eg.entity(entity_id)
+        nid = entity_node_id(entity_id)
+        add_node(nid, NodeKind.ENTITY, entity.name, entity_id)
+        edges.append((nid, etype_node_id(entity.etype)))
+
+    triples: dict[str, list[PropertyValue]] = {}
+    for t in sorted(eg.triples, key=lambda t: (t.property, t.subject, t.object)):
+        triples.setdefault(t.property, []).append(t)
+    for prop_id in sorted(etg.properties.keys() - q_set):
+        prop = etg.properties[prop_id]
+        if prop_id in collapse_set or prop.name in collapse_set:
+            # the assertion p(A, B) and each instance p(a, b) become direct edges
+            edges.append((etype_node_id(prop.domain), etype_node_id(prop.codomain)))
+            edges.extend((entity_node_id(t.subject), entity_node_id(t.object))
+                         for t in triples.get(prop_id, ()))
+            continue
+        prop_nid = property_node_id(prop_id)
+        add_node(prop_nid, NodeKind.PROPERTY, prop.name, prop_id)
+        edges.append((prop_nid, etype_node_id(prop.codomain)))
+        for t in triples.get(prop_id, ()):
+            inst_nid = pinst_node_id(prop_id, t.subject, t.object)
+            add_node(inst_nid, NodeKind.PROPERTY_INSTANCE,
+                     f"{prop.name}({name_of(t.subject)}, {name_of(t.object)})",
+                     (prop_id, t.subject, t.object))
+            edges += [(inst_nid, prop_nid), (entity_node_id(t.object), inst_nid)]
+
+    # edge rule: drop each self-loop and each edge without a node at both ends;
+    # the kept ends are the nodes' own id strings, which later lookups match faster
+    kept = [(nodes[c].id, nodes[p].id) for c, p in edges if c != p and c in nodes and p in nodes]
+    add_node(ROOT_ID, NodeKind.ROOT, ROOT_DISPLAY_NAME, None)
+    with_parent = {child for child, _ in kept}
+    kept += [(nid, ROOT_ID) for nid in nodes if nid != ROOT_ID and nid not in with_parent]
+    return transitive_reduction(Hierarchy(nodes.values(), kept, ROOT_ID))
 
 
 def _implied_edges(h: Hierarchy) -> list[tuple[str, str]]:

@@ -112,14 +112,19 @@ class ETG:
         self._effective: dict[str, dict[str, DataPropertyDef]] = {}
         for et_id in self.etypes:
             self._effective[et_id] = self._build_effective(et_id)
+        self.q: frozenset[str] = frozenset(DEFAULT_Q & set(self.properties))
+        self.q = self.checked_q(q)
+
+    def checked_q(self, q: Iterable[str] | None) -> frozenset[str]:
+        """`q` as a set, or the ETG's own Q when it is None; ValueError if it
+        names a property the ETG does not declare."""
         if q is None:
-            self.q: frozenset[str] = frozenset(DEFAULT_Q & set(self.properties))
-        else:
-            q = frozenset(q)
-            unknown = q - set(self.properties)
-            if unknown:
-                raise ValueError(f"q lists unknown properties: {sorted(unknown)}")
-            self.q = q
+            return self.q
+        q = frozenset(q)
+        unknown = q - self.properties.keys()
+        if unknown:
+            raise ValueError(f"q lists unknown properties: {sorted(unknown)}")
+        return q
 
     def _build_effective(self, etype_id: str) -> dict[str, DataPropertyDef]:
         merged: dict[str, DataPropertyDef] = {}

@@ -161,15 +161,20 @@ def aggregate_window(samples: Mapping[str, np.ndarray], spec: WindowSpec, n: int
     channel's readings as a C-contiguous float64 (n, m) block whose row i
     holds window i's readings in tick order (a strided view is not
     guaranteed to sum in the same order). A channel with no readings,
-    absent or with m = 0, contributes 0 plus a raised empty flag."""
+    absent or with m = 0, contributes 0 plus a raised empty flag. A mean
+    that is not finite (finite readings whose sum overflows) raises
+    ValueError naming its channel."""
     x = np.zeros((n, len(spec.manifest)))
     for f, ch in enumerate(spec.channels):
         block = samples.get(ch)
         if block is None or block.shape[-1] == 0:
             x[:, 2 * f + 1] = 1.0
-        else:
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
             # each row's sum / m is that row's mean() bit for bit, without its dispatch
             x[:, 2 * f] = block.sum(axis=-1) / block.shape[-1]
+        if not np.isfinite(x[:, 2 * f]).all():
+            raise ValueError(f"window mean on channel {ch!r} is not finite")
     return x
 
 

@@ -5,14 +5,18 @@ import logging
 from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 import pytest
 
 from contextstream import io
 from contextstream.core import Containment, format_timestamp
-from contextstream.hierarchy import compile_hierarchy, entity_node_id, pinst_node_id
-from contextstream.kg import snapshot_eg
+from contextstream.hierarchy import (
+    ROOT_DISPLAY_NAME, ROOT_ID, ConceptNode, Hierarchy, NodeKind, compile_hierarchy,
+    entity_node_id, etype_node_id, pinst_node_id, property_node_id, transitive_reduction,
+)
+from contextstream.kg import COLLAPSE_PROPERTIES, EG, ETG, PropertyValue, snapshot_eg
 from contextstream.labels import repair_upward, zeros
 from contextstream.learn import OnlinePerceptron
 from contextstream.metrics import evaluate
@@ -418,6 +422,127 @@ def reference_labels(h, snapshot, etg):
 
 
 # -- independent graph oracles (kept dumb on purpose) ----------------------
+
+def reference_compile(
+    etg: ETG,
+    eg: EG,
+    q: Iterable[str] | None = None,
+    collapse: Sequence[str] = COLLAPSE_PROPERTIES,
+) -> Hierarchy:
+    """The compiler as it stood before its node and edge rules, kept
+    verbatim as an oracle: every branch checks the observer, self-loops
+    and missing endpoints itself.
+
+    `q` defaults to the ETG's declared context-dependent set; `collapse`
+    names the structural properties turned into direct edges. Cycles surface
+    as CycleError with a witness path before reduction. Two concepts that
+    spell one node id from different back-references (`likes(x/y, z)` and
+    `likes(x, y/z)`) raise ValueError; a repeated triple is one node.
+    """
+    q_set = frozenset(q) if q is not None else etg.q
+    collapse_set = frozenset(collapse)
+
+    nodes: dict[str, ConceptNode] = {}
+    edges: set[tuple[str, str]] = set()
+
+    def add_node(node: ConceptNode) -> None:
+        known = nodes.setdefault(node.id, node)
+        if known.source_ref != node.source_ref:
+            raise ValueError(f"{known.source_ref} and {node.source_ref} both compile to the "
+                             f"node id {node.id!r}")
+
+    me_entities = {e.id for e in eg.entities if etg.is_observer(e.etype)}
+
+    for et_id in sorted(etg.etypes):
+        if et_id == etg.me_etype:
+            continue
+        et = etg.etypes[et_id]
+        add_node(ConceptNode(etype_node_id(et_id), NodeKind.ETYPE, et.name, et_id))
+
+    entity_nodes: dict[str, str] = {}
+    for entity in sorted(eg.entities, key=lambda e: e.id):
+        if entity.id in me_entities or entity.id in entity_nodes:
+            continue
+        nid = entity_node_id(entity.id)
+        entity_nodes[entity.id] = nid
+        add_node(ConceptNode(nid, NodeKind.ENTITY, entity.name, entity.id))
+        if entity.etype in etg.etypes and entity.etype != etg.me_etype:
+            edges.add((nid, etype_node_id(entity.etype)))
+
+    # inheritance links are etype-level isA assertions
+    for et_id in sorted(etg.etypes):
+        et = etg.etypes[et_id]
+        if et.parent is None:
+            continue
+        if et_id == etg.me_etype or et.parent == etg.me_etype:
+            continue
+        edges.add((etype_node_id(et_id), etype_node_id(et.parent)))
+
+    triples_by_property: dict[str, list[PropertyValue]] = {}
+    for t in eg.triples:
+        triples_by_property.setdefault(t.property, []).append(t)
+
+    for prop_id in sorted(etg.properties):
+        if prop_id in q_set:
+            continue
+        prop = etg.properties[prop_id]
+        prop_nid = property_node_id(prop_id)
+        if prop_id in collapse_set or prop.name in collapse_set:
+            # schema assertion p(A, B) becomes a direct edge; self-loops and
+            # Me endpoints are skipped so no dangling or cyclic edge appears
+            if (
+                prop.domain != prop.codomain
+                and prop.domain != etg.me_etype
+                and prop.codomain != etg.me_etype
+            ):
+                edges.add((etype_node_id(prop.domain), etype_node_id(prop.codomain)))
+            for t in sorted(
+                triples_by_property.get(prop_id, ()), key=lambda t: (t.subject, t.object)
+            ):
+                if t.subject in me_entities or t.object in me_entities:
+                    continue
+                if t.subject == t.object:
+                    continue
+                if t.subject in entity_nodes and t.object in entity_nodes:
+                    edges.add((entity_nodes[t.subject], entity_nodes[t.object]))
+            continue
+        add_node(ConceptNode(prop_nid, NodeKind.PROPERTY, prop.name, prop_id))
+        if prop.codomain != etg.me_etype:
+            edges.add((prop_nid, etype_node_id(prop.codomain)))
+        for t in sorted(
+            triples_by_property.get(prop_id, ()), key=lambda t: (t.subject, t.object)
+        ):
+            inst_nid = pinst_node_id(prop_id, t.subject, t.object)
+            add_node(
+                ConceptNode(
+                    inst_nid,
+                    NodeKind.PROPERTY_INSTANCE,
+                    _reference_pinst_display(etg, eg, t),
+                    (prop_id, t.subject, t.object),
+                )
+            )
+            edges.add((inst_nid, prop_nid))
+            if t.object not in me_entities and t.object in entity_nodes:
+                edges.add((entity_nodes[t.object], inst_nid))
+
+    add_node(ConceptNode(ROOT_ID, NodeKind.ROOT, ROOT_DISPLAY_NAME, None))
+    with_parent = {child for child, _ in edges}
+    for nid in sorted(nodes):
+        if nid != ROOT_ID and nid not in with_parent:
+            edges.add((nid, ROOT_ID))
+
+    return transitive_reduction(Hierarchy(nodes.values(), edges, ROOT_ID))
+
+
+def _reference_pinst_display(etg: ETG, eg: EG, t: PropertyValue) -> str:
+    prop_name = etg.properties[t.property].name if t.property in etg.properties else t.property
+
+    def name_of(entity_id: str) -> str:
+        return eg.entity(entity_id).name if eg.has_entity(entity_id) else entity_id
+
+    return f"{prop_name}({name_of(t.subject)}, {name_of(t.object)})"
+
+
 
 def dfs_reachable_pairs(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, int]]:
     """All (i, j) with a directed path i -> j, by per-node DFS."""

@@ -96,6 +96,16 @@ def test_compile_q_override_drops_function_nodes(tmp_path):
     assert "pinst:RestToolOf/xiaoyue/seat_1" not in h.nodes
 
 
+def test_compile_refuses_a_q_that_names_an_undeclared_property(tmp_path, capsys):
+    """An unknown name in Q once made every context-dependent property
+    reified (35 nodes, not 27); `--collapse` stays lenient."""
+    out = tmp_path / "h.json"
+    assert main(["compile", ETG, EG_PATH, "--out", str(out), "--q", "nonsense"]) == 2
+    assert not out.exists()
+    assert "error: q lists unknown properties: ['nonsense']" in capsys.readouterr().err
+    assert main(["compile", ETG, EG_PATH, "--out", str(out), "--collapse", "nonsense"]) == 0
+
+
 def test_validate_clean_fixtures_exit_0(capsys):
     assert main(["validate", ETG, EG_PATH, STREAM, SCENARIO, CONFIG,
                  str(GOLDEN / "travel_hierarchy.json")]) == 0
@@ -338,6 +348,22 @@ def test_simulate_refuses_a_window_of_too_many_ticks(tmp_path):
     assert done.returncode == 2, done.stderr
     assert "holds 1800000000 ticks" in done.stderr and "MAX_WINDOW_TICKS" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_simulate_refuses_window_means_that_overflow(tmp_path):
+    """Readings of 1.7e308 are finite, but a window's sum is not: the run
+    exits 2, names the channel, and writes no run log with Infinity in it."""
+    doc = json.loads((FIXTURES / "travel_scenario.json").read_text())
+    for segment in doc["segments"]:
+        for emission in segment["emissions"].values():
+            emission.update(mean=1.7e308, std=0.0)
+    scenario, log = tmp_path / "scenario.json", tmp_path / "run.jsonl"
+    scenario.write_text(json.dumps(doc))
+    done = _simulate_in_child("simulate", "--scenario", str(scenario), "--out-log", str(log))
+    assert done.returncode == 2, done.stderr
+    assert "window mean on channel 'accelerometer_magnitude' is not finite" in done.stderr
+    assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+    assert not log.exists()
 
 
 # case -> what the message names

@@ -5,8 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from contextstream import hierarchy
-from contextstream.errors import CycleError, UnknownIdError
+from contextstream import hierarchy, io
+from contextstream.errors import ContextStreamError, CycleError, UnknownIdError
 from contextstream.hierarchy import (
     ConceptNode,
     Hierarchy,
@@ -23,7 +23,7 @@ from contextstream.kg import (
 from contextstream.labels import check_consistency, repair_upward, zeros
 from contextstream.learn import OnlinePerceptron, require_consistent
 
-from conftest import GOLDEN, dfs_closure_ids, dfs_reachable_pairs, random_dag
+from conftest import GOLDEN, dfs_closure_ids, dfs_reachable_pairs, random_dag, reference_compile
 
 
 def plain_node(nid: str) -> ConceptNode:
@@ -255,6 +255,81 @@ def test_random_me_exclusion_property():
         h = compile_hierarchy(ETG(etypes, props, "me"), EG(entities, triples))
         entity_nodes = [n for n in h.nodes.values() if n.kind is NodeKind.ENTITY]
         assert {n.source_ref for n in entity_nodes} == {e.id for e in entities if e.etype != "me"}
+
+
+# entity ids and property ids with a slash, so that instances can spell one node id
+ENTITY_POOL = ("a", "b", "a/b", "b/b", "me1")
+PROPERTY_POOL = ("isA", "partOf", "has", "near", "likes", "likes/a")
+# three triples that each spell the instance id pinst:likes/a/b/b
+SPELLED_ALIKE = (PropertyValue("likes", "a/b", "b"), PropertyValue("likes", "a", "b/b"),
+                 PropertyValue("likes/a", "b", "b"))
+
+
+def random_graphs(rng: random.Random):
+    """A random (ETG, EG, q, collapse): observer subtypes, repeated entity
+    ids (one copy maybe the observer's), undeclared etypes and properties,
+    endpoints missing from the EG, self-loops, and custom Q or collapse."""
+    names = [f"t{i}" for i in range(rng.randint(1, 5))]
+    etypes = [EntityType("me", "Me", parent=rng.choice([None, *names[:1]]))]
+    for i, et_id in enumerate(names):
+        # parents come from earlier etypes or the observer's, so no cycle
+        parent = rng.choice([None, None, "me", *names[:i]]) if i else None
+        etypes.append(EntityType(et_id, et_id.upper(), parent=parent))
+    declared = ["me", *names]
+    props = [
+        ObjectPropertyDef(pid, rng.choice([pid, pid, *COLLAPSE_PROPERTIES]),
+                          rng.choice(declared), rng.choice(declared), rng.random() < 0.2)
+        for pid in rng.sample(PROPERTY_POOL, rng.randint(0, len(PROPERTY_POOL)))
+    ]
+    etg = ETG(etypes, props, "me", q=rng.choice([None, []]))
+    entities = [
+        Entity(rng.choice(ENTITY_POOL), f"N{i}", rng.choice([*declared, "undeclared"]))
+        for i in range(rng.randint(0, 8))
+    ]
+    triples = [
+        PropertyValue(rng.choice(PROPERTY_POOL), rng.choice([*ENTITY_POOL, "gone"]),
+                      rng.choice([*ENTITY_POOL, "gone"]))
+        for _ in range(rng.randint(0, 10))
+    ]
+    if rng.random() < 0.5:
+        triples += rng.sample(SPELLED_ALIKE, 2)
+    prop_ids = sorted(etg.properties)
+    q = rng.choice([None, rng.sample(prop_ids, rng.randint(0, len(prop_ids)))])
+    collapse = rng.choice([
+        COLLAPSE_PROPERTIES,
+        rng.sample([*prop_ids, "isA", "partOf", "has"], rng.randint(0, len(prop_ids))),
+    ])
+    return etg, EG(entities, triples), q, collapse
+
+
+def compiled_or_refused(compile_fn, etg, eg, q, collapse):
+    try:
+        return io.hierarchy_to_dict(compile_fn(etg, eg, q=q, collapse=collapse))
+    except (ValueError, ContextStreamError) as exc:
+        return type(exc), str(exc)
+
+
+def test_compile_matches_the_reference_compiler_on_random_graphs():
+    """The node rule and the one edge filter give the reference's document,
+    or its exception type and message, on every seeded random pair."""
+    rng = random.Random(2020)
+    outcomes = {"ok": 0, "cycle": 0, "spelled twice": 0}
+    for _ in range(400):
+        etg, eg, q, collapse = random_graphs(rng)
+        got = compiled_or_refused(compile_hierarchy, etg, eg, q, collapse)
+        assert got == compiled_or_refused(reference_compile, etg, eg, q, collapse), (
+            etg.etypes, etg.properties, eg.entities, eg.triples, q, collapse)
+        if isinstance(got, dict):
+            outcomes["ok"] += 1
+        else:
+            outcomes["cycle" if got[0] is CycleError else "spelled twice"] += 1
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+def test_compile_refuses_a_q_that_names_an_undeclared_property():
+    etg = minimal_etg(properties=[ObjectPropertyDef("likes", "likes", "thing", "thing", False)])
+    with pytest.raises(ValueError, match=r"q lists unknown properties: \['nonsense'\]"):
+        compile_hierarchy(etg, EG([], []), q=["likes", "nonsense"])
 
 
 # -- transitive reduction ----------------------------------------------------------

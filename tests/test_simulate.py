@@ -460,6 +460,13 @@ def test_aggregate_empty_window_zeros_and_flags():
     assert x.tolist() == [[0.0, 1.0, 3.0, 0.0]]
 
 
+def test_aggregate_refuses_a_mean_that_overflows():
+    """Each reading is finite, but two of them sum past the largest float."""
+    spec = WindowSpec(30.0, ("a", "b"))
+    with pytest.raises(ValueError, match="window mean on channel 'b' is not finite"):
+        aggregate_window({"a": np.array([[1.0, 2.0]]), "b": np.array([[1.7e308, 1.7e308]])}, spec)
+
+
 def test_aggregate_matches_independent_recompute(travel_scenario):
     spec = WindowSpec.means(travel_scenario.channels, 30.0)
     first_window = [
