@@ -1,26 +1,30 @@
 """File formats: versioned JSON documents for the schema/instance graphs,
 hierarchies, scenarios and configuration, JSONL for streams and run logs.
 
-Every document carries a `format` tag (`<kind>/<version>`); loaders reject
-unknown kinds and versions, and any other malformed document, with a
-FormatError; `load_document` loads any of them, routed by that tag alone.
-The program writes only EGs, hierarchies, run logs and metrics; for those
-four formats, saving then loading yields equal objects.
+Every format is described once, as data: `FORMATS` maps each kind to its
+`format` tag and to the tables of the JSON objects it holds. A table lists
+each field's JSON key, its default (or that it is required) and its value
+parser, in the order the table's `build` takes them, and is compiled once
+into a reader. Loaders reject unknown kinds and versions, and any other
+malformed document, with a FormatError; `load_document` loads any of them,
+routed by that tag alone. The program writes only EGs, hierarchies, run logs
+and metrics; for those four formats, saving then loading yields equal
+objects.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from types import NoneType
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .core import (
-    Containment,
     Coordinates,
+    Containment,
     FunctionAssignment,
     PersonEntry,
     StreamRecord,
@@ -35,42 +39,197 @@ from .kg import EG, ETG, DataPropertyDef, Entity, EntityType, ObjectPropertyDef,
 from .learn import QueryStrategy
 from .simulate import (DEFAULT_WINDOW_MINUTES, EmissionSpec, ScenarioScript, Segment,
                        WindowEvent, positive_delta)
+from .tables import (BITS, BOOLEAN, ID, INTEGER, NUMBER, OBJECT, STRING, STRINGS, TIMESTAMP,
+                     Field, FieldError, Parser, Table, dict_of, list_of, nested, nullable, within)
 
-FORMATS = {
-    "etg": "etg/1",
-    "eg": "eg/1",
-    "stream": "stream/1",
-    "hierarchy": "hierarchy/1",
-    "scenario": "scenario/1",
-    "config": "config/1",
-    "runlog": "runlog/1",
-    "metrics": "metrics/1",
+
+# -- the tables of every format ------------------------------------------------------
+
+def _edge(values: list) -> tuple[str, ...]:
+    edge = tuple(STRINGS.convert(values))
+    if len(edge) != 2:
+        raise FieldError("an edge is not a [child, parent] pair")
+    return edge
+
+
+def _source_ref(value: str | list) -> str | tuple[str, ...]:
+    return tuple(STRINGS.convert(value)) if type(value) is list else value
+
+
+_COORDINATES = Table("coordinates", (
+    Field("x", NUMBER), Field("y", NUMBER), Field("z", NUMBER), Field("frame", STRING, "local"),
+), Coordinates)
+_FUNCTION = (Field("function", ID), Field("holder", ID), Field("beneficiary", ID))
+# a stream record's fields after `ts`, in StreamRecord's order
+_RECORD = (
+    Field("super_location", ID, None), Field("super_event", ID, None),
+    Field("location", ID, None), Field("event", ID, None),
+    Field("coo_me", nullable(nested(_COORDINATES)), None),
+    Field("my_actions", nullable(list_of(STRING, frozenset)), None),
+    Field("persons", nullable(list_of(nested(Table(
+        "person entry", _FUNCTION + (Field("actions", list_of(STRING, frozenset), []),),
+        lambda function, holder, beneficiary, actions: PersonEntry(
+            FunctionAssignment(function, holder, beneficiary), actions))))), None),
+    Field("objects", nullable(list_of(nested(Table(
+        "object entry", _FUNCTION, FunctionAssignment)))), None),
+)
+
+
+# -- what the tables build, beyond a constructor call ---------------------------------
+
+def _eg(at: Timestamp | None, entities: tuple, triples: tuple, etg: ETG | None = None) -> EG:
+    """The EG of an `eg/1` document's values; under `etg`, the values of an
+    entity of a declared etype are parsed by their datatypes."""
+    typed = []
+    for i, (eid, name, etype, values) in enumerate(entities):
+        declared = etg is not None and etype in etg.etypes
+        dps = etg.effective_data_properties(etype) if declared else {}
+        parsed = {}
+        for k, v in values.items():
+            try:
+                parsed[k] = _value_from_json(dps[k].datatype, v) if k in dps else v
+            except ValueError as exc:
+                raise within(f"entities[{i}].values.{k}", exc) from None
+        typed.append(Entity(eid, name, etype, parsed))
+    return EG(typed, triples, at=at)
+
+
+def _value_from_json(datatype: str, v: Any) -> Any:
+    if datatype == "coordinates" and isinstance(v, dict):
+        return _COORDINATES.read(v)
+    if datatype == "timestamp" and isinstance(v, str):
+        return parse_timestamp(v)
+    return v
+
+
+def _config(near_threshold_m: float, window_minutes: float, strategy: QueryStrategy,
+            seed: int | None) -> Config:
+    # `near_threshold_m` stays a valid config/1 key; no stage reads it, so it
+    # is checked and then dropped
+    if near_threshold_m <= 0:
+        raise ValueError("near_threshold_m must be positive")
+    return Config(window_minutes, strategy, seed)
+
+
+def _runlog_header(seed: int, nodes: list, manifest: list) -> dict:
+    if seed < 0:
+        raise FieldError(f"must be >= 0, not {seed}", "seed")
+    if len(set(nodes)) != len(nodes):
+        raise FieldError("a node id is listed more than once", "nodes")
+    return {"format": FORMATS["runlog"].tag, "seed": seed, "nodes": nodes, "manifest": manifest}
+
+
+def _event(begin: Timestamp, end: Timestamp, features: list, queried: bool, prediction: list,
+           truth: list, header: dict) -> dict:
+    """A run-log event, checked against its header: one feature per manifest
+    entry, and one bit per node in each row."""
+    if len(features) != len(header["manifest"]):
+        raise FieldError(f"expected {len(header['manifest'])} values, one per manifest entry",
+                         "features")
+    for key, row in (("prediction", prediction), ("truth", truth)):
+        if len(row) != len(header["nodes"]):
+            raise FieldError(f"expected {len(header['nodes'])} bits, one per node", key)
+    return {"begin": begin, "end": end, "features": features, "queried": queried,
+            "prediction": prediction, "truth": truth}
+
+
+def _runlog(header: dict, events: list[dict]) -> tuple[dict, np.ndarray, np.ndarray, list[dict]]:
+    n = len(header["nodes"])
+    preds = np.array([e["prediction"] for e in events], dtype=np.uint8).reshape(len(events), n)
+    truths = np.array([e["truth"] for e in events], dtype=np.uint8).reshape(len(events), n)
+    return header, preds, truths, events
+
+
+@dataclass(frozen=True)
+class Format:
+    """A document format: its tag and the table of the document, or of a
+    JSONL file's header line. A JSONL format adds the table of its other
+    lines and `finish(header, values)`, which makes the loaded object."""
+
+    tag: str
+    table: Table
+    lines: Table | None = None
+    finish: Callable[[Any, list], Any] | None = None
+
+
+FORMATS: dict[str, Format] = {
+    "etg": Format("etg/1", Table("etg/1", (
+        Field("etypes", list_of(nested(Table("etype", (
+            Field("id", STRING), Field("name", STRING), Field("parent", ID, None),
+            Field("data_properties", list_of(nested(Table("data property", (
+                Field("name", STRING), Field("datatype", STRING),
+                Field("values", list_of(STRING), []),
+            ), DataPropertyDef))), []),
+        ), EntityType))), []),
+        Field("properties", list_of(nested(Table("property", (
+            Field("id", STRING), Field("name", STRING),
+            Field("domain", STRING), Field("codomain", STRING),
+            Field("context_dependent", BOOLEAN, False),
+        ), ObjectPropertyDef))), []),
+        Field("me_etype", STRING),
+        Field("q", nullable(STRINGS), None),
+    ), ETG)),
+    "eg": Format("eg/1", Table("eg/1", (
+        Field("at", nullable(TIMESTAMP), None),
+        Field("entities", list_of(nested(Table("entity", (
+            Field("id", STRING), Field("name", STRING), Field("etype", STRING),
+            Field("values", OBJECT, {}),
+        )))), []),
+        Field("triples", list_of(nested(Table("triple", (
+            Field("property", STRING), Field("subject", STRING), Field("object", STRING),
+        ), PropertyValue))), []),
+    ), _eg)),
+    "stream": Format(
+        "stream/1", Table("stream/1", (), lambda: None),
+        Table("stream record", (Field("ts", TIMESTAMP),) + _RECORD, StreamRecord),
+        lambda header, records: StreamingContext(tuple(records))),
+    "hierarchy": Format("hierarchy/1", Table("hierarchy/1", (
+        Field("nodes", list_of(nested(Table("node", (
+            Field("id", STRING),
+            Field("kind", Parser("node kind", (str,), NodeKind)),
+            Field("display_name", STRING),
+            Field("source_ref", Parser("null, string or list of string", (str, list, NoneType),
+                                       _source_ref)),
+        ), ConceptNode)))),
+        Field("edges", list_of(Parser("[child, parent] pair", (list,), _edge))),
+        Field("root", STRING),
+    ), Hierarchy)),
+    "scenario": Format("scenario/1", Table("scenario/1", (
+        Field("seed", INTEGER),
+        Field("reading_interval_s", NUMBER),
+        Field("channels", list_of(STRING)),
+        Field("segments", list_of(nested(Table("segment", (
+            Field("begin", TIMESTAMP), Field("end", TIMESTAMP),
+            Field("emissions", dict_of(nested(Table("emission", (
+                Field("mean", NUMBER), Field("std", NUMBER),
+            ), EmissionSpec))), {}),
+            Field("record", nested(Table("scenario record", _RECORD))),
+        ), lambda begin, end, emissions, record: Segment(
+            begin, end, emissions, StreamRecord(begin, *record))))), []),
+    ), ScenarioScript)),
+    "config": Format("config/1", Table("config/1", (
+        Field("near_threshold_m", NUMBER, 10.0),
+        Field("window_minutes", NUMBER, DEFAULT_WINDOW_MINUTES),
+        Field("strategy", nested(Table("strategy", (
+            Field("kind", STRING, "always"), Field("tau", NUMBER, 0.0),
+        ), QueryStrategy)), {"kind": "always"}),
+        Field("seed", nullable(INTEGER), None),
+    ), _config, extra="refuse")),
+    "runlog": Format(
+        "runlog/1",
+        Table("runlog/1", (Field("seed", INTEGER), Field("nodes", STRINGS),
+                           Field("manifest", STRINGS)), _runlog_header),
+        Table("event", (
+            Field("begin", TIMESTAMP), Field("end", TIMESTAMP),
+            Field("features", list_of(NUMBER, list)), Field("queried", BOOLEAN),
+            Field("prediction", BITS), Field("truth", BITS),
+        ), _event),
+        _runlog),
+    "metrics": Format("metrics/1", Table("metrics/1", (), dict, extra="keep")),
 }
 
 
-class _Malformed:
-    """Context in which an error raised by a document's shape (a missing key,
-    a value of the wrong type or out of range) becomes a FormatError on
-    `path`. `load_stream` enters it once per file and keeps `line` current."""
-
-    def __init__(self, path: Any, what: str):
-        self.path = path
-        self.what = what
-        self.line: int | None = None
-
-    def __enter__(self) -> "_Malformed":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if isinstance(exc, (KeyError, TypeError, ValueError, AttributeError)):
-            raise FormatError(self.path, f"malformed {self.what}: {exc}", line=self.line) from None
-
-
-def _check_format(doc: Any, kind: str, path: Any) -> None:
-    tag = doc.get("format") if isinstance(doc, Mapping) else None
-    if tag != FORMATS[kind]:
-        raise FormatError(path, f"expected format {FORMATS[kind]!r}, found {tag!r}")
-
+# -- reading -----------------------------------------------------------------------
 
 def _decode(path: Any, data: bytes, line: int | None = None) -> str:
     try:
@@ -103,38 +262,48 @@ def _jsonl_docs(path: str | Path) -> Iterator[tuple[int, Any]]:
             yield lineno, doc
 
 
-def _strings(value: Any, what: str) -> list[str]:
-    """`value` itself when it is a JSON list of strings."""
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise TypeError(f"{what} must be a list of strings")
-    return value
+def _kind(doc: Any, kinds: Sequence[str], path: Any) -> str:
+    """The one of `kinds` whose tag `doc` carries, else a FormatError."""
+    tag = doc.get("format") if isinstance(doc, dict) else None
+    for kind in kinds:
+        if FORMATS[kind].tag == tag:
+            return kind
+    expected = " or ".join(repr(FORMATS[kind].tag) for kind in kinds)
+    raise FormatError(path, f"expected format {expected}, found {tag!r}")
 
 
-def _integer(value: Any, what: str) -> int:
-    if type(value) is not int:  # bool is an int subclass; JSON true is not a number
-        raise TypeError(f"{what} must be an integer")
-    return value
+def _read(path: Any, tag: str, table: Table, doc: Any, line: int | None, *context: Any) -> Any:
+    """`doc` read by `table`: the one place where a ValueError, from a parser
+    or from a constructor, becomes a FormatError on `path` and `line`."""
+    try:
+        if type(doc) is not dict:
+            raise FieldError("expected object")
+        return table.read(doc, *context)
+    except ValueError as exc:
+        raise FormatError(path, f"malformed {tag} document: {exc}", line=line) from None
 
 
-def _number(value: Any, what: str) -> float:
-    # NaN fails the comparison, and so do infinities and ints past the float range
-    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-        raise TypeError(f"{what} must be a finite number")
-    return float(value)
+def _from_dict(kind: str, doc: Any, path: Any, *context: Any) -> Any:
+    fmt = FORMATS[_kind(doc, (kind,), path)]
+    return _read(path, fmt.tag, fmt.table, doc, None, *context)
 
 
-def _id(value: Any, what: str) -> str | None:
-    if value is not None and type(value) is not str:
-        raise TypeError(f"{what} must be a string or null")
-    return value
-
-
-def _coordinates(d: Mapping[str, Any]) -> Coordinates:
-    frame = d.get("frame", "local")
-    if type(frame) is not str:
-        raise TypeError("a coordinates frame must be a string")
-    return Coordinates(_number(d["x"], "coordinate x"), _number(d["y"], "coordinate y"),
-                       _number(d["z"], "coordinate z"), frame)
+def _jsonl(path: str | Path, kinds: Sequence[str]) -> tuple[str, Any]:
+    """(kind, loaded object) of a JSONL file: a header on its first non-blank
+    line, with the tag of one of `kinds`, then one document per line. A
+    header that reads to a value (a run log's) goes with each line to its
+    table, so that a line is checked against it."""
+    docs = _jsonl_docs(path)
+    for line, doc in docs:
+        kind = _kind(doc, kinds, path)
+        fmt = FORMATS[kind]
+        header = _read(path, fmt.tag, fmt.table, doc, line)
+        break
+    else:
+        raise FormatError(path, "no format header")
+    context = () if header is None else (header,)
+    values = [_read(path, fmt.tag, fmt.lines, doc, line, *context) for line, doc in docs]
+    return kind, fmt.finish(header, values)
 
 
 def dumps_canonical(doc: Any) -> str:
@@ -147,35 +316,8 @@ def _write_json(path: str | Path, doc: Any) -> None:
 
 # -- ETG ---------------------------------------------------------------
 
-def etg_from_dict(doc: Mapping[str, Any], path: Any = "<memory>") -> ETG:
-    _check_format(doc, "etg", path)
-    with _Malformed(path, "ETG document"):
-        etypes = [
-            EntityType(
-                *_strings([et["id"], et["name"]], "an etype's id and name"),
-                parent=_id(et.get("parent"), "an etype's parent"),
-                data_properties=tuple(
-                    DataPropertyDef(
-                        *_strings([dp["name"], dp["datatype"]],
-                                  "a data property's name and datatype"),
-                        enum_values=tuple(_strings(dp.get("values", []), "enum values")),
-                    )
-                    for dp in et.get("data_properties", ())
-                ),
-            )
-            for et in doc.get("etypes", ())
-        ]
-        properties = []
-        for p in doc.get("properties", ()):
-            fields = _strings([p["id"], p["name"], p["domain"], p["codomain"]],
-                              "a property's id, name, domain and codomain")
-            context_dependent = p.get("context_dependent", False)
-            if not isinstance(context_dependent, bool):
-                raise TypeError(f"context_dependent of {p['id']!r} must be true or false")
-            properties.append(ObjectPropertyDef(*fields, context_dependent=context_dependent))
-        q = doc.get("q")
-        return ETG(etypes, properties, me_etype=_strings([doc["me_etype"]], "me_etype")[0],
-                   q=_strings(q, "q") if q is not None else None)
+def etg_from_dict(doc: Any, path: Any = "<memory>") -> ETG:
+    return _from_dict("etg", doc, path)
 
 
 def load_etg(path: str | Path) -> ETG:
@@ -192,17 +334,9 @@ def _value_to_json(v: Any) -> Any:
     return v
 
 
-def _value_from_json(datatype: str, v: Any) -> Any:
-    if datatype == "coordinates" and isinstance(v, Mapping):
-        return _coordinates(v)
-    if datatype == "timestamp" and isinstance(v, str):
-        return parse_timestamp(v)
-    return v
-
-
 def eg_to_dict(eg: EG) -> dict:
     return {
-        "format": FORMATS["eg"],
+        "format": FORMATS["eg"].tag,
         "at": format_timestamp(eg.at) if eg.at is not None else None,
         "entities": [
             {
@@ -220,30 +354,8 @@ def eg_to_dict(eg: EG) -> dict:
     }
 
 
-def eg_from_dict(doc: Mapping[str, Any], etg: ETG | None = None, path: Any = "<memory>") -> EG:
-    _check_format(doc, "eg", path)
-    with _Malformed(path, "EG document"):
-        entities = []
-        for e in doc.get("entities", ()):
-            eid, name, etype = _strings([e["id"], e["name"], e["etype"]],
-                                        "an entity's id, name and etype")
-            values = e.get("values", {})
-            if not isinstance(values, dict):
-                raise TypeError("an entity's values must be an object")
-            if etg is not None and etype in etg.etypes:
-                effective = etg.effective_data_properties(etype)
-                values = {
-                    k: _value_from_json(effective[k].datatype, v) if k in effective else v
-                    for k, v in values.items()
-                }
-            entities.append(Entity(eid, name, etype, dict(values)))
-        triples = [
-            PropertyValue(*_strings([t["property"], t["subject"], t["object"]],
-                                    "a triple's property, subject and object"))
-            for t in doc.get("triples", ())
-        ]
-        at = doc.get("at")
-        return EG(entities, triples, at=parse_timestamp(at) if at else None)
+def eg_from_dict(doc: Any, etg: ETG | None = None, path: Any = "<memory>") -> EG:
+    return _from_dict("eg", doc, path, etg)
 
 
 def load_eg(path: str | Path, etg: ETG | None = None) -> EG:
@@ -256,62 +368,16 @@ def save_eg(path: str | Path, eg: EG) -> None:
 
 # -- stream records (JSONL) ---------------------------------------------
 
-def _function(d: Mapping[str, Any]) -> FunctionAssignment:
-    return FunctionAssignment(
-        function_name=_id(d["function"], "function"),
-        holder=_id(d["holder"], "holder"),
-        beneficiary=_id(d["beneficiary"], "beneficiary"),
-    )
-
-
-def _record_from_json(d: Mapping[str, Any], ts: Timestamp | None = None) -> StreamRecord:
-    my_actions = d.get("my_actions")
-    persons = d.get("persons")
-    objects = d.get("objects")
-    coo_me = d.get("coo_me")
-    return StreamRecord(
-        ts=ts if ts is not None else parse_timestamp(d["ts"]),
-        super_location=_id(d.get("super_location"), "super_location"),
-        super_event=_id(d.get("super_event"), "super_event"),
-        location=_id(d.get("location"), "location"),
-        event=_id(d.get("event"), "event"),
-        coo_me=_coordinates(coo_me) if coo_me is not None else None,
-        my_actions=frozenset(_strings(my_actions, "my_actions"))
-        if my_actions is not None
-        else None,
-        person_entries=None
-        if persons is None
-        else tuple(
-            PersonEntry(
-                function=_function(p),
-                actions=frozenset(_strings(p.get("actions", []), "person actions")),
-            )
-            for p in persons
-        ),
-        object_entries=None
-        if objects is None
-        else tuple(_function(o) for o in objects),
-    )
-
-
 def load_stream(path: str | Path, containment: Containment | None = None) -> StreamingContext:
     """Read a JSONL stream: a format header on the first non-blank line, then
-    one record per line. Each record's declared supers are checked against
-    `containment` as it is read; the timestamp order is checked once, when
-    the stream is built. A malformed record is a FormatError on its line."""
-    docs = _jsonl_docs(path)
-    for _, header in docs:
-        _check_format(header, "stream", path)
-        break
-    records: list[StreamRecord] = []
-    with _Malformed(path, "stream record") as where:
-        for lineno, doc in docs:
-            where.line = lineno
-            record = _record_from_json(doc)
-            if containment is not None:
-                containment.check_record(record)
-            records.append(record)
-    return StreamingContext(tuple(records))
+    one record per line. A malformed record is a FormatError on its line;
+    the timestamp order is checked once, when the stream is built, and then
+    each record's declared supers against `containment`."""
+    stream = _jsonl(path, ("stream",))[1]
+    if containment is not None:
+        for record in stream.records:
+            containment.check_record(record)
+    return stream
 
 
 # -- hierarchy -----------------------------------------------------------
@@ -324,7 +390,7 @@ def _source_ref_to_json(ref) -> Any:
 
 def hierarchy_to_dict(h: Hierarchy) -> dict:
     return {
-        "format": FORMATS["hierarchy"],
+        "format": FORMATS["hierarchy"].tag,
         "root": h.root,
         "nodes": [
             {
@@ -339,19 +405,8 @@ def hierarchy_to_dict(h: Hierarchy) -> dict:
     }
 
 
-def hierarchy_from_dict(doc: Mapping[str, Any], path: Any = "<memory>") -> Hierarchy:
-    _check_format(doc, "hierarchy", path)
-    with _Malformed(path, "hierarchy document"):
-        nodes = []
-        for n in doc["nodes"]:
-            nid, name = _strings([n["id"], n["display_name"]], "a node's id and display_name")
-            r = n["source_ref"]
-            ref = tuple(_strings(r, "source_ref")) if isinstance(r, list) else _id(r, "source_ref")
-            nodes.append(ConceptNode(nid, NodeKind(n["kind"]), name, ref))
-        edges = [tuple(_strings(e, "an edge")) for e in doc["edges"]]
-        if any(len(e) != 2 for e in edges):
-            raise ValueError("an edge is not a [child, parent] pair")
-        return Hierarchy(nodes, edges, root=_strings([doc["root"]], "root")[0])
+def hierarchy_from_dict(doc: Any, path: Any = "<memory>") -> Hierarchy:
+    return _from_dict("hierarchy", doc, path)
 
 
 def load_hierarchy(path: str | Path) -> Hierarchy:
@@ -364,28 +419,8 @@ def save_hierarchy(path: str | Path, h: Hierarchy) -> None:
 
 # -- scenario ------------------------------------------------------------
 
-def scenario_from_dict(doc: Mapping[str, Any], path: Any = "<memory>") -> ScenarioScript:
-    _check_format(doc, "scenario", path)
-    with _Malformed(path, "scenario document"):
-        segments = []
-        for seg in doc.get("segments", ()):
-            begin = parse_timestamp(seg["begin"])
-            segments.append(Segment(
-                begin=begin,
-                end=parse_timestamp(seg["end"]),
-                emissions={
-                    ch: EmissionSpec(_number(spec["mean"], "emission mean"),
-                                     _number(spec["std"], "emission std"))
-                    for ch, spec in seg.get("emissions", {}).items()
-                },
-                record=_record_from_json(seg["record"], ts=begin),
-            ))
-        return ScenarioScript(
-            seed=_integer(doc["seed"], "seed"),
-            reading_interval_s=_number(doc["reading_interval_s"], "reading_interval_s"),
-            channels=tuple(_strings(doc["channels"], "channels")),
-            segments=tuple(segments),
-        )
+def scenario_from_dict(doc: Any, path: Any = "<memory>") -> ScenarioScript:
+    return _from_dict("scenario", doc, path)
 
 
 def load_scenario(path: str | Path) -> ScenarioScript:
@@ -393,11 +428,6 @@ def load_scenario(path: str | Path) -> ScenarioScript:
 
 
 # -- config --------------------------------------------------------------
-
-# `near_threshold_m` stays a valid config/1 key; no stage reads it, so it is
-# checked and then dropped
-CONFIG_KEYS = {"format", "near_threshold_m", "window_minutes", "strategy", "seed"}
-
 
 @dataclass(frozen=True)
 class Config:
@@ -411,22 +441,8 @@ class Config:
             raise ValueError(f"seed must be >= 0, not {self.seed}")
 
 
-def config_from_dict(doc: Mapping[str, Any], path: Any = "<memory>") -> Config:
-    _check_format(doc, "config", path)
-    unknown = set(doc) - CONFIG_KEYS
-    if unknown:
-        raise FormatError(path, f"unknown config keys: {sorted(unknown)}")
-    with _Malformed(path, "config"):
-        if _number(doc.get("near_threshold_m", 10.0), "near_threshold_m") <= 0:
-            raise ValueError("near_threshold_m must be positive")
-        strategy = doc.get("strategy", {"kind": "always"})
-        return Config(
-            window_minutes=_number(doc.get("window_minutes", Config.window_minutes),
-                                   "window_minutes"),
-            strategy=QueryStrategy(kind=strategy.get("kind", "always"),
-                                   tau=_number(strategy.get("tau", 0.0), "strategy tau")),
-            seed=_integer(doc["seed"], "seed") if doc.get("seed") is not None else None,
-        )
+def config_from_dict(doc: Any, path: Any = "<memory>") -> Config:
+    return _from_dict("config", doc, path)
 
 
 def load_config(path: str | Path) -> Config:
@@ -482,19 +498,6 @@ def _event_blocks(events: Sequence[WindowEvent], n: int) -> Iterator[list[str]]:
         ]
 
 
-def _runlog_header(node_order: Sequence[str], manifest: Sequence[str], seed: int) -> str:
-    return json.dumps({"format": FORMATS["runlog"], "seed": seed, "nodes": list(node_order),
-                       "manifest": list(manifest)}, ensure_ascii=False)
-
-
-def runlog_to_lines(node_order: Sequence[str], manifest: Sequence[str], seed: int,
-                    events: Iterable[WindowEvent]) -> list[str]:
-    lines = [_runlog_header(node_order, manifest, seed)]
-    for block in _event_blocks(list(events), len(node_order)):
-        lines += block
-    return lines
-
-
 def save_runlog(path: str | Path, node_order: Sequence[str], manifest: Sequence[str],
                 seed: int, events: Iterable[WindowEvent]) -> None:
     """Write a `runlog/1` file, streaming it one block of events at a time.
@@ -505,52 +508,28 @@ def save_runlog(path: str | Path, node_order: Sequence[str], manifest: Sequence[
     for start in range(0, len(events), RUNLOG_BLOCK):
         for key in ("prediction", "truth"):
             _bit_matrix([getattr(e, key) for e in events[start:start + RUNLOG_BLOCK]], n)
+    header = {"format": FORMATS["runlog"].tag, "seed": seed, "nodes": list(node_order),
+              "manifest": list(manifest)}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_runlog_header(node_order, manifest, seed) + "\n")
+        fh.write(json.dumps(header, ensure_ascii=False) + "\n")
         for block in _event_blocks(events, n):
             fh.write("\n".join(block) + "\n")
 
 
 def load_runlog(path: str | Path) -> tuple[dict, np.ndarray, np.ndarray, list[dict]]:
-    """Returns (header, predictions, truths, raw event dicts). The header is
-    the first non-blank line; every event's rows hold one bit (the integer 0
-    or 1) per node, and its `queried` is a JSON bool."""
-    docs = _jsonl_docs(path)
-    header: dict | None = None
-    for lineno, header in docs:
-        _check_format(header, "runlog", path)
-        nodes = header.get("nodes")
-        if (not isinstance(nodes, list) or {*map(type, nodes)} - {str}
-                or len(set(nodes)) != len(nodes)):
-            raise FormatError(path, "run log header must list distinct node ids", line=lineno)
-        break
-    if header is None:
-        raise FormatError(path, "empty run log")
-    n = len(header["nodes"])
-    events: list[dict] = []
-    for lineno, doc in docs:
-        for key in ("prediction", "truth"):
-            row = doc.get(key) if isinstance(doc, Mapping) else None
-            if (not isinstance(row, list) or len(row) != n
-                    or {*map(type, row)} - {int} or not {*row} <= {0, 1}):
-                raise FormatError(path, f"event {key} must list {n} bits (0 or 1), one per node",
-                                  line=lineno)
-        if type(doc.get("queried")) is not bool:
-            raise FormatError(path, "event queried must be true or false", line=lineno)
-        events.append(doc)
-    preds = np.array([e["prediction"] for e in events], dtype=np.uint8).reshape(len(events), n)
-    truths = np.array([e["truth"] for e in events], dtype=np.uint8).reshape(len(events), n)
-    return header, preds, truths, events
+    """Returns (header, predictions, truths, events): the header (`format`,
+    `seed`, `nodes`, `manifest`) and each event as a dict of its parsed
+    fields. Every event's rows hold one bit (the integer 0 or 1) per node."""
+    return _jsonl(path, ("runlog",))[1]
 
 
-def save_metrics(path: str | Path, metrics: Mapping[str, Any]) -> None:
-    doc = {"format": FORMATS["metrics"], **metrics}
+def save_metrics(path: str | Path, metrics: dict[str, Any]) -> None:
+    doc = {"format": FORMATS["metrics"].tag, **metrics}
     _write_json(path, doc)
 
 
-def metrics_from_dict(doc: Mapping[str, Any], path: Any = "<memory>") -> dict:
-    _check_format(doc, "metrics", path)
-    return {k: v for k, v in doc.items() if k != "format"}
+def metrics_from_dict(doc: Any, path: Any = "<memory>") -> dict:
+    return _from_dict("metrics", doc, path)
 
 
 def load_metrics(path: str | Path) -> dict:
@@ -559,29 +538,15 @@ def load_metrics(path: str | Path) -> dict:
 
 # -- any document ----------------------------------------------------------
 
-_FROM_DICT = {
-    "etg": etg_from_dict,
-    "eg": eg_from_dict,
-    "hierarchy": hierarchy_from_dict,
-    "scenario": scenario_from_dict,
-    "config": config_from_dict,
-    "metrics": metrics_from_dict,
-}
-
-
 def load_document(path: str | Path) -> tuple[str, Any]:
     """(kind, loaded object) of the document at `path`: a `.jsonl` file is a
-    run log when its header has the run-log tag, else a stream; a JSON one
-    goes by the tag's kind, and an EG loads without a schema."""
+    run log or a stream, by its header's tag; a JSON one goes by the tag's
+    kind, and an EG loads without a schema."""
     if str(path).endswith(".jsonl"):
-        header = next((doc for _, doc in _jsonl_docs(path)), None)
-        if isinstance(header, Mapping) and header.get("format") == FORMATS["runlog"]:
-            return "runlog", load_runlog(path)
-        return "stream", load_stream(path)
+        return _jsonl(path, ("runlog", "stream"))
     doc = _read_json(path)
-    with _Malformed(path, "document"):
-        tag = doc.get("format", "")
+    tag = doc.get("format") if isinstance(doc, dict) else None
     kind = tag.partition("/")[0] if isinstance(tag, str) else ""
-    if kind not in _FROM_DICT:
+    if kind not in FORMATS or FORMATS[kind].lines is not None:
         raise FormatError(path, f"unrecognized format tag {tag!r}")
-    return kind, _FROM_DICT[kind](doc, path=path)
+    return kind, _from_dict(kind, doc, path)

@@ -286,8 +286,10 @@ def run_simulation(
 
     def draw(n: int) -> dict[str, np.ndarray]:
         """The segment's next n ticks, each channel's readings one contiguous row."""
-        # rng.normal(means, stds, size) bit for bit, without its broadcasting
-        block = means + stds * rng.standard_normal((n, len(channels)))
+        # rng.normal(means, stds, size) bit for bit, without its broadcasting;
+        # an overflow is refused below, so numpy need not warn of it
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = means + stds * rng.standard_normal((n, len(channels)))
         if not np.isfinite(block).all():
             bad = np.argwhere(~np.isfinite(block))[0, 1]
             raise ValueError(f"non-finite reading on channel {channels[bad]!r}")

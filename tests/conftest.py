@@ -91,10 +91,10 @@ def _hierarchy(edges, **changes) -> str:
                        "nodes": [{**node("a"), **changes}, node("r")], "edges": edges})
 
 
-def _runlog(nodes, change=lambda event: None) -> str:
-    """A run log whose header lists `nodes`, with one event of two bits;
-    `change` edits the event."""
-    header = {"format": "runlog/1", "seed": 7, "nodes": nodes, "manifest": []}
+def _runlog(nodes, change=lambda event: None, **header) -> str:
+    """A run log whose header lists `nodes` (`header` adds or replaces
+    keys), with one event of two bits; `change` edits the event."""
+    header = {"format": "runlog/1", "seed": 7, "nodes": nodes, "manifest": [], **header}
     event = {"begin": "2021-06-02T12:00:00+00:00", "end": "2021-06-02T12:01:00+00:00",
              "features": [], "queried": True, "prediction": [1, 0], "truth": [1, 1]}
     change(event)
@@ -131,6 +131,8 @@ MALFORMED = {
     "document-not-object": ("json", "[1]", None),
     "eg-entity-not-object": ("eg", json.dumps(_fixture_doc("travel_eg.json", entities=[1])), None),
     "eg-at-not-string": ("eg", json.dumps(_fixture_doc("travel_eg.json", at=5)), None),
+    "eg-at-zero": ("eg", json.dumps(_fixture_doc("travel_eg.json", at=0)), None),
+    "eg-at-empty-string": ("eg", json.dumps(_fixture_doc("travel_eg.json", at="")), None),
     "etg-duplicate-etype": ("etg", _etg_with_duplicate_etype(), None),
     "scenario-record-not-object": ("scenario", _first_segment(record=[1]), None),
     "scenario-emissions-not-object": ("scenario", _first_segment(emissions=[1]), None),
@@ -163,6 +165,12 @@ MALFORMED = {
     "runlog-nodes-repeat": ("runlog", _runlog(["a", "a"]), 1),
     "runlog-queried-not-boolean": ("runlog", _runlog(["a", "b"], lambda e: e.update(queried=1)), 2),
     "runlog-queried-missing": ("runlog", _runlog(["a", "b"], lambda e: e.pop("queried")), 2),
+    "runlog-feature-infinite": ("runlog", _runlog(
+        ["a", "b"], lambda e: e.update(features=[float("inf")]), manifest=["speed"]), 2),
+    "runlog-feature-nan": ("runlog", _runlog(
+        ["a", "b"], lambda e: e.update(features=[float("nan")]), manifest=["speed"]), 2),
+    "runlog-begin-not-timestamp": ("runlog", _runlog(["a", "b"], lambda e: e.update(begin=5)), 2),
+    "runlog-seed-string": ("runlog", _runlog(["a", "b"], seed="7"), 1),
     "scenario-channels-not-list": ("scenario", json.dumps(
         _fixture_doc("travel_scenario.json", channels="ab", segments=[])), None),
     "scenario-seed-not-integer": ("scenario", json.dumps(

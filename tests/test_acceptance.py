@@ -199,7 +199,7 @@ def test_criterion_6_snapshot_conformance(travel_etg, travel_eg):
     print(f"\nACCEPTANCE 6: PASS - {clean}/200 randomized snapshots conform")
 
 
-def test_criterion_7_learning_sanity(travel_hierarchy, travel_etg, travel_eg):
+def test_criterion_7_learning_sanity(tmp_path, travel_hierarchy, travel_etg, travel_eg):
     """Separable two-regime scenario, >= 500 windows, always-query: final
     sliding accuracy >= 0.95 on active nodes, all predictions consistent,
     bit-for-bit reproducible, under 60 s."""
@@ -227,8 +227,9 @@ def test_criterion_7_learning_sanity(travel_hierarchy, travel_etg, travel_eg):
         script, travel_hierarchy, travel_etg, travel_eg,
         window_spec=spec, strategy=QueryStrategy("always"),
     )
-    a = io.runlog_to_lines(result.node_order, result.manifest, result.seed, result.events)
-    b = io.runlog_to_lines(rerun.node_order, rerun.manifest, rerun.seed, rerun.events)
+    for run, path in ((result, tmp_path / "a.jsonl"), (rerun, tmp_path / "b.jsonl")):
+        io.save_runlog(path, run.node_order, run.manifest, run.seed, run.events)
+    a, b = ((tmp_path / name).read_text().splitlines() for name in ("a.jsonl", "b.jsonl"))
     assert a == b, "rerun is not bit-for-bit identical"
     assert elapsed < 60.0, f"criterion budget exceeded: {elapsed:.1f}s"
     print(

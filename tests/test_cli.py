@@ -130,12 +130,12 @@ def test_validate_loads_an_eg_under_the_one_etg_named(tmp_path, capsys):
     etg, eg = _graphs_with_a_boolean_home(tmp_path)
     assert main(["compile", etg, eg, "--out", str(tmp_path / "h.json")]) == 2
     compile_err = capsys.readouterr().err
-    assert "coordinate x must be a finite number" in compile_err
+    assert "entities[0].values.home.x: expected finite number" in compile_err
     assert main(["validate", etg, eg]) == 2
     findings = capsys.readouterr().err.splitlines()
     assert len(findings) == 1
     assert findings[0].startswith(f"[invalid-document] {eg}: ")
-    assert "coordinate x must be a finite number" in findings[0]
+    assert "entities[0].values.home.x: expected finite number" in findings[0]
     # alone, or beside two ETGs, the EG has no schema to load under
     assert main(["validate", eg]) == 0
     assert main(["validate", etg, ETG, eg]) == 0
@@ -195,6 +195,17 @@ def test_compile_and_simulate_refuse_a_malformed_etg_or_eg(tmp_path, capsys, cas
     assert main(["compile", etg, eg, "--out", str(tmp_path / "h.json")]) == 2
     assert main(["simulate", "--scenario", SCENARIO, "--etg", etg, "--eg", eg]) == 2
     assert capsys.readouterr().err.count(f"error: {bad}") == 2
+
+
+@pytest.mark.parametrize("case", [case for case, doc in MALFORMED.items() if doc[0] == "runlog"])
+def test_evaluate_refuses_a_malformed_run_log(tmp_path, capsys, case):
+    """An `Infinity` feature, say, is refused as the log loads, so no metrics
+    are printed."""
+    bad = tmp_path / "run.jsonl"
+    bad.write_bytes(encode_case(MALFORMED[case][1]))
+    assert main(["evaluate", "--log", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {bad}:")
 
 
 def test_validate_reads_the_jsonl_header_tag(tmp_path):
@@ -311,15 +322,15 @@ def test_simulate_accepts_a_hierarchy_compiled_with_custom_sets(option, tmp_path
                  "--hierarchy", str(hierarchy)]) == 0
 
 
-def _simulate_in_child(*args: str) -> subprocess.CompletedProcess:
+def _simulate_in_child(*args: str, python: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
     """Run the CLI with `args`, which end in a `simulate` on the travel ETG
     and EG, in a child process so that a hang fails the test instead of
-    stalling it."""
+    stalling it; `python` holds options for the interpreter."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run(
-        [sys.executable, "-m", "contextstream", *args, "--etg", ETG, "--eg", EG_PATH],
+        [sys.executable, *python, "-m", "contextstream", *args, "--etg", ETG, "--eg", EG_PATH],
         capture_output=True, text=True, env=env, timeout=20,
     )
 
@@ -366,6 +377,21 @@ def test_simulate_refuses_window_means_that_overflow(tmp_path):
     assert not log.exists()
 
 
+def test_simulate_refuses_overflowing_readings_without_a_warning(tmp_path):
+    """At std 1e308 a reading overflows to infinity as it is drawn: the run
+    exits 2 with the refusal alone, even with warnings turned into errors."""
+    doc = json.loads((FIXTURES / "travel_scenario.json").read_text())
+    for segment in doc["segments"]:
+        for emission in segment["emissions"].values():
+            emission["std"] = 1e308
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    done = _simulate_in_child("simulate", "--scenario", str(scenario), python=("-W", "error"))
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: non-finite reading on channel ")
+    assert len(done.stderr.splitlines()) == 1, done.stderr
+
+
 # case -> what the message names
 REFUSED_BEFORE_DRAWING = {
     "scenario-channels-repeated": "channels listed more than once: ['accelerometer_magnitude']",
@@ -399,8 +425,9 @@ def test_simulate_seed_flag_replaces_the_scenario_seed(tmp_path, travel_scenario
                  "--eg", EG_PATH, "--window", "5", "--out-log", str(log)]) == 0
     expected = run_simulation(replace(travel_scenario, seed=3), travel_hierarchy, travel_etg,
                               travel_eg, window_spec=WindowSpec.means(travel_scenario.channels, 5))
-    assert log.read_text().splitlines() == io.runlog_to_lines(
-        expected.node_order, expected.manifest, 3, expected.events)
+    io.save_runlog(tmp_path / "expected.jsonl", expected.node_order, expected.manifest, 3,
+                   expected.events)
+    assert log.read_text().splitlines() == (tmp_path / "expected.jsonl").read_text().splitlines()
 
 
 def test_simulate_refuses_a_negative_seed_flag(capsys):

@@ -8,18 +8,24 @@ document, which exit 0 or 2 as well (run with -s to see the PASS line on
 success). A scenario that loads holds at most `simulate.MAX_SCRIPT_TICKS`
 ticks, which bounds each of its runs. Mutants of the golden metrics document, drawn from their
 own seed, make `validate` exit 2 exactly when `io.load_metrics` refuses
-them."""
+them. Further mutants are derived from the format tables themselves: for
+every field of every format, one that drops a required field, one per JSON
+type the field refuses, and NaN and the infinities for a number field; each
+must raise a FormatError and make `validate` and the command that reads the
+format exit 2."""
 
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 
 from contextstream import io
 from contextstream.cli import main
-from contextstream.errors import ContextStreamError
+from contextstream.errors import ContextStreamError, FormatError
 from contextstream.kg import containment_from_eg
+from contextstream.tables import REQUIRED
 
 from conftest import FIXTURES, GOLDEN
 
@@ -32,6 +38,12 @@ RUNLOG = "\n".join(json.dumps(doc) for doc in [
        "features": [1.5], "queried": True, "prediction": [1, 0, i % 2], "truth": [1, 1, 0]}
       for i in range(3)),
 ]) + "\n"
+
+# format kind -> file name, in DOCUMENTS; the metrics body is free, so its
+# table has no field to mutate
+FILE_OF_KIND = {"etg": "etg.json", "eg": "eg.json", "stream": "stream.jsonl",
+                "scenario": "scenario.json", "config": "config.json",
+                "hierarchy": "hierarchy.json", "runlog": "run.jsonl"}
 
 # file name -> (original bytes, loader)
 DOCUMENTS = {
@@ -236,3 +248,115 @@ def test_configs_with_edge_values_simulate_or_exit_2(tmp_path, capsys):
     capsys.readouterr()
     assert not failures, f"{len(failures)} failures, first: {failures[:5]}"
     assert ran >= 50, f"only {ran} configs loaded"
+
+
+# one value of each JSON type; a field's wrong-type mutants are those whose
+# type its parser does not take
+TYPE_SAMPLES = [None, True, 5, 1.5, "x", [5], {"x": 5}]
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def _objects(value, parser, path):
+    """Paths of the objects that `parser`'s table reads in `value`: the value
+    itself, the items of a list, or the values of an object of objects."""
+    if isinstance(value, list):
+        return [path + (i,) for i, v in enumerate(value) if isinstance(v, dict)]
+    if isinstance(value, dict):
+        if parser.kind.startswith("object of"):
+            return [path + (k,) for k in value]
+        return [path]
+    return []
+
+
+def _find_tables(table, doc, path, found):
+    """Records, for `table` and each table nested in it, the first path in
+    `doc` at which an object of it sits."""
+    found.setdefault(table.name, (table, path))
+    obj = _at(doc, path)
+    for field in table.fields:
+        if field.parser.table is not None and field.key in obj:
+            for sub in _objects(obj[field.key], field.parser, path + (field.key,)):
+                _find_tables(field.parser.table, doc, sub, found)
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _field_mutants(kind: str):
+    """(case, text) for every table-derived mutant of the fixture of `kind`."""
+    fmt = io.FORMATS[kind]
+    text = DOCUMENTS[FILE_OF_KIND[kind]][0].decode()
+    jsonl = fmt.lines is not None
+    doc = [json.loads(line) for line in text.splitlines()] if jsonl else json.loads(text)
+    found: dict = {}
+    _find_tables(fmt.table, doc, (0,) if jsonl else (), found)
+    for i in range(1, len(doc)) if jsonl else ():
+        _find_tables(fmt.lines, doc, (i,), found)
+    reachable = {fmt.table.name} | ({fmt.lines.name} if jsonl else set())
+    assert set(found) >= reachable, f"{kind}: the fixture holds no {reachable - set(found)}"
+    for name, (table, path) in found.items():
+        for field in table.fields:
+            edits = [("missing", None)] if field.default is REQUIRED else []
+            edits += [(f"type {type(v).__name__}", v) for v in TYPE_SAMPLES
+                      if type(v) not in field.parser.types]
+            if float in field.parser.types:
+                edits += [(repr(v), v) for v in NON_FINITE]
+            elif field.parser.kind == "list of finite number":
+                edits += [(f"[{v!r}]", [v]) for v in NON_FINITE]
+            for what, value in edits:
+                mutant = json.loads(json.dumps(doc))
+                obj = _at(mutant, path)
+                if what == "missing":
+                    obj.pop(field.key, None)
+                else:
+                    obj[field.key] = value
+                out = ("\n".join(json.dumps(d) for d in mutant) + "\n" if jsonl
+                       else json.dumps(mutant, indent=2))
+                yield f"{kind} {name}.{field.key} {what}", out
+
+
+def test_every_field_mutant_is_refused_by_its_loader_and_commands(tmp_path, capsys):
+    start = time.perf_counter()
+    etg, eg = str(FIXTURES / "travel_etg.json"), str(FIXTURES / "travel_eg.json")
+    scenario, out = str(FIXTURES / "travel_scenario.json"), str(tmp_path / "out")
+    # format kind -> the commands that read a document of it at a path
+    commands = {
+        "etg": lambda p: [["compile", p, eg, "--out", out],
+                          ["simulate", "--scenario", scenario, "--etg", p, "--eg", eg]],
+        "eg": lambda p: [["compile", etg, p, "--out", out],
+                         ["simulate", "--scenario", scenario, "--etg", etg, "--eg", p]],
+        "scenario": lambda p: [["simulate", "--scenario", p, "--etg", etg, "--eg", eg]],
+        "config": lambda p: [["--config", p, *SIMULATE_TRAVEL]],
+        "hierarchy": lambda p: [["export-dot", p, "--out", out]],
+        "runlog": lambda p: [["evaluate", "--log", p]],
+        "stream": lambda p: [["snapshot", "--etg", etg, "--eg", eg, "--stream", p,
+                              "--out-dir", out]],
+    }
+    assert set(commands) == set(FILE_OF_KIND) == set(io.FORMATS) - {"metrics"}
+    failures: list[str] = []
+    n = 0
+    for kind, name in FILE_OF_KIND.items():
+        loader = DOCUMENTS[name][1]
+        path = tmp_path / name
+        for case, text in _field_mutants(kind):
+            n += 1
+            path.write_text(text)
+            try:
+                loader(path)
+                failures.append(f"{case}: loaded")
+            except FormatError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - any other error is the defect
+                failures.append(f"{case}: load raised {exc!r}")
+            for command in [["validate", str(path)], *commands[kind](str(path))]:
+                code = main(command)
+                if code != 2:
+                    failures.append(f"{case}: {' '.join(command[:2])} exited {code}")
+    elapsed = time.perf_counter() - start
+    capsys.readouterr()
+    assert not failures, f"{len(failures)} failures of {n}, first: {failures[:8]}"
+    assert n > 400
+    print(f"\nFIELD FUZZ: PASS - {n} table-derived mutants refused, in {elapsed:.2f}s")

@@ -312,9 +312,9 @@ def test_runlog_writer_matches_reference(tmp_path, k, n, queried, dtype):
     events = _events(bits, queried)
     nodes = [f"n{i}" for i in range(n)]
     expected = reference_runlog_lines(nodes, ["a", "b", "c"], 7, events)
-    assert io.runlog_to_lines(nodes, ["a", "b", "c"], 7, events) == expected
     path = tmp_path / "run.jsonl"
     io.save_runlog(path, nodes, ["a", "b", "c"], 7, iter(events))
+    assert path.read_text(encoding="utf-8").splitlines() == expected
     assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
     _, preds, truths, _ = io.load_runlog(path)
     assert (preds == bits[0]).all() and (truths == bits[1]).all()
@@ -328,8 +328,6 @@ def test_runlog_writer_rejects_a_value_other_than_a_bit_before_opening(tmp_path,
     with pytest.raises(ValueError, match="bits"):
         io.save_runlog(path, ["a", "b", "c"], [], 1, _events(bits))
     assert not path.exists()
-    with pytest.raises(ValueError, match="bits"):
-        io.runlog_to_lines(["a", "b", "c"], [], 1, _events(bits))
 
 
 def test_runlog_writer_rejects_a_row_of_the_wrong_width(tmp_path):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
 
+from contextstream import io
 from contextstream.labels import check_consistency
+from contextstream.tables import REQUIRED
 
 ROOT = Path(__file__).parent.parent
 
@@ -19,3 +22,45 @@ def test_readme_library_quick_start_runs(monkeypatch):
     h, y = namespace["h"], namespace["y"]
     assert y.any()
     assert check_consistency(h, y) == []
+
+
+EXTRA = {"ignore": "", "refuse": " Other keys are refused.", "keep": " Other keys are kept."}
+
+
+def _tables():
+    """Every table of every format, each once, depth first."""
+    seen: dict = {}
+
+    def visit(table):
+        if seen.setdefault(table.name, table) is not table:
+            raise AssertionError(f"two tables are named {table.name!r}")
+        for field in table.fields:
+            if field.parser.table is not None and field.parser.table.name not in seen:
+                visit(field.parser.table)
+
+    for fmt in io.FORMATS.values():
+        for table in (fmt.table, fmt.lines):
+            if table is not None and table.name not in seen:
+                visit(table)
+    return list(seen.values())
+
+
+def field_list_line(table) -> str:
+    """The README line of `table`: each field's key, parser kind, and
+    `required` or its default."""
+    fields = "; ".join(
+        f"`{f.key}` {f.parser.kind}, "
+        + ("required" if f.default is REQUIRED else f"default `{json.dumps(f.default)}`")
+        for f in table.fields
+    )
+    return f"- **{table.name}**: {fields or 'no fields'}.{EXTRA[table.extra]}"
+
+
+def test_readme_lists_every_field_of_every_table():
+    """The "Fields of each format" list holds one line per table, as
+    `field_list_line` renders it: a field in a table but not in the list, or
+    in the list but not in a table, fails."""
+    section = (ROOT / "README.md").read_text().split("### Fields of each format", 1)[1]
+    listed = [line for line in section.split("\n## ", 1)[0].splitlines()
+              if line.startswith("- **")]
+    assert listed == [field_list_line(table) for table in _tables()]

@@ -584,8 +584,9 @@ def test_run_simulation_never_strategy_trains_nothing(
     assert not any(e.prediction.any() for e in result.events)
 
 
-def test_run_simulation_reproducible(travel_scenario, travel_hierarchy, travel_etg, travel_eg):
-    from contextstream.io import runlog_to_lines
+def test_run_simulation_reproducible(tmp_path, travel_scenario, travel_hierarchy, travel_etg,
+                                    travel_eg):
+    from contextstream.io import save_runlog
 
     runs = [
         run_simulation(
@@ -594,9 +595,10 @@ def test_run_simulation_reproducible(travel_scenario, travel_hierarchy, travel_e
         )
         for _ in range(2)
     ]
-    lines = [
-        runlog_to_lines(r.node_order, r.manifest, r.seed, r.events) for r in runs
-    ]
+    lines = []
+    for i, r in enumerate(runs):
+        save_runlog(tmp_path / f"run{i}.jsonl", r.node_order, r.manifest, r.seed, r.events)
+        lines.append((tmp_path / f"run{i}.jsonl").read_text().splitlines())
     assert lines[0] == lines[1]
     assert runs[0].metrics == runs[1].metrics
 
