@@ -23,14 +23,14 @@ ACTION_COLOR = "indianred1"
 ACTION_ETYPE_NAME = "action"
 
 
-def _is_action_entity(node, etg: ETG | None, eg: EG | None) -> bool:
-    if etg is None or eg is None or node.kind is not NodeKind.ENTITY:
+def _is_action_entity(node, etg: ETG | None, eg: EG | None, actions: list[str]) -> bool:
+    """Whether `node` is an entity whose etype is or inherits one of the
+    `actions` etypes."""
+    if not actions or eg is None or node.kind is not NodeKind.ENTITY:
         return False
     entity_id = str(node.source_ref)
-    if not eg.has_entity(entity_id):
-        return False
-    lineage = etg.lineage.get(eg.entity(entity_id).etype, ())
-    return any(etg.etypes[et_id].name.lower() == ACTION_ETYPE_NAME for et_id in lineage)
+    return eg.has_entity(entity_id) and any(
+        etg.is_subtype(eg.entity(entity_id).etype, a) for a in actions)
 
 
 def _escape(s: str) -> str:
@@ -41,9 +41,12 @@ def export_dot(h: Hierarchy, etg: ETG | None = None, eg: EG | None = None) -> st
     """Render the hierarchy as a DOT digraph; each node appears exactly once
     and edges point child -> parent."""
     lines = ["digraph hierarchy {", "  rankdir=BT;", '  node [shape=box, style=filled];']
+    etypes = etg.etypes.values() if etg is not None else ()
+    actions = [et.id for et in etypes if et.name.lower() == ACTION_ETYPE_NAME]
     for nid in h.node_order:
         node = h.nodes[nid]
-        color = ACTION_COLOR if _is_action_entity(node, etg, eg) else _KIND_COLORS[node.kind]
+        action = _is_action_entity(node, etg, eg, actions)
+        color = ACTION_COLOR if action else _KIND_COLORS[node.kind]
         lines.append(
             f'  "{_escape(nid)}" [label="{_escape(node.display_name)}", fillcolor={color}];'
         )

@@ -59,7 +59,7 @@ def _source_ref(value: str | list) -> str | tuple[str, ...]:
 _COORDINATES = Table("coordinates", (
     Field("x", NUMBER), Field("y", NUMBER), Field("z", NUMBER), Field("frame", STRING, "local"),
 ), Coordinates)
-_FUNCTION = (Field("function", ID), Field("holder", ID), Field("beneficiary", ID))
+_FUNCTION = (Field("function", STRING), Field("holder", STRING), Field("beneficiary", STRING))
 # a stream record's fields after `ts`, in StreamRecord's order
 _RECORD = (
     Field("super_location", ID, None), Field("super_event", ID, None),
@@ -316,12 +316,8 @@ def _write_json(path: str | Path, doc: Any) -> None:
 
 # -- ETG ---------------------------------------------------------------
 
-def etg_from_dict(doc: Any, path: Any = "<memory>") -> ETG:
-    return _from_dict("etg", doc, path)
-
-
 def load_etg(path: str | Path) -> ETG:
-    return etg_from_dict(_read_json(path), path)
+    return _from_dict("etg", _read_json(path), path)
 
 
 # -- EG ----------------------------------------------------------------
@@ -354,12 +350,8 @@ def eg_to_dict(eg: EG) -> dict:
     }
 
 
-def eg_from_dict(doc: Any, etg: ETG | None = None, path: Any = "<memory>") -> EG:
-    return _from_dict("eg", doc, path, etg)
-
-
 def load_eg(path: str | Path, etg: ETG | None = None) -> EG:
-    return eg_from_dict(_read_json(path), etg, path)
+    return _from_dict("eg", _read_json(path), path, etg)
 
 
 def save_eg(path: str | Path, eg: EG) -> None:
@@ -405,12 +397,8 @@ def hierarchy_to_dict(h: Hierarchy) -> dict:
     }
 
 
-def hierarchy_from_dict(doc: Any, path: Any = "<memory>") -> Hierarchy:
-    return _from_dict("hierarchy", doc, path)
-
-
 def load_hierarchy(path: str | Path) -> Hierarchy:
-    return hierarchy_from_dict(_read_json(path), path)
+    return _from_dict("hierarchy", _read_json(path), path)
 
 
 def save_hierarchy(path: str | Path, h: Hierarchy) -> None:
@@ -419,12 +407,8 @@ def save_hierarchy(path: str | Path, h: Hierarchy) -> None:
 
 # -- scenario ------------------------------------------------------------
 
-def scenario_from_dict(doc: Any, path: Any = "<memory>") -> ScenarioScript:
-    return _from_dict("scenario", doc, path)
-
-
 def load_scenario(path: str | Path) -> ScenarioScript:
-    return scenario_from_dict(_read_json(path), path)
+    return _from_dict("scenario", _read_json(path), path)
 
 
 # -- config --------------------------------------------------------------
@@ -441,12 +425,8 @@ class Config:
             raise ValueError(f"seed must be >= 0, not {self.seed}")
 
 
-def config_from_dict(doc: Any, path: Any = "<memory>") -> Config:
-    return _from_dict("config", doc, path)
-
-
 def load_config(path: str | Path) -> Config:
-    return config_from_dict(_read_json(path), path)
+    return _from_dict("config", _read_json(path), path)
 
 
 # -- run logs and metrics --------------------------------------------------
@@ -528,12 +508,8 @@ def save_metrics(path: str | Path, metrics: dict[str, Any]) -> None:
     _write_json(path, doc)
 
 
-def metrics_from_dict(doc: Any, path: Any = "<memory>") -> dict:
-    return _from_dict("metrics", doc, path)
-
-
 def load_metrics(path: str | Path) -> dict:
-    return metrics_from_dict(_read_json(path), path)
+    return _from_dict("metrics", _read_json(path), path)
 
 
 # -- any document ----------------------------------------------------------

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Container, Iterable, Mapping, Optional
 
-from .core import Containment, Coordinates, StreamRecord, Timestamp, super_of
-from .errors import UnknownIdError
+from .core import Containment, Coordinates, StreamRecord, Timestamp
+from .errors import CycleError, UnknownIdError
 from .report import Finding, ValidationReport
 
 log = logging.getLogger(__name__)
@@ -100,18 +100,26 @@ class ETG:
             for end, label in ((p.domain, "domain"), (p.codomain, "codomain")):
                 if end not in self.etypes:
                     raise ValueError(f"property {p.id!r}: unknown {label} {end!r}")
-        parent_map = {
-            et.id: et.parent for et in self.etypes.values() if et.parent is not None
-        }
-        # each etype, then its ancestors nearest first; super_of raises
-        # CycleError on an inheritance cycle
-        self.lineage: dict[str, tuple[str, ...]] = {
-            et_id: (et_id, *super_of(et_id, parent_map)) if et_id in parent_map else (et_id,)
-            for et_id in self.etypes
-        }
-        self._effective: dict[str, dict[str, DataPropertyDef]] = {}
+        # two parents-first passes, so that a cycle is reported before any
+        # property collision; a walk up stops at the first etype already
+        # done, so each etype is walked once whatever the depth
+        acyclic: set[str] = set()
         for et_id in self.etypes:
-            self._effective[et_id] = self._build_effective(et_id)
+            acyclic.update(self._unfinished_chain(et_id, acyclic))
+        self._effective: dict[str, Mapping[str, DataPropertyDef]] = {}
+        for et_id in self.etypes:
+            for sub_id in reversed(self._unfinished_chain(et_id, self._effective)):
+                sub = self.etypes[sub_id]
+                merged = self._effective.get(sub.parent, {})  # shared if it adds none
+                if sub.data_properties:
+                    merged = dict(merged)
+                for dp in sub.data_properties:
+                    if dp.name in merged:
+                        # named after the first etype whose lineage holds it
+                        raise ValueError(f"etype {et_id!r}: data property {dp.name!r} "
+                                         "collides with an inherited property")
+                    merged[dp.name] = dp
+                self._effective[sub_id] = merged
         self.q: frozenset[str] = frozenset(DEFAULT_Q & set(self.properties))
         self.q = self.checked_q(q)
 
@@ -126,18 +134,16 @@ class ETG:
             raise ValueError(f"q lists unknown properties: {sorted(unknown)}")
         return q
 
-    def _build_effective(self, etype_id: str) -> dict[str, DataPropertyDef]:
-        merged: dict[str, DataPropertyDef] = {}
-        # walk from the topmost ancestor down so collisions name the culprit
-        for et_id in reversed(self.lineage[etype_id]):
-            for dp in self.etypes[et_id].data_properties:
-                if dp.name in merged:
-                    raise ValueError(
-                        f"etype {etype_id!r}: data property {dp.name!r} collides "
-                        "with an inherited property"
-                    )
-                merged[dp.name] = dp
-        return merged
+    def _unfinished_chain(self, etype_id: str | None, done: Container[str]) -> dict[str, None]:
+        """`etype_id`, then its ancestors nearest first, up to the first one in
+        `done`; CycleError, with the path walked, on an inheritance cycle."""
+        chain: dict[str, None] = {}
+        while etype_id is not None and etype_id not in done:
+            if etype_id in chain:
+                raise CycleError([*chain, etype_id])
+            chain[etype_id] = None
+            etype_id = self.etypes[etype_id].parent
+        return chain
 
     def etype(self, etype_id: str) -> EntityType:
         try:
@@ -158,12 +164,17 @@ class ETG:
 
     def is_subtype(self, etype_id: str, ancestor_id: str) -> bool:
         """True when etype_id is ancestor_id or inherits from it."""
-        return ancestor_id in self.lineage.get(etype_id, (etype_id,))
+        while etype_id != ancestor_id:
+            et = self.etypes.get(etype_id)
+            if et is None or et.parent is None:
+                return False
+            etype_id = et.parent
+        return True
 
     def is_observer(self, etype_id: str) -> bool:
         """True when etype_id is a declared etype that is or inherits the
-        observer etype."""
-        return self.me_etype in self.lineage.get(etype_id, ())
+        observer etype (which is declared)."""
+        return self.is_subtype(etype_id, self.me_etype)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ETG):
@@ -246,9 +257,6 @@ class EG:
         matches = self._by_name.get(ref, [])
         return matches[0] if len(matches) == 1 else None
 
-    def triple_set(self) -> frozenset[PropertyValue]:
-        return frozenset(self.triples)
-
     def me_entity(self, etg: ETG) -> Entity | None:
         """The unique entity typed by the observer etype, if any."""
         if self._observer is None or self._observer[0] is not etg:
@@ -276,7 +284,7 @@ class EG:
             return NotImplemented
         return (
             sorted(self.entities, key=lambda e: e.id) == sorted(other.entities, key=lambda e: e.id)
-            and self.triple_set() == other.triple_set()
+            and frozenset(self.triples) == frozenset(other.triples)
             and self.at == other.at
         )
 

@@ -69,18 +69,3 @@ def session_metrics(predictions: np.ndarray, ground_truth: np.ndarray,
     metrics["n_queries"] = sum(queried)
     return metrics
 
-
-def per_node_accuracy(
-    predictions: np.ndarray, ground_truth: np.ndarray, last: int | None = None
-) -> np.ndarray:
-    """Fraction of examples each node was predicted correctly on, optionally
-    restricted to the trailing `last` examples."""
-    preds = np.asarray(predictions, dtype=bool)
-    truths = np.asarray(ground_truth, dtype=bool)
-    if last is not None:
-        preds = preds[-last:]
-        truths = truths[-last:]
-    if len(preds) == 0:
-        return np.ones(preds.shape[1])
-    return (preds == truths).mean(axis=0)
-

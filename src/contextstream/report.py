@@ -25,15 +25,9 @@ class ValidationReport:
     def add(self, code: str, message: str, subject: str | None = None) -> None:
         self.findings.append(Finding(code, message, subject))
 
-    def extend(self, other: "ValidationReport") -> None:
-        self.findings.extend(other.findings)
-
     @property
     def ok(self) -> bool:
         return not self.findings
-
-    def codes(self) -> list[str]:
-        return [f.code for f in self.findings]
 
     def summary(self) -> str:
         if self.ok:

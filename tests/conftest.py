@@ -20,6 +20,7 @@ from contextstream.kg import COLLAPSE_PROPERTIES, EG, ETG, PropertyValue, snapsh
 from contextstream.labels import repair_upward, zeros
 from contextstream.learn import OnlinePerceptron
 from contextstream.metrics import evaluate
+from contextstream.report import ValidationReport
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -207,6 +208,12 @@ MALFORMED = {
     ])), 3),
     "stream-beneficiary-not-string": ("stream", _stream_ending_with(_second_record(persons=[
         {"function": "FriendOf", "holder": "haonan", "beneficiary": 7, "actions": []},
+    ])), 3),
+    "stream-holder-null": ("stream", _stream_ending_with(_second_record(persons=[
+        {"function": "FriendOf", "holder": None, "beneficiary": "xiaoyue", "actions": []},
+    ])), 3),
+    "stream-beneficiary-null": ("stream", _stream_ending_with(_second_record(objects=[
+        {"function": "RestToolOf", "holder": "seat_1", "beneficiary": None},
     ])), 3),
     "scenario-location-not-string": ("scenario", _scenario_with(
         lambda doc: doc["segments"][0]["record"].update(location=5)), None),
@@ -604,3 +611,23 @@ def random_dag(rng, n: int, p: float = 0.15) -> set[tuple[int, int]]:
             if rng.random() < p:
                 edges.add((i, j))
     return edges
+
+
+# -- readings of results that no stage makes ----------------------------------
+
+def codes(report: ValidationReport) -> list[str]:
+    """The code of each finding of `report`, in order."""
+    return [f.code for f in report.findings]
+
+
+def per_node_accuracy(predictions, ground_truth, last: int | None = None) -> np.ndarray:
+    """Fraction of examples each node was predicted correctly on, optionally
+    restricted to the trailing `last` examples."""
+    preds = np.asarray(predictions, dtype=bool)
+    truths = np.asarray(ground_truth, dtype=bool)
+    if last is not None:
+        preds = preds[-last:]
+        truths = truths[-last:]
+    if len(preds) == 0:
+        return np.ones(preds.shape[1])
+    return (preds == truths).mean(axis=0)

@@ -23,10 +23,9 @@ from contextstream.kg import (
 )
 from contextstream.labels import check_consistency, repair_downward, repair_upward
 from contextstream.learn import QueryStrategy
-from contextstream.metrics import per_node_accuracy
 from contextstream.simulate import WindowSpec, run_simulation
 
-from conftest import FIXTURES, GOLDEN, dfs_reachable_pairs, random_dag
+from conftest import FIXTURES, GOLDEN, dfs_reachable_pairs, per_node_accuracy, random_dag
 from test_hierarchy import hierarchy_from_indexed
 from test_simulate import two_regime_script
 

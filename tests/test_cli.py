@@ -595,6 +595,16 @@ def test_snapshot_reports_each_of_three_equal_records(tmp_path, capsys):
     assert snaps[0].triples == snaps[1].triples == snaps[2].triples
 
 
+@pytest.mark.parametrize("case", [case for case, doc in MALFORMED.items() if doc[0] == "stream"])
+def test_snapshot_refuses_a_malformed_stream(tmp_path, capsys, case):
+    _, text, line = MALFORMED[case]
+    bad = tmp_path / "stream.jsonl"
+    bad.write_bytes(encode_case(text))
+    assert main(["snapshot", "--etg", ETG, "--eg", EG_PATH, "--stream", str(bad),
+                 "--out-dir", str(tmp_path / "snaps")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}:{line}: ")
+
+
 def test_snapshot_refuses_an_unknown_super_location(tmp_path, capsys):
     """The record has no location, so no containment chain can refuse it."""
     lines = (FIXTURES / "travel_stream.jsonl").read_text().splitlines()

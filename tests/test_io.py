@@ -39,15 +39,17 @@ def test_typed_values_round_trip(tmp_path, travel_etg, travel_eg):
     assert loaded.entity("xiaoyue").values["mood"] == "happy"
 
 
-def test_eg_coordinates_values_are_typed():
+def test_eg_coordinates_values_are_typed(tmp_path):
     """A coordinates value takes finite numbers for its axes (ints become
     floats) and a string frame; anything else is a FormatError."""
     etg = ETG([EntityType("me", "Me", data_properties=(DataPropertyDef("home", "coordinates"),))],
               [], me_etype="me")
+    path = tmp_path / "eg.json"
 
     def load(value):
-        return io.eg_from_dict({"format": "eg/1", "triples": [], "entities": [
-            {"id": "m", "name": "M", "etype": "me", "values": {"home": value}}]}, etg)
+        path.write_text(json.dumps({"format": "eg/1", "triples": [], "entities": [
+            {"id": "m", "name": "M", "etype": "me", "values": {"home": value}}]}))
+        return io.load_eg(path, etg)
 
     home = load({"x": 1, "y": 2.5, "z": -3}).entity("m").values["home"]
     assert home == Coordinates(1.0, 2.5, -3.0, "local")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import logging
 import random
+import tracemalloc
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
@@ -25,7 +26,7 @@ from contextstream.kg import (
 from contextstream.labels import labels_from_eg
 from contextstream.report import ValidationReport
 
-from conftest import parent_chain, reference_labels
+from conftest import codes, parent_chain, reference_labels
 
 UTC = timezone.utc
 
@@ -76,7 +77,6 @@ def test_lineage_matches_the_parent_chain_oracle(seed):
     by_id = {et.id: et for et in etypes}
     for a in by_id:
         chain = parent_chain(by_id, a)
-        assert etg.lineage[a] == tuple(chain)
         assert etg.is_observer(a) == (me in chain)
         inherited = [dp for et_id in reversed(chain) for dp in by_id[et_id].data_properties]
         assert list(etg.effective_data_properties(a).values()) == inherited
@@ -111,6 +111,56 @@ def test_etg_rejects_inherited_name_collision():
             [],
             "me",
         )
+
+
+def _etg_of(*etypes):
+    """An ETG of `(id, parent, data property names)` etypes and an observer."""
+    return ETG([EntityType(et_id, et_id.upper(), parent,
+                           tuple(DataPropertyDef(name, "string") for name in names))
+                for et_id, parent, names in etypes] + [EntityType("me", "Me")], [], "me")
+
+
+@pytest.mark.parametrize("etypes, error, message", [
+    ([("sub", "top", ["mood"]), ("top", None, ["mood"])], ValueError,
+     "etype 'sub': data property 'mood' collides with an inherited property"),
+    ([("leaf", "sub", []), ("sub", "top", ["mood"]), ("top", None, ["age", "mood"])], ValueError,
+     "etype 'leaf': data property 'mood' collides with an inherited property"),
+    ([("top", None, ["mood"]), ("twice", None, ["mood", "mood"]), ("sub", "top", ["mood"])],
+     ValueError, "etype 'twice': data property 'mood' collides with an inherited property"),
+    ([("sub", "top", ["mood"]), ("top", None, ["mood"]), ("a", "b", []), ("b", "a", [])],
+     CycleError, "cycle detected: a -> b -> a"),
+], ids=["subtype-before-its-parent", "named-after-the-first-lineage", "declared-twice",
+        "a-later-cycle-comes-first"])
+def test_a_collision_names_the_first_etype_whose_lineage_holds_it(etypes, error, message):
+    """Etypes are checked in declaration order, every cycle before any
+    collision; a collision names the etype whose lineage is being built."""
+    with pytest.raises(error) as exc:
+        _etg_of(*etypes)
+    assert str(exc.value) == message
+
+
+def _chain_etg_peak(travel_etg: ETG, depth: int) -> int:
+    """tracemalloc's peak, in bytes, while an ETG of the travel etypes plus a
+    chain of `depth` location subtypes, declared leaf first, is built."""
+    chain = [EntityType(f"loc{i}", f"Loc{i}", f"loc{i - 1}" if i else "location")
+             for i in range(depth)]
+    tracemalloc.start()
+    try:
+        etg = ETG(chain[::-1] + list(travel_etg.etypes.values()),
+                  list(travel_etg.properties.values()), travel_etg.me_etype)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert etg.is_subtype(f"loc{depth - 1}", "location")
+    assert "indoor" in etg.effective_data_properties(f"loc{depth - 1}")
+    return peak
+
+
+def test_a_deep_etype_chain_builds_in_memory_linear_in_its_depth(travel_etg):
+    """Doubling a 1,000-deep chain at most multiplies the peak by 2.5; an
+    ancestor tuple stored per etype would square it."""
+    base, double = _chain_etg_peak(travel_etg, 1000), _chain_etg_peak(travel_etg, 2000)
+    assert double <= 2.5 * base, f"peak {base} B at 1,000 deep, {double} B at 2,000"
 
 
 def test_effective_properties_inherited(travel_etg):
@@ -152,7 +202,7 @@ def test_empty_eg_conforms(travel_etg):
 def test_domain_violation_single_finding(travel_etg, travel_eg):
     bad = EG(travel_eg.entities, list(travel_eg.triples) + [triple("FriendOf", "seat_1", "haonan")])
     report = validate_eg(travel_etg, bad)
-    assert report.codes() == ["domain-violation"]
+    assert codes(report) == ["domain-violation"]
     assert "seat" in report.findings[0].message
 
 
@@ -169,20 +219,20 @@ def test_datatype_and_reference_findings(travel_etg, travel_eg):
         triple("in", "haonan", "nowhere"),
     ]
     report = validate_eg(travel_etg, EG(entities, triples))
-    codes = report.codes()
-    assert codes.count("duplicate-id") == 1
-    assert "unknown-etype" in codes
-    assert "datatype-mismatch" in codes
-    assert "unknown-data-property" in codes
-    assert "unknown-property" in codes
-    assert "unknown-entity" in codes
+    found = codes(report)
+    assert found.count("duplicate-id") == 1
+    assert "unknown-etype" in found
+    assert "datatype-mismatch" in found
+    assert "unknown-data-property" in found
+    assert "unknown-property" in found
+    assert "unknown-entity" in found
 
 
 def test_boolean_value_is_not_integer(travel_etg):
     person = Entity("p", "P", "person", values={"mood": "happy"})
     place = Entity("l", "L", "location", values={"indoor": 1})
     report = validate_eg(travel_etg, EG([person, place], []))
-    assert report.codes() == ["datatype-mismatch"]
+    assert codes(report) == ["datatype-mismatch"]
 
 
 # -- snapshots -------------------------------------------------------------------
@@ -247,7 +297,7 @@ ROW2_EXPECTED = {
 
 def test_snapshot_row1_exact_triples(travel_etg, travel_eg):
     snap = snapshot_eg(travel_eg, ROW1, travel_etg)
-    assert snap.triple_set() == frozenset(ROW1_EXPECTED)
+    assert frozenset(snap.triples) == frozenset(ROW1_EXPECTED)
     assert snap.at == ROW1.ts
     assert validate_eg(travel_etg, snap).ok
 
@@ -266,7 +316,7 @@ def test_snapshot_all_missing_record_keeps_statics_only(travel_etg, travel_eg):
 def test_snapshot_consecutive_rows_replace_stale_facts(travel_etg, travel_eg):
     first = snapshot_eg(travel_eg, ROW1, travel_etg)
     second = snapshot_eg(first, ROW2, travel_etg)
-    assert second.triple_set() == frozenset(ROW2_EXPECTED)
+    assert frozenset(second.triples) == frozenset(ROW2_EXPECTED)
     ins = {t for t in second.triples if t.property == "in"}
     assert ins == {triple("in", "xiaoyue", "roads_2")}
     assert not any(t.property == "RestToolOf" for t in second.triples)
@@ -288,7 +338,7 @@ def test_snapshot_unresolved_references_reported(travel_etg, travel_eg):
     assert not report.ok
     assert any("atlantis" in f.message for f in report)
     # resolvable parts still produced
-    assert triple("do", "xiaoyue", "sitting") in snap.triple_set()
+    assert triple("do", "xiaoyue", "sitting") in snap.triples
     assert validate_eg(travel_etg, snap).ok
 
 
@@ -330,13 +380,14 @@ def test_me_entity_follows_the_etg_object(travel_etg, travel_eg):
 
 def test_snapshot_static_triples_follow_the_etg_object(travel_etg, travel_eg):
     eg = EG(travel_eg.entities, travel_eg.triples)
-    assert snapshot_eg(eg, ROW1, travel_etg).triple_set() == frozenset(ROW1_EXPECTED)
+    assert frozenset(snapshot_eg(eg, ROW1, travel_etg).triples) == frozenset(ROW1_EXPECTED)
     friends_static = _travel_etg_variant(travel_etg, "me", static={"FriendOf"})
     snap = snapshot_eg(eg, ROW1, friends_static)
-    assert snap.triple_set() == frozenset(ROW1_EXPECTED) | {triple("FriendOf", "xiaoyue", "haonan")}
+    friends = frozenset(ROW1_EXPECTED) | {triple("FriendOf", "xiaoyue", "haonan")}
+    assert frozenset(snap.triples) == friends
     # ROW2 regenerates the static FriendOf triple; the snapshot keeps one copy
     snap = snapshot_eg(eg, ROW2, friends_static)
-    assert snap.triple_set() == frozenset(ROW2_EXPECTED)
+    assert frozenset(snap.triples) == frozenset(ROW2_EXPECTED)
     assert len(snap.triples) == len(ROW2_EXPECTED)
 
 

@@ -1,5 +1,7 @@
 """No module of the package reads or imports another module's private
-(`_`-prefixed) names: each decision stays behind the module that owns it."""
+(`_`-prefixed) names: each decision stays behind the module that owns it.
+And every public name of the package is used by the package itself or by
+the benchmark: a name that only tests read belongs in the tests."""
 
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ import pytest
 import contextstream
 
 PACKAGE = Path(contextstream.__file__).parent
+BENCHMARK = Path(__file__).resolve().parent.parent / "pipebench"
 
 
 def private_reaches(source: str) -> list[str]:
@@ -45,3 +48,81 @@ def test_the_checker_finds_both_kinds_of_reach():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_reaches_no_private_name_of_another(path):
     assert private_reaches(path.read_text(encoding="utf-8")) == []
+
+
+
+def public_definitions(tree: ast.Module):
+    """(name, node) for each public top-level function, class and constant
+    of a module, and (`Class.method`, node) for each public method of a
+    public class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("_"):
+                        yield name.id, node
+
+
+def references(source: str) -> dict[str, list[int]]:
+    """The lines on which `source` refers to each name: as a name, as an
+    attribute or in an import."""
+    lines: dict[str, list[int]] = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.rpartition(".")[2] for alias in node.names]
+        else:
+            continue
+        for name in names:
+            lines.setdefault(name, []).append(node.lineno)
+    return lines
+
+
+def unused_public_names(package: dict[str, str], benchmark: list[str]) -> list[str]:
+    """`module: name` for each public name of the `package` sources (module
+    -> source) that no line refers to outside the name's own definition,
+    in the package or in the `benchmark` sources."""
+    refs = {module: references(source) for module, source in package.items()}
+    used = {name for source in benchmark for name in references(source)}
+    unused = []
+    for module, source in package.items():
+        elsewhere = used.union(*(r for m, r in refs.items() if m != module))
+        for name, node in public_definitions(ast.parse(source)):
+            bare = name.rpartition(".")[2]
+            if bare in elsewhere or any(not node.lineno <= line <= node.end_lineno
+                                        for line in refs[module].get(bare, ())):
+                continue
+            unused.append(f"{module}: {name}")
+    return unused
+
+
+def test_the_surface_checker_finds_names_only_their_definition_uses():
+    module = (
+        "LIMIT = 3\n"
+        "def used():\n    return helper(LIMIT)\n"
+        "def helper(n):\n    return helper(n - 1) if n else Report()\n"
+        "def lonely():\n    return lonely()\n"
+        "class Report:\n"
+        "    def codes(self):\n        return self.codes()\n"
+        "    def ok(self):\n        return True\n"
+        "    def _private(self):\n        pass\n"
+        "class _Parser:\n    def error(self):\n        pass\n"
+    )
+    package = {"a.py": module, "b.py": "from .a import used\n"}
+    assert unused_public_names(package, ["report.ok\n"]) == ["a.py: lonely", "a.py: Report.codes"]
+
+
+def test_every_public_name_is_used_by_the_package_or_the_benchmark():
+    """A name that only tests call is a test helper: it goes to conftest."""
+    package = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    benchmark = [path.read_text(encoding="utf-8") for path in sorted(BENCHMARK.glob("*.py"))]
+    assert unused_public_names(package, benchmark) == []

@@ -3,7 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from contextstream.metrics import evaluate, per_node_accuracy
+from contextstream.metrics import evaluate
+
+from conftest import per_node_accuracy
 
 
 def test_identical_predictions_score_one():
