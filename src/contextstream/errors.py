@@ -57,7 +57,18 @@ class FormatError(ContextStreamError):
             loc += f":{line}"
             if col is not None:
                 loc += f":{col}"
-        super().__init__(f"{loc}: {message}")
+        # not super(): in StreamOrderError, TimestampOrderError comes next
+        ContextStreamError.__init__(self, f"{loc}: {message}")
         self.path = path
         self.line = line
         self.col = col
+
+
+class StreamOrderError(FormatError, TimestampOrderError):
+    """A TimestampOrderError in a stream file, at the line of the record
+    that is not after the one before it."""
+
+    def __init__(self, path, line: int, last, new):
+        FormatError.__init__(self, path, str(TimestampOrderError(last, new)), line=line)
+        self.last = last
+        self.new = new

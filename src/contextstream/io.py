@@ -15,7 +15,8 @@ objects.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 from types import NoneType
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -33,7 +34,7 @@ from .core import (
     format_timestamp,
     parse_timestamp,
 )
-from .errors import FormatError
+from .errors import FormatError, StreamOrderError
 from .hierarchy import ConceptNode, Hierarchy, NodeKind
 from .kg import EG, ETG, DataPropertyDef, Entity, EntityType, ObjectPropertyDef, PropertyValue
 from .learn import QueryStrategy
@@ -149,7 +150,7 @@ class Format:
     tag: str
     table: Table
     lines: Table | None = None
-    finish: Callable[[Any, list], Any] | None = None
+    finish: Callable[[Any, Iterable], Any] | None = None
 
 
 FORMATS: dict[str, Format] = {
@@ -248,18 +249,30 @@ def _read_json(path: str | Path) -> Any:
         raise FormatError(path, exc.msg, line=exc.lineno, col=exc.colno) from None
 
 
-def _jsonl_docs(path: str | Path) -> Iterator[tuple[int, Any]]:
-    """(line number, parsed JSON) for every non-blank line of a JSONL file."""
+_DECODER = json.JSONDecoder()
+
+
+def _jsonl_docs(path: str | Path) -> Iterator[tuple[int, str, Any]]:
+    """(line number, stripped text, parsed JSON) for every non-blank line of
+    a JSONL file."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = _decode(path, raw, lineno).strip()
             if not line:
                 continue
+            # `json.loads` without its wrapper: a stripped line whose one
+            # value ends at its end is what `json.loads` returns; any other
+            # line goes to `json.loads` for its error
             try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(path, exc.msg, line=lineno, col=exc.colno) from None
-            yield lineno, doc
+                doc, end = _DECODER.raw_decode(line)
+            except json.JSONDecodeError:
+                end = None
+            if end != len(line):
+                try:
+                    doc = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise FormatError(path, exc.msg, line=lineno, col=exc.colno) from None
+            yield lineno, line, doc
 
 
 def _kind(doc: Any, kinds: Sequence[str], path: Any) -> str:
@@ -288,21 +301,68 @@ def _from_dict(kind: str, doc: Any, path: Any, *context: Any) -> Any:
     return _read(path, fmt.tag, fmt.table, doc, None, *context)
 
 
-def _jsonl(path: str | Path, kinds: Sequence[str]) -> tuple[str, Any]:
+# How `json.dumps` begins a stream record whose first key is `ts`
+_TS = '{"ts": "'
+# A record's fields after `ts`, as a tuple
+_AFTER_TS = attrgetter(*(f.name for f in fields(StreamRecord)[1:]))
+
+
+def _stream_records(path: Any, docs: Iterator[tuple[int, str, Any]],
+                    containment: Containment | None = None) -> Iterator[StreamRecord]:
+    """The records of a stream file's lines after its header, each in one
+    pass: read by its table, then checked to be after the record before it,
+    then checked against `containment`'s chains.
+
+    A line that begins with a `ts` member whose raw text is its decoded
+    value, and whose text after that member is its predecessor's, takes the
+    predecessor's other fields and skips the table read and the chain check.
+    Equal text gives equal JSON values, in type as well as value (`true` is
+    not `1`, nor `-0.0` `0.0`), so both would give what they gave the
+    predecessor; an escaped `ts`, or a later `ts` member, fails the raw test.
+    A `ts` that is not a timestamp goes to the table read for its error."""
+    fmt = FORMATS["stream"]
+    prev = prev_rest = None
+    for line, text, doc in docs:
+        record = rest = None
+        if text.startswith(_TS):
+            end = text.find('"', len(_TS))
+            ts = text[len(_TS):end]
+            if doc.get("ts") == ts:
+                rest = text[end:]
+                if rest == prev_rest:
+                    try:
+                        record = StreamRecord(parse_timestamp(ts), *_AFTER_TS(prev))
+                    except ValueError:
+                        pass
+        fresh = record is None
+        if fresh:
+            record = _read(path, fmt.tag, fmt.lines, doc, line)
+        if prev is not None and record.ts <= prev.ts:
+            raise StreamOrderError(path, line, prev.ts, record.ts)
+        if fresh and containment is not None:
+            containment.check_record(record)
+        yield record
+        prev, prev_rest = record, rest
+
+
+def _jsonl(path: str | Path, kinds: Sequence[str], *context: Any) -> tuple[str, Any]:
     """(kind, loaded object) of a JSONL file: a header on its first non-blank
     line, with the tag of one of `kinds`, then one document per line. A
-    header that reads to a value (a run log's) goes with each line to its
-    table, so that a line is checked against it."""
+    stream's lines go through `_stream_records`, with `context`; a run log's
+    header goes with each line to its table, so that a line is checked
+    against it."""
     docs = _jsonl_docs(path)
-    for line, doc in docs:
+    for line, _, doc in docs:
         kind = _kind(doc, kinds, path)
         fmt = FORMATS[kind]
         header = _read(path, fmt.tag, fmt.table, doc, line)
         break
     else:
         raise FormatError(path, "no format header")
-    context = () if header is None else (header,)
-    values = [_read(path, fmt.tag, fmt.lines, doc, line, *context) for line, doc in docs]
+    if kind == "stream":
+        values = _stream_records(path, docs, *context)
+    else:
+        values = [_read(path, fmt.tag, fmt.lines, doc, line, header) for line, _, doc in docs]
     return kind, fmt.finish(header, values)
 
 
@@ -362,14 +422,12 @@ def save_eg(path: str | Path, eg: EG) -> None:
 
 def load_stream(path: str | Path, containment: Containment | None = None) -> StreamingContext:
     """Read a JSONL stream: a format header on the first non-blank line, then
-    one record per line. A malformed record is a FormatError on its line;
-    the timestamp order is checked once, when the stream is built, and then
-    each record's declared supers against `containment`."""
-    stream = _jsonl(path, ("stream",))[1]
-    if containment is not None:
-        for record in stream.records:
-            containment.check_record(record)
-    return stream
+    one record per line, read in one pass. The first line at fault ends the
+    read: a malformed record is a FormatError on its line, a record that is
+    not after the one before it a StreamOrderError (a TimestampOrderError)
+    on its line, and one whose declared supers are off its chains in
+    `containment` a SuperChainError."""
+    return _jsonl(path, ("stream",), containment)[1]
 
 
 # -- hierarchy -----------------------------------------------------------

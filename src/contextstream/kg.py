@@ -110,14 +110,17 @@ class ETG:
         for et_id in self.etypes:
             for sub_id in reversed(self._unfinished_chain(et_id, self._effective)):
                 sub = self.etypes[sub_id]
-                merged = self._effective.get(sub.parent, {})  # shared if it adds none
-                if sub.data_properties:
-                    merged = dict(merged)
+                inherited = self._effective.get(sub.parent, {})
+                # shared with the parent if it adds none
+                merged = dict(inherited) if sub.data_properties else inherited
                 for dp in sub.data_properties:
-                    if dp.name in merged:
+                    if dp.name in inherited:
                         # named after the first etype whose lineage holds it
                         raise ValueError(f"etype {et_id!r}: data property {dp.name!r} "
                                          "collides with an inherited property")
+                    if dp.name in merged:
+                        raise ValueError(f"etype {sub_id!r}: data property {dp.name!r} "
+                                         "is declared twice")
                     merged[dp.name] = dp
                 self._effective[sub_id] = merged
         self.q: frozenset[str] = frozenset(DEFAULT_Q & set(self.properties))

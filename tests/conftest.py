@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from contextstream import io
-from contextstream.core import Containment, format_timestamp
+from contextstream.core import Containment, StreamingContext, format_timestamp
+from contextstream.errors import FormatError, StreamOrderError
 from contextstream.hierarchy import (
     ROOT_DISPLAY_NAME, ROOT_ID, ConceptNode, Hierarchy, NodeKind, compile_hierarchy,
     entity_node_id, etype_node_id, pinst_node_id, property_node_id, transitive_reduction,
@@ -44,6 +45,13 @@ def fixture_record(i: int, **changes) -> dict:
     record = json.loads(lines[1 + i])
     record.update(changes)
     return record
+
+
+def _first_record_again(ts: str) -> str:
+    """The travel stream's first record line, byte for byte after its `ts`
+    member, with `ts` in place of its timestamp."""
+    line = (FIXTURES / "travel_stream.jsonl").read_text().splitlines()[1]
+    return '{"ts": "' + ts + line[line.index('"', len('{"ts": "')):]
 
 
 def _second_record(**changes) -> str:
@@ -215,6 +223,10 @@ MALFORMED = {
     "stream-beneficiary-null": ("stream", _stream_ending_with(_second_record(objects=[
         {"function": "RestToolOf", "holder": "seat_1", "beneficiary": None},
     ])), 3),
+    "stream-repeat-ts-not-timestamp": ("stream", _stream_ending_with(_first_record_again("nope")),
+                                       3),
+    "stream-repeat-ts-not-after": ("stream", _stream_ending_with(
+        _first_record_again(fixture_record(0)["ts"])), 3),
     "scenario-location-not-string": ("scenario", _scenario_with(
         lambda doc: doc["segments"][0]["record"].update(location=5)), None),
     "scenario-reading-interval-boolean": ("scenario", json.dumps(
@@ -313,6 +325,51 @@ def travel_hierarchy(travel_etg, travel_eg):
 @pytest.fixture(scope="session")
 def travel_scenario():
     return io.load_scenario(FIXTURES / "travel_scenario.json")
+
+
+# -- reference stream reader (per line, every line read; kept dumb on purpose) ----
+
+def reference_load_stream(path, containment: Containment | None = None) -> StreamingContext:
+    """The stream reader with no shortcut for a repeated record: every line
+    is decoded, parsed and read by the stream record table, then checked to
+    be after the record before it and against `containment`, and the
+    records make one StreamingContext. The first line at fault ends it."""
+    fmt = io.FORMATS["stream"]
+    records: list = []
+    header = False
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                text = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise FormatError(path, f"not UTF-8: {exc.reason}", line=lineno) from None
+            if not text:
+                continue
+            try:
+                doc = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise FormatError(path, exc.msg, line=lineno, col=exc.colno) from None
+            if not header:
+                tag = doc.get("format") if isinstance(doc, dict) else None
+                if tag != fmt.tag:
+                    raise FormatError(path, f"expected format {fmt.tag!r}, found {tag!r}")
+                header = True
+                continue
+            try:
+                if type(doc) is not dict:
+                    raise ValueError("expected object")
+                record = fmt.lines.read(doc)
+            except ValueError as exc:
+                raise FormatError(path, f"malformed {fmt.tag} document: {exc}",
+                                  line=lineno) from None
+            if records and record.ts <= records[-1].ts:
+                raise StreamOrderError(path, lineno, records[-1].ts, record.ts)
+            if containment is not None:
+                containment.check_record(record)
+            records.append(record)
+    if not header:
+        raise FormatError(path, "no format header")
+    return StreamingContext(tuple(records))
 
 
 # -- reference sensor path (per tick, per reading; kept dumb on purpose) ----

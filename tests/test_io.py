@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 import tracemalloc
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from contextstream import io
-from contextstream.core import Coordinates, StreamingContext
+from contextstream.core import Containment, Coordinates, StreamingContext
 from contextstream.errors import FormatError, SuperChainError, TimestampOrderError
 from contextstream.kg import EG, ETG, DataPropertyDef, EntityType
 from contextstream.learn import QueryStrategy
@@ -23,6 +24,7 @@ from conftest import (
     _runlog,
     encode_case,
     fixture_record,
+    reference_load_stream,
     reference_runlog_lines,
 )
 
@@ -61,13 +63,15 @@ def test_eg_coordinates_values_are_typed(tmp_path):
 
 
 def test_stream_rejects_disorder(tmp_path):
+    """A record that repeats the one before it, `ts` included, is out of
+    order on its own line."""
     path = tmp_path / "bad.jsonl"
-    rows = [json.dumps({"format": "stream/1"})]
-    first = fixture_record(0)
-    rows += [json.dumps(first), json.dumps(first)]
-    path.write_text("\n".join(rows) + "\n")
-    with pytest.raises(TimestampOrderError):
+    path.write_bytes(encode_case(MALFORMED["stream-repeat-ts-not-after"][1]))
+    with pytest.raises(TimestampOrderError) as exc:
         io.load_stream(path)
+    assert exc.value.line == 3
+    assert str(exc.value) == (f"{path}:3: timestamp 2021-06-02T12:15:00+00:00 "
+                              "is not after 2021-06-02T12:15:00+00:00")
 
 
 def test_stream_rejects_bad_super_chain(tmp_path, travel_containment):
@@ -100,6 +104,131 @@ def test_stream_is_built_once(tmp_path, travel_stream, travel_containment, monke
     stream = io.load_stream(path, travel_containment)
     assert len(stream) == 50
     assert built == [50]
+
+
+def test_a_run_of_repeated_records_is_read_and_checked_once(tmp_path, travel_containment,
+                                                            monkeypatch):
+    """600 records in two runs of 300 that differ only in `ts`: the chain
+    check runs once per run, and a run shares its first record's fields."""
+    start = datetime(2021, 6, 2, 12, tzinfo=timezone.utc)
+    rows = [json.dumps({"format": "stream/1"})]
+    for n in range(600):
+        ts = (start + timedelta(seconds=n)).isoformat()
+        rows.append(json.dumps(fixture_record(n // 300, ts=ts)))
+    path = tmp_path / "runs.jsonl"
+    path.write_text("\n".join(rows) + "\n")
+    checked = []
+    check = Containment.check_record
+
+    def counting(self, record):
+        checked.append(record.ts)
+        check(self, record)
+
+    monkeypatch.setattr(Containment, "check_record", counting)
+    stream = io.load_stream(path, travel_containment)
+    assert checked == [start, start + timedelta(seconds=300)]
+    assert stream.records[299].object_entries is stream.records[0].object_entries
+    monkeypatch.undo()
+    assert stream == reference_load_stream(path, travel_containment)
+
+
+# A repeat must not be fooled by any of these spellings of a record
+def _plain(ts, record):
+    return json.dumps({"ts": ts, **record})
+
+
+STALE_TS = "2021-06-03T00:00:00+00:00"
+SPELLINGS = [
+    _plain,
+    lambda ts, record: json.dumps({"ts": ts, **dict(reversed(record.items()))}),
+    lambda ts, record: json.dumps({**record, "ts": ts}),
+    lambda ts, record: json.dumps({"ts": ts, **record}, separators=(",", ":")),
+    # the first digit of `ts` as a \u escape
+    lambda ts, record: _plain(ts, record).replace('{"ts": "2', '{"ts": "\\u0032', 1),
+    # a second `ts` member, which the decoder keeps
+    lambda ts, record: _plain(ts, record)[:-1] + f', "ts": "{ts}"}}',
+    lambda ts, record: _plain(ts, record)[:-1] + f', "ts": "{STALE_TS}"}}',
+    lambda ts, record: _plain(ts, record) + " \t ",
+    lambda ts, record: _plain(ts, record) + "\r",
+]
+# `true` is not `1`, `-0.0` not `0.0`; `1` and `1.0` read the same
+AXES = [1, 1.0, True, 0.0, -0.0]
+
+
+def oracle_stream(rng: random.Random, n: int = 24) -> str:
+    """`n` records in runs of the two travel records, with sticky changes of
+    spelling and of one coordinate's JSON value; about one line in seventy
+    is at fault (a `ts` equal to the last, or that is not a timestamp, or a
+    super location off the chain)."""
+    start = datetime(2021, 6, 2, 12, tzinfo=timezone.utc)
+    records = [fixture_record(i) for i in (0, 1)]
+    lines = [json.dumps({"format": "stream/1"})]
+    regime, axis, spelling, t = 0, 1, _plain, 0
+    for _ in range(n):
+        if rng.random() < 0.2:
+            regime = 1 - regime
+        if rng.random() < 0.05:
+            axis = rng.choice(AXES)
+        if rng.random() < 0.15:
+            spelling = rng.choice(SPELLINGS)
+        t += rng.random() >= 0.005
+        ts = "nope" if rng.random() < 0.005 else (start + timedelta(seconds=t)).isoformat()
+        record = {k: v for k, v in records[regime].items() if k != "ts"}
+        record["coo_me"] = {"x": axis, "y": 2, "z": 3, "frame": "local"}
+        if rng.random() < 0.005:
+            record["super_location"] = "mars"
+        lines.append(spelling(ts, record))
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(load, path):
+    """`repr` of what `load(path)` returns, which tells `-0.0` from `0.0`,
+    or the type, message and line of what it raises."""
+    try:
+        return repr(load(path))
+    except (FormatError, TimestampOrderError, SuperChainError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+FIRST = {k: v for k, v in fixture_record(0).items() if k != "ts"}
+FIRST_TS = fixture_record(0)["ts"]
+ORACLE_CASES = {
+    **{f"seed-{seed}": encode_case(oracle_stream(random.Random(seed))) for seed in range(150)},
+    **{case: encode_case(text) for case, (kind, text, _) in MALFORMED.items() if kind == "stream"},
+    "fixture": (FIXTURES / "travel_stream.jsonl").read_bytes(),
+    # both out of order and off the chain: the order is checked first
+    "out-of-order-and-off-the-chain": "\n".join(json.dumps(doc) for doc in [
+        {"format": "stream/1"}, fixture_record(0), fixture_record(0, super_location="mars"),
+    ]).encode(),
+    # a repeat that is not JSON: cut short, with more after its value, or
+    # after a byte-order mark
+    **{case: "\n".join([json.dumps({"format": "stream/1"}), _plain(FIRST_TS, FIRST), mangle(
+        _plain("2021-06-02T12:15:01+00:00", FIRST))]).encode()
+       for case, mangle in [("repeat-cut-short", lambda line: line[:-1]),
+                            ("repeat-then-more", lambda line: line + " {}"),
+                            ("repeat-after-a-bom", lambda line: "\ufeff" + line)]},
+}
+
+
+@pytest.mark.parametrize("entry", ["load_stream", "load_stream-containment", "load_document"])
+def test_stream_reading_matches_the_per_line_reader(tmp_path, travel_containment, entry):
+    """Seeded streams with runs of repeats, every malformed stream case and
+    the fixture read to the reference's records, or to its error type,
+    message and line, through either entry point."""
+    load, reference = {
+        "load_stream": (io.load_stream, reference_load_stream),
+        "load_stream-containment": (lambda p: io.load_stream(p, travel_containment),
+                                    lambda p: reference_load_stream(p, travel_containment)),
+        "load_document": (io.load_document, lambda p: ("stream", reference_load_stream(p))),
+    }[entry]
+    path = tmp_path / "stream.jsonl"
+    outcomes = set()
+    for case, data in ORACLE_CASES.items():
+        path.write_bytes(data)
+        want = _outcome(reference, path)
+        assert _outcome(load, path) == want, case
+        outcomes.add(want[0] if isinstance(want, tuple) else "records")
+    assert len(outcomes) == 4 if entry == "load_stream-containment" else 3
 
 
 def test_stream_header_is_first_non_blank_line(tmp_path, travel_stream):

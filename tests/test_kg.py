@@ -126,14 +126,17 @@ def _etg_of(*etypes):
     ([("leaf", "sub", []), ("sub", "top", ["mood"]), ("top", None, ["age", "mood"])], ValueError,
      "etype 'leaf': data property 'mood' collides with an inherited property"),
     ([("top", None, ["mood"]), ("twice", None, ["mood", "mood"]), ("sub", "top", ["mood"])],
-     ValueError, "etype 'twice': data property 'mood' collides with an inherited property"),
+     ValueError, "etype 'twice': data property 'mood' is declared twice"),
+    ([("leaf", "twice", []), ("twice", None, ["mood", "mood"])],
+     ValueError, "etype 'twice': data property 'mood' is declared twice"),
     ([("sub", "top", ["mood"]), ("top", None, ["mood"]), ("a", "b", []), ("b", "a", [])],
      CycleError, "cycle detected: a -> b -> a"),
 ], ids=["subtype-before-its-parent", "named-after-the-first-lineage", "declared-twice",
-        "a-later-cycle-comes-first"])
+        "declared-twice-by-a-parent", "a-later-cycle-comes-first"])
 def test_a_collision_names_the_first_etype_whose_lineage_holds_it(etypes, error, message):
     """Etypes are checked in declaration order, every cycle before any
-    collision; a collision names the etype whose lineage is being built."""
+    collision; a collision names the etype whose lineage is being built, and
+    a property declared twice the etype that declares it."""
     with pytest.raises(error) as exc:
         _etg_of(*etypes)
     assert str(exc.value) == message
