@@ -6,6 +6,10 @@ its ETG before writing anything. `validate` loads each document through
 exactly one ETG, it also loads each EG under that ETG and reports what the
 other commands would refuse.
 
+`simulate` takes each setting of a session from one flag: `--window`,
+`--strategy` and `--seed`, which replaces the scenario's seed and which no
+other command accepts.
+
 Exit codes: 0 success, 1 I/O or usage errors, 2 validation or compilation
 failures.
 """
@@ -35,7 +39,7 @@ from .kg import (
 from .learn import QueryStrategy
 from .metrics import session_metrics
 from .report import ValidationReport
-from .simulate import WindowSpec, run_simulation
+from .simulate import DEFAULT_WINDOW_MINUTES, WindowSpec, run_simulation
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,9 +59,7 @@ class _UsageError(Exception):
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="contextstream", description=__doc__)
-    parser.add_argument("--config", help="config JSON applied to all commands")
-    parser.add_argument("--seed", type=int, help="override the configured/scripted seed")
-    parser.add_argument("--verbose", action="store_true", help="debug logging")
+    parser.add_argument("--seed", type=int, help="replace the scenario's seed (simulate only)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compile", help="compile an ETG + EG pair into a hierarchy")
@@ -80,8 +82,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--etg", required=True)
     p.add_argument("--eg", required=True)
     p.add_argument("--hierarchy", help="precompiled hierarchy (default: compile on the fly)")
-    p.add_argument("--window", type=float, help="window length in minutes")
-    p.add_argument("--strategy", help="always | never | margin:<tau>")
+    p.add_argument("--window", type=float, default=DEFAULT_WINDOW_MINUTES,
+                   help=f"window length in minutes (default {DEFAULT_WINDOW_MINUTES:g})")
+    p.add_argument("--strategy", default="always",
+                   help="always | never | margin:<tau> (default always)")
     p.add_argument("--out-log", help="JSONL event log output")
     p.add_argument("--out-metrics", help="metrics JSON output")
 
@@ -105,13 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> io.Config:
-    config = io.load_config(args.config) if args.config else io.Config()
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    return config
-
-
 def _eg_under(etg: ETG, path: str) -> tuple[EG, ValidationReport]:
     """The EG at `path` loaded under `etg`, which parses its typed values,
     and every way it does not conform to `etg`."""
@@ -128,7 +125,7 @@ def _load_graphs(args):
     return etg, eg
 
 
-def _cmd_compile(args, config: io.Config) -> int:
+def _cmd_compile(args) -> int:
     etg, eg = _load_graphs(args)
     q = [s for s in args.q.split(",") if s] if args.q is not None else None
     collapse = (
@@ -154,7 +151,7 @@ def _validate_one(path: str, kind: str, doc, etg: ETG | None) -> ValidationRepor
     return ValidationReport()
 
 
-def _cmd_validate(args, config: io.Config) -> int:
+def _cmd_validate(args) -> int:
     loaded = []
     for path in args.paths:
         try:
@@ -184,11 +181,11 @@ def _cmd_validate(args, config: io.Config) -> int:
     return EXIT_VALIDATION
 
 
-def _cmd_simulate(args, config: io.Config) -> int:
+def _cmd_simulate(args) -> int:
     etg, eg = _load_graphs(args)
     script = io.load_scenario(args.scenario)
-    if config.seed is not None:
-        script = dataclasses.replace(script, seed=config.seed)
+    if args.seed is not None:
+        script = dataclasses.replace(script, seed=args.seed)
     if args.hierarchy:
         h = io.load_hierarchy(args.hierarchy)
         report = validate_hierarchy(h, etg, eg)
@@ -198,17 +195,13 @@ def _cmd_simulate(args, config: io.Config) -> int:
             return EXIT_VALIDATION
     else:
         h = compile_hierarchy(etg, eg)
-    window_minutes = args.window if args.window is not None else config.window_minutes
-    strategy = (
-        QueryStrategy.parse(args.strategy) if args.strategy else config.strategy
-    )
     result = run_simulation(
         script,
         h,
         etg,
         eg,
-        window_spec=WindowSpec.means(script.channels, window_minutes),
-        strategy=strategy,
+        window_spec=WindowSpec.means(script.channels, args.window),
+        strategy=QueryStrategy.parse(args.strategy),
     )
     if args.out_log:
         io.save_runlog(args.out_log, result.node_order, result.manifest, result.seed, result.events)
@@ -221,7 +214,7 @@ def _cmd_simulate(args, config: io.Config) -> int:
     return EXIT_OK
 
 
-def _cmd_evaluate(args, config: io.Config) -> int:
+def _cmd_evaluate(args) -> int:
     header, preds, truths, events = io.load_runlog(args.log)
     metrics = session_metrics(preds, truths, [e["queried"] for e in events], header["nodes"])
     if args.out:
@@ -234,7 +227,7 @@ def _cmd_evaluate(args, config: io.Config) -> int:
     return EXIT_OK
 
 
-def _cmd_export_dot(args, config: io.Config) -> int:
+def _cmd_export_dot(args) -> int:
     h = io.load_hierarchy(args.hierarchy)
     etg = io.load_etg(args.etg) if args.etg else None
     eg = io.load_eg(args.eg, etg) if args.eg else None
@@ -243,7 +236,7 @@ def _cmd_export_dot(args, config: io.Config) -> int:
     return EXIT_OK
 
 
-def _cmd_snapshot(args, config: io.Config) -> int:
+def _cmd_snapshot(args) -> int:
     etg, eg = _load_graphs(args)
     containment = containment_from_eg(eg, etg)
     stream = io.load_stream(args.stream, containment)
@@ -278,13 +271,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.seed is not None and args.command != "simulate":
+            parser.error(f"--seed applies to simulate only, not {args.command}")
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
+    logging.basicConfig(level=logging.WARNING)
     try:
-        config = _load_config(args)
-        return _COMMANDS[args.command](args, config)
+        return _COMMANDS[args.command](args)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,5 +1,5 @@
 """File formats: versioned JSON documents for the schema/instance graphs,
-hierarchies, scenarios and configuration, JSONL for streams and run logs.
+hierarchies, scenarios and metrics, JSONL for streams and run logs.
 
 Every format is described once, as data: `FORMATS` maps each kind to its
 `format` tag and to the tables of the JSON objects it holds. A table lists
@@ -37,9 +37,7 @@ from .core import (
 from .errors import FormatError, StreamOrderError
 from .hierarchy import ConceptNode, Hierarchy, NodeKind
 from .kg import EG, ETG, DataPropertyDef, Entity, EntityType, ObjectPropertyDef, PropertyValue
-from .learn import QueryStrategy
-from .simulate import (DEFAULT_WINDOW_MINUTES, EmissionSpec, ScenarioScript, Segment,
-                       WindowEvent, positive_delta)
+from .simulate import EmissionSpec, ScenarioScript, Segment, WindowEvent
 from .tables import (BITS, BOOLEAN, ID, INTEGER, NUMBER, OBJECT, STRING, STRINGS, TIMESTAMP,
                      Field, FieldError, Parser, Table, dict_of, list_of, nested, nullable, within)
 
@@ -101,15 +99,6 @@ def _value_from_json(datatype: str, v: Any) -> Any:
     if datatype == "timestamp" and isinstance(v, str):
         return parse_timestamp(v)
     return v
-
-
-def _config(near_threshold_m: float, window_minutes: float, strategy: QueryStrategy,
-            seed: int | None) -> Config:
-    # `near_threshold_m` stays a valid config/1 key; no stage reads it, so it
-    # is checked and then dropped
-    if near_threshold_m <= 0:
-        raise ValueError("near_threshold_m must be positive")
-    return Config(window_minutes, strategy, seed)
 
 
 def _runlog_header(seed: int, nodes: list, manifest: list) -> dict:
@@ -208,14 +197,6 @@ FORMATS: dict[str, Format] = {
         ), lambda begin, end, emissions, record: Segment(
             begin, end, emissions, StreamRecord(begin, *record))))), []),
     ), ScenarioScript)),
-    "config": Format("config/1", Table("config/1", (
-        Field("near_threshold_m", NUMBER, 10.0),
-        Field("window_minutes", NUMBER, DEFAULT_WINDOW_MINUTES),
-        Field("strategy", nested(Table("strategy", (
-            Field("kind", STRING, "always"), Field("tau", NUMBER, 0.0),
-        ), QueryStrategy)), {"kind": "always"}),
-        Field("seed", nullable(INTEGER), None),
-    ), _config, extra="refuse")),
     "runlog": Format(
         "runlog/1",
         Table("runlog/1", (Field("seed", INTEGER), Field("nodes", STRINGS),
@@ -467,24 +448,6 @@ def save_hierarchy(path: str | Path, h: Hierarchy) -> None:
 
 def load_scenario(path: str | Path) -> ScenarioScript:
     return _from_dict("scenario", _read_json(path), path)
-
-
-# -- config --------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Config:
-    window_minutes: float = DEFAULT_WINDOW_MINUTES
-    strategy: QueryStrategy = QueryStrategy("always")
-    seed: int | None = None
-
-    def __post_init__(self):
-        positive_delta("window_minutes", minutes=self.window_minutes)
-        if self.seed is not None and self.seed < 0:
-            raise ValueError(f"seed must be >= 0, not {self.seed}")
-
-
-def load_config(path: str | Path) -> Config:
-    return _from_dict("config", _read_json(path), path)
 
 
 # -- run logs and metrics --------------------------------------------------

@@ -72,9 +72,9 @@ class Field:
 @dataclass(frozen=True)
 class Table:
     """One kind of JSON object: its fields, in the order `build` takes their
-    values. Other keys are ignored, refused (`extra="refuse"`) or passed to
-    `build` as one dict after the fields (`extra="keep"`); a document's
-    `format` key is never one of them."""
+    values. Other keys are ignored, or passed to `build` as one dict after
+    the fields (`extra="keep"`); a document's `format` key is never one of
+    them."""
 
     name: str
     fields: tuple[Field, ...]
@@ -94,9 +94,6 @@ class Table:
         env = {"_MISSING": _MISSING, "FieldError": FieldError, "within": within,
                "build": self.build, "known": frozenset(f.key for f in self.fields) | {"format"}}
         src = ["def read(obj, *context):"]
-        if self.extra == "refuse":
-            src += ["    if obj.keys() - known:",
-                    "        raise FieldError(f'unknown keys: {sorted(obj.keys() - known)}')"]
         for i, f in enumerate(self.fields):
             env[f"types{i}"], env[f"convert{i}"] = f.parser.types, f.parser.convert
             if f.default is REQUIRED:

@@ -70,10 +70,6 @@ def _scenario_with(change) -> str:
     return json.dumps(doc)
 
 
-def _config(**keys) -> str:
-    return json.dumps({"format": "config/1", **keys})
-
-
 def _etg_with_duplicate_etype() -> str:
     doc = _fixture_doc("travel_etg.json")
     doc["etypes"].append(doc["etypes"][0])
@@ -147,8 +143,6 @@ MALFORMED = {
     "scenario-emissions-not-object": ("scenario", _first_segment(emissions=[1]), None),
     "scenario-segment-ends-before-it-begins": (
         "scenario", _first_segment(end="2021-06-02T11:00:00+00:00"), None),
-    "config-strategy-not-object": (
-        "config", json.dumps({"format": "config/1", "strategy": "always"}), None),
     "etg-context-dependent-not-boolean": ("etg", _etg_with(
         lambda doc: doc["properties"][2].update(context_dependent="false")), None),
     "etg-enum-values-not-list": ("etg", _etg_with(
@@ -193,9 +187,6 @@ MALFORMED = {
                                           "gps_speed", "accelerometer_magnitude"])), None),
     "scenario-ticks-past-the-cap": ("scenario", _scenario_with(
         lambda doc: doc["segments"][-1].update(end="9999-12-31T23:00:00+00:00")), None),
-    "config-seed-not-integer": ("config", json.dumps({"format": "config/1", "seed": 7.9}), None),
-    "config-seed-negative": ("config", json.dumps({"format": "config/1", "seed": -3}), None),
-    "config-seed-boolean": ("config", json.dumps({"format": "config/1", "seed": True}), None),
     "etg-not-utf-8": ("etg", (FIXTURES / "travel_etg.json").read_text().replace(
         '"Person"', f'"Pers{NOT_UTF8}on"', 1), 5),
     "stream-not-utf-8": ("stream", _stream_ending_with(
@@ -241,13 +232,6 @@ MALFORMED = {
         lambda doc: doc["segments"][0]["emissions"]["gps_speed"].update(mean="17")), None),
     "scenario-emission-std-nan": ("scenario", _scenario_with(
         lambda doc: doc["segments"][0]["emissions"]["gps_speed"].update(std=float("nan"))), None),
-    "config-window-minutes-boolean": ("config", _config(window_minutes=True), None),
-    "config-window-minutes-infinite": ("config", _config(window_minutes=float("inf")), None),
-    "config-window-minutes-rounds-to-zero": ("config", _config(window_minutes=1e-9), None),
-    "config-window-minutes-overflows": ("config", _config(window_minutes=1e300), None),
-    "config-near-threshold-string": ("config", _config(near_threshold_m="3"), None),
-    "config-tau-boolean": ("config", _config(strategy={"kind": "margin", "tau": True}), None),
-    "config-tau-without-margin": ("config", _config(strategy={"kind": "always", "tau": 0.5}), None),
     "etg-etype-id-not-string": ("etg", _etg_with(
         lambda doc: doc["etypes"].append({"id": 300, "name": "Extra"})), None),
     "etg-etype-name-not-string": ("etg", _etg_with(

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,6 @@ ETG = str(FIXTURES / "travel_etg.json")
 EG_PATH = str(FIXTURES / "travel_eg.json")
 STREAM = str(FIXTURES / "travel_stream.jsonl")
 SCENARIO = str(FIXTURES / "travel_scenario.json")
-CONFIG = str(FIXTURES / "config.json")
 
 
 def test_compile_reproduces_golden(tmp_path):
@@ -107,7 +107,7 @@ def test_compile_refuses_a_q_that_names_an_undeclared_property(tmp_path, capsys)
 
 
 def test_validate_clean_fixtures_exit_0(capsys):
-    assert main(["validate", ETG, EG_PATH, STREAM, SCENARIO, CONFIG,
+    assert main(["validate", ETG, EG_PATH, STREAM, SCENARIO,
                  str(GOLDEN / "travel_hierarchy.json")]) == 0
     assert "valid" in capsys.readouterr().out
 
@@ -221,8 +221,7 @@ def test_simulate_writes_log_and_metrics(tmp_path):
     log = tmp_path / "run.jsonl"
     metrics = tmp_path / "metrics.json"
     assert main([
-        "--config", CONFIG,
-        "simulate", "--scenario", SCENARIO, "--etg", ETG, "--eg", EG_PATH,
+        "simulate", "--scenario", SCENARIO, "--etg", ETG, "--eg", EG_PATH, "--window", "5",
         "--out-log", str(log), "--out-metrics", str(metrics),
     ]) == 0
     header, preds, truths, events = io.load_runlog(log)
@@ -236,8 +235,7 @@ def test_simulate_writes_log_and_metrics(tmp_path):
 def test_simulate_never_strategy_logs_zero_queries(tmp_path):
     log = tmp_path / "run.jsonl"
     assert main([
-        "--config", CONFIG,
-        "simulate", "--scenario", SCENARIO, "--etg", ETG, "--eg", EG_PATH,
+        "simulate", "--scenario", SCENARIO, "--etg", ETG, "--eg", EG_PATH, "--window", "5",
         "--strategy", "never", "--out-log", str(log),
     ]) == 0
     _, _, _, events = io.load_runlog(log)
@@ -249,8 +247,7 @@ def test_simulate_same_command_twice_identical_logs(tmp_path):
     for name in ("a.jsonl", "b.jsonl"):
         path = tmp_path / name
         assert main([
-            "--config", CONFIG,
-            "simulate", "--scenario", SCENARIO, "--etg", ETG, "--eg", EG_PATH,
+            "simulate", "--scenario", SCENARIO, "--etg", ETG, "--eg", EG_PATH, "--window", "5",
             "--out-log", str(path),
         ]) == 0
         logs.append(path.read_text())
@@ -262,8 +259,8 @@ def test_simulate_golden_metrics(tmp_path, bless):
 
     metrics = tmp_path / "metrics.json"
     assert main([
-        "--config", CONFIG, "--seed", "7",
-        "simulate", "--scenario", SCENARIO, "--etg", ETG, "--eg", EG_PATH,
+        "--seed", "7",
+        "simulate", "--scenario", SCENARIO, "--etg", ETG, "--eg", EG_PATH, "--window", "5",
         "--out-metrics", str(metrics),
     ]) == 0
     golden_check(GOLDEN / "travel_metrics_seed7.json", metrics.read_text(), bless)
@@ -274,8 +271,8 @@ def test_simulate_with_the_golden_hierarchy_matches_compiling_on_the_fly(tmp_pat
     for name, extra in (("compiled", []),
                         ("stored", ["--hierarchy", str(GOLDEN / "travel_hierarchy.json")])):
         metrics[name] = tmp_path / f"{name}.json"
-        assert main(["--config", CONFIG, "--seed", "7", "simulate", "--scenario", SCENARIO,
-                     "--etg", ETG, "--eg", EG_PATH, "--out-metrics", str(metrics[name]),
+        assert main(["--seed", "7", "simulate", "--scenario", SCENARIO, "--etg", ETG,
+                     "--eg", EG_PATH, "--window", "5", "--out-metrics", str(metrics[name]),
                      *extra]) == 0
     assert metrics["stored"].read_text() == metrics["compiled"].read_text()
     assert metrics["stored"].read_text() == (GOLDEN / "travel_metrics_seed7.json").read_text()
@@ -397,23 +394,18 @@ REFUSED_BEFORE_DRAWING = {
     "scenario-channels-repeated": "channels listed more than once: ['accelerometer_magnitude']",
     "scenario-seed-negative": "seed must be >= 0, not -1",
     "scenario-ticks-past-the-cap": "more than MAX_SCRIPT_TICKS",
-    "config-seed-negative": "seed must be >= 0, not -3",
 }
 
 
 @pytest.mark.parametrize("case", REFUSED_BEFORE_DRAWING)
-def test_simulate_refuses_a_scenario_or_config_that_validate_refuses(tmp_path, case):
+def test_simulate_refuses_a_scenario_that_validate_refuses(tmp_path, case):
     """A repeated channel would be drawn twice per tick, a negative seed
     reaches numpy's bare "expected non-negative integer", and a last
     segment that ends in year 9999 holds 4.2e9 ticks of 60 s: each is
     refused as the document loads."""
-    kind, text, _ = MALFORMED[case]
-    path = tmp_path / f"{kind}.json"
-    path.write_text(text)
-    if kind == "scenario":
-        done = _simulate_in_child("simulate", "--scenario", str(path))
-    else:
-        done = _simulate_in_child("--config", str(path), "simulate", "--scenario", SCENARIO)
+    path = tmp_path / "scenario.json"
+    path.write_text(MALFORMED[case][1])
+    done = _simulate_in_child("simulate", "--scenario", str(path))
     assert done.returncode == 2, done.stderr
     assert REFUSED_BEFORE_DRAWING[case] in done.stderr and "Traceback" not in done.stderr
 
@@ -436,6 +428,24 @@ def test_simulate_refuses_a_negative_seed_flag(capsys):
     assert "error: seed must be >= 0, not -4" in capsys.readouterr().err
 
 
+def test_seed_is_a_usage_error_on_any_command_but_simulate(tmp_path, capsys):
+    """Only `simulate` reads a seed, so no other command takes one."""
+    out = tmp_path / "h.json"
+    assert main(["--seed", "5", "compile", ETG, EG_PATH, "--out", str(out)]) == 1
+    assert "error: --seed applies to simulate only, not compile" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_defaults_to_30_minute_windows_all_queried(tmp_path):
+    log = tmp_path / "run.jsonl"
+    assert main(["simulate", "--scenario", SCENARIO, "--etg", ETG, "--eg", EG_PATH,
+                 "--out-log", str(log)]) == 0
+    _, _, _, events = io.load_runlog(log)
+    assert len(events) == 2
+    assert all(e["end"] - e["begin"] == timedelta(minutes=30) for e in events)
+    assert all(e["queried"] for e in events)
+
+
 @pytest.mark.parametrize("minutes", ["1e-9", "1e300", "1e10", "nan"])
 def test_simulate_rejects_a_window_out_of_range(minutes):
     """1e-9 minutes rounds to a zero window, which would never let a tick
@@ -446,21 +456,17 @@ def test_simulate_rejects_a_window_out_of_range(minutes):
     assert "window length" in done.stderr
 
 
-@pytest.mark.parametrize(
-    "case", ["config-window-minutes-rounds-to-zero", "config-window-minutes-overflows"])
-def test_simulate_rejects_a_config_window_out_of_range(tmp_path, case):
-    config = tmp_path / "config.json"
-    config.write_text(MALFORMED[case][1])
-    done = _simulate_in_child("--config", str(config), "simulate", "--scenario", SCENARIO)
-    assert done.returncode == 2, done.stderr
-    assert "window_minutes" in done.stderr
-
-
 @pytest.mark.parametrize("strategy", ["margin:nan", "margin:inf"])
 def test_simulate_rejects_a_margin_tau_that_is_not_finite(strategy, capsys):
     assert main(["simulate", "--scenario", SCENARIO, "--etg", ETG, "--eg", EG_PATH,
                  "--strategy", strategy]) == 2
     assert "margin tau" in capsys.readouterr().err
+
+
+def test_simulate_refuses_an_empty_strategy(capsys):
+    assert main(["simulate", "--scenario", SCENARIO, "--etg", ETG, "--eg", EG_PATH,
+                 "--strategy", ""]) == 2
+    assert "error: unknown query strategy ''" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("strategy", ["always:3", "never:0.5"])
@@ -554,8 +560,7 @@ def test_evaluate_from_log_matches_simulate(tmp_path):
     metrics_a = tmp_path / "a.json"
     metrics_b = tmp_path / "b.json"
     assert main([
-        "--config", CONFIG,
-        "simulate", "--scenario", SCENARIO, "--etg", ETG, "--eg", EG_PATH,
+        "simulate", "--scenario", SCENARIO, "--etg", ETG, "--eg", EG_PATH, "--window", "5",
         "--out-log", str(log), "--out-metrics", str(metrics_a),
     ]) == 0
     assert main(["evaluate", "--log", str(log), "--out", str(metrics_b)]) == 0
@@ -645,3 +650,23 @@ def test_export_dot_standalone(tmp_path):
 def test_usage_error_exits_1(capsys):
     assert main(["compile"]) == 1
     assert main(["no-such-command"]) == 1
+
+
+@pytest.mark.parametrize("flags", [["--config", "x"], ["--verbose"]])
+def test_the_config_and_verbose_flags_are_gone(tmp_path, capsys, flags):
+    log = tmp_path / "run.jsonl"
+    assert main([*flags, "simulate", "--scenario", SCENARIO, "--etg", ETG, "--eg", EG_PATH,
+                 "--out-log", str(log)]) == 1
+    assert "error: " in capsys.readouterr().err
+    assert not log.exists()
+
+
+def test_validate_refuses_a_config_document(tmp_path, capsys):
+    """`config/1` is no format any more: a session's settings are flags."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"format": "config/1", "window_minutes": 5.0, "seed": 7}))
+    assert main(["validate", str(path)]) == 2
+    findings = capsys.readouterr().err.splitlines()
+    assert len(findings) == 1
+    assert findings[0].startswith(f"[invalid-document] {path}: ")
+    assert findings[0].endswith("unrecognized format tag 'config/1'")

@@ -1,18 +1,18 @@
 """Seeded fuzzing of the loaders and of `validate`: every mutated fixture
 either loads or raises a ContextStreamError, and `contextstream validate`
-exits 0 or 2 on it; a run log, hierarchy or config that loads also goes
-through `evaluate`, `export-dot` or a `simulate` on the travel fixture, a
-scenario that loads through `simulate` on the travel ETG and EG, and an ETG
-or EG that loads through `compile` and `simulate` against the other travel
-document, which exit 0 or 2 as well (run with -s to see the PASS line on
-success). A scenario that loads holds at most `simulate.MAX_SCRIPT_TICKS`
-ticks, which bounds each of its runs. Mutants of the golden metrics document, drawn from their
-own seed, make `validate` exit 2 exactly when `io.load_metrics` refuses
-them. Further mutants are derived from the format tables themselves: for
-every field of every format, one that drops a required field, one per JSON
-type the field refuses, and NaN and the infinities for a number field; each
-must raise a FormatError and make `validate` and the command that reads the
-format exit 2."""
+exits 0 or 2 on it; a run log or hierarchy that loads also goes through
+`evaluate` or `export-dot`, a scenario that loads through `simulate` on
+the travel ETG and EG, and an ETG or EG that loads through `compile` and
+`simulate` against the other travel document, which exit 0 or 2 as well
+(run with -s to see the PASS line on success). A scenario that loads holds
+at most `simulate.MAX_SCRIPT_TICKS` ticks, which bounds each of its runs.
+`simulate`'s own flags are set to edge values too. Mutants of the golden
+metrics document, drawn from their own seed, make `validate` exit 2
+exactly when `io.load_metrics` refuses them. Further mutants are derived
+from the format tables themselves: for every field of every format, one
+that drops a required field, one per JSON type the field refuses, and NaN
+and the infinities for a number field; each must raise a FormatError and
+make `validate` and the command that reads the format exit 2."""
 
 from __future__ import annotations
 
@@ -42,8 +42,8 @@ RUNLOG = "\n".join(json.dumps(doc) for doc in [
 # format kind -> file name, in DOCUMENTS; the metrics body is free, so its
 # table has no field to mutate
 FILE_OF_KIND = {"etg": "etg.json", "eg": "eg.json", "stream": "stream.jsonl",
-                "scenario": "scenario.json", "config": "config.json",
-                "hierarchy": "hierarchy.json", "runlog": "run.jsonl"}
+                "scenario": "scenario.json", "hierarchy": "hierarchy.json",
+                "runlog": "run.jsonl"}
 
 # file name -> (original bytes, loader)
 DOCUMENTS = {
@@ -52,7 +52,6 @@ DOCUMENTS = {
     "stream.jsonl": ((FIXTURES / "travel_stream.jsonl").read_bytes(),
                      lambda p: io.load_stream(p, CONTAINMENT)),
     "scenario.json": ((FIXTURES / "travel_scenario.json").read_bytes(), io.load_scenario),
-    "config.json": ((FIXTURES / "config.json").read_bytes(), io.load_config),
     "hierarchy.json": ((GOLDEN / "travel_hierarchy.json").read_bytes(), io.load_hierarchy),
     "run.jsonl": (RUNLOG.encode(), io.load_runlog),
 }
@@ -63,16 +62,16 @@ METRICS = (GOLDEN / "travel_metrics_seed7.json").read_bytes()
 VALUES = [None, True, False, 0, -1, 7.9, 300, "", "x", "ar", [], ["x"], {}, {"x": 1}]
 BAD_BITS = [2, -1, 300, True, False, 0.5, "x", None, [1]]
 
-# config key -> the edge values the config test sets it to
-CONFIG_EDGES = {
-    ("window_minutes",): [0, -1, 1e-9, 1e-8, 0.5, 5, 1e6, 1e10, 1e300, float("nan"), "5"],
-    ("near_threshold_m",): [0, -1, 1e-300, 1e300, float("inf")],
-    ("seed",): [None, 0, -1, 2**32, 2**63, 7.5],
-    ("strategy", "kind"): ["always", "never", "margin", "x"],
-    ("strategy", "tau"): [0, -1, 0.5, 1e300, float("inf"), float("nan")],
+# `simulate` setting -> the edge values the flag test gives it; a seed of
+# None leaves `--seed` out, and `tau` is spelled `--strategy kind:tau`
+FLAG_EDGES = {
+    "window": [0, -1, 1e-9, 1e-8, 0.5, 5, 1e6, 1e10, 1e300, float("nan")],
+    "seed": [None, 0, -1, 2**32, 2**63, 7.5],
+    "kind": ["always", "never", "margin", "x"],
+    "tau": [0, -1, 0.5, 1e300, float("inf"), float("nan")],
 }
 
-# `simulate` on the travel fixture; a config path goes before it
+# `simulate` on the travel fixture
 SIMULATE_TRAVEL = ["simulate", "--scenario", str(FIXTURES / "travel_scenario.json"),
                    "--etg", str(FIXTURES / "travel_etg.json"),
                    "--eg", str(FIXTURES / "travel_eg.json")]
@@ -160,7 +159,6 @@ def test_mutated_documents_load_or_raise_format_errors(tmp_path, capsys):
     readers = {
         "run.jsonl": lambda p: [["evaluate", "--log", p]],
         "hierarchy.json": lambda p: [["export-dot", "--out", str(tmp_path / "h.dot"), p]],
-        "config.json": lambda p: [["--config", p, *SIMULATE_TRAVEL]],
         "scenario.json": lambda p: [["simulate", "--scenario", p, "--etg", etg, "--eg", eg]],
         "etg.json": lambda p: compile_and_simulate(p, eg),
         "eg.json": lambda p: compile_and_simulate(etg, p),
@@ -217,37 +215,41 @@ def test_mutated_metrics_fail_validate_exactly_when_they_fail_to_load(tmp_path, 
     assert 0 < rejected < 100
 
 
-def test_configs_with_edge_values_simulate_or_exit_2(tmp_path, capsys):
-    """Byte and type mutants of the config seldom load, so this sets one or
-    two config keys to edge values instead: each config either fails to
-    load with a ContextStreamError or drives `simulate` on the travel
-    fixture to exit 0 or 2."""
+def _flags(settings: dict) -> list[str]:
+    """`settings` spelled as the flags of `simulate`."""
+    seed = [] if settings["seed"] is None else ["--seed", str(settings["seed"])]
+    tau = "" if "tau" not in settings else f":{settings['tau']}"
+    return [*seed, *SIMULATE_TRAVEL, "--window", str(settings["window"]),
+            "--strategy", settings["kind"] + tau]
+
+
+def test_simulate_flags_with_edge_values_exit_0_or_2(capsys):
+    """One or two of `--window`, `--seed` and `--strategy kind[:tau]` at edge
+    values, the others at `--window 5 --seed 7 --strategy always`: each run
+    exits 0 or 2 with no traceback, or 1 where argparse refuses the spelling
+    (`--seed 7.5`)."""
     rng = random.Random(977)
-    original = json.loads(DOCUMENTS["config.json"][0])
-    path = tmp_path / "config.json"
     failures: list[str] = []
-    ran = 0
+    codes = set()
     for round_ in range(200):
-        doc = json.loads(json.dumps(original))
-        for key in rng.sample(sorted(CONFIG_EDGES), rng.randint(1, 2)):
-            _replace(doc, key, rng.choice(CONFIG_EDGES[key]))
-        path.write_text(json.dumps(doc))
-        case = f"round {round_}, {json.dumps(doc)}"
+        settings = {"window": 5, "seed": 7, "kind": "always"}
+        for key in rng.sample(sorted(FLAG_EDGES), rng.randint(1, 2)):
+            settings[key] = rng.choice(FLAG_EDGES[key])
+        argv = _flags(settings)
+        case = f"round {round_}, {' '.join(argv)}"
+        expected = (1,) if isinstance(settings["seed"], float) else (0, 2)
         try:
-            io.load_config(path)
-        except ContextStreamError:
-            continue
-        ran += 1
-        try:
-            code = main(["--config", str(path), *SIMULATE_TRAVEL])
+            code = main(argv)
         except Exception as exc:  # noqa: BLE001 - any error is the defect
             failures.append(f"{case}: simulate raised {exc!r}")
-        else:
-            if code not in (0, 2):
-                failures.append(f"{case}: simulate exited {code}")
-    capsys.readouterr()
+            continue
+        codes.add(code)
+        if code not in expected:
+            failures.append(f"{case}: simulate exited {code}, not one of {expected}")
+        if "Traceback" in capsys.readouterr().err:
+            failures.append(f"{case}: printed a traceback")
     assert not failures, f"{len(failures)} failures, first: {failures[:5]}"
-    assert ran >= 50, f"only {ran} configs loaded"
+    assert codes == {0, 1, 2}
 
 
 # one value of each JSON type; a field's wrong-type mutants are those whose
@@ -329,7 +331,6 @@ def test_every_field_mutant_is_refused_by_its_loader_and_commands(tmp_path, caps
         "eg": lambda p: [["compile", etg, p, "--out", out],
                          ["simulate", "--scenario", scenario, "--etg", etg, "--eg", p]],
         "scenario": lambda p: [["simulate", "--scenario", p, "--etg", etg, "--eg", eg]],
-        "config": lambda p: [["--config", p, *SIMULATE_TRAVEL]],
         "hierarchy": lambda p: [["export-dot", p, "--out", out]],
         "runlog": lambda p: [["evaluate", "--log", p]],
         "stream": lambda p: [["snapshot", "--etg", etg, "--eg", eg, "--stream", p,

@@ -13,7 +13,6 @@ from contextstream import io
 from contextstream.core import Containment, Coordinates, StreamingContext
 from contextstream.errors import FormatError, SuperChainError, TimestampOrderError
 from contextstream.kg import EG, ETG, DataPropertyDef, EntityType
-from contextstream.learn import QueryStrategy
 
 from contextstream.simulate import WindowEvent
 
@@ -283,7 +282,6 @@ LOADERS = {
     "etg": io.load_etg,
     "hierarchy": io.load_hierarchy,
     "scenario": io.load_scenario,
-    "config": io.load_config,
     "runlog": io.load_runlog,
     "metrics": io.load_metrics,
 }
@@ -318,12 +316,19 @@ def test_malformed_document_raises_format_error(tmp_path, case):
     (FIXTURES / "travel_eg.json", "eg"),
     (FIXTURES / "travel_stream.jsonl", "stream"),
     (FIXTURES / "travel_scenario.json", "scenario"),
-    (FIXTURES / "config.json", "config"),
     (GOLDEN / "travel_hierarchy.json", "hierarchy"),
     (GOLDEN / "travel_metrics_seed7.json", "metrics"),
 ], ids=lambda v: v if isinstance(v, str) else v.name)
 def test_load_document_routes_by_the_format_tag(path, kind):
     assert io.load_document(path) == (kind, LOADERS[kind](path))
+
+
+def test_load_document_refuses_a_config_document(tmp_path):
+    """`config/1` is no format any more: a session's settings are flags."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"format": "config/1", "window_minutes": 5.0}))
+    with pytest.raises(FormatError, match="unrecognized format tag 'config/1'"):
+        io.load_document(path)
 
 
 def test_load_document_reads_a_run_log(tmp_path):
@@ -340,40 +345,6 @@ def test_hierarchy_round_trip(tmp_path, travel_hierarchy):
     again = io.load_hierarchy(path)
     assert again == travel_hierarchy
     assert again.node_order == travel_hierarchy.node_order
-
-
-def test_config_round_trip(tmp_path):
-    config = io.Config(window_minutes=5.0, strategy=QueryStrategy("margin", 0.5), seed=11)
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"format": "config/1", "window_minutes": 5.0,
-                                "strategy": {"kind": "margin", "tau": 0.5}, "seed": 11}))
-    assert io.load_config(path) == config
-
-
-def test_config_checks_then_drops_the_near_threshold(tmp_path):
-    """config/1 keeps `near_threshold_m`: accepted, checked, then dropped."""
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"format": "config/1", "near_threshold_m": 3.0}))
-    assert io.load_config(path) == io.Config()
-    path.write_text(json.dumps({"format": "config/1", "near_threshold_m": 0}))
-    with pytest.raises(FormatError) as exc:
-        io.load_config(path)
-    assert "near_threshold_m" in str(exc.value)
-
-
-def test_config_fixture_loads():
-    config = io.load_config(FIXTURES / "config.json")
-    assert config.window_minutes == 5.0
-    assert config.strategy == QueryStrategy("always")
-    assert config.seed == 7
-
-
-def test_config_rejects_unknown_keys(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"format": "config/1", "tau": 1}))
-    with pytest.raises(FormatError) as exc:
-        io.load_config(path)
-    assert "tau" in str(exc.value)
 
 
 def test_corrupted_json_reports_position(tmp_path):

@@ -24,7 +24,7 @@ def test_readme_library_quick_start_runs(monkeypatch):
     assert check_consistency(h, y) == []
 
 
-EXTRA = {"ignore": "", "refuse": " Other keys are refused.", "keep": " Other keys are kept."}
+EXTRA = {"ignore": "", "keep": " Other keys are kept."}
 
 
 def _tables():
