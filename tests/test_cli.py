@@ -398,7 +398,7 @@ REFUSED_BEFORE_DRAWING = {
 
 
 @pytest.mark.parametrize("case", REFUSED_BEFORE_DRAWING)
-def test_simulate_refuses_a_scenario_that_validate_refuses(tmp_path, case):
+def test_simulate_refuses_a_scenario_or_config_that_validate_refuses(tmp_path, case):
     """A repeated channel would be drawn twice per tick, a negative seed
     reaches numpy's bare "expected non-negative integer", and a last
     segment that ends in year 9999 holds 4.2e9 ticks of 60 s: each is
