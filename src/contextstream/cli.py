@@ -25,7 +25,7 @@ from pathlib import Path
 from . import io
 from .core import classify_pattern
 from .dot import export_dot
-from .errors import ContextStreamError
+from .errors import ContextStreamError, FormatError
 from .hierarchy import compile_hierarchy, validate_hierarchy
 from .kg import (
     COLLAPSE_PROPERTIES,
@@ -156,20 +156,22 @@ def _cmd_validate(args) -> int:
     for path in args.paths:
         try:
             loaded.append((path, *io.load_document(path)))
-        except ContextStreamError as exc:
+        except FormatError as exc:
             loaded.append((path, "invalid-document", str(exc)))
     # an EG is checked against the ETG when the paths name exactly one
     etgs = [doc for _, kind, doc in loaded if kind == "etg"]
     etg = etgs[0] if len(etgs) == 1 else None
+    # a FormatError's text begins with its path (and line), so an
+    # `invalid-document` finding names no subject
     aggregated = ValidationReport()
     for path, kind, doc in loaded:
         if kind == "invalid-document":
-            aggregated.add(kind, doc, path)
+            aggregated.add(kind, doc)
             continue
         try:
             report = _validate_one(path, kind, doc, etg)
-        except ContextStreamError as exc:
-            aggregated.add("invalid-document", str(exc), path)
+        except FormatError as exc:
+            aggregated.add("invalid-document", str(exc))
             continue
         for finding in report:
             aggregated.add(finding.code, finding.message, f"{path}: {finding.subject or ''}")

@@ -57,7 +57,8 @@ class FormatError(ContextStreamError):
             loc += f":{line}"
             if col is not None:
                 loc += f":{col}"
-        # not super(): in StreamOrderError, TimestampOrderError comes next
+        # not super(): in StreamOrderError and StreamChainError, another
+        # ContextStreamError comes next
         ContextStreamError.__init__(self, f"{loc}: {message}")
         self.path = path
         self.line = line
@@ -72,3 +73,11 @@ class StreamOrderError(FormatError, TimestampOrderError):
         FormatError.__init__(self, path, str(TimestampOrderError(last, new)), line=line)
         self.last = last
         self.new = new
+
+
+class StreamChainError(FormatError, SuperChainError):
+    """A SuperChainError in a stream file, at the line of the record whose
+    declared super location or event is off its chain."""
+
+    def __init__(self, path, line: int, exc: SuperChainError):
+        FormatError.__init__(self, path, str(exc), line=line)

@@ -4,12 +4,12 @@ hierarchies, scenarios and metrics, JSONL for streams and run logs.
 Every format is described once, as data: `FORMATS` maps each kind to its
 `format` tag and to the tables of the JSON objects it holds. A table lists
 each field's JSON key, its default (or that it is required) and its value
-parser, in the order the table's `build` takes them, and is compiled once
-into a reader. Loaders reject unknown kinds and versions, and any other
-malformed document, with a FormatError; `load_document` loads any of them,
-routed by that tag alone. The program writes only EGs, hierarchies, run logs
-and metrics; for those four formats, saving then loading yields equal
-objects.
+parser, in the order the table's `build` takes them; a table reads an
+object with one loop over those fields. Loaders reject unknown kinds and
+versions, and any other malformed document, with a FormatError;
+`load_document` loads any of them, routed by that tag alone. The program
+writes only EGs, hierarchies, run logs and metrics; for those four
+formats, saving then loading yields equal objects.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from .core import (
     format_timestamp,
     parse_timestamp,
 )
-from .errors import FormatError, StreamOrderError
+from .errors import (CycleError, FormatError, StreamChainError, StreamOrderError,
+                     SuperChainError)
 from .hierarchy import ConceptNode, Hierarchy, NodeKind
 from .kg import EG, ETG, DataPropertyDef, Entity, EntityType, ObjectPropertyDef, PropertyValue
 from .simulate import EmissionSpec, ScenarioScript, Segment, WindowEvent
@@ -268,12 +269,13 @@ def _kind(doc: Any, kinds: Sequence[str], path: Any) -> str:
 
 def _read(path: Any, tag: str, table: Table, doc: Any, line: int | None, *context: Any) -> Any:
     """`doc` read by `table`: the one place where a ValueError, from a parser
-    or from a constructor, becomes a FormatError on `path` and `line`."""
+    or from a constructor, or a constructor's CycleError becomes a
+    FormatError on `path` and `line`."""
     try:
         if type(doc) is not dict:
             raise FieldError("expected object")
         return table.read(doc, *context)
-    except ValueError as exc:
+    except (ValueError, CycleError) as exc:
         raise FormatError(path, f"malformed {tag} document: {exc}", line=line) from None
 
 
@@ -321,7 +323,10 @@ def _stream_records(path: Any, docs: Iterator[tuple[int, str, Any]],
         if prev is not None and record.ts <= prev.ts:
             raise StreamOrderError(path, line, prev.ts, record.ts)
         if fresh and containment is not None:
-            containment.check_record(record)
+            try:
+                containment.check_record(record)
+            except SuperChainError as exc:
+                raise StreamChainError(path, line, exc) from None
         yield record
         prev, prev_rest = record, rest
 
@@ -407,7 +412,7 @@ def load_stream(path: str | Path, containment: Containment | None = None) -> Str
     read: a malformed record is a FormatError on its line, a record that is
     not after the one before it a StreamOrderError (a TimestampOrderError)
     on its line, and one whose declared supers are off its chains in
-    `containment` a SuperChainError."""
+    `containment` a StreamChainError (a SuperChainError) on its line."""
     return _jsonl(path, ("stream",), containment)[1]
 
 

@@ -4,15 +4,16 @@ A `Table` lists the fields of one kind of JSON object: each field's key, its
 default or that it is required, and its `Parser`. A parser checks a value's
 JSON type and converts it, and may hold a nested table, alone or in a list.
 The rules follow the JSON Schema validation vocabulary (`type`, `required`,
-`default`, `items`, `additionalProperties`); each table is compiled once
-into a reader function. A value that breaks a rule raises `FieldError`, a
-ValueError that names the value's path from the object read.
+`default`, `items`, `additionalProperties`); a table reads an object with
+one loop over its fields, each value through its parser. A value that
+breaks a rule raises `FieldError`, a ValueError that names the value's path
+from the object read.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import NoneType
 from typing import Any, Callable
 
@@ -56,13 +57,12 @@ class Parser:
 
 
 REQUIRED = object()
-_MISSING = object()
 
 
 @dataclass(frozen=True)
 class Field:
     """One key of a JSON object. A missing key takes `default`, a JSON value
-    that the parser reads once, unless it is REQUIRED."""
+    that the parser reads on each use, unless it is REQUIRED."""
 
     key: str
     parser: Parser
@@ -80,44 +80,23 @@ class Table:
     fields: tuple[Field, ...]
     build: Callable[..., Any] = lambda *values: values
     extra: str = "ignore"
-    read: Callable[..., Any] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        # compiled as the table is defined, so that no load pays for it
-        object.__setattr__(self, "read", self._compile())
-
-    def _compile(self) -> Callable[..., Any]:
-        """`read(obj, *context)` is `build(*values, *context)` for the JSON
-        object `obj`, or a ValueError at the first field that breaks its rule.
-        Its source is generated once, as `dataclasses` writes `__init__`, so a
-        read runs one check per field and no loop over the table."""
-        env = {"_MISSING": _MISSING, "FieldError": FieldError, "within": within,
-               "build": self.build, "known": frozenset(f.key for f in self.fields) | {"format"}}
-        src = ["def read(obj, *context):"]
-        for i, f in enumerate(self.fields):
-            env[f"types{i}"], env[f"convert{i}"] = f.parser.types, f.parser.convert
-            if f.default is REQUIRED:
-                missing = f"raise FieldError('required key missing', {f.key!r})"
-            else:
-                env[f"default{i}"] = f.parser.parse(f.default)
-                missing = f"v{i} = default{i}"
-            src += [f"    v{i} = obj.get({f.key!r}, _MISSING)",
-                    f"    if v{i} is _MISSING:",
-                    f"        {missing}",
-                    f"    elif type(v{i}) not in types{i}:",
-                    f"        raise FieldError({'expected ' + f.parser.kind!r}, {f.key!r})"]
-            if f.parser.convert is not None:
-                src += [f"    elif v{i} is not None:",
-                        "        try:",
-                        f"            v{i} = convert{i}(v{i})",
-                        "        except ValueError as exc:",
-                        f"            raise within({f.key!r}, exc) from None"]
-        values = [f"v{i}" for i in range(len(self.fields))]
+    def read(self, obj: dict, *context: Any) -> Any:
+        """`build(*values, *context)` for the JSON object `obj`, or a
+        ValueError at the first field that breaks its rule."""
+        values = []
+        for f in self.fields:
+            value = obj.get(f.key, f.default)
+            if value is REQUIRED:
+                raise FieldError("required key missing", f.key)
+            try:
+                values.append(f.parser.parse(value))
+            except ValueError as exc:
+                raise within(f.key, exc) from None
         if self.extra == "keep":
-            values.append("{k: v for k, v in obj.items() if k not in known}")
-        src.append(f"    return build({', '.join(values + ['*context'])})")
-        exec("\n".join(src), env)
-        return env["read"]
+            known = {f.key for f in self.fields} | {"format"}
+            values.append({k: v for k, v in obj.items() if k not in known})
+        return self.build(*values, *context)
 
 
 def _finite(value: int | float) -> float:

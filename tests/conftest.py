@@ -12,7 +12,7 @@ import pytest
 
 from contextstream import io
 from contextstream.core import Containment, StreamingContext, format_timestamp
-from contextstream.errors import FormatError, StreamOrderError
+from contextstream.errors import FormatError, StreamChainError, StreamOrderError, SuperChainError
 from contextstream.hierarchy import (
     ROOT_DISPLAY_NAME, ROOT_ID, ConceptNode, Hierarchy, NodeKind, compile_hierarchy,
     entity_node_id, etype_node_id, pinst_node_id, property_node_id, transitive_reduction,
@@ -82,6 +82,15 @@ def _etg_with(change) -> str:
     return json.dumps(doc)
 
 
+def _etg_with_parents(**parents: str) -> str:
+    """The travel ETG with the parent of each etype named in `parents`
+    replaced."""
+    doc = _fixture_doc("travel_etg.json")
+    for et in doc["etypes"]:
+        et["parent"] = parents.get(et["id"], et.get("parent"))
+    return json.dumps(doc)
+
+
 def _eg_with(change) -> str:
     doc = _fixture_doc("travel_eg.json")
     change(doc)
@@ -139,6 +148,7 @@ MALFORMED = {
     "eg-at-zero": ("eg", json.dumps(_fixture_doc("travel_eg.json", at=0)), None),
     "eg-at-empty-string": ("eg", json.dumps(_fixture_doc("travel_eg.json", at="")), None),
     "etg-duplicate-etype": ("etg", _etg_with_duplicate_etype(), None),
+    "etg-inheritance-cycle": ("etg", _etg_with_parents(me="location", location="me"), None),
     "scenario-record-not-object": ("scenario", _first_segment(record=[1]), None),
     "scenario-emissions-not-object": ("scenario", _first_segment(emissions=[1]), None),
     "scenario-segment-ends-before-it-begins": (
@@ -155,6 +165,7 @@ MALFORMED = {
     ])), 3),
     "hierarchy-edge-not-list": ("hierarchy", _hierarchy(["ar"]), None),
     "hierarchy-edge-not-pair": ("hierarchy", _hierarchy([["a", "r", "a"]]), None),
+    "hierarchy-self-loop": ("hierarchy", _hierarchy([["a", "a"]]), None),
     "hierarchy-node-id-not-string": ("hierarchy", _hierarchy([], id=5), None),
     "hierarchy-lone-root-id-not-string": ("hierarchy", json.dumps({
         "format": "hierarchy/1", "root": 5, "edges": [], "nodes": [
@@ -316,8 +327,9 @@ def travel_scenario():
 def reference_load_stream(path, containment: Containment | None = None) -> StreamingContext:
     """The stream reader with no shortcut for a repeated record: every line
     is decoded, parsed and read by the stream record table, then checked to
-    be after the record before it and against `containment`, and the
-    records make one StreamingContext. The first line at fault ends it."""
+    be after the record before it and against `containment` (off its chain
+    is a StreamChainError on the line), and the records make one
+    StreamingContext. The first line at fault ends it."""
     fmt = io.FORMATS["stream"]
     records: list = []
     header = False
@@ -349,7 +361,10 @@ def reference_load_stream(path, containment: Containment | None = None) -> Strea
             if records and record.ts <= records[-1].ts:
                 raise StreamOrderError(path, lineno, records[-1].ts, record.ts)
             if containment is not None:
-                containment.check_record(record)
+                try:
+                    containment.check_record(record)
+                except SuperChainError as exc:
+                    raise StreamChainError(path, lineno, exc) from None
             records.append(record)
     if not header:
         raise FormatError(path, "no format header")

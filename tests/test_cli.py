@@ -134,7 +134,8 @@ def test_validate_loads_an_eg_under_the_one_etg_named(tmp_path, capsys):
     assert main(["validate", etg, eg]) == 2
     findings = capsys.readouterr().err.splitlines()
     assert len(findings) == 1
-    assert findings[0].startswith(f"[invalid-document] {eg}: ")
+    assert findings[0].startswith(f"[invalid-document] {eg}: malformed eg/1 document: ")
+    assert findings[0].count(eg) == 1
     assert "entities[0].values.home.x: expected finite number" in findings[0]
     # alone, or beside two ETGs, the EG has no schema to load under
     assert main(["validate", eg]) == 0
@@ -176,13 +177,15 @@ def test_validate_corrupt_json_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("case", MALFORMED)
 def test_validate_reports_a_malformed_document_and_goes_on(tmp_path, capsys, case):
-    kind, text, _ = MALFORMED[case]
+    kind, text, line = MALFORMED[case]
     bad = tmp_path / ("bad.jsonl" if kind in ("stream", "runlog") else "bad.json")
     bad.write_bytes(encode_case(text))
     assert main(["validate", str(bad), ETG]) == 2
     findings = capsys.readouterr().err.splitlines()
     assert len(findings) == 1
-    assert findings[0].startswith(f"[invalid-document] {bad}: ")
+    where = f"{bad}:{line}" if line is not None else f"{bad}"
+    assert findings[0].startswith(f"[invalid-document] {where}: ")
+    assert findings[0].count(str(bad)) == 1
 
 
 @pytest.mark.parametrize("case", [case for case, doc in MALFORMED.items()
@@ -206,6 +209,16 @@ def test_evaluate_refuses_a_malformed_run_log(tmp_path, capsys, case):
     assert main(["evaluate", "--log", str(bad)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: {bad}:")
+
+
+@pytest.mark.parametrize("case", [case for case, doc in MALFORMED.items()
+                                  if doc[0] == "hierarchy"])
+def test_export_dot_refuses_a_malformed_hierarchy(tmp_path, capsys, case):
+    bad, out = tmp_path / "h.json", tmp_path / "h.dot"
+    bad.write_bytes(encode_case(MALFORMED[case][1]))
+    assert main(["export-dot", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: malformed hierarchy/1 document: ")
+    assert not out.exists()
 
 
 def test_validate_reads_the_jsonl_header_tag(tmp_path):
@@ -610,6 +623,19 @@ def test_snapshot_refuses_a_malformed_stream(tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith(f"error: {bad}:{line}: ")
 
 
+def test_snapshot_names_the_line_of_a_record_off_its_chain(tmp_path, capsys):
+    stream = tmp_path / "stream.jsonl"
+    lines = (FIXTURES / "travel_stream.jsonl").read_text().splitlines()
+    stream.write_text("\n".join(lines[:2] + [json.dumps(
+        fixture_record(1, super_location="nowhere_land"))]) + "\n")
+    assert main(["snapshot", "--etg", ETG, "--eg", EG_PATH, "--stream", str(stream),
+                 "--out-dir", str(tmp_path / "snaps")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {stream}:3: location 'roads_2': parent chain ['trentino'] "
+        "does not contain declared super location 'nowhere_land'\n")
+    assert not (tmp_path / "snaps").exists()
+
+
 def test_snapshot_refuses_an_unknown_super_location(tmp_path, capsys):
     """The record has no location, so no containment chain can refuse it."""
     lines = (FIXTURES / "travel_stream.jsonl").read_text().splitlines()
@@ -668,5 +694,4 @@ def test_validate_refuses_a_config_document(tmp_path, capsys):
     assert main(["validate", str(path)]) == 2
     findings = capsys.readouterr().err.splitlines()
     assert len(findings) == 1
-    assert findings[0].startswith(f"[invalid-document] {path}: ")
-    assert findings[0].endswith("unrecognized format tag 'config/1'")
+    assert findings == [f"[invalid-document] {path}: unrecognized format tag 'config/1'"]

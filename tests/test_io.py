@@ -11,7 +11,8 @@ import pytest
 
 from contextstream import io
 from contextstream.core import Containment, Coordinates, StreamingContext
-from contextstream.errors import FormatError, SuperChainError, TimestampOrderError
+from contextstream.errors import (FormatError, StreamChainError, SuperChainError,
+                                  TimestampOrderError)
 from contextstream.kg import EG, ETG, DataPropertyDef, EntityType
 
 from contextstream.simulate import WindowEvent
@@ -81,6 +82,19 @@ def test_stream_rejects_bad_super_chain(tmp_path, travel_containment):
     assert len(io.load_stream(path)) == 2  # without containment nothing to check
     with pytest.raises(SuperChainError):
         io.load_stream(path, travel_containment)
+
+
+def test_a_record_off_its_chain_is_a_format_error_on_its_line(tmp_path, travel_containment):
+    path = tmp_path / "bad.jsonl"
+    rows = [json.dumps({"format": "stream/1"}), json.dumps(fixture_record(0)),
+            json.dumps(fixture_record(1, super_location="nowhere_land"))]
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(StreamChainError) as exc:
+        io.load_stream(path, travel_containment)
+    assert isinstance(exc.value, FormatError) and isinstance(exc.value, SuperChainError)
+    assert exc.value.line == 3
+    assert str(exc.value) == (f"{path}:3: location 'roads_2': parent chain ['trentino'] "
+                              "does not contain declared super location 'nowhere_land'")
 
 
 def test_stream_is_built_once(tmp_path, travel_stream, travel_containment, monkeypatch):

@@ -1,7 +1,8 @@
 """No module of the package reads or imports another module's private
 (`_`-prefixed) names: each decision stays behind the module that owns it.
 And every public name of the package is used by the package itself or by
-the benchmark: a name that only tests read belongs in the tests."""
+the benchmark: a name that only tests read belongs in the tests. No module
+runs source text that it makes at run time (`exec`, `eval`, `compile`)."""
 
 from __future__ import annotations
 
@@ -49,6 +50,26 @@ def test_the_checker_finds_both_kinds_of_reach():
 def test_module_reaches_no_private_name_of_another(path):
     assert private_reaches(path.read_text(encoding="utf-8")) == []
 
+
+GENERATED_CODE_BUILTINS = ("exec", "eval", "compile")
+
+
+def generated_code_uses(source: str) -> list[str]:
+    """`line: name` for each reference in `source` to a builtin that runs
+    source text made at run time: code is written as code, not generated."""
+    found = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Name) and node.id in GENERATED_CODE_BUILTINS]
+    return [f"{node.lineno}: {node.id}" for node in sorted(found, key=lambda n: n.lineno)]
+
+
+def test_the_checker_finds_calls_and_aliases_of_exec_eval_and_compile():
+    source = "exec(src, env)\nrun = eval\ncompile_hierarchy(etg, eg)\nre.compile(p)\n"
+    assert generated_code_uses(source) == ["1: exec", "2: eval"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_runs_no_generated_code(path):
+    assert generated_code_uses(path.read_text(encoding="utf-8")) == []
 
 
 def public_definitions(tree: ast.Module):
