@@ -174,7 +174,8 @@ def _cmd_validate(args) -> int:
             aggregated.add("invalid-document", str(exc))
             continue
         for finding in report:
-            aggregated.add(finding.code, finding.message, f"{path}: {finding.subject or ''}")
+            subject = f"{path}: {finding.subject}" if finding.subject else str(path)
+            aggregated.add(finding.code, finding.message, subject)
     if aggregated.ok:
         print(f"{len(args.paths)} document(s) valid")
         return EXIT_OK

@@ -102,6 +102,14 @@ def _value_from_json(datatype: str, v: Any) -> Any:
     return v
 
 
+def _hierarchy(nodes: list, edges: list, root: str) -> Hierarchy:
+    """The hierarchy of a `hierarchy/1` document, ordered as it is built, so
+    that any cycle is a CycleError here and the document is refused."""
+    h = Hierarchy(nodes, edges, root)
+    h.node_order
+    return h
+
+
 def _runlog_header(seed: int, nodes: list, manifest: list) -> dict:
     if seed < 0:
         raise FieldError(f"must be >= 0, not {seed}", "seed")
@@ -184,7 +192,7 @@ FORMATS: dict[str, Format] = {
         ), ConceptNode)))),
         Field("edges", list_of(Parser("[child, parent] pair", (list,), _edge))),
         Field("root", STRING),
-    ), Hierarchy)),
+    ), _hierarchy)),
     "scenario": Format("scenario/1", Table("scenario/1", (
         Field("seed", INTEGER),
         Field("reading_interval_s", NUMBER),
@@ -231,30 +239,49 @@ def _read_json(path: str | Path) -> Any:
         raise FormatError(path, exc.msg, line=exc.lineno, col=exc.colno) from None
 
 
-_DECODER = json.JSONDecoder()
-
-
-def _jsonl_docs(path: str | Path) -> Iterator[tuple[int, str, Any]]:
-    """(line number, stripped text, parsed JSON) for every non-blank line of
-    a JSONL file."""
+def _jsonl_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) of every non-blank line of a JSONL file."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = _decode(path, raw, lineno).strip()
-            if not line:
-                continue
-            # `json.loads` without its wrapper: a stripped line whose one
-            # value ends at its end is what `json.loads` returns; any other
-            # line goes to `json.loads` for its error
-            try:
-                doc, end = _DECODER.raw_decode(line)
-            except json.JSONDecodeError:
-                end = None
-            if end != len(line):
-                try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise FormatError(path, exc.msg, line=lineno, col=exc.colno) from None
-            yield lineno, line, doc
+            if line:
+                yield lineno, line
+
+
+_DECODER = json.JSONDecoder()
+
+
+def _json_line(path: Any, lineno: int, line: str, decoder: json.JSONDecoder = _DECODER) -> Any:
+    """The JSON value of a stripped JSONL line, by `decoder`.
+
+    `json.loads` without its wrapper: a line whose one value ends at its end
+    is what `json.loads` returns; any other line goes to `json.loads` for its
+    error."""
+    try:
+        doc, end = decoder.raw_decode(line)
+    except json.JSONDecodeError:
+        end = None
+    if end != len(line):
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(path, exc.msg, line=lineno, col=exc.colno) from None
+    return doc
+
+
+def _ts_members(path: Any, lineno: int, line: str) -> tuple[Any, int]:
+    """(JSON value, number of its top-level members whose decoded key is
+    `ts`) of a stripped JSONL line that holds an object. The decoder hands
+    an object's pairs to its hook after those of every object inside it, so
+    the hook's last pairs are the top-level object's."""
+    last: list = []
+
+    def keep(pairs: list) -> dict:
+        last[:] = pairs
+        return dict(pairs)
+
+    doc = _json_line(path, lineno, line, json.JSONDecoder(object_pairs_hook=keep))
+    return doc, sum(key == "ts" for key, _ in last)
 
 
 def _kind(doc: Any, kinds: Sequence[str], path: Any) -> str:
@@ -290,35 +317,49 @@ _TS = '{"ts": "'
 _AFTER_TS = attrgetter(*(f.name for f in fields(StreamRecord)[1:]))
 
 
-def _stream_records(path: Any, docs: Iterator[tuple[int, str, Any]],
+def _stream_records(path: Any, lines: Iterator[tuple[int, str]],
                     containment: Containment | None = None) -> Iterator[StreamRecord]:
     """The records of a stream file's lines after its header, each in one
-    pass: read by its table, then checked to be after the record before it,
-    then checked against `containment`'s chains.
+    pass: decoded, read by its table, then checked to be after the record
+    before it, then checked against `containment`'s chains.
 
-    A line that begins with a `ts` member whose raw text is its decoded
-    value, and whose text after that member is its predecessor's, takes the
-    predecessor's other fields and skips the table read and the chain check.
+    A line `{"ts": "` + T + R, where T is printable and holds no backslash
+    (so the JSON string `"T"` is T), is a repeat when its predecessor is
+    such a line with the same R. R is a fixed text after a string value, so
+    a repeat is valid JSON as its predecessor was, with the same members
+    after `ts`. Once R
+    is also known to hold no top-level member whose decoded key is `ts`, a
+    repeat decodes to its predecessor's object with `ts` = T: it takes the
+    predecessor's other fields, with no decode, table read or chain check.
     Equal text gives equal JSON values, in type as well as value (`true` is
-    not `1`, nor `-0.0` `0.0`), so both would give what they gave the
-    predecessor; an escaped `ts`, or a later `ts` member, fails the raw test.
-    A `ts` that is not a timestamp goes to the table read for its error."""
+    not `1`, nor `-0.0` `0.0`). Whether R holds such a member (`"ts"`, or
+    `"\\u0074s"` too) is settled by decoding the first repeat of each run and
+    counting its top-level `ts` keys, and kept for that R; no line is
+    decoded twice. A `ts` that is not a timestamp goes to the table read for
+    its error."""
     fmt = FORMATS["stream"]
-    prev = prev_rest = None
-    for line, text, doc in docs:
-        record = rest = None
+    prev = prev_rest = proved = None
+    bare = False
+    for line, text in lines:
+        doc = record = rest = None
         if text.startswith(_TS):
             end = text.find('"', len(_TS))
             ts = text[len(_TS):end]
-            if doc.get("ts") == ts:
+            if end != -1 and ts.isprintable() and "\\" not in ts:
                 rest = text[end:]
                 if rest == prev_rest:
-                    try:
-                        record = StreamRecord(parse_timestamp(ts), *_AFTER_TS(prev))
-                    except ValueError:
-                        pass
+                    if rest != proved:
+                        doc, ts_keys = _ts_members(path, line, text)
+                        proved, bare = rest, ts_keys == 1
+                    if bare:
+                        try:
+                            record = StreamRecord(parse_timestamp(ts), *_AFTER_TS(prev))
+                        except ValueError:
+                            pass
         fresh = record is None
         if fresh:
+            if doc is None:
+                doc = _json_line(path, line, text)
             record = _read(path, fmt.tag, fmt.lines, doc, line)
         if prev is not None and record.ts <= prev.ts:
             raise StreamOrderError(path, line, prev.ts, record.ts)
@@ -334,11 +375,12 @@ def _stream_records(path: Any, docs: Iterator[tuple[int, str, Any]],
 def _jsonl(path: str | Path, kinds: Sequence[str], *context: Any) -> tuple[str, Any]:
     """(kind, loaded object) of a JSONL file: a header on its first non-blank
     line, with the tag of one of `kinds`, then one document per line. A
-    stream's lines go through `_stream_records`, with `context`; a run log's
-    header goes with each line to its table, so that a line is checked
-    against it."""
-    docs = _jsonl_docs(path)
-    for line, _, doc in docs:
+    stream's lines go through `_stream_records`, with `context`; every other
+    line is decoded here, and a run log's header goes with each line to its
+    table, so that a line is checked against it."""
+    lines = _jsonl_lines(path)
+    for line, text in lines:
+        doc = _json_line(path, line, text)
         kind = _kind(doc, kinds, path)
         fmt = FORMATS[kind]
         header = _read(path, fmt.tag, fmt.table, doc, line)
@@ -346,9 +388,10 @@ def _jsonl(path: str | Path, kinds: Sequence[str], *context: Any) -> tuple[str, 
     else:
         raise FormatError(path, "no format header")
     if kind == "stream":
-        values = _stream_records(path, docs, *context)
+        values = _stream_records(path, lines, *context)
     else:
-        values = [_read(path, fmt.tag, fmt.lines, doc, line, header) for line, _, doc in docs]
+        values = [_read(path, fmt.tag, fmt.lines, _json_line(path, line, text), line, header)
+                  for line, text in lines]
     return kind, fmt.finish(header, values)
 
 

@@ -166,6 +166,7 @@ MALFORMED = {
     "hierarchy-edge-not-list": ("hierarchy", _hierarchy(["ar"]), None),
     "hierarchy-edge-not-pair": ("hierarchy", _hierarchy([["a", "r", "a"]]), None),
     "hierarchy-self-loop": ("hierarchy", _hierarchy([["a", "a"]]), None),
+    "hierarchy-two-node-cycle": ("hierarchy", _hierarchy([["a", "r"], ["r", "a"]]), None),
     "hierarchy-node-id-not-string": ("hierarchy", _hierarchy([], id=5), None),
     "hierarchy-lone-root-id-not-string": ("hierarchy", json.dumps({
         "format": "hierarchy/1", "root": 5, "edges": [], "nodes": [

@@ -165,6 +165,20 @@ def test_validate_defect_exits_2(tmp_path, travel_hierarchy, capsys):
     assert "redundant-edge" in capsys.readouterr().err
 
 
+def test_validate_names_only_the_file_for_a_finding_without_a_subject(tmp_path, capsys):
+    """A hierarchy finding with no subject of its own is on the file alone:
+    no empty subject after the path."""
+    node = lambda nid: {"id": nid, "kind": "etype", "display_name": nid, "source_ref": nid}
+    bad = tmp_path / "h.json"
+    bad.write_text(json.dumps({
+        "format": "hierarchy/1", "root": "r",
+        "nodes": [node("a"), node("b"), {**node("r"), "kind": "root", "source_ref": None}],
+        "edges": [["a", "b"], ["a", "r"], ["b", "r"]]}))
+    assert main(["validate", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"[redundant-edge] {bad}: edge implied by a longer path: a -> r\n")
+
+
 def test_validate_missing_file_exits_1():
     assert main(["validate", "/definitely/not/here.json"]) == 1
 

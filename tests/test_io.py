@@ -119,17 +119,25 @@ def test_stream_is_built_once(tmp_path, travel_stream, travel_containment, monke
     assert built == [50]
 
 
+RUNS_START = datetime(2021, 6, 2, 12, tzinfo=timezone.utc)
+
+
+def _write_runs(path, n: int) -> None:
+    """A stream of `n` records, one a second from RUNS_START, in runs of 300
+    that differ only in `ts`: the two travel records in turn."""
+    rows = [json.dumps({"format": "stream/1"})]
+    for i in range(n):
+        ts = (RUNS_START + timedelta(seconds=i)).isoformat()
+        rows.append(json.dumps(fixture_record(i // 300 % 2, ts=ts)))
+    path.write_text("\n".join(rows) + "\n")
+
+
 def test_a_run_of_repeated_records_is_read_and_checked_once(tmp_path, travel_containment,
                                                             monkeypatch):
     """600 records in two runs of 300 that differ only in `ts`: the chain
     check runs once per run, and a run shares its first record's fields."""
-    start = datetime(2021, 6, 2, 12, tzinfo=timezone.utc)
-    rows = [json.dumps({"format": "stream/1"})]
-    for n in range(600):
-        ts = (start + timedelta(seconds=n)).isoformat()
-        rows.append(json.dumps(fixture_record(n // 300, ts=ts)))
     path = tmp_path / "runs.jsonl"
-    path.write_text("\n".join(rows) + "\n")
+    _write_runs(path, 600)
     checked = []
     check = Containment.check_record
 
@@ -139,10 +147,45 @@ def test_a_run_of_repeated_records_is_read_and_checked_once(tmp_path, travel_con
 
     monkeypatch.setattr(Containment, "check_record", counting)
     stream = io.load_stream(path, travel_containment)
-    assert checked == [start, start + timedelta(seconds=300)]
+    assert checked == [RUNS_START, RUNS_START + timedelta(seconds=300)]
     assert stream.records[299].object_entries is stream.records[0].object_entries
     monkeypatch.undo()
     assert stream == reference_load_stream(path, travel_containment)
+
+
+def test_a_run_of_repeats_is_decoded_once_and_reading_doubles_linearly(tmp_path,
+                                                                        travel_containment,
+                                                                        monkeypatch):
+    """Runs of 300 repeats: a JSON decode for each line that repeats no
+    other (the header and each run's first line), one per run to prove that
+    its text after `ts` holds no other `ts` member, and none for the rest.
+    From 2,400 to 4,800 records the decode count and the tracemalloc peak of
+    `load_stream` each grow by under 2.5x."""
+    decodes = []
+    raw_decode = json.JSONDecoder.raw_decode
+
+    def counting(self, *args, **kwargs):
+        decodes.append(None)
+        return raw_decode(self, *args, **kwargs)
+
+    monkeypatch.setattr(json.JSONDecoder, "raw_decode", counting)
+    counts, peaks = [], []
+    for n in (2400, 4800):
+        path = tmp_path / f"runs-{n}.jsonl"
+        _write_runs(path, n)
+        decodes.clear()
+        tracemalloc.start()
+        try:
+            stream = io.load_stream(path, travel_containment)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(stream) == n
+        runs = n // 300
+        assert len(decodes) <= 2 * runs + 1
+        counts.append(len(decodes))
+    assert counts[1] < 2.5 * counts[0]
+    assert peaks[1] < 2.5 * peaks[0]
 
 
 # A repeat must not be fooled by any of these spellings of a record
@@ -151,6 +194,14 @@ def _plain(ts, record):
 
 
 STALE_TS = "2021-06-03T00:00:00+00:00"
+
+
+def _separated_by(sep):
+    """The plain line with `sep`, raw text, between the date and the time of
+    its `ts` (`datetime.fromisoformat` takes any one character there)."""
+    return lambda ts, record: _plain(ts, record).replace(ts, ts.replace("T", sep), 1)
+
+
 SPELLINGS = [
     _plain,
     lambda ts, record: json.dumps({"ts": ts, **dict(reversed(record.items()))}),
@@ -161,6 +212,15 @@ SPELLINGS = [
     # a second `ts` member, which the decoder keeps
     lambda ts, record: _plain(ts, record)[:-1] + f', "ts": "{ts}"}}',
     lambda ts, record: _plain(ts, record)[:-1] + f', "ts": "{STALE_TS}"}}',
+    # a later member whose key is `ts` spelled with a \u escape
+    lambda ts, record: _plain(ts, record)[:-1] + f', "\\u0074s": "{ts}"}}',
+    lambda ts, record: _plain(ts, record)[:-1] + f', "\\u0074s": "{STALE_TS}"}}',
+    # a raw tab (not JSON), a raw backslash (not JSON), a raw non-ASCII
+    # letter or an escaped quote in `ts`
+    _separated_by("\t"),
+    _separated_by("\\"),
+    _separated_by("\u00e9"),
+    _separated_by('\\"'),
     lambda ts, record: _plain(ts, record) + " \t ",
     lambda ts, record: _plain(ts, record) + "\r",
 ]
