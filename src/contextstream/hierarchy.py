@@ -16,10 +16,11 @@ The result is transitively reduced.
 
 from __future__ import annotations
 
+import copy
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -68,12 +69,14 @@ def pinst_node_id(prop_id: str, subject_id: str, object_id: str) -> str:
 
 
 class Hierarchy:
-    """A rooted DAG of concept nodes with child->parent edges.
+    """A rooted DAG of concept nodes with child->parent edges, built and
+    checked in one step: a cyclic edge set raises CycleError with a witness
+    loop.
 
     The node order (topological with lexicographic tie-break, children before
     parents) indexes label vectors; it is a pure function of the graph,
-    computed once on first use, and a transitive reduction takes it over
-    from its input. Label repairs walk the edges grouped by depth (`levels`).
+    computed when the graph is built, and a transitive reduction keeps its
+    input's. Label repairs walk the edges grouped by depth (`levels`).
     """
 
     def __init__(self, nodes: Iterable[ConceptNode], edges: Iterable[tuple[str, str]], root: str):
@@ -82,19 +85,68 @@ class Hierarchy:
             if node.id in self.nodes:
                 raise ValueError(f"duplicate node id {node.id!r}")
             self.nodes[node.id] = node
-        self.edges: tuple[tuple[str, str], ...] = tuple(sorted(set(edges)))
-        for child, parent in self.edges:
+        edges = sorted(set(edges))
+        parents: dict[str, list[str]] = {}  # in sorted child order, so the edges come out sorted
+        incoming = dict.fromkeys(self.nodes, 0)  # each node's children, for Kahn's pass below
+        for child, parent in edges:
             for end in (child, parent):
                 if end not in self.nodes:
                     raise ValueError(f"edge endpoint {end!r} is not a node")
-            if child == parent:
-                raise CycleError([child, parent])
+            parents.setdefault(child, []).append(parent)
+            incoming[parent] += 1
         if root not in self.nodes:
             raise ValueError(f"root {root!r} is not a node")
         self.root = root
         # labels.labels_from_eg's last (observer id, context triples,
         # read-only vector, entity ids without a node)
         self.last_labels: tuple | None = None
+        # Kahn's pass: a node is ready once all its children are ordered
+        ready = [nid for nid, deg in incoming.items() if deg == 0]
+        heapq.heapify(ready)
+        order: list[str] = []
+        while ready:
+            nid = heapq.heappop(ready)
+            order.append(nid)
+            for parent in parents.get(nid, ()):
+                incoming[parent] -= 1
+                if incoming[parent] == 0:
+                    heapq.heappush(ready, parent)
+        if len(order) != len(self.nodes):
+            raise CycleError(_cycle_among(edges, {nid for nid, deg in incoming.items() if deg}))
+        self.node_order: tuple[str, ...] = tuple(order)
+        self._index = {nid: i for i, nid in enumerate(order)}
+        # the longest path up to a parentless node; a node's parents come after it
+        depth: dict[str, int] = {}
+        for nid in reversed(order):
+            depth[nid] = max(map(depth.__getitem__, parents.get(nid, ())), default=-1) + 1
+        self._depth = np.fromiter(map(depth.__getitem__, order), np.int64, len(order))
+        kinds = (NodeKind.ENTITY, NodeKind.PROPERTY_INSTANCE)
+        # back-reference -> order index of the entity and property-instance
+        # nodes: an entity id, or a (property, subject, object) tuple. Nodes
+        # that share one keep the last (`validate_hierarchy` reports them).
+        self.source_index: dict[SourceRef, int] = {
+            n.source_ref: self._index[n.id] for n in self.nodes.values() if n.kind in kinds}
+        self._link(parents)
+
+    def _link(self, parents: dict[str, list[str]]) -> None:
+        """Set what the parent lists give over the node order and depths:
+        `edges`, sorted as the lists' keys are; `edge_index_pairs`, the edges
+        as an (m, 2) int array of (child, parent) order indexes; and `levels`,
+        those pairs grouped by the child's depth, shallowest first, so that
+        every parent sits in an earlier level than its children."""
+        self._parents = parents
+        self.edges: tuple[tuple[str, str], ...] = tuple(
+            (child, parent) for child, ps in parents.items() for parent in ps)
+        pairs = np.fromiter(map(self._index.__getitem__, chain.from_iterable(self.edges)),
+                            np.int64, 2 * len(self.edges)).reshape(-1, 2)
+        self.edge_index_pairs = pairs
+        # the stable sort keeps the edge order within a depth; an edgeless graph
+        # makes one empty group
+        depth = self._depth[pairs[:, 0]]
+        by_depth = np.argsort(depth, kind="stable")
+        groups = np.split(by_depth, np.flatnonzero(np.diff(depth[by_depth])) + 1)
+        self.levels: tuple[tuple[np.ndarray, np.ndarray], ...] = tuple(
+            (pairs[g, 0], pairs[g, 1]) for g in groups if len(g))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hierarchy):
@@ -108,64 +160,8 @@ class Hierarchy:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    @cached_property
-    def _parents(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {nid: [] for nid in self.nodes}
-        for child, parent in self.edges:
-            out[child].append(parent)
-        return {nid: tuple(sorted(ps)) for nid, ps in out.items()}
-
     def parents_of(self, node_id: str) -> tuple[str, ...]:
-        return self._parents[node_id]
-
-    @cached_property
-    def node_order(self) -> tuple[str, ...]:
-        """Topological order (every node before its parents), lexicographic
-        tie-break. Raises CycleError with a witness loop when the edge set
-        is cyclic."""
-        incoming = dict.fromkeys(self.nodes, 0)
-        for _, parent in self.edges:
-            incoming[parent] += 1
-        ready = [nid for nid, deg in incoming.items() if deg == 0]
-        heapq.heapify(ready)
-        order: list[str] = []
-        while ready:
-            nid = heapq.heappop(ready)
-            order.append(nid)
-            for parent in self._parents[nid]:
-                incoming[parent] -= 1
-                if incoming[parent] == 0:
-                    heapq.heappush(ready, parent)
-        if len(order) != len(self.nodes):
-            raise CycleError(self._cycle_among({nid for nid, deg in incoming.items() if deg}))
-        return tuple(order)
-
-    def _cycle_among(self, left: set[str]) -> list[str]:
-        """A cycle through the nodes Kahn's pass left unordered, child ->
-        parent, first node equal to last. Each of them still has an unordered
-        child, so walking child-ward from the smallest comes back around."""
-        child_of: dict[str, str] = {}
-        for child, parent in self.edges:  # sorted, so each parent keeps its smallest child
-            if child in left:
-                child_of.setdefault(parent, child)
-        at: dict[str, int] = {}
-        nid = min(left)
-        while nid not in at:
-            at[nid] = len(at)
-            nid = child_of[nid]
-        return [*list(at)[at[nid]:], nid][::-1]
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {nid: i for i, nid in enumerate(self.node_order)}
-
-    @cached_property
-    def source_index(self) -> dict[SourceRef, int]:
-        """Back-reference -> order index of the entity and property-instance
-        nodes: an entity id, or a (property, subject, object) tuple. Nodes
-        that share one keep the last (`validate_hierarchy` reports them)."""
-        kinds = (NodeKind.ENTITY, NodeKind.PROPERTY_INSTANCE)
-        return {n.source_ref: self._index[n.id] for n in self.nodes.values() if n.kind in kinds}
+        return tuple(self._parents.get(node_id, ()))
 
     def index_of(self, node_id: str) -> int:
         try:
@@ -173,25 +169,21 @@ class Hierarchy:
         except KeyError:
             raise UnknownIdError(f"unknown node {node_id!r}") from None
 
-    @cached_property
-    def edge_index_pairs(self) -> np.ndarray:
-        """Edges as an (m, 2) int array of (child, parent) order indexes."""
-        idx = self._index
-        return np.array([(idx[c], idx[p]) for c, p in self.edges], dtype=np.int64).reshape(-1, 2)
 
-    @cached_property
-    def levels(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """The edges as (child, parent) index arrays grouped by the child's
-        depth (longest path from a parentless node), shallowest first; every
-        parent sits in an earlier level than its children."""
-        depth: dict[str, int] = {}
-        for nid in reversed(self.node_order):
-            depth[nid] = max((depth[p] + 1 for p in self._parents[nid]), default=0)
-        groups: list[list[int]] = [[] for _ in range(max(depth.values(), default=0))]
-        for k, (child, _) in enumerate(self.edges):
-            groups[depth[child] - 1].append(k)
-        pairs = self.edge_index_pairs
-        return tuple((pairs[g, 0], pairs[g, 1]) for g in groups)
+def _cycle_among(edges: list[tuple[str, str]], left: set[str]) -> list[str]:
+    """A cycle through the nodes Kahn's pass left unordered, child -> parent,
+    first node equal to last. Each of them still has an unordered child, so
+    walking child-ward from the smallest comes back around."""
+    child_of: dict[str, str] = {}
+    for child, parent in edges:  # sorted, so each parent keeps its smallest child
+        if child in left:
+            child_of.setdefault(parent, child)
+    at: dict[str, int] = {}
+    nid = min(left)
+    while nid not in at:
+        at[nid] = len(at)
+        nid = child_of[nid]
+    return [*list(at)[at[nid]:], nid][::-1]
 
 
 def node_display_name(node: ConceptNode, etg: ETG, eg: EG) -> str:
@@ -288,11 +280,11 @@ def compile_hierarchy(
 def _implied_edges(h: Hierarchy) -> list[tuple[str, str]]:
     """Edges a longer path implies: one pass from the top keeps each node's
     strict ancestors as a set of ids, and c -> p is implied exactly when p is
-    an ancestor of another parent of c. Cycles raise CycleError."""
+    an ancestor of another parent of c."""
     ancestors: dict[str, set[str]] = {}
     implied: list[tuple[str, str]] = []
     for nid in reversed(h.node_order):
-        parents = h.parents_of(nid)
+        parents = h._parents.get(nid, ())
         above = set().union(*(ancestors[p] for p in parents))
         implied += [(nid, p) for p in parents if p in above]
         ancestors[nid] = above.union(parents)
@@ -301,29 +293,29 @@ def _implied_edges(h: Hierarchy) -> list[tuple[str, str]]:
 
 def transitive_reduction(h: Hierarchy) -> Hierarchy:
     """The unique minimal edge set with the same reachability (Aho, Garey and
-    Ullman 1972); nodes and root are unchanged. Cyclic input raises
-    CycleError with a witness."""
-    implied = set(_implied_edges(h))
-    reduced = Hierarchy(h.nodes.values(), [e for e in h.edges if e not in implied], h.root)
-    # both graphs have the same descendant sets, so every node becomes ready at the same heap step
-    reduced.node_order = h.node_order
+    Ullman 1972); nodes, root, order and depths are `h`'s. Both graphs have
+    the same descendant sets, so every node becomes ready at the same step of
+    Kahn's pass; and an implied edge c -> p never sets c's depth, since p is
+    an ancestor of another parent of c, which is deeper than p."""
+    parents = dict(h._parents)
+    for child, parent in _implied_edges(h):
+        parents[child] = [p for p in parents[child] if p != parent]
+    reduced = copy.copy(h)
+    reduced.last_labels = None
+    reduced._link(parents)
     return reduced
 
 
 def validate_hierarchy(
     h: Hierarchy, etg: ETG | None = None, eg: EG | None = None
 ) -> ValidationReport:
-    """Acyclicity, rootedness, reducedness, and back-reference checks. With
-    the source graphs it also resolves every back-reference, and reports a
-    node that compiling them would make but `h` lacks (`missing-node`): a
-    non-observer entity's, or an instance's of a triple whose property has a
-    node. A property in Q or collapsed has no node, so custom sets pass."""
+    """Rootedness, reducedness and back-reference checks; a `Hierarchy` is
+    acyclic as it is built. With the source graphs it also resolves every
+    back-reference, and reports a node that compiling them would make but
+    `h` lacks (`missing-node`): a non-observer entity's, or an instance's of
+    a triple whose property has a node. A property in Q or collapsed has no
+    node, so custom sets pass."""
     report = ValidationReport()
-    try:
-        h.node_order
-    except CycleError as exc:
-        report.add("cycle", str(exc))
-        return report
     if h.nodes[h.root].kind is not NodeKind.ROOT:
         report.add("root-kind", f"root node has kind {h.nodes[h.root].kind.value}", h.root)
     rooted = np.zeros(len(h), dtype=bool)

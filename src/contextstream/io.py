@@ -102,14 +102,6 @@ def _value_from_json(datatype: str, v: Any) -> Any:
     return v
 
 
-def _hierarchy(nodes: list, edges: list, root: str) -> Hierarchy:
-    """The hierarchy of a `hierarchy/1` document, ordered as it is built, so
-    that any cycle is a CycleError here and the document is refused."""
-    h = Hierarchy(nodes, edges, root)
-    h.node_order
-    return h
-
-
 def _runlog_header(seed: int, nodes: list, manifest: list) -> dict:
     if seed < 0:
         raise FieldError(f"must be >= 0, not {seed}", "seed")
@@ -192,7 +184,7 @@ FORMATS: dict[str, Format] = {
         ), ConceptNode)))),
         Field("edges", list_of(Parser("[child, parent] pair", (list,), _edge))),
         Field("root", STRING),
-    ), _hierarchy)),
+    ), Hierarchy)),
     "scenario": Format("scenario/1", Table("scenario/1", (
         Field("seed", INTEGER),
         Field("reading_interval_s", NUMBER),

@@ -11,15 +11,12 @@ and a record with its predecessor's context shares that snapshot's triples.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Container, Iterable, Mapping, Optional
 
 from .core import Containment, Coordinates, StreamRecord, Timestamp
 from .errors import CycleError, UnknownIdError
 from .report import Finding, ValidationReport
-
-log = logging.getLogger(__name__)
 
 DATATYPES = ("string", "integer", "float", "boolean", "timestamp", "coordinates", "enum")
 
@@ -318,7 +315,8 @@ def _value_matches(dp: DataPropertyDef, value: object) -> bool:
 def validate_eg(etg: ETG, eg: EG) -> ValidationReport:
     """Every conformance violation of `eg` against `etg`: duplicate ids,
     unknown etypes/properties/entities, datatype mismatches, domain/codomain
-    violations. An empty report means the graph conforms."""
+    violations, a second `partOf` or `during` parent of one entity. An empty
+    report means the graph conforms."""
     report = ValidationReport()
     seen: set[str] = set()
     for e in eg.entities:
@@ -344,7 +342,13 @@ def validate_eg(etg: ETG, eg: EG) -> ValidationReport:
                     f"value {name!r}={value!r} does not match datatype {dp.datatype}",
                     e.id,
                 )
+    containers: dict[tuple[str, str], str] = {}
     for t in eg.triples:
+        if t.property in ("partOf", "during"):
+            first = containers.setdefault((t.property, t.subject), t.object)
+            if first != t.object:
+                report.add("several-parents", f"several {t.property} parents, {first!r} and "
+                           f"{t.object!r}; containment allows one", t.subject)
         subject_label = f"{t.property}({t.subject}, {t.object})"
         if t.property not in etg.properties:
             report.add("unknown-property", "property not in the ETG", subject_label)
@@ -499,21 +503,12 @@ def _regenerate(
 
 
 def containment_from_eg(eg: EG, etg: ETG) -> Containment:
-    """Parent maps read off the EG's containment triples. Multiple parents
-    per child cannot be represented; the first triple wins with a warning."""
-    location_parent: dict[str, str] = {}
-    event_parent: dict[str, str] = {}
+    """Parent maps read off the EG's containment triples. A second parent of
+    one child is a ValueError (`validate_eg` reports it)."""
+    parents: dict[str, dict[str, str]] = {"partOf": {}, "during": {}}
     for t in eg.triples:
-        target = None
-        if t.property == "partOf":
-            target = location_parent
-        elif t.property == "during":
-            target = event_parent
-        if target is None:
-            continue
-        if t.subject in target and target[t.subject] != t.object:
-            log.warning("entity %r has several %s parents; keeping %r",
-                        t.subject, t.property, target[t.subject])
-            continue
-        target[t.subject] = t.object
-    return Containment(location_parent=location_parent, event_parent=event_parent)
+        target = parents.get(t.property)
+        if target is not None and target.setdefault(t.subject, t.object) != t.object:
+            raise ValueError(f"entity {t.subject!r} has several {t.property} parents: "
+                             f"{target[t.subject]!r} and {t.object!r}")
+    return Containment(location_parent=parents["partOf"], event_parent=parents["during"])

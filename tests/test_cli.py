@@ -72,6 +72,29 @@ def test_compile_simulate_and_snapshot_refuse_a_nonconforming_eg(tmp_path, capsy
     assert err.count("error: EG does not conform to the ETG: 2 finding(s)") == 3
 
 
+def test_every_command_refuses_an_eg_with_two_containment_parents(tmp_path, capsys):
+    """A second `partOf` parent of `train_1` is a finding, not a log line:
+    `validate` names the entity and both parents, and every command that
+    reads the EG refuses it."""
+    doc = json.loads(Path(EG_PATH).read_text())
+    doc["entities"].append({"id": "veneto", "name": "Veneto", "etype": "region", "values": {}})
+    doc["triples"].append({"property": "partOf", "subject": "train_1", "object": "veneto"})
+    eg = tmp_path / "eg.json"
+    eg.write_text(json.dumps(doc))
+    finding = "train_1: several partOf parents, 'trentino' and 'veneto'; containment allows one"
+    assert main(["validate", ETG, str(eg)]) == 2
+    assert capsys.readouterr().err == f"[several-parents] {eg}: {finding}\n"
+    assert main(["compile", ETG, str(eg), "--out", str(tmp_path / "h.json")]) == 2
+    assert main(["simulate", "--scenario", SCENARIO, "--etg", ETG, "--eg", str(eg)]) == 2
+    assert capsys.readouterr().err.count(f"[several-parents] {finding}") == 2
+    done = _cli_in_child("snapshot", "--stream", STREAM, "--out-dir", str(tmp_path / "snaps"),
+                         eg=str(eg))
+    assert done.returncode == 2, done.stderr
+    assert f"[several-parents] {finding}" in done.stderr
+    assert "WARNING:" not in done.stderr
+    assert not (tmp_path / "h.json").exists() and not (tmp_path / "snaps").exists()
+
+
 def test_compile_missing_file_exits_1(tmp_path):
     assert main(["compile", ETG, str(tmp_path / "nope.json"), "--out", str(tmp_path / "h.json")]) == 1
 
@@ -346,15 +369,17 @@ def test_simulate_accepts_a_hierarchy_compiled_with_custom_sets(option, tmp_path
                  "--hierarchy", str(hierarchy)]) == 0
 
 
-def _simulate_in_child(*args: str, python: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
-    """Run the CLI with `args`, which end in a `simulate` on the travel ETG
-    and EG, in a child process so that a hang fails the test instead of
-    stalling it; `python` holds options for the interpreter."""
+def _cli_in_child(*args: str, python: tuple[str, ...] = (),
+                  eg: str = EG_PATH) -> subprocess.CompletedProcess:
+    """Run the CLI with `args`, a command on the travel ETG and `eg`, in a
+    child process so that a hang fails the test instead of stalling it and
+    the CLI's own logging set-up is live; `python` holds options for the
+    interpreter."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run(
-        [sys.executable, *python, "-m", "contextstream", *args, "--etg", ETG, "--eg", EG_PATH],
+        [sys.executable, *python, "-m", "contextstream", *args, "--etg", ETG, "--eg", eg],
         capture_output=True, text=True, env=env, timeout=20,
     )
 
@@ -365,7 +390,7 @@ def test_simulate_rejects_a_reading_interval_out_of_range(tmp_path, case):
     """1e-7 s rounds to a zero tick, which would never advance."""
     scenario = tmp_path / "scenario.json"
     scenario.write_text(MALFORMED[case][1])
-    done = _simulate_in_child("simulate", "--scenario", str(scenario))
+    done = _cli_in_child("simulate", "--scenario", str(scenario))
     assert done.returncode == 2, done.stderr
     assert "reading_interval_s" in done.stderr
 
@@ -379,7 +404,7 @@ def test_simulate_refuses_a_window_of_too_many_ticks(tmp_path):
     doc["segments"][0]["end"] = "2021-06-02T12:00:01+00:00"
     doc["segments"][1]["end"] = "2021-06-02T12:30:01+00:00"
     scenario.write_text(json.dumps({**doc, "reading_interval_s": 0.000001}))
-    done = _simulate_in_child("simulate", "--scenario", str(scenario))
+    done = _cli_in_child("simulate", "--scenario", str(scenario))
     assert done.returncode == 2, done.stderr
     assert "holds 1800000000 ticks" in done.stderr and "MAX_WINDOW_TICKS" in done.stderr
     assert "Traceback" not in done.stderr
@@ -394,7 +419,7 @@ def test_simulate_refuses_window_means_that_overflow(tmp_path):
             emission.update(mean=1.7e308, std=0.0)
     scenario, log = tmp_path / "scenario.json", tmp_path / "run.jsonl"
     scenario.write_text(json.dumps(doc))
-    done = _simulate_in_child("simulate", "--scenario", str(scenario), "--out-log", str(log))
+    done = _cli_in_child("simulate", "--scenario", str(scenario), "--out-log", str(log))
     assert done.returncode == 2, done.stderr
     assert "window mean on channel 'accelerometer_magnitude' is not finite" in done.stderr
     assert "Traceback" not in done.stderr and "Warning" not in done.stderr
@@ -410,7 +435,7 @@ def test_simulate_refuses_overflowing_readings_without_a_warning(tmp_path):
             emission["std"] = 1e308
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(doc))
-    done = _simulate_in_child("simulate", "--scenario", str(scenario), python=("-W", "error"))
+    done = _cli_in_child("simulate", "--scenario", str(scenario), python=("-W", "error"))
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: non-finite reading on channel ")
     assert len(done.stderr.splitlines()) == 1, done.stderr
@@ -432,7 +457,7 @@ def test_simulate_refuses_a_scenario_or_config_that_validate_refuses(tmp_path, c
     refused as the document loads."""
     path = tmp_path / "scenario.json"
     path.write_text(MALFORMED[case][1])
-    done = _simulate_in_child("simulate", "--scenario", str(path))
+    done = _cli_in_child("simulate", "--scenario", str(path))
     assert done.returncode == 2, done.stderr
     assert REFUSED_BEFORE_DRAWING[case] in done.stderr and "Traceback" not in done.stderr
 
@@ -478,7 +503,7 @@ def test_simulate_rejects_a_window_out_of_range(minutes):
     """1e-9 minutes rounds to a zero window, which would never let a tick
     close it; 1e300 minutes overflows timedelta; 1e10 minutes fits a
     timedelta but ends past the last date; NaN is no length at all."""
-    done = _simulate_in_child("simulate", "--scenario", SCENARIO, "--window", minutes)
+    done = _cli_in_child("simulate", "--scenario", SCENARIO, "--window", minutes)
     assert done.returncode == 2, done.stderr
     assert "window length" in done.stderr
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -395,10 +396,10 @@ def test_reduction_drops_shortcut_past_256_parents():
 
 
 def test_reduction_rejects_cycles_with_witness():
+    """A cyclic graph never reaches the reduction: building it raises."""
     nodes = [plain_node(x) for x in "abc"] + [ConceptNode("root", NodeKind.ROOT, "context", None)]
-    h = Hierarchy(nodes, {("a", "b"), ("b", "c"), ("c", "a")}, "root")
     with pytest.raises(CycleError) as exc:
-        transitive_reduction(h)
+        Hierarchy(nodes, {("a", "b"), ("b", "c"), ("c", "a")}, "root")
     assert len(exc.value.path) >= 3
 
 
@@ -413,12 +414,12 @@ def test_cycle_witness_is_a_closed_walk_over_input_edges():
         ring = rng.sample(range(1, n - 1), rng.randint(2, min(6, n - 2)))
         edges |= {(a, b) for a, b in zip(ring, ring[1:] + ring[:1])}
         edges |= {(0, ring[0]), (ring[-1], n - 1)}  # a node below and one above
-        h = hierarchy_from_indexed(n, edges)
         with pytest.raises(CycleError) as exc:
-            h.node_order
+            hierarchy_from_indexed(n, edges)
         path = exc.value.path
         assert path[0] == path[-1] and len(set(path)) == len(path) - 1 >= 2
-        assert set(zip(path, path[1:])) <= set(h.edges)
+        # the root is on no cycle, so the input edges that matter are these
+        assert set(zip(path, path[1:])) <= {(f"n{a:02d}", f"n{b:02d}") for a, b in edges}
 
 
 def test_reduction_keeps_the_input_order_object(travel_etg, travel_eg, monkeypatch):
@@ -457,9 +458,11 @@ def test_validate_detects_redundant_edge():
 
 
 def test_validate_detects_cycle():
+    """A cyclic graph is refused as it is built, so no validation sees one."""
     nodes = [plain_node(x) for x in "ab"] + [ConceptNode("root", NodeKind.ROOT, "context", None)]
-    h = Hierarchy(nodes, {("a", "b"), ("b", "a")}, "root")
-    assert "cycle" in codes(validate_hierarchy(h))
+    with pytest.raises(CycleError) as exc:
+        Hierarchy(nodes, {("a", "b"), ("b", "a")}, "root")
+    assert exc.value.path == ["a", "b", "a"]
 
 
 def test_validate_detects_dangling_source_ref(travel_etg, travel_eg):
@@ -539,6 +542,52 @@ def test_display_name_dangling_ref_raises(travel_etg, travel_eg):
     ghost = ConceptNode("entity:ghost", NodeKind.ENTITY, "Ghost", "ghost")
     with pytest.raises(UnknownIdError):
         node_display_name(ghost, travel_etg, travel_eg)
+
+
+# -- growth ---------------------------------------------------------------------------
+
+def chain(n: int) -> tuple[list[str], list[tuple[str, str]]]:
+    names = [f"c{i:05d}" for i in range(n)]
+    return names, list(zip(names, names[1:] + ["root"]))
+
+
+def fan_out(n: int) -> tuple[list[str], list[tuple[str, str]]]:
+    names = ["top"] + [f"c{i:05d}" for i in range(n)]
+    return names, [("top", "root")] + [(c, "top") for c in names[1:]]
+
+
+def diamond_lattice(n: int, width: int = 8) -> tuple[list[str], list[tuple[str, str]]]:
+    """Layers of `width` nodes; below the top layer, each node has the two
+    parents in its own and the next column of the layer above."""
+    names = [f"d{i:05d}" for i in range(n)]
+    edges = [(name, "root") for name in names[:width]]
+    for i in range(width, n):
+        above = i - width - i % width
+        edges += [(names[i], names[above + i % width]), (names[i], names[above + (i + 1) % width])]
+    return names, edges
+
+
+def build_peak(shape, n: int) -> int:
+    """tracemalloc's peak, in bytes, while a hierarchy of `shape` at size
+    `n` is built and its levels are read."""
+    names, edges = shape(n)
+    nodes = [plain_node(x) for x in names] + [ConceptNode("root", NodeKind.ROOT, "context", None)]
+    tracemalloc.start()
+    try:
+        levels = Hierarchy(nodes, edges, "root").levels
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(child) for child, _ in levels) == len(edges)
+    return peak
+
+
+@pytest.mark.parametrize("shape", [chain, fan_out, diamond_lattice], ids=lambda f: f.__name__)
+def test_building_a_hierarchy_doubles_linearly(shape):
+    """From 2,000 to 4,000 nodes the peak of a build, levels included, grows
+    by under 2.5x."""
+    base, double = build_peak(shape, 2000), build_peak(shape, 4000)
+    assert double < 2.5 * base, f"peak {base} B at 2,000 nodes, {double} B at 4,000"
 
 
 # -- node order -----------------------------------------------------------------------

@@ -103,9 +103,23 @@ def test_sweep_large_and_wide_dags_match_dfs_oracles():
         check_against_oracles(n, random_dag(rng, n, p=rng.uniform(0.005, 0.05)))
 
 
+def reference_levels(h):
+    """`h.levels` as lists, by a loop over the edges: each edge's (child,
+    parent) order indexes, grouped by the child's depth, the longest path
+    from the child up to a parentless node, computed here from the edges."""
+    depth: dict[str, int] = {}
+    for nid in reversed(h.node_order):
+        depth[nid] = max((depth[p] + 1 for p in h.parents_of(nid)), default=0)
+    groups: list[list[tuple[int, int]]] = [[] for _ in range(max(depth.values(), default=0))]
+    for child, parent in h.edges:
+        groups[depth[child] - 1].append((h.index_of(child), h.index_of(parent)))
+    return [([c for c, _ in g], [p for _, p in g]) for g in groups]
+
+
 def test_reduced_order_is_the_order_of_the_reduced_edges():
-    """The reduction takes its input's order over; Kahn's pass run afresh on
-    the reduced edges must give the same order, 256-wide layers included."""
+    """The reduction takes its input's order and depths over; Kahn's pass run
+    afresh on the reduced edges must give the same order, and the levels
+    must be those of the reduced edges, 256-wide layers included."""
     rng = random.Random(29)
     dags = [(n, random_dag(rng, n, p=rng.uniform(0.02, 0.4))) for n in (2, 5, 12, 30, 60)]
     dags += [(n, wide_dag(rng, n, width=256)) for n in (300, 260)]
@@ -114,6 +128,8 @@ def test_reduced_order_is_the_order_of_the_reduced_edges():
         reduced, _ = reduce(n, edges)
         fresh = Hierarchy(reduced.nodes.values(), reduced.edges, reduced.root)
         assert reduced.node_order == fresh.node_order
+        levels = [(c.tolist(), p.tolist()) for c, p in reduced.levels]
+        assert levels == reference_levels(reduced) == reference_levels(fresh)
 
 
 def indexed_hierarchy(n, edges):

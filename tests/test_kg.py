@@ -530,3 +530,10 @@ def test_containment_from_eg(travel_etg, travel_eg):
     containment = containment_from_eg(travel_eg, travel_etg)
     assert containment.location_parent == {"train_1": "trentino", "roads_2": "trentino"}
     assert containment.event_parent == {}
+
+
+def test_containment_refuses_a_second_parent(travel_etg, travel_eg):
+    eg = EG(travel_eg.entities, [*travel_eg.triples, PropertyValue("partOf", "train_1", "roads_2")])
+    with pytest.raises(ValueError, match="'train_1' has several partOf parents: 'trentino' and "
+                                         "'roads_2'"):
+        containment_from_eg(eg, travel_etg)

@@ -2,7 +2,8 @@
 (`_`-prefixed) names: each decision stays behind the module that owns it.
 And every public name of the package is used by the package itself or by
 the benchmark: a name that only tests read belongs in the tests. No module
-runs source text that it makes at run time (`exec`, `eval`, `compile`)."""
+runs source text that it makes at run time (`exec`, `eval`, `compile`), and
+a `Hierarchy` computes nothing on first use (`cached_property`)."""
 
 from __future__ import annotations
 
@@ -106,6 +107,13 @@ def references(source: str) -> dict[str, list[int]]:
         for name in names:
             lines.setdefault(name, []).append(node.lineno)
     return lines
+
+
+def test_the_hierarchy_computes_nothing_on_first_use():
+    """A `Hierarchy` is ordered, indexed and grouped into levels as it is
+    built, so a cycle is refused there and no later read pays for a build."""
+    source = (PACKAGE / "hierarchy.py").read_text(encoding="utf-8")
+    assert references(source).get("cached_property", []) == []
 
 
 def unused_public_names(package: dict[str, str], benchmark: list[str]) -> list[str]:
