@@ -15,6 +15,7 @@ formats, saving then loading yields equal objects.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
@@ -523,38 +524,51 @@ def _bit_rows(m: np.ndarray) -> list[str]:
     return [flat[i * width:(i + 1) * width] for i in range(k)]
 
 
-def _event_blocks(events: Sequence[WindowEvent], n: int) -> Iterator[list[str]]:
-    """The `runlog/1` lines of `events`, without newlines, RUNLOG_BLOCK at a
-    time; each is what `json.dumps` writes for the event's fields."""
-    for start in range(0, len(events), RUNLOG_BLOCK):
-        block = events[start:start + RUNLOG_BLOCK]
-        preds = _bit_rows(_bit_matrix([e.prediction for e in block], n))
-        truths = _bit_rows(_bit_matrix([e.truth for e in block], n))
-        yield [
-            json.dumps({"begin": format_timestamp(e.begin), "end": format_timestamp(e.end),
-                        "features": e.features.tolist(), "queried": e.queried},
-                       ensure_ascii=False)[:-1]
-            + f', "prediction": [{pred}], "truth": [{truth}]}}'
-            for e, pred, truth in zip(block, preds, truths)
-        ]
+def _event_heads(events: Sequence[WindowEvent]) -> list[str]:
+    """Each event's `runlog/1` line up to the inside of its prediction list,
+    as `json.dumps` writes it: a finite float is its `repr`. A window that
+    opens where the one before it closed reuses that timestamp's text.
+    ValueError if a feature is not finite, which `json` would write as
+    `NaN` or `Infinity` and `load_runlog` refuses."""
+    heads = []
+    last_end, end = None, ""
+    for e in events:
+        features = np.asarray(e.features, dtype=np.float64).tolist()
+        if not all(map(math.isfinite, features)):
+            raise ValueError("run-log features must be finite numbers")
+        begin = end if e.begin == last_end else format_timestamp(e.begin)
+        last_end, end = e.end, format_timestamp(e.end)
+        heads.append(f'{{"begin": "{begin}", "end": "{end}", '
+                     f'"features": [{", ".join(map(repr, features))}], '
+                     f'"queried": {"true" if e.queried else "false"}, "prediction": [')
+    return heads
 
 
 def save_runlog(path: str | Path, node_order: Sequence[str], manifest: Sequence[str],
                 seed: int, events: Iterable[WindowEvent]) -> None:
     """Write a `runlog/1` file, streaming it one block of events at a time.
-    Every row must hold one bit (0 or 1) per node: a ValueError is raised
-    before the file is opened otherwise."""
+    Every row must hold one bit (0 or 1) per node and every feature must be
+    finite: a ValueError is raised before the file is opened otherwise."""
     events = list(events)
     n = len(node_order)
-    for start in range(0, len(events), RUNLOG_BLOCK):
-        for key in ("prediction", "truth"):
-            _bit_matrix([getattr(e, key) for e in events[start:start + RUNLOG_BLOCK]], n)
+    heads = _event_heads(events)
+    starts = range(0, len(events), RUNLOG_BLOCK)
+    # each block's rows, checked once and kept packed 8 bits a byte until written
+    packed = [
+        [np.packbits(_bit_matrix([getattr(e, key) for e in events[start:start + RUNLOG_BLOCK]], n),
+                     axis=1)
+         for key in ("prediction", "truth")]
+        for start in starts
+    ]
     header = {"format": FORMATS["runlog"].tag, "seed": seed, "nodes": list(node_order),
               "manifest": list(manifest)}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(header, ensure_ascii=False) + "\n")
-        for block in _event_blocks(events, n):
-            fh.write("\n".join(block) + "\n")
+        for start, bits in zip(starts, packed):
+            preds, truths = (_bit_rows(np.unpackbits(b, axis=1, count=n)) for b in bits)
+            fh.write("".join(
+                f'{head}{pred}], "truth": [{truth}]}}\n'
+                for head, pred, truth in zip(heads[start:start + RUNLOG_BLOCK], preds, truths)))
 
 
 def load_runlog(path: str | Path) -> tuple[dict, np.ndarray, np.ndarray, list[dict]]:

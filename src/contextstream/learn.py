@@ -5,10 +5,13 @@ decisions threshold at score > 0 (a zero score counts negative for
 determinism) and predictions are made consistent by downward repair.
 
 The API is five calls, in the order a streaming loop makes them: check a
-label vector once with `require_consistent`; score a window once with
-`OnlinePerceptron.scores`; hand those scores to `labels_from_scores` for the
-prediction, to `QueryStrategy.wants_labels` for the query decision and, when
-queried, to `OnlinePerceptron.update`.
+label vector once with `require_consistent`; score a block of windows, one
+row each, with `OnlinePerceptron.scores`; hand those scores to
+`labels_from_scores` for the predictions and to `QueryStrategy.wants_labels`
+for the query decisions, one per row; and hand a queried row's scores to
+`OnlinePerceptron.update`. The perceptron changes only on a queried mistake,
+so a block's rows share one model up to the first row that updates it; the
+rows after that row must be scored again.
 """
 
 from __future__ import annotations
@@ -38,14 +41,23 @@ class OnlinePerceptron:
             bias=np.zeros(nodes, dtype=np.float64),
         )
 
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        return self.weights @ np.asarray(x, dtype=np.float64) + self.bias
+    def scores(self, xs: np.ndarray) -> np.ndarray:
+        """The (m, nodes) scores of the (m, features) block `xs`: row i is
+        `weights @ xs[i] + bias` bit for bit. Each row is its own
+        matrix-vector product, because one matrix product for the block may
+        round differently in the last bits, and a score at 0 decides a sign."""
+        xs = np.asarray(xs, dtype=np.float64)
+        s = np.empty((len(xs), len(self.bias)))
+        for x, row in zip(xs, s):
+            np.dot(self.weights, x, out=row)
+        s += self.bias
+        return s
 
     def update(self, x: np.ndarray, y: LabelVector, s: np.ndarray) -> None:
         """One online update on the contiguous float64 `x` and the consistent
-        uint8 labels `y`, given `s = self.scores(x)`. Every node whose score
-        sided against its target moves by +-x (bias +-1) toward it; a zero
-        score counts negative."""
+        uint8 labels `y`, given x's row `s` of `self.scores`. Every node whose
+        score sided against its target moves by +-x (bias +-1) toward it; a
+        zero score counts negative."""
         wrong = (s > 0.0) != y.astype(bool)
         if wrong.any():
             delta = 2.0 * y[wrong].astype(np.float64) - 1.0
@@ -76,12 +88,13 @@ class QueryStrategy:
             return cls(kind=kind.strip(), tau=float(tau))  # type: ignore[arg-type]
         return cls(kind=spec.strip())  # type: ignore[arg-type]
 
-    def wants_labels(self, s: np.ndarray) -> bool:
-        """True when the learner should acquire labels for an instance with
-        scores `s`; only "margin" reads them."""
+    def wants_labels(self, s: np.ndarray) -> np.ndarray:
+        """One bool per row of the (m, nodes) scores `s`: True when the
+        learner should acquire labels for that window. Only "margin" reads
+        the scores: it asks when any score of the row is within tau of 0."""
         if self.kind == "margin":
-            return bool((np.abs(s) <= self.tau).any())
-        return self.kind == "always"
+            return (np.abs(s) <= self.tau).any(axis=1)
+        return np.full(len(s), self.kind == "always")
 
 
 def require_consistent(h: Hierarchy, y: LabelVector) -> None:
@@ -95,6 +108,15 @@ def require_consistent(h: Hierarchy, y: LabelVector) -> None:
         )
 
 
-def labels_from_scores(h: Hierarchy, s: np.ndarray) -> LabelVector:
-    """Threshold raw scores at 0 and repair downward; always consistent."""
-    return repair_downward(h, (s > 0.0).astype(np.uint8))
+def labels_from_scores(h: Hierarchy, s: np.ndarray) -> np.ndarray:
+    """The (m, nodes) uint8 predictions of the (m, nodes) scores `s`: each
+    row thresholded at 0 and repaired downward, so each is consistent. Rows
+    with the same raw bits are repaired once: a stable model gives every
+    window of a segment the same raw bits."""
+    raw = np.asarray(s) > 0.0
+    first: dict[bytes, int] = {}
+    which = [first.setdefault(key.tobytes(), i) for i, key in enumerate(np.packbits(raw, axis=1))]
+    out = np.empty(raw.shape, dtype=np.uint8)
+    for i in first.values():
+        out[i] = repair_downward(h, raw[i])
+    return out[which]

@@ -23,32 +23,37 @@ def evaluate(
     ground_truth: np.ndarray,
     node_ids: Sequence[str] | None = None,
 ) -> dict:
-    """Metrics over aligned prediction/truth matrices of shape (T, n)."""
+    """Metrics over aligned prediction/truth matrices of shape (T, n);
+    `node_ids`, when given, names the n columns in order."""
     preds = np.asarray(predictions, dtype=bool)
     truths = np.asarray(ground_truth, dtype=bool)
     if preds.shape != truths.shape:
         raise ValueError(f"shape mismatch: predictions {preds.shape} vs truth {truths.shape}")
     if preds.ndim != 2:
         raise ValueError("expected matrices of shape (n_examples, n_nodes)")
-    inter = int((preds & truths).sum())
-    hp = _ratio(inter, int(preds.sum()))
-    hr = _ratio(inter, int(truths.sum()))
-    hf1 = _ratio(2 * hp * hr, hp + hr) if (hp + hr) > 0 else 0.0
-    exact = float((preds == truths).all(axis=1).mean()) if len(preds) else 1.0
-    hamming = float((preds == truths).mean()) if preds.size else 1.0
-    tp = (preds & truths).sum(axis=0)
-    fp = (preds & ~truths).sum(axis=0)
-    fn = (~preds & truths).sum(axis=0)
-    tn = (~preds & ~truths).sum(axis=0)
-    per_node: dict[str, dict[str, int]] = {}
     names = list(node_ids) if node_ids is not None else [str(i) for i in range(preds.shape[1])]
-    for i, name in enumerate(names):
-        per_node[name] = {
-            "tp": int(tp[i]),
-            "fp": int(fp[i]),
-            "fn": int(fn[i]),
-            "tn": int(tn[i]),
-        }
+    if len(names) != preds.shape[1]:
+        raise ValueError(f"{len(names)} node ids for {preds.shape[1]} columns")
+    # per node, the true positives and the predicted and true counts; every
+    # other count follows from those
+    both = preds & truths
+    tp = both.sum(axis=0)
+    predicted, true = preds.sum(axis=0), truths.sum(axis=0)
+    fp, fn = predicted - tp, true - tp
+    tn = len(preds) - predicted - fn
+    inter = int(tp.sum())
+    hp = _ratio(inter, int(predicted.sum()))
+    hr = _ratio(inter, int(true.sum()))
+    hf1 = _ratio(2 * hp * hr, hp + hr) if (hp + hr) > 0 else 0.0
+    # a row matches exactly when its predicted and true bits number twice
+    # its true positives
+    wrong = preds.sum(axis=1) + truths.sum(axis=1) - 2 * both.sum(axis=1)
+    exact = float((wrong == 0).mean()) if len(preds) else 1.0
+    hamming = (int((tp + tn).sum()) / preds.size) if preds.size else 1.0
+    per_node = {
+        name: {"tp": a, "fp": b, "fn": c, "tn": d}
+        for name, a, b, c, d in zip(names, tp.tolist(), fp.tolist(), fn.tolist(), tn.tolist())
+    }
     return {
         "hierarchical_precision": hp,
         "hierarchical_recall": hr,

@@ -12,9 +12,12 @@ the whole windows at most CHUNK_TICKS ticks (or one window) per
 random-number call. Every window's features come from `aggregate_window`:
 whole windows a draw at a time, the window built from the pieces that a
 segment or gap edge splits once it closes. Each segment's truth is labelled,
-checked for consistency and frozen once; each window is scored once, and
-those scores give its prediction, its query decision and its update. Runs
-are deterministic: the script's seed fixes every reading.
+checked for consistency and frozen once. The windows of one draw, or the one
+window built from pieces, are learned as a block: the perceptron changes only
+on a queried mistake, so a run of rows is scored under one model, and its
+scores give each row's prediction and query decision up to the first row that
+updates the model. Only the rows after that one are scored again. Runs are
+deterministic: the script's seed fixes every reading.
 """
 
 from __future__ import annotations
@@ -39,6 +42,12 @@ from .report import ValidationReport
 # many windows, small enough that a segment's readings never sit in memory
 # whole
 CHUNK_TICKS = 4096
+
+# The most scores (rows times nodes) scored in one call, 4 MB of float64: a
+# draw can hold CHUNK_TICKS windows, which at 100,000 nodes would be a 3 GB
+# score matrix. At 10,027 nodes a call then holds 52 rows, and a session
+# peaks no higher than with one row a call
+BLOCK_SCORES = 1 << 19
 
 # The window length, in minutes, of a session that names none
 DEFAULT_WINDOW_MINUTES = 30.0
@@ -228,8 +237,10 @@ def run_simulation(
     is snapshotted, labelled and checked for consistency once, before any
     reading is drawn, and its truth vector is made read-only; the segment
     that holds a window's last tick gives the whole window that truth, even
-    when its features mix two segments. Each window is scored once, and the
-    scores serve its prediction, its query decision and its update. Raises
+    when its features mix two segments. Each window's prediction, query
+    decision and update come from one row of scores made under the model of
+    its turn; the windows between two updates share that model and are
+    scored and decided a block at a time. Raises
     InconsistentLabelError if a truth vector sets a child without its
     parent, and ValueError if the EG has no unique observer, if a segment's
     snapshot reports a finding (an entity the EG lacks, a function or
@@ -268,13 +279,35 @@ def run_simulation(
     model = OnlinePerceptron.zeros(len(h), len(spec.manifest))
     result = RunResult(node_order=h.node_order, manifest=spec.manifest, seed=script.seed)
 
-    def learn_window(begin: Timestamp, x: np.ndarray, y: np.ndarray) -> None:
-        s = model.scores(x)
-        pred = labels_from_scores(h, s)
-        queried = strategy.wants_labels(s)
-        if queried:
-            model.update(x, y, s)
-        result.events.append(WindowEvent(begin, begin + window_len, x, queried, pred, y))
+    most_rows = max(1, BLOCK_SCORES // len(h))
+    # windows learned since the model last changed: a call scores at most that
+    # many rows (one at least), so the rows scored again after updates never
+    # outnumber the windows, however often the model changes
+    steady = 0
+
+    def learn_block(begins: Sequence[Timestamp], xs: np.ndarray, y: np.ndarray) -> None:
+        """Learn the windows opening at `begins`, with features `xs` (one row
+        each) and the truth `y`, in order. A call scores a run of rows under
+        the current model; its rows up to the first one that is queried and
+        whose raw bits miss `y` take their decisions from those scores, that
+        row updates the model, and the rest are scored again."""
+        nonlocal steady
+        i = 0
+        while i < len(xs):
+            s = model.scores(xs[i:i + min(max(1, steady), most_rows)])
+            asks = strategy.wants_labels(s)
+            moves = np.flatnonzero(asks & ((s > 0.0) != y).any(axis=1))
+            k = int(moves[0]) + 1 if len(moves) else len(s)
+            preds = labels_from_scores(h, s[:k])
+            for begin, x, queried, pred in zip(begins[i:i + k], xs[i:i + k],
+                                               asks[:k].tolist(), preds):
+                result.events.append(WindowEvent(begin, begin + window_len, x, queried, pred, y))
+            if len(moves):
+                model.update(xs[i + k - 1], y, s[k - 1])
+                steady = 0
+            else:
+                steady += k
+            i += k
 
     rng = np.random.default_rng(script.seed)
     step = script.step
@@ -297,7 +330,7 @@ def run_simulation(
 
     def flush() -> None:
         samples = {ch: np.concatenate(p).reshape(1, -1) for ch, p in pieces.items()}
-        learn_window(begin, aggregate_window(samples, spec)[0], y)
+        learn_block([begin], aggregate_window(samples, spec), y)
 
     for seg, n_ticks, truth in zip(script.segments, script.ticks, truths):
         channels = [ch for ch in script.channels if ch in seg.emissions]
@@ -319,10 +352,9 @@ def run_simulation(
         q = (n_ticks - 1 - head) // window_ticks
         for j0 in range(0, q, per_draw):
             n = min(per_draw, q - j0)
-            rows = {ch: r.reshape(n, window_ticks) for ch, r in draw(n * window_ticks).items()}
-            x = aggregate_window(rows, spec, n)
-            for j in range(n):
-                learn_window(seg.begin + step * (head + (j0 + j) * window_ticks), x[j], truth)
+            blocks = {ch: r.reshape(n, window_ticks) for ch, r in draw(n * window_ticks).items()}
+            learn_block([seg.begin + step * (head + (j0 + j) * window_ticks) for j in range(n)],
+                        aggregate_window(blocks, spec, n), truth)
         # tail: opens the next window
         k = head + q * window_ticks
         begin, y = seg.begin + step * k, truth

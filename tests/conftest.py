@@ -20,7 +20,6 @@ from contextstream.hierarchy import (
 from contextstream.kg import COLLAPSE_PROPERTIES, EG, ETG, PropertyValue, snapshot_eg
 from contextstream.labels import repair_upward, zeros
 from contextstream.learn import OnlinePerceptron
-from contextstream.metrics import evaluate
 from contextstream.report import ValidationReport
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -423,7 +422,7 @@ def reference_session(script, h, etg, eg, spec, strategy, seed=None):
     a queried window moves each node whose score sides against its
     `reference_labels` bit by +-x (bias +-1). Returns (events, metrics); an
     event is (features, prediction, truth, queried), and the metrics are
-    `evaluate`'s plus the counts."""
+    `reference_evaluate`'s plus the counts."""
     model = OnlinePerceptron.zeros(len(h), len(spec.manifest))
     ancestors = [dfs_closure_ids(set(h.edges), {nid}) for nid in h.node_order]
     events = []
@@ -443,7 +442,7 @@ def reference_session(script, h, etg, eg, spec, strategy, seed=None):
         events.append((x, prediction, y, queried))
     preds, truths = (np.array([e[k] for e in events], dtype=np.uint8).reshape(len(events), len(h))
                      for k in (1, 2))
-    metrics = evaluate(preds, truths, node_ids=h.node_order)
+    metrics = reference_evaluate(preds, truths, h.node_order)
     metrics["n_windows"] = len(events)
     metrics["n_queries"] = sum(e[3] for e in events)
     return events, metrics
@@ -668,6 +667,39 @@ def random_dag(rng, n: int, p: float = 0.15) -> set[tuple[int, int]]:
             if rng.random() < p:
                 edges.add((i, j))
     return edges
+
+
+def reference_evaluate(predictions, ground_truth, node_ids) -> dict:
+    """`evaluate`'s dict, counted cell by cell over nested lists: a ratio
+    with a zero denominator is 1.0, F1 is 0.0 when precision and recall are
+    both 0, and exact match and Hamming accuracy are 1.0 with no rows or no
+    cells."""
+    preds = [[bool(v) for v in row] for row in np.asarray(predictions).tolist()]
+    truths = [[bool(v) for v in row] for row in np.asarray(ground_truth).tolist()]
+    rows, cols = np.asarray(predictions).shape
+    per_node = {}
+    for j, name in enumerate(node_ids):
+        counts = {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
+        for i in range(rows):
+            p, t = preds[i][j], truths[i][j]
+            counts[("t" if p == t else "f") + ("p" if p else "n")] += 1
+        per_node[name] = counts
+    inter = sum(c["tp"] for c in per_node.values())
+    predicted = sum(c["tp"] + c["fp"] for c in per_node.values())
+    true = sum(c["tp"] + c["fn"] for c in per_node.values())
+    hp = inter / predicted if predicted else 1.0
+    hr = inter / true if true else 1.0
+    exact = sum(p == t for p, t in zip(preds, truths))
+    same = sum(p == t for pr, tr in zip(preds, truths) for p, t in zip(pr, tr))
+    return {
+        "hierarchical_precision": hp,
+        "hierarchical_recall": hr,
+        "hierarchical_f1": 2 * hp * hr / (hp + hr) if hp + hr > 0 else 0.0,
+        "exact_match": exact / rows if rows else 1.0,
+        "hamming_accuracy": same / (rows * cols) if rows * cols else 1.0,
+        "n_examples": rows,
+        "per_node": per_node,
+    }
 
 
 # -- readings of results that no stage makes ----------------------------------

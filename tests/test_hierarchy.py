@@ -186,7 +186,7 @@ def test_entity_liked_256_times_keeps_every_ancestor():
     assert check_consistency(h, up) == []
     model = OnlinePerceptron.zeros(len(h), 2)
     require_consistent(h, up)
-    model.update(np.ones(2), up, model.scores(np.ones(2)))
+    model.update(np.ones(2), up, model.scores(np.ones((1, 2)))[0])
 
 
 def test_duplicate_triples_collapse_to_one_instance_node():

@@ -506,6 +506,17 @@ def test_runlog_writer_rejects_a_value_other_than_a_bit_before_opening(tmp_path,
     assert not path.exists()
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_runlog_writer_rejects_a_feature_that_is_not_finite_before_opening(tmp_path, bad):
+    """`json` would write NaN or Infinity, which `load_runlog` refuses."""
+    events = _events(np.zeros((2, io.RUNLOG_BLOCK + 1, 3), dtype=np.uint8))
+    events[-1].features[1] = bad
+    path = tmp_path / "run.jsonl"
+    with pytest.raises(ValueError, match="features must be finite"):
+        io.save_runlog(path, ["a", "b", "c"], ["x", "y", "z"], 1, events)
+    assert not path.exists()
+
+
 def test_runlog_writer_rejects_a_row_of_the_wrong_width(tmp_path):
     events = _events(np.zeros((2, 2, 3), dtype=np.uint8))
     events[1] = replace(events[1], prediction=np.zeros(4, dtype=np.uint8))

@@ -6,7 +6,7 @@ import numpy as np
 
 from contextstream.hierarchy import Hierarchy, transitive_reduction
 from contextstream.labels import repair_downward, repair_upward
-from contextstream.learn import OnlinePerceptron, require_consistent
+from contextstream.learn import OnlinePerceptron, labels_from_scores, require_consistent
 
 from conftest import dfs_reachable_pairs, random_dag
 from test_hierarchy import hierarchy_from_indexed, plain_node
@@ -174,14 +174,54 @@ def test_perceptron_step_math():
     # zero scores -> predictions negative -> only node 0 wrong
     y = np.array([1, 0], dtype=np.uint8)
     require_consistent(h, y)
-    model.update(x, y, model.scores(x))
+    model.update(x, y, model.scores([x])[0])
     assert W[0].tolist() == [1.0, 2.0, 0.0]
     assert b[0] == 1.0
     assert not W[1].any() and b[1] == 0.0
     # now node 0 is right; flip the target to force a negative update
     y = np.array([0, 0], dtype=np.uint8)
     require_consistent(h, y)
-    model.update(x, y, model.scores(x))
+    model.update(x, y, model.scores([x])[0])
     assert W[0].tolist() == [0.0, 0.0, 0.0]
     assert b[0] == 0.0
     assert not W[1].any() and b[1] == 0.0
+
+
+def test_block_labels_are_each_rows_downward_repair():
+    """`labels_from_scores` repairs each distinct raw row of a block once;
+    every row must still equal `repair_downward` of that row alone, on
+    random DAGs, a 40-deep chain over a 256-wide layer and a 300-wide
+    layer, for blocks of repeated rows, distinct rows and both."""
+    rng = np.random.default_rng(23)
+    pr = random.Random(23)
+    dags = [(n, random_dag(pr, n, p=0.25)) for n in (int(rng.integers(1, 25)) for _ in range(10))]
+    dags += [(n, wide_dag(pr, n, width=256)) for n in (300, 260)]
+    dags += [chain_and_wide_layer(40, 256), chain_and_wide_layer(3, 300)]
+    for n, edges in dags:
+        h, _ = indexed_hierarchy(n, edges)
+        distinct = rng.normal(size=(6, n))
+        distinct[:, rng.random(n) < 0.3] = 0.0  # a score at 0 counts negative
+        for s in (distinct, distinct[[2] * 5], distinct[[0, 3, 0, 0, 5, 3, 1]], distinct[:0]):
+            got = labels_from_scores(h, s)
+            assert got.dtype == np.uint8 and got.shape == s.shape
+            for row, scores in zip(got, s):
+                assert row.tobytes() == repair_downward(h, (scores > 0).astype(np.uint8)).tobytes()
+
+
+def test_block_scores_are_each_rows_matrix_vector_product():
+    """Block scores equal `weights @ x + bias` per row, byte for byte, on
+    perceptron-shaped weights: sums of +-x rows of integer counts and
+    Gaussian features, whose last bits a matrix product for the whole block
+    may round otherwise."""
+    rng = np.random.default_rng(5)
+    for nodes, features, rows in ((777, 6, 25), (31, 2, 1), (200, 40, 64), (5, 3, 0)):
+        xs = rng.normal(3.0, 2.0, size=(rows, features))
+        model = OnlinePerceptron.zeros(nodes, features)
+        for x in rng.normal(3.0, 2.0, size=(40, features)):
+            sign = rng.choice([-1.0, 1.0], size=nodes)
+            model.weights += sign[:, None] * x[None, :]
+            model.bias += sign
+        s = model.scores(xs)
+        assert s.shape == (rows, nodes)
+        for row, x in zip(s, xs):
+            assert row.tobytes() == (model.weights @ x + model.bias).tobytes()

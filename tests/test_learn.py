@@ -26,19 +26,27 @@ def consistent_label(h, leaf_ids):
 
 
 def test_always_strategy(model):
-    assert QueryStrategy("always").wants_labels(model.scores(np.ones(4)))
+    s = model.scores(np.ones((3, 4)))
+    assert QueryStrategy("always").wants_labels(s).tolist() == [True] * 3
 
 
 def test_never_strategy(model):
-    assert not QueryStrategy("never").wants_labels(model.scores(np.ones(4)))
+    s = model.scores(np.ones((3, 4)))
+    assert QueryStrategy("never").wants_labels(s).tolist() == [False] * 3
 
 
 def test_margin_zero_queries_only_boundary(model):
+    def asks(tau, xs):
+        return QueryStrategy("margin", tau=tau).wants_labels(model.scores(xs)).tolist()
+
     # zero model: every score is exactly 0 -> on the boundary
-    assert QueryStrategy("margin", tau=0.0).wants_labels(model.scores(np.ones(4)))
+    assert asks(0.0, np.ones((1, 4))) == [True]
     model.bias[:] = 5.0
-    assert not QueryStrategy("margin", tau=0.0).wants_labels(model.scores(np.ones(4)))
-    assert QueryStrategy("margin", tau=5.0).wants_labels(model.scores(np.zeros(4)))
+    assert asks(0.0, np.ones((1, 4))) == [False]
+    assert asks(5.0, np.zeros((1, 4))) == [True]
+    # one bool per row: only the row whose score for node 0 sits at 0 asks
+    model.weights[0, 0] = -5.0
+    assert asks(0.0, np.array([[1.0, 0, 0, 0], [0.5, 0, 0, 0]])) == [True, False]
 
 
 def test_strategy_parsing():
@@ -81,10 +89,10 @@ def test_repeated_example_mistakes_non_increasing(travel_hierarchy, model):
     y = consistent_label(travel_hierarchy, ["entity:walk", "entity:roads_2"])
     mistakes = []
     for _ in range(20):
-        before = model.scores(x) > 0
+        before = model.scores([x])[0] > 0
         mistakes.append(int((before != y.astype(bool)).sum()))
         require_consistent(travel_hierarchy, y)
-        model.update(x, y, model.scores(x))
+        model.update(x, y, model.scores([x])[0])
     assert all(a >= b for a, b in zip(mistakes, mistakes[1:]))
     assert mistakes[-1] == 0
 
@@ -92,7 +100,7 @@ def test_repeated_example_mistakes_non_increasing(travel_hierarchy, model):
 def test_zero_feature_example_updates_bias_only(travel_hierarchy, model):
     y = consistent_label(travel_hierarchy, ["entity:walk"])
     require_consistent(travel_hierarchy, y)
-    model.update(np.zeros(4), y, model.scores(np.zeros(4)))
+    model.update(np.zeros(4), y, model.scores(np.zeros((1, 4)))[0])
     assert not model.weights.any()
     assert model.bias[travel_hierarchy.index_of("entity:walk")] == 1.0
     assert model.bias[travel_hierarchy.index_of("root")] == 1.0
@@ -100,14 +108,14 @@ def test_zero_feature_example_updates_bias_only(travel_hierarchy, model):
 
 def test_untrained_model_predicts_all_zeros(travel_hierarchy, model):
     # zero scores count negative, so nothing is asserted
-    pred = labels_from_scores(travel_hierarchy, model.scores(np.ones(4)))
-    assert not pred.any()
+    pred = labels_from_scores(travel_hierarchy, model.scores(np.ones((2, 4))))
+    assert pred.shape == (2, len(travel_hierarchy)) and not pred.any()
 
 
 def test_prediction_repair_suppresses_unsupported_child(travel_hierarchy, model):
     i_child = travel_hierarchy.index_of("entity:walk")
     model.bias[i_child] = 1.0  # raw output: child on, every parent off
-    pred = labels_from_scores(travel_hierarchy, model.scores(np.zeros(4)))
+    pred = labels_from_scores(travel_hierarchy, model.scores(np.zeros((1, 4))))[0]
     assert pred[i_child] == 0
     assert not pred.any()
 
@@ -117,8 +125,7 @@ def test_prediction_always_consistent_random(travel_hierarchy):
     model = OnlinePerceptron.zeros(len(travel_hierarchy), 4)
     model.weights[:] = rng.normal(size=model.weights.shape)
     model.bias[:] = rng.normal(size=model.bias.shape)
-    for _ in range(100):
-        pred = labels_from_scores(travel_hierarchy, model.scores(rng.normal(size=4)))
+    for pred in labels_from_scores(travel_hierarchy, model.scores(rng.normal(size=(100, 4)))):
         assert check_consistency(travel_hierarchy, pred) == []
 
 
@@ -131,7 +138,7 @@ def test_training_deterministic(travel_hierarchy):
         m = OnlinePerceptron.zeros(len(travel_hierarchy), 4)
         for x in xs:
             require_consistent(travel_hierarchy, y)
-            m.update(x, y, m.scores(x))
+            m.update(x, y, m.scores([x])[0])
         models.append(m)
     assert np.array_equal(models[0].weights, models[1].weights)
     assert np.array_equal(models[0].bias, models[1].bias)
@@ -151,10 +158,10 @@ def test_separable_two_regime_training(travel_hierarchy):
         y = y_a if regime == 0 else y_b
         examples.append((x, y))
         require_consistent(h, y)
-        model.update(x, y, model.scores(x))
+        model.update(x, y, model.scores([x])[0])
     correct = np.zeros(len(h))
     for x, y in examples:
-        correct += (labels_from_scores(h, model.scores(x)) == y)
+        correct += (labels_from_scores(h, model.scores([x]))[0] == y)
     accuracy = correct / len(examples)
     active = (np.stack([y for _, y in examples]).any(axis=0)).nonzero()[0]
     assert (accuracy[active] >= 0.95).all()

@@ -5,7 +5,7 @@ import pytest
 
 from contextstream.metrics import evaluate
 
-from conftest import per_node_accuracy
+from conftest import per_node_accuracy, reference_evaluate
 
 
 def test_identical_predictions_score_one():
@@ -52,6 +52,9 @@ def test_length_mismatch_rejected():
         evaluate(HAND_PREDS, HAND_TRUTH[:2])
     with pytest.raises(ValueError):
         evaluate(np.zeros(3), np.zeros(3))  # not matrices
+    for names in (["a", "b"], ["a", "b", "root", "extra"]):
+        with pytest.raises(ValueError, match="node ids for 3 columns"):
+            evaluate(HAND_PREDS, HAND_TRUTH, node_ids=names)
 
 
 def test_empty_against_empty_is_vacuously_perfect():
@@ -68,3 +71,18 @@ def test_per_node_accuracy_window():
     acc_last = per_node_accuracy(HAND_PREDS, HAND_TRUTH, last=1)
     assert acc_last.tolist() == pytest.approx([1.0, 0.0, 0.0])
 
+
+@pytest.mark.parametrize("rows, cols", [(0, 4), (5, 0), (0, 0), (1, 1), (7, 3), (40, 25)])
+def test_evaluate_matches_the_cell_by_cell_oracle(rows, cols):
+    """Every count and ratio, and the dict's repr, equal a loop over the
+    cells, at sparse, dense and mixed densities, empty shapes included."""
+    rng = np.random.default_rng(rows * 100 + cols)
+    names = [f"n{j}" for j in range(cols)]
+    for p_density, t_density in ((0.1, 0.1), (0.9, 0.5), (0.0, 0.3), (0.5, 0.0), (0.0, 0.0)):
+        preds = (rng.random((rows, cols)) < p_density).astype(np.uint8)
+        truths = (rng.random((rows, cols)) < t_density).astype(np.uint8)
+        truths[: rows // 2] = preds[: rows // 2]  # some rows match exactly
+        got, expected = evaluate(preds, truths, node_ids=names), reference_evaluate(
+            preds, truths, names)
+        assert got == expected
+        assert repr(got) == repr(expected)

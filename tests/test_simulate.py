@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
@@ -11,7 +12,7 @@ from contextstream.core import FunctionAssignment, PersonEntry, StreamRecord
 from contextstream.errors import InconsistentLabelError
 from contextstream.hierarchy import Hierarchy
 from contextstream.kg import snapshot_eg
-from contextstream.labels import check_consistency, labels_from_eg
+from contextstream.labels import check_consistency, labels_from_eg, repair_downward
 from contextstream.learn import OnlinePerceptron, QueryStrategy
 from contextstream.simulate import (
     EmissionSpec,
@@ -688,33 +689,197 @@ def test_run_simulation_equals_the_public_learner_calls(
         assert queries[0] == 1.0 and 0 < queries[1] < 1
 
 
+def learner_log(monkeypatch):
+    """Wraps `OnlinePerceptron.scores` and `OnlinePerceptron.update`; returns
+    the list they append to, in call order: ("scores", xs, s) and ("update",
+    x, y, s), each array a copy."""
+    log = []
+    scores, update = OnlinePerceptron.scores, OnlinePerceptron.update
+
+    def logged_scores(self, xs):
+        s = scores(self, xs)
+        log.append(("scores", np.array(xs), s.copy()))
+        return s
+
+    def logged_update(self, x, y, s):
+        log.append(("update", np.array(x), np.array(y), np.array(s)))
+        return update(self, x, y, s)
+
+    monkeypatch.setattr(OnlinePerceptron, "scores", logged_scores)
+    monkeypatch.setattr(OnlinePerceptron, "update", logged_update)
+    return log
+
+
 @pytest.mark.parametrize("strategy", ["always", "never", "margin:0.5"])
 def test_each_window_is_scored_once_and_each_truth_checked_once(
     strategy, monkeypatch, travel_hierarchy, travel_etg, travel_eg
 ):
+    """Each window's prediction, query decision and update come from one row
+    of scores made under the model of its turn. Replaying the learner's calls
+    with a model of the test's own: every call scores the windows that come
+    next, in order, under the model of every update before it; its rows up to
+    the first queried row whose raw bits miss the truth are those windows'
+    decisions, and that row, and only it, updates the model next. The rows
+    after it are the only ones scored again, so rows scored equal windows
+    plus those, which never outnumber the windows. Each truth is checked once."""
     script = mixed_script()
-    calls = {"scores": 0, "check_consistency": 0}
-    scores, check = OnlinePerceptron.scores, learn.check_consistency
-
-    def counted_scores(self, x):
-        calls["scores"] += 1
-        return scores(self, x)
-
-    def counted_check(h, y):
-        calls["check_consistency"] += 1
-        return check(h, y)
-
-    monkeypatch.setattr(OnlinePerceptron, "scores", counted_scores)
-    monkeypatch.setattr(learn, "check_consistency", counted_check)
-    result = run_simulation(script, travel_hierarchy, travel_etg, travel_eg,
-                            window_spec=WindowSpec.means(script.channels, 5.0),
-                            strategy=QueryStrategy.parse(strategy))
-    assert calls == {"scores": len(result.events), "check_consistency": len(script.segments)}
-    assert len(result.events) > len(script.segments)
-    for event in result.events:
+    h = travel_hierarchy
+    parsed = QueryStrategy.parse(strategy)
+    update = OnlinePerceptron.update  # the replay's own, not the logged one
+    log = learner_log(monkeypatch)
+    checks = []
+    check = learn.check_consistency
+    monkeypatch.setattr(learn, "check_consistency", lambda h, y: checks.append(y) or check(h, y))
+    result = run_simulation(script, h, travel_etg, travel_eg,
+                            window_spec=WindowSpec.means(script.channels, 5.0), strategy=parsed)
+    events = result.events
+    model = OnlinePerceptron.zeros(len(h), len(result.manifest))
+    done = rows = again = 0
+    for n, (kind, xs, s, *_) in enumerate(log):
+        if kind == "update":
+            continue
+        rows += len(xs)
+        assert s.tobytes() == np.array([model.weights @ x + model.bias for x in xs]).tobytes()
+        window = events[done:done + len(xs)]
+        assert len(window) == len(xs)
+        mover = None
+        for j, (e, x, row) in enumerate(zip(window, xs, s)):
+            assert e.features.tobytes() == x.tobytes()
+            raw = (row > 0).astype(np.uint8)
+            assert e.prediction.tobytes() == repair_downward(h, raw).tobytes()
+            assert e.queried is (parsed.kind == "always" or parsed.kind == "margin"
+                                 and bool((np.abs(row) <= parsed.tau).any()))
+            if e.queried and not np.array_equal(raw, e.truth):
+                mover = j
+                break
+        following = log[n + 1] if n + 1 < len(log) else None
+        if mover is None:
+            assert following is None or following[0] == "scores"
+            done += len(xs)
+            continue
+        kind, x, y, row = following
+        assert kind == "update"
+        assert (x.tobytes(), y.tobytes(), row.tobytes()) == (
+            xs[mover].tobytes(), events[done + mover].truth.tobytes(), s[mover].tobytes())
+        update(model, x, y, row)
+        again += len(xs) - mover - 1
+        done += mover + 1
+    assert done == len(events) > len(script.segments)
+    assert rows == len(events) + again and again <= len(events)
+    if strategy == "always":
+        assert again > 0  # some update falls inside a run of rows
+    assert len(checks) == len(script.segments)
+    for event in events:
         assert not event.truth.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             event.truth[0] = 1
+
+
+def noisy_script(seed=0):
+    """Four 40-minute segments of train and walk whose one channel overlaps
+    (mean 1.0 against 1.5, std 1.0), so the perceptron keeps erring: its
+    model changes at windows all through the session."""
+    train, walk = (seg.record for seg in two_regime_script().segments[:2])
+    return ScenarioScript(seed, 60.0, ("a",), tuple(
+        Segment(ts(40 * i), ts(40 * (i + 1)), {"a": EmissionSpec(1.0 + 0.5 * (i % 2), 1.0)},
+                (train, walk)[i % 2])
+        for i in range(4)))
+
+
+@pytest.mark.parametrize("strategy", ["always", "never", "margin:0.5"])
+def test_model_changes_at_block_edges_match_the_reference(
+    strategy, monkeypatch, travel_hierarchy, travel_etg, travel_eg
+):
+    """A block is the whole windows of one draw (four 2-minute windows at 8
+    ticks a draw) or a window built from pieces. On the noisy script the
+    model changes on the first row of a block, on its last row, and on two
+    rows of one block; events and metrics still equal `reference_session`
+    bit for bit, at that chunk size and the default. However often the
+    model changes, the rows scored again never outnumber the windows."""
+    script = noisy_script()
+    spec = WindowSpec.means(script.channels, 2.0)
+    parsed = QueryStrategy.parse(strategy)
+    aggregate, scores, update = aggregate_window, OnlinePerceptron.scores, OnlinePerceptron.update
+    cases = set()
+    for chunk_ticks in (8, simulate.CHUNK_TICKS):
+        blocks = []  # per block: its features and the rows that updated the model
+        rows = []
+
+        def logged_scores(self, xs):
+            rows.append(len(xs))
+            return scores(self, xs)
+
+        def logged_aggregate(samples, spec, n=1):
+            xs = aggregate(samples, spec, n)
+            blocks.append((xs, []))
+            return xs
+
+        def logged_update(self, x, y, s):
+            xs, moved = blocks[-1]
+            moved.append(next(j for j, row in enumerate(xs) if row.tobytes() == x.tobytes()))
+            return update(self, x, y, s)
+
+        with monkeypatch.context() as m:
+            m.setattr(simulate, "CHUNK_TICKS", chunk_ticks)
+            m.setattr(simulate, "aggregate_window", logged_aggregate)
+            m.setattr(OnlinePerceptron, "scores", logged_scores)
+            m.setattr(OnlinePerceptron, "update", logged_update)
+            result = run_simulation(script, travel_hierarchy, travel_etg, travel_eg,
+                                    window_spec=spec, strategy=parsed)
+        assert len(result.events) <= sum(rows) <= 2 * len(result.events)
+        events, metrics = reference_session(script, travel_hierarchy, travel_etg, travel_eg,
+                                            spec, parsed)
+        assert len(result.events) == len(events)
+        for got, (x, prediction, truth, queried) in zip(result.events, events):
+            assert got.features.tobytes() == x.tobytes()
+            assert got.prediction.tobytes() == prediction.tobytes()
+            assert got.truth.tobytes() == truth.tobytes()
+            assert got.queried is queried
+        assert result.metrics == metrics
+        for xs, moved in blocks:
+            if len(xs) > 1:
+                cases |= {"first"} if 0 in moved else set()
+                cases |= {"last"} if len(xs) - 1 in moved else set()
+                cases |= {"two"} if len(moved) > 1 else set()
+    assert cases == (set() if strategy == "never" else {"first", "last", "two"})
+
+
+def test_a_scenario_with_many_windows_doubles_linearly(
+    monkeypatch, travel_hierarchy, travel_etg, travel_eg
+):
+    """One long segment at 10 s ticks, 600 and then 1,200 one-minute windows,
+    with the score cap at 8 rows: no call scores more rows than the cap, the
+    `repair_downward` calls grow no faster than the windows, and the
+    tracemalloc peak of the run grows less than 2.5 times. The cap itself is
+    read off the calls: the peak grows linearly with or without it, because
+    a block never holds more windows than a draw."""
+    h = travel_hierarchy
+    record = two_regime_script().segments[0].record
+    emissions = {"a": EmissionSpec(1.0, 0.1), "b": EmissionSpec(2.0, 0.5)}
+    monkeypatch.setattr(simulate, "BLOCK_SCORES", 8 * len(h) + 3)
+    rows, repairs = [], []
+    scores, repair = OnlinePerceptron.scores, learn.repair_downward
+    monkeypatch.setattr(OnlinePerceptron, "scores",
+                        lambda self, xs: rows.append(len(xs)) or scores(self, xs))
+    monkeypatch.setattr(learn, "repair_downward", lambda h, y: repairs.append(1) or repair(h, y))
+    peaks, calls = [], []
+    for hours in (10, 10, 20):  # the first run fills the hierarchy's lazy caches
+        script = ScenarioScript(4, 10.0, ("a", "b"), (
+            Segment(ts(0), ts(60 * hours), emissions, record),))
+        rows.clear()
+        repairs.clear()
+        tracemalloc.start()
+        try:
+            result = run_simulation(script, h, travel_etg, travel_eg,
+                                    window_spec=WindowSpec(1.0, ("a", "b")))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(result.events) == 60 * hours
+        assert max(rows) == 8
+        calls.append(len(repairs))
+    assert calls[2] <= 2 * calls[1]
+    assert peaks[2] < 2.5 * peaks[1]
 
 
 def test_run_simulation_refuses_an_inconsistent_truth_before_drawing(
