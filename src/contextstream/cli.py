@@ -37,7 +37,7 @@ from .kg import (
     validate_eg,
 )
 from .learn import QueryStrategy
-from .metrics import session_metrics
+from .metrics import MetricsAccumulator
 from .report import ValidationReport
 from .simulate import DEFAULT_WINDOW_MINUTES, WindowSpec, run_simulation
 
@@ -218,8 +218,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    header, preds, truths, events = io.load_runlog(args.log)
-    metrics = session_metrics(preds, truths, [e["queried"] for e in events], header["nodes"])
+    header, blocks = io.read_runlog(args.log)
+    counts = MetricsAccumulator(len(header["nodes"]))
+    for events, preds, truths in blocks:
+        counts.add(preds, truths, sum(e["queried"] for e in events))
+    metrics = counts.session_result(header["nodes"])
     if args.out:
         io.save_metrics(args.out, metrics)
         print(f"metrics -> {args.out}")

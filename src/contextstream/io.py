@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, fields
+from itertools import compress, islice
 from operator import attrgetter
 from pathlib import Path
 from types import NoneType
@@ -40,8 +42,9 @@ from .errors import (CycleError, FormatError, StreamChainError, StreamOrderError
 from .hierarchy import ConceptNode, Hierarchy, NodeKind
 from .kg import EG, ETG, DataPropertyDef, Entity, EntityType, ObjectPropertyDef, PropertyValue
 from .simulate import EmissionSpec, ScenarioScript, Segment, WindowEvent
-from .tables import (BITS, BOOLEAN, ID, INTEGER, NUMBER, OBJECT, STRING, STRINGS, TIMESTAMP,
-                     Field, FieldError, Parser, Table, dict_of, list_of, nested, nullable, within)
+from .tables import (BITS, BOOLEAN, ID, INDEXES, INTEGER, NUMBER, OBJECT, STRING, STRINGS,
+                     TIMESTAMP, Field, FieldError, Parser, Table, dict_of, list_of, nested,
+                     nullable, within)
 
 
 # -- the tables of every format ------------------------------------------------------
@@ -103,33 +106,80 @@ def _value_from_json(datatype: str, v: Any) -> Any:
     return v
 
 
-def _runlog_header(seed: int, nodes: list, manifest: list) -> dict:
-    if seed < 0:
-        raise FieldError(f"must be >= 0, not {seed}", "seed")
-    if len(set(nodes)) != len(nodes):
-        raise FieldError("a node id is listed more than once", "nodes")
-    return {"format": FORMATS["runlog"].tag, "seed": seed, "nodes": nodes, "manifest": manifest}
+def _runlog_header(tag: str) -> Callable[[int, list, list], dict]:
+    """The build of the `tag` run-log header table."""
+    def build(seed: int, nodes: list, manifest: list) -> dict:
+        if seed < 0:
+            raise FieldError(f"must be >= 0, not {seed}", "seed")
+        if len(set(nodes)) != len(nodes):
+            raise FieldError("a node id is listed more than once", "nodes")
+        return {"format": tag, "seed": seed, "nodes": nodes, "manifest": manifest}
+
+    return build
 
 
-def _event(begin: Timestamp, end: Timestamp, features: list, queried: bool, prediction: list,
-           truth: list, header: dict) -> dict:
-    """A run-log event, checked against its header: one feature per manifest
-    entry, and one bit per node in each row."""
-    if len(features) != len(header["manifest"]):
-        raise FieldError(f"expected {len(header['manifest'])} values, one per manifest entry",
-                         "features")
-    for key, row in (("prediction", prediction), ("truth", truth)):
-        if len(row) != len(header["nodes"]):
-            raise FieldError(f"expected {len(header['nodes'])} bits, one per node", key)
-    return {"begin": begin, "end": end, "features": features, "queried": queried,
-            "prediction": prediction, "truth": truth}
+def _event(rows: Callable[[list, int], list]) -> Callable[..., dict]:
+    """The build of a run-log event table, which checks an event against its
+    header: one feature per manifest entry, and `rows(row, n)` gives each of
+    its rows as the ascending indexes of its set bits among the header's n
+    nodes, or raises a ValueError."""
+    def build(begin: Timestamp, end: Timestamp, features: list, queried: bool,
+              prediction: list, truth: list, header: dict) -> dict:
+        if len(features) != len(header["manifest"]):
+            raise FieldError(f"expected {len(header['manifest'])} values, one per manifest entry",
+                             "features")
+        event = {"begin": begin, "end": end, "features": features, "queried": queried}
+        for key, row in (("prediction", prediction), ("truth", truth)):
+            try:
+                event[key] = rows(row, len(header["nodes"]))
+            except ValueError as exc:
+                raise within(key, exc) from None
+        return event
+
+    return build
 
 
-def _runlog(header: dict, events: list[dict]) -> tuple[dict, np.ndarray, np.ndarray, list[dict]]:
+def _bit_indexes(row: list, n: int) -> list:
+    """A `runlog/1` row of bits, one per node, as the indexes of its set bits."""
+    if len(row) != n:
+        raise FieldError(f"expected {n} bits, one per node")
+    return list(compress(range(n), row))
+
+
+def _node_indexes(row: list, n: int) -> list:
+    """A `runlog/2` row of ascending node indexes, refused past the last node."""
+    if row and row[-1] >= n:
+        raise FieldError(f"node index {row[-1]} is out of range for {n} nodes")
+    return row
+
+
+def _index_matrix(rows: Sequence[list], n: int) -> np.ndarray:
+    """The (len(rows), n) uint8 matrix whose row i sets the indexes rows[i]."""
+    m = np.zeros((len(rows), n), dtype=np.uint8)
+    for i, row in enumerate(rows):
+        m[i, row] = 1
+    return m
+
+
+def _runlog_blocks(header: dict, events: Iterable[dict]
+                   ) -> Iterator[tuple[list[dict], np.ndarray, np.ndarray]]:
+    """(events, predictions, truths) of each next RUNLOG_BLOCK of `events`,
+    with their rows as (events, nodes) uint8 matrices."""
     n = len(header["nodes"])
-    preds = np.array([e["prediction"] for e in events], dtype=np.uint8).reshape(len(events), n)
-    truths = np.array([e["truth"] for e in events], dtype=np.uint8).reshape(len(events), n)
-    return header, preds, truths, events
+    events = iter(events)
+    while block := list(islice(events, RUNLOG_BLOCK)):
+        yield (block, _index_matrix([e["prediction"] for e in block], n),
+               _index_matrix([e["truth"] for e in block], n))
+
+
+def _runlog(header: dict, events: Iterable[dict]
+            ) -> tuple[dict, np.ndarray, np.ndarray, list[dict]]:
+    """(header, predictions, truths, events) of a run log, with the rows of
+    all its events as (events, nodes) uint8 matrices."""
+    events = list(events)
+    n = len(header["nodes"])
+    return (header, _index_matrix([e["prediction"] for e in events], n),
+            _index_matrix([e["truth"] for e in events], n), events)
 
 
 @dataclass(frozen=True)
@@ -142,6 +192,22 @@ class Format:
     table: Table
     lines: Table | None = None
     finish: Callable[[Any, Iterable], Any] | None = None
+
+
+def _runlog_format(tag: str, event: str, row: Parser, rows: Callable[[list, int], list]
+                   ) -> Format:
+    """A run-log format: its header table, and the table of its events, named
+    `event`, whose rows `row` parses and `rows` checks against the header."""
+    return Format(
+        tag,
+        Table(tag, (Field("seed", INTEGER), Field("nodes", STRINGS), Field("manifest", STRINGS)),
+              _runlog_header(tag)),
+        Table(event, (
+            Field("begin", TIMESTAMP), Field("end", TIMESTAMP),
+            Field("features", list_of(NUMBER, list)), Field("queried", BOOLEAN),
+            Field("prediction", row), Field("truth", row),
+        ), _event(rows)),
+        _runlog)
 
 
 FORMATS: dict[str, Format] = {
@@ -199,16 +265,8 @@ FORMATS: dict[str, Format] = {
         ), lambda begin, end, emissions, record: Segment(
             begin, end, emissions, StreamRecord(begin, *record))))), []),
     ), ScenarioScript)),
-    "runlog": Format(
-        "runlog/1",
-        Table("runlog/1", (Field("seed", INTEGER), Field("nodes", STRINGS),
-                           Field("manifest", STRINGS)), _runlog_header),
-        Table("event", (
-            Field("begin", TIMESTAMP), Field("end", TIMESTAMP),
-            Field("features", list_of(NUMBER, list)), Field("queried", BOOLEAN),
-            Field("prediction", BITS), Field("truth", BITS),
-        ), _event),
-        _runlog),
+    "runlog": _runlog_format("runlog/1", "event", BITS, _bit_indexes),
+    "runlog2": _runlog_format("runlog/2", "indexed event", INDEXES, _node_indexes),
     "metrics": Format("metrics/1", Table("metrics/1", (), dict, extra="keep")),
 }
 
@@ -365,12 +423,14 @@ def _stream_records(path: Any, lines: Iterator[tuple[int, str]],
         prev, prev_rest = record, rest
 
 
-def _jsonl(path: str | Path, kinds: Sequence[str], *context: Any) -> tuple[str, Any]:
-    """(kind, loaded object) of a JSONL file: a header on its first non-blank
-    line, with the tag of one of `kinds`, then one document per line. A
-    stream's lines go through `_stream_records`, with `context`; every other
-    line is decoded here, and a run log's header goes with each line to its
-    table, so that a line is checked against it."""
+def _jsonl_values(path: str | Path, kinds: Sequence[str], *context: Any
+                 ) -> tuple[str, Any, Iterator]:
+    """(kind, header, values) of a JSONL file: a header on its first
+    non-blank line, with the tag of one of `kinds`, then one document per
+    line, read as `values` is iterated. A stream's lines go through
+    `_stream_records`, with `context`; every other line is decoded here, and
+    a run log's header goes with each line to its table, so that a line is
+    checked against it."""
     lines = _jsonl_lines(path)
     for line, text in lines:
         doc = _json_line(path, line, text)
@@ -383,9 +443,15 @@ def _jsonl(path: str | Path, kinds: Sequence[str], *context: Any) -> tuple[str, 
     if kind == "stream":
         values = _stream_records(path, lines, *context)
     else:
-        values = [_read(path, fmt.tag, fmt.lines, _json_line(path, line, text), line, header)
-                  for line, text in lines]
-    return kind, fmt.finish(header, values)
+        values = (_read(path, fmt.tag, fmt.lines, _json_line(path, line, text), line, header)
+                  for line, text in lines)
+    return kind, header, values
+
+
+def _jsonl(path: str | Path, kinds: Sequence[str], *context: Any) -> tuple[str, Any]:
+    """(kind, loaded object) of a JSONL file, each of its lines read."""
+    kind, header, values = _jsonl_values(path, kinds, *context)
+    return kind, FORMATS[kind].finish(header, values)
 
 
 def dumps_canonical(doc: Any) -> str:
@@ -493,9 +559,12 @@ def load_scenario(path: str | Path) -> ScenarioScript:
 
 # -- run logs and metrics --------------------------------------------------
 
-# Events rendered per numpy pass: large enough to amortise the pass, small
-# enough that a block's text stays a small part of the whole log
+# Events checked or collected per numpy pass: large enough to amortise the
+# pass, small enough that a block's rows stay a small part of the whole log
 RUNLOG_BLOCK = 64
+
+# Both versions of the run log, which the readers take; the writer emits `runlog/2`
+_RUNLOGS = ("runlog", "runlog2")
 
 
 def _bit_matrix(rows: Sequence[Any], n: int) -> np.ndarray:
@@ -510,22 +579,8 @@ def _bit_matrix(rows: Sequence[Any], n: int) -> np.ndarray:
     return m.astype(np.uint8)
 
 
-def _bit_rows(m: np.ndarray) -> list[str]:
-    """The inside of each row's JSON list (`0, 1, 0`), rendered in one pass."""
-    k, n = m.shape
-    if n == 0:
-        return [""] * k
-    text = np.empty((k, 3 * n), dtype=np.uint8)
-    text[:, 0::3] = m + ord("0")
-    text[:, 1::3] = ord(",")
-    text[:, 2::3] = ord(" ")
-    width = 3 * n - 2
-    flat = text[:, :width].tobytes().decode("ascii")
-    return [flat[i * width:(i + 1) * width] for i in range(k)]
-
-
 def _event_heads(events: Sequence[WindowEvent]) -> list[str]:
-    """Each event's `runlog/1` line up to the inside of its prediction list,
+    """Each event's run-log line up to the inside of its prediction list,
     as `json.dumps` writes it: a finite float is its `repr`. A window that
     opens where the one before it closed reuses that timestamp's text.
     ValueError if a feature is not finite, which `json` would write as
@@ -546,36 +601,68 @@ def _event_heads(events: Sequence[WindowEvent]) -> list[str]:
 
 def save_runlog(path: str | Path, node_order: Sequence[str], manifest: Sequence[str],
                 seed: int, events: Iterable[WindowEvent]) -> None:
-    """Write a `runlog/1` file, streaming it one block of events at a time.
+    """Write a `runlog/2` file, whose events list each row as the ascending
+    indexes of its set bits, streaming it one block of events at a time.
     Every row must hold one bit (0 or 1) per node and every feature must be
-    finite: a ValueError is raised before the file is opened otherwise."""
+    finite: a ValueError is raised before the file is opened otherwise.
+    Each distinct row is kept once, packed 8 bits a byte, and its text is
+    rendered once, then kept only until the last event that repeats it."""
     events = list(events)
     n = len(node_order)
     heads = _event_heads(events)
-    starts = range(0, len(events), RUNLOG_BLOCK)
-    # each block's rows, checked once and kept packed 8 bits a byte until written
-    packed = [
-        [np.packbits(_bit_matrix([getattr(e, key) for e in events[start:start + RUNLOG_BLOCK]], n),
-                     axis=1)
-         for key in ("prediction", "truth")]
-        for start in starts
-    ]
-    header = {"format": FORMATS["runlog"].tag, "seed": seed, "nodes": list(node_order),
+    # each distinct row's number, by its packed bits; each event's two numbers
+    numbers: dict[bytes, int] = {}
+    pairs = []
+    for start in range(0, len(events), RUNLOG_BLOCK):
+        block = events[start:start + RUNLOG_BLOCK]
+        packed = [np.packbits(_bit_matrix([getattr(e, key) for e in block], n), axis=1)
+                  for key in ("prediction", "truth")]
+        pairs += [(numbers.setdefault(p.tobytes(), len(numbers)),
+                   numbers.setdefault(t.tobytes(), len(numbers))) for p, t in zip(*packed)]
+    packed_rows = list(numbers)
+    uses = Counter(number for pair in pairs for number in pair)
+    texts: dict[int, str] = {}
+
+    def text(number: int) -> str:
+        """The inside of row `number`'s JSON list of indexes (`0, 4, 17`)."""
+        row = texts.pop(number, None)
+        if row is None:
+            bits = np.unpackbits(np.frombuffer(packed_rows[number], dtype=np.uint8), count=n)
+            row = ", ".join(map(str, np.flatnonzero(bits).tolist()))
+        uses[number] -= 1
+        if uses[number]:
+            texts[number] = row
+        return row
+
+    header = {"format": FORMATS["runlog2"].tag, "seed": seed, "nodes": list(node_order),
               "manifest": list(manifest)}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(header, ensure_ascii=False) + "\n")
-        for start, bits in zip(starts, packed):
-            preds, truths = (_bit_rows(np.unpackbits(b, axis=1, count=n)) for b in bits)
+        for start in range(0, len(events), RUNLOG_BLOCK):
             fh.write("".join(
-                f'{head}{pred}], "truth": [{truth}]}}\n'
-                for head, pred, truth in zip(heads[start:start + RUNLOG_BLOCK], preds, truths)))
+                f'{head}{text(pred)}], "truth": [{text(truth)}]}}\n'
+                for head, (pred, truth) in zip(heads[start:start + RUNLOG_BLOCK],
+                                               pairs[start:start + RUNLOG_BLOCK])))
+
+
+def read_runlog(path: str | Path
+                ) -> tuple[dict, Iterator[tuple[list[dict], np.ndarray, np.ndarray]]]:
+    """(header, blocks) of a run log of either version, its lines read as
+    `blocks` is iterated: the header (`format`, `seed`, `nodes`,
+    `manifest`), then (events, predictions, truths) of each next
+    RUNLOG_BLOCK events, with each event as a dict of its parsed fields, its
+    rows as the ascending indexes of their set bits, and the block's rows as
+    (events, nodes) uint8 matrices. A `runlog/1` row holds one bit (the
+    integer 0 or 1) per node; a `runlog/2` row lists the indexes of its set
+    bits, integers in range and strictly increasing."""
+    _, header, events = _jsonl_values(path, _RUNLOGS)
+    return header, _runlog_blocks(header, events)
 
 
 def load_runlog(path: str | Path) -> tuple[dict, np.ndarray, np.ndarray, list[dict]]:
-    """Returns (header, predictions, truths, events): the header (`format`,
-    `seed`, `nodes`, `manifest`) and each event as a dict of its parsed
-    fields. Every event's rows hold one bit (the integer 0 or 1) per node."""
-    return _jsonl(path, ("runlog",))[1]
+    """(header, predictions, truths, events): every event that `read_runlog`
+    reads, collected, with the rows as (events, nodes) uint8 matrices."""
+    return _jsonl(path, _RUNLOGS)[1]
 
 
 def save_metrics(path: str | Path, metrics: dict[str, Any]) -> None:
@@ -594,7 +681,7 @@ def load_document(path: str | Path) -> tuple[str, Any]:
     run log or a stream, by its header's tag; a JSON one goes by the tag's
     kind, and an EG loads without a schema."""
     if str(path).endswith(".jsonl"):
-        return _jsonl(path, ("runlog", "stream"))
+        return _jsonl(path, _RUNLOGS + ("stream",))
     doc = _read_json(path)
     tag = doc.get("format") if isinstance(doc, dict) else None
     kind = tag.partition("/")[0] if isinstance(tag, str) else ""

@@ -16,8 +16,10 @@ checked for consistency and frozen once. The windows of one draw, or the one
 window built from pieces, are learned as a block: the perceptron changes only
 on a queried mistake, so a run of rows is scored under one model, and its
 scores give each row's prediction and query decision up to the first row that
-updates the model. Only the rows after that one are scored again. Runs are
-deterministic: the script's seed fixes every reading.
+updates the model. Only the rows after that one are scored again. Each
+block of decided rows is counted into the session's metrics as it is
+learned, so no (windows x nodes) matrix is stacked. Runs are deterministic:
+the script's seed fixes every reading.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .hierarchy import Hierarchy
 from .kg import EG, ETG, check_observer, snapshot_eg
 from .labels import labels_from_eg
 from .learn import OnlinePerceptron, QueryStrategy, labels_from_scores, require_consistent
-from .metrics import session_metrics
+from .metrics import MetricsAccumulator
 from .report import ValidationReport
 
 # Ticks of whole windows drawn per random-number call (one window when a
@@ -205,18 +207,6 @@ class RunResult:
     events: list[WindowEvent] = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
 
-    def predictions(self) -> np.ndarray:
-        return self._matrix("prediction")
-
-    def truths(self) -> np.ndarray:
-        return self._matrix("truth")
-
-    def _matrix(self, key: str) -> np.ndarray:
-        """The events' `key` rows as a (windows, nodes) uint8 matrix, (0, n)
-        when there are no windows, as `io.load_runlog` reads them."""
-        rows = [getattr(e, key) for e in self.events]
-        return np.array(rows, dtype=np.uint8).reshape(len(rows), len(self.node_order))
-
 
 def run_simulation(
     script: ScenarioScript,
@@ -278,6 +268,7 @@ def run_simulation(
         )
     model = OnlinePerceptron.zeros(len(h), len(spec.manifest))
     result = RunResult(node_order=h.node_order, manifest=spec.manifest, seed=script.seed)
+    counts = MetricsAccumulator(len(h))
 
     most_rows = max(1, BLOCK_SCORES // len(h))
     # windows learned since the model last changed: a call scores at most that
@@ -299,6 +290,7 @@ def run_simulation(
             moves = np.flatnonzero(asks & ((s > 0.0) != y).any(axis=1))
             k = int(moves[0]) + 1 if len(moves) else len(s)
             preds = labels_from_scores(h, s[:k])
+            counts.add(preds, y, int(asks[:k].sum()))
             for begin, x, queried, pred in zip(begins[i:i + k], xs[i:i + k],
                                                asks[:k].tolist(), preds):
                 result.events.append(WindowEvent(begin, begin + window_len, x, queried, pred, y))
@@ -362,6 +354,5 @@ def run_simulation(
     if begin is not None:
         flush()
 
-    result.metrics = session_metrics(result.predictions(), result.truths(),
-                                     [e.queried for e in result.events], h.node_order)
+    result.metrics = counts.session_result(h.node_order)
     return result

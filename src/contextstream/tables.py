@@ -113,6 +113,14 @@ def _bits(row: list) -> list:
     return row
 
 
+def _indexes(row: list) -> list:
+    # whole-row checks: a run log lists each set node's index once, ascending
+    if ({*map(type, row)} - {int} or (row and row[0] < 0)
+            or any(a >= b for a, b in zip(row, row[1:]))):
+        raise FieldError("expected ascending list of node indexes (distinct integers from 0)")
+    return row
+
+
 def nullable(p: Parser) -> Parser:
     return Parser(f"null or {p.kind}", p.types + (NoneType,), p.convert, p.table)
 
@@ -158,3 +166,4 @@ BOOLEAN = Parser("boolean", (bool,))
 TIMESTAMP = Parser("timestamp", (str,), parse_timestamp)
 OBJECT = Parser("object", (dict,))  # its values are free
 BITS = Parser("list of bits", (list,), _bits)
+INDEXES = Parser("list of node indexes", (list,), _indexes)

@@ -114,6 +114,16 @@ def _runlog(nodes, change=lambda event: None, **header) -> str:
     return json.dumps(header) + "\n" + json.dumps(event) + "\n"
 
 
+def _runlog2(change=lambda event: None) -> str:
+    """A `runlog/2` log over the nodes a, b and c, with one event that
+    predicts a and is true of a and c; `change` edits the event."""
+    header = {"format": "runlog/2", "seed": 7, "nodes": ["a", "b", "c"], "manifest": []}
+    event = {"begin": "2021-06-02T12:00:00+00:00", "end": "2021-06-02T12:01:00+00:00",
+             "features": [], "queried": True, "prediction": [0], "truth": [0, 2]}
+    change(event)
+    return json.dumps(header) + "\n" + json.dumps(event) + "\n"
+
+
 # A byte that is not UTF-8, in a case's text; `encode_case` writes it as 0xff
 NOT_UTF8 = "\udcff"
 
@@ -185,6 +195,15 @@ MALFORMED = {
         ["a", "b"], lambda e: e.update(features=[float("nan")]), manifest=["speed"]), 2),
     "runlog-begin-not-timestamp": ("runlog", _runlog(["a", "b"], lambda e: e.update(begin=5)), 2),
     "runlog-seed-string": ("runlog", _runlog(["a", "b"], seed="7"), 1),
+    **{f"runlog2-index-{name}": ("runlog2", _runlog2(lambda e, row=row: e.update(truth=row)), 2)
+       for name, row in [
+           ("out-of-range", [0, 3]), ("negative", [-1, 0]), ("repeated", [0, 0]),
+           ("unsorted", [2, 0]), ("true", [True]), ("float", [1.0]), ("string", ["1"]),
+           ("null", [None]), ("list", [[0]]),
+       ]},
+    "runlog2-nodes-repeat": ("runlog2", _runlog2().replace('"c"]', '"a"]', 1), 1),
+    "runlog2-feature-nan": ("runlog2", _runlog2(lambda e: e.update(features=[float("nan")])), 2),
+    "runlog2-prediction-not-list": ("runlog2", _runlog2(lambda e: e.update(prediction=0)), 2),
     "scenario-channels-not-list": ("scenario", json.dumps(
         _fixture_doc("travel_scenario.json", channels="ab", segments=[])), None),
     "scenario-seed-not-integer": ("scenario", json.dumps(
@@ -467,6 +486,24 @@ def reference_runlog_lines(node_order, manifest, seed, events) -> list[str]:
     return lines
 
 
+def reference_runlog2_lines(node_order, manifest, seed, events) -> list[str]:
+    """`runlog/2` lines built value by value with `json.dumps`: each row as
+    the indexes of its set bits, ascending."""
+    header = {"format": "runlog/2", "seed": seed, "nodes": list(node_order),
+              "manifest": list(manifest)}
+    lines = [json.dumps(header, ensure_ascii=False)]
+    for e in events:
+        lines.append(json.dumps({
+            "begin": format_timestamp(e.begin),
+            "end": format_timestamp(e.end),
+            "features": [float(v) for v in e.features],
+            "queried": e.queried,
+            "prediction": [i for i, b in enumerate(e.prediction) if b],
+            "truth": [i for i, b in enumerate(e.truth) if b],
+        }, ensure_ascii=False))
+    return lines
+
+
 def reference_labels(h, snapshot, etg):
     """Labels looked up by node-id string over every snapshot triple."""
     log = logging.getLogger("contextstream.labels")
@@ -703,6 +740,14 @@ def reference_evaluate(predictions, ground_truth, node_ids) -> dict:
 
 
 # -- readings of results that no stage makes ----------------------------------
+
+def stacked(result) -> tuple[np.ndarray, np.ndarray]:
+    """The predictions and the truths of a session's events, each as a
+    (windows, nodes) uint8 matrix, (0, n) when there are no windows."""
+    n = len(result.node_order)
+    return tuple(np.array([getattr(e, key) for e in result.events], dtype=np.uint8)
+                 .reshape(len(result.events), n) for key in ("prediction", "truth"))
+
 
 def codes(report: ValidationReport) -> list[str]:
     """The code of each finding of `report`, in order."""

@@ -25,7 +25,8 @@ from contextstream.labels import check_consistency, repair_downward, repair_upwa
 from contextstream.learn import QueryStrategy
 from contextstream.simulate import WindowSpec, run_simulation
 
-from conftest import FIXTURES, GOLDEN, dfs_reachable_pairs, per_node_accuracy, random_dag
+from conftest import (FIXTURES, GOLDEN, dfs_reachable_pairs, per_node_accuracy, random_dag,
+                      stacked)
 from test_hierarchy import hierarchy_from_indexed
 from test_simulate import two_regime_script
 
@@ -214,7 +215,7 @@ def test_criterion_7_learning_sanity(tmp_path, travel_hierarchy, travel_etg, tra
     assert n_windows >= 500, f"only {n_windows} windows"
     assert result.metrics["n_queries"] == n_windows
 
-    preds, truths = result.predictions(), result.truths()
+    preds, truths = stacked(result)
     for pred in preds:
         assert check_consistency(travel_hierarchy, pred) == []
     active = truths.any(axis=0)

@@ -215,7 +215,7 @@ def test_validate_corrupt_json_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("case", MALFORMED)
 def test_validate_reports_a_malformed_document_and_goes_on(tmp_path, capsys, case):
     kind, text, line = MALFORMED[case]
-    bad = tmp_path / ("bad.jsonl" if kind in ("stream", "runlog") else "bad.json")
+    bad = tmp_path / ("bad.jsonl" if kind in ("stream", "runlog", "runlog2") else "bad.json")
     bad.write_bytes(encode_case(text))
     assert main(["validate", str(bad), ETG]) == 2
     findings = capsys.readouterr().err.splitlines()
@@ -237,7 +237,8 @@ def test_compile_and_simulate_refuse_a_malformed_etg_or_eg(tmp_path, capsys, cas
     assert capsys.readouterr().err.count(f"error: {bad}") == 2
 
 
-@pytest.mark.parametrize("case", [case for case, doc in MALFORMED.items() if doc[0] == "runlog"])
+@pytest.mark.parametrize("case", [case for case, doc in MALFORMED.items()
+                                  if doc[0] in ("runlog", "runlog2")])
 def test_evaluate_refuses_a_malformed_run_log(tmp_path, capsys, case):
     """An `Infinity` feature, say, is refused as the log loads, so no metrics
     are printed."""

@@ -39,11 +39,19 @@ RUNLOG = "\n".join(json.dumps(doc) for doc in [
       for i in range(3)),
 ]) + "\n"
 
+# the same events with each row as the indexes of its set bits
+RUNLOG2 = "\n".join(json.dumps(doc) for doc in [
+    {"format": "runlog/2", "seed": 7, "nodes": ["a", "b", "c"], "manifest": ["speed"]},
+    *({"begin": f"2021-06-02T12:0{i}:00+00:00", "end": f"2021-06-02T12:0{i + 1}:00+00:00",
+       "features": [1.5], "queried": True, "prediction": [0] + [2] * (i % 2), "truth": [0, 1]}
+      for i in range(3)),
+]) + "\n"
+
 # format kind -> file name, in DOCUMENTS; the metrics body is free, so its
 # table has no field to mutate
 FILE_OF_KIND = {"etg": "etg.json", "eg": "eg.json", "stream": "stream.jsonl",
                 "scenario": "scenario.json", "hierarchy": "hierarchy.json",
-                "runlog": "run.jsonl"}
+                "runlog": "run.jsonl", "runlog2": "run2.jsonl"}
 
 # file name -> (original bytes, loader)
 DOCUMENTS = {
@@ -54,6 +62,7 @@ DOCUMENTS = {
     "scenario.json": ((FIXTURES / "travel_scenario.json").read_bytes(), io.load_scenario),
     "hierarchy.json": ((GOLDEN / "travel_hierarchy.json").read_bytes(), io.load_hierarchy),
     "run.jsonl": (RUNLOG.encode(), io.load_runlog),
+    "run2.jsonl": (RUNLOG2.encode(), io.load_runlog),
 }
 
 # read, mutated and written to a temporary path; the golden file is never written
@@ -61,6 +70,16 @@ METRICS = (GOLDEN / "travel_metrics_seed7.json").read_bytes()
 
 VALUES = [None, True, False, 0, -1, 7.9, 300, "", "x", "ar", [], ["x"], {}, {"x": 1}]
 BAD_BITS = [2, -1, 300, True, False, 0.5, "x", None, [1]]
+# edits of a `runlog/2` row of indexes among 3 nodes: each leaves it refused
+BAD_INDEXES = [
+    lambda row: row + [3],                    # out of range
+    lambda row: [-1] + row,                   # negative
+    lambda row: row + row[-1:],               # repeated
+    lambda row: row[::-1] + [0],              # unsorted
+    lambda row: row + [True],                 # a boolean
+    lambda row: [float(i) for i in row],      # floats
+    lambda row: row + ["2"],                  # a string
+]
 
 # `simulate` setting -> the edge values the flag test gives it; a seed of
 # None leaves `--seed` out, and `tau` is spelled `--strategy kind:tau`
@@ -124,10 +143,18 @@ def _bad_bit(rng, doc):
     return doc
 
 
+def _bad_index(rng, doc):
+    if not isinstance(doc.get("prediction"), list):  # the header
+        return doc
+    key = rng.choice(["prediction", "truth"])
+    doc[key] = rng.choice(BAD_INDEXES)(doc[key] or [0])
+    return doc
+
+
 def _mutate(rng, name: str, data: bytes) -> tuple[str, bytes]:
     # most byte edits break the JSON syntax, so type swaps get twice the weight
     kinds = ["flip", "truncate", "0xff", "swap", "swap"]
-    kind = rng.choice(kinds + ["bit"] * (name == "run.jsonl"))
+    kind = rng.choice(kinds + ["bit"] * (name == "run.jsonl") + ["index"] * (name == "run2.jsonl"))
     pos = rng.randrange(len(data))
     if kind == "flip":
         flipped = bytes([data[pos] ^ rng.randrange(1, 256)])
@@ -139,7 +166,8 @@ def _mutate(rng, name: str, data: bytes) -> tuple[str, bytes]:
     jsonl = name.endswith(".jsonl")
     if kind == "swap":
         return kind, _edit_json(rng, data, jsonl, lambda doc: _swap_type(rng, doc))
-    return kind, _edit_json(rng, data, jsonl, lambda doc: _bad_bit(rng, doc))
+    bad = _bad_bit if kind == "bit" else _bad_index
+    return kind, _edit_json(rng, data, jsonl, lambda doc: bad(rng, doc))
 
 
 def test_mutated_documents_load_or_raise_format_errors(tmp_path, capsys):
@@ -158,6 +186,7 @@ def test_mutated_documents_load_or_raise_format_errors(tmp_path, capsys):
     # file name -> the commands that read the document at a path once it loads
     readers = {
         "run.jsonl": lambda p: [["evaluate", "--log", p]],
+        "run2.jsonl": lambda p: [["evaluate", "--log", p]],
         "hierarchy.json": lambda p: [["export-dot", "--out", str(tmp_path / "h.dot"), p]],
         "scenario.json": lambda p: [["simulate", "--scenario", p, "--etg", etg, "--eg", eg]],
         "etg.json": lambda p: compile_and_simulate(p, eg),
@@ -333,6 +362,7 @@ def test_every_field_mutant_is_refused_by_its_loader_and_commands(tmp_path, caps
         "scenario": lambda p: [["simulate", "--scenario", p, "--etg", etg, "--eg", eg]],
         "hierarchy": lambda p: [["export-dot", p, "--out", out]],
         "runlog": lambda p: [["evaluate", "--log", p]],
+        "runlog2": lambda p: [["evaluate", "--log", p]],
         "stream": lambda p: [["snapshot", "--etg", etg, "--eg", eg, "--stream", p,
                               "--out-dir", out]],
     }

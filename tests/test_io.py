@@ -25,7 +25,9 @@ from conftest import (
     encode_case,
     fixture_record,
     reference_load_stream,
+    reference_runlog2_lines,
     reference_runlog_lines,
+    stacked,
 )
 
 
@@ -357,6 +359,7 @@ LOADERS = {
     "hierarchy": io.load_hierarchy,
     "scenario": io.load_scenario,
     "runlog": io.load_runlog,
+    "runlog2": io.load_runlog,
     "metrics": io.load_metrics,
 }
 
@@ -378,7 +381,7 @@ MALFORMED_FOR_LOADERS = {
 @pytest.mark.parametrize("case", MALFORMED_FOR_LOADERS)
 def test_malformed_document_raises_format_error(tmp_path, case):
     kind, text, line = MALFORMED_FOR_LOADERS[case]
-    path = tmp_path / ("doc.jsonl" if kind in ("stream", "runlog") else "doc.json")
+    path = tmp_path / ("doc.jsonl" if kind in ("stream", "runlog", "runlog2") else "doc.json")
     path.write_bytes(encode_case(text))
     with pytest.raises(FormatError) as exc:
         LOADERS[kind](path)
@@ -462,8 +465,8 @@ def test_runlog_round_trip(tmp_path, travel_scenario, travel_hierarchy, travel_e
     assert header["nodes"] == list(result.node_order)
     assert header["seed"] == result.seed
     assert preds.shape == (len(result.events), len(travel_hierarchy))
-    assert (preds == result.predictions()).all()
-    assert (truths == result.truths()).all()
+    assert (preds == stacked(result)[0]).all()
+    assert (truths == stacked(result)[1]).all()
 
 
 def _events(bits, queried=True):
@@ -487,13 +490,75 @@ def test_runlog_writer_matches_reference(tmp_path, k, n, queried, dtype):
     bits = np.random.default_rng(k * 10 + n).integers(0, 2, size=(2, k, n)).astype(dtype)
     events = _events(bits, queried)
     nodes = [f"n{i}" for i in range(n)]
-    expected = reference_runlog_lines(nodes, ["a", "b", "c"], 7, events)
+    expected = reference_runlog2_lines(nodes, ["a", "b", "c"], 7, events)
     path = tmp_path / "run.jsonl"
     io.save_runlog(path, nodes, ["a", "b", "c"], 7, iter(events))
     assert path.read_text(encoding="utf-8").splitlines() == expected
     assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
     _, preds, truths, _ = io.load_runlog(path)
     assert (preds == bits[0]).all() and (truths == bits[1]).all()
+
+
+def test_runlog_writer_renders_each_distinct_row_once(tmp_path, monkeypatch):
+    """Three distinct rows, repeated over three blocks, are turned into
+    index lists three times, and the log still matches the oracle."""
+    rows = np.array([[1, 0, 0, 1], [0, 0, 0, 0], [1, 1, 1, 1]], dtype=np.uint8)
+    which = np.random.default_rng(3).integers(0, 3, size=(2, 2 * io.RUNLOG_BLOCK + 5))
+    events = _events(rows[which])
+    calls = []
+    flatnonzero = np.flatnonzero
+    monkeypatch.setattr(np, "flatnonzero", lambda a: calls.append(1) or flatnonzero(a))
+    path = tmp_path / "run.jsonl"
+    io.save_runlog(path, ["a", "b", "c", "d"], ["x", "y", "z"], 7, events)
+    assert len(calls) == 3
+    assert path.read_text().splitlines() == reference_runlog2_lines(
+        ["a", "b", "c", "d"], ["x", "y", "z"], 7, events)
+
+
+def test_runlog_1_and_runlog_2_of_one_run_load_and_evaluate_alike(
+        tmp_path, travel_scenario, travel_hierarchy, travel_etg, travel_eg):
+    """The `runlog/1` oracle's log and the writer's `runlog/2` log of one
+    session load to equal headers (but for the tag), matrices and events, and
+    `evaluate` gives both the session's metrics document."""
+    from contextstream.cli import main
+    from contextstream.simulate import WindowSpec, run_simulation
+
+    result = run_simulation(
+        travel_scenario, travel_hierarchy, travel_etg, travel_eg,
+        window_spec=WindowSpec.means(travel_scenario.channels, 5.0),
+    )
+    old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    old.write_text("\n".join(reference_runlog_lines(
+        result.node_order, result.manifest, result.seed, result.events)) + "\n")
+    io.save_runlog(new, result.node_order, result.manifest, result.seed, result.events)
+    (h1, p1, t1, e1), (h2, p2, t2, e2) = io.load_runlog(old), io.load_runlog(new)
+    assert (h1.pop("format"), h2.pop("format")) == ("runlog/1", "runlog/2")
+    assert h1 == h2
+    assert np.array_equal(p1, p2) and np.array_equal(t1, t2) and e1 == e2
+    assert np.array_equal(p1, stacked(result)[0]) and np.array_equal(t1, stacked(result)[1])
+    docs = []
+    for log in (old, new):
+        out = tmp_path / f"{log.stem}.json"
+        assert main(["evaluate", "--log", str(log), "--out", str(out)]) == 0
+        docs.append(out.read_bytes())
+    assert docs[0] == docs[1]
+    assert io.load_metrics(tmp_path / "new.json") == result.metrics
+
+
+def test_read_runlog_reads_as_it_is_iterated(tmp_path):
+    """A line at fault is refused only when the read reaches its block."""
+    lines = reference_runlog2_lines(["a", "b"], ["x", "y", "z"], 1, _events(
+        np.zeros((2, io.RUNLOG_BLOCK + 1, 2), dtype=np.uint8)))
+    lines[-1] = lines[-1].replace('"truth": []', '"truth": [2]')
+    path = tmp_path / "run.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    header, blocks = io.read_runlog(path)
+    assert header["nodes"] == ["a", "b"]
+    events, preds, truths = next(blocks)
+    assert len(events) == io.RUNLOG_BLOCK and preds.shape == truths.shape == (io.RUNLOG_BLOCK, 2)
+    with pytest.raises(FormatError) as exc:
+        next(blocks)
+    assert exc.value.line == len(lines)
 
 
 @pytest.mark.parametrize("bad", [2, -1, 0.5, float("nan")])
@@ -538,6 +603,40 @@ def test_runlog_writer_streams_in_little_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < path.stat().st_size / 4
+
+
+def _peak(call) -> int:
+    """The tracemalloc peak of `call()`."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_long_run_log_is_written_and_evaluated_in_memory_that_doubles_linearly(tmp_path):
+    """A log of 720 and then 1,440 windows over 2,000 nodes, each row setting
+    17 random nodes: the tracemalloc peak of writing it grows less than 2.5
+    times, and that of `evaluate --log` less than 1.25 times, since the
+    evaluation keeps one block of rows, not the log's matrices."""
+    from contextstream.cli import main
+
+    n = 2000
+    rng = np.random.default_rng(11)
+    nodes = [f"n{i}" for i in range(n)]
+    writes, reads = [], []
+    for k in (720, 720, 1440):  # the first run warms the interpreter's caches
+        bits = np.zeros((2, k, n), dtype=np.uint8)
+        for row in bits.reshape(2 * k, n):
+            row[rng.choice(n, 17, replace=False)] = 1
+        events = _events(bits)
+        log, out = tmp_path / f"run{k}.jsonl", tmp_path / f"metrics{k}.json"
+        writes.append(_peak(lambda: io.save_runlog(log, nodes, ["x", "y", "z"], 1, events)))
+        reads.append(_peak(lambda: main(["evaluate", "--log", str(log), "--out", str(out)])))
+        assert io.load_metrics(out)["n_windows"] == k
+    assert writes[2] < 2.5 * writes[1]
+    assert reads[2] < 1.25 * reads[1]
 
 
 def test_metrics_round_trip(tmp_path):

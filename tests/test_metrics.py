@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from contextstream.metrics import evaluate
+from contextstream.metrics import MetricsAccumulator, evaluate
 
 from conftest import per_node_accuracy, reference_evaluate
 
@@ -86,3 +86,46 @@ def test_evaluate_matches_the_cell_by_cell_oracle(rows, cols):
             preds, truths, names)
         assert got == expected
         assert repr(got) == repr(expected)
+
+
+def _split(rng, rows: int) -> list[int]:
+    """Random cut points of `rows` rows into blocks, empty blocks included."""
+    return sorted(rng.integers(0, rows + 1, size=rng.integers(0, 6)).tolist())
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 4), (5, 0), (0, 0), (1, 1), (7, 3), (40, 25),
+                                        (33, 8), (64, 1)])
+def test_the_accumulator_fed_blocks_matches_the_cell_by_cell_oracle(rows, cols):
+    """Random matrices cut into random blocks, some sharing one truth row,
+    count to the oracle's dict by `==` and by `repr`; the queries and rows
+    add up too."""
+    rng = np.random.default_rng(rows * 1000 + cols + 1)
+    names = [f"n{j}" for j in range(cols)]
+    for p_density, t_density in ((0.1, 0.1), (0.9, 0.5), (0.0, 0.3), (0.5, 0.0), (0.0, 0.0)):
+        preds = (rng.random((rows, cols)) < p_density).astype(np.uint8)
+        truths = (rng.random((rows, cols)) < t_density).astype(np.uint8)
+        truths[: rows // 2] = preds[: rows // 2]
+        cuts = [0, *_split(rng, rows), rows]
+        counts = MetricsAccumulator(cols)
+        for a, b in zip(cuts, cuts[1:]):
+            if b - a > 1 and rng.random() < 0.5:
+                truths[a:b] = truths[a]  # a block whose windows share one truth
+                counts.add(preds[a:b], truths[a], queries=(b - a) // 2)
+            else:
+                counts.add(preds[a:b], truths[a:b], queries=(b - a) // 2)
+        expected = reference_evaluate(preds, truths, names)
+        got = counts.result(names)
+        assert got == expected
+        assert repr(got) == repr(expected)
+        assert counts.session_result(names) == {
+            **expected, "n_windows": rows,
+            "n_queries": sum((b - a) // 2 for a, b in zip(cuts, cuts[1:]))}
+
+
+def test_the_accumulator_refuses_rows_of_another_width():
+    counts = MetricsAccumulator(3)
+    for preds, truth in ((np.zeros((2, 4)), np.zeros(4)), (np.zeros(3), np.zeros(3)),
+                         (np.zeros((2, 3)), np.zeros(2))):
+        with pytest.raises(ValueError):
+            counts.add(preds, truth)
+    assert counts.rows == 0

@@ -15,8 +15,8 @@ import pytest
 PIPEBENCH = Path(__file__).resolve().parent.parent / "pipebench"
 
 SEED_7_DIGESTS = {
-    "day_travel": "3e6cf816369d1c73ca242d9c9b36b186f22ed567dccbac3b0300cc5478b0af93",
-    "big_graph": "48ef429b950302cb6d97308a4f73cc51dafeadb6bb5fd5deb290053e8a74cbe7",
+    "day_travel": "588edb0e3cedf38644fa05463f1b5732ac2e320c21367b0021425ded02eb7fc9",
+    "big_graph": "821a8b1a67c935da727cdfb869eab5383d5526ac8306f37520b49eeb171e34d5",
     "stream_ingest": "60d5826248364445595184e9b0c1413651e71e5e52aea51b33f8eef363bafe92",
 }
 

@@ -23,7 +23,8 @@ from contextstream.simulate import (
     run_simulation,
 )
 
-from conftest import reference_labels, reference_session, reference_ticks, reference_windows
+from conftest import (reference_labels, reference_session, reference_ticks, reference_windows,
+                      stacked)
 
 UTC = timezone.utc
 T0 = datetime(2021, 6, 2, 12, 0, tzinfo=UTC)
@@ -620,7 +621,7 @@ def test_two_regime_learning_improves(travel_hierarchy, travel_etg, travel_eg):
         script, travel_hierarchy, travel_etg, travel_eg,
         window_spec=WindowSpec.means(script.channels, 5.0),
     )
-    preds, truths = result.predictions(), result.truths()
+    preds, truths = stacked(result)
     late = (preds[-24:] == truths[-24:]).mean()
     early = (preds[:24] == truths[:24]).mean()
     assert late >= early
@@ -633,7 +634,8 @@ def test_training_accuracy_monotone_over_blocks(travel_hierarchy, travel_etg, tr
         script, travel_hierarchy, travel_etg, travel_eg,
         window_spec=WindowSpec.means(script.channels, 5.0),
     )
-    correct = result.predictions() == result.truths()
+    preds, truths = stacked(result)
+    correct = preds == truths
     blocks = [float(correct[i:i + 50].mean()) for i in range(0, len(correct) - 49, 50)]
     assert len(blocks) >= 5
     drops = sum(1 for a, b in zip(blocks, blocks[1:]) if b < a - 1e-12)
@@ -650,7 +652,7 @@ def labelled_nodes_only(h, result):
     closed upward, so the cut keeps its edges reduced. On the full travel
     hierarchy a node no window labels keeps a zero score, so "margin" asks
     for labels on every window."""
-    keep = {h.node_order[i] for i in np.flatnonzero(result.truths().any(axis=0))}
+    keep = {h.node_order[i] for i in np.flatnonzero(stacked(result)[1].any(axis=0))}
     return Hierarchy([h.nodes[n] for n in keep], [e for e in h.edges if e[0] in keep], h.root)
 
 
