@@ -1,11 +1,11 @@
 """File formats: versioned JSON documents for the schema/instance graphs,
 hierarchies, scenarios and metrics, JSONL for streams and run logs.
 
-Every format is described once, as data: `FORMATS` maps each kind to its
-`format` tag and to the tables of the JSON objects it holds. A table lists
-each field's JSON key, its default (or that it is required) and its value
-parser, in the order the table's `build` takes them; a table reads an
-object with one loop over those fields. Loaders reject unknown kinds and
+Every format is described once, as data: `FORMATS` maps each kind to the
+tables of the JSON objects it holds, the first of them named by the kind's
+`format` tag. A table lists each field's JSON key, its default (or that it
+is required) and its value parser, in the order the table's `build` takes
+them; a table reads an object with one loop over those fields. Loaders reject unknown kinds and
 versions, and any other malformed document, with a FormatError;
 `load_document` loads any of them, routed by that tag alone. The program
 writes only EGs, hierarchies, run logs and metrics; for those four
@@ -172,26 +172,25 @@ def _runlog_blocks(header: dict, events: Iterable[dict]
                _index_matrix([e["truth"] for e in block], n))
 
 
-def _runlog(header: dict, events: Iterable[dict]
-            ) -> tuple[dict, np.ndarray, np.ndarray, list[dict]]:
-    """(header, predictions, truths, events) of a run log, with the rows of
-    all its events as (events, nodes) uint8 matrices."""
-    events = list(events)
-    n = len(header["nodes"])
-    return (header, _index_matrix([e["prediction"] for e in events], n),
-            _index_matrix([e["truth"] for e in events], n), events)
+def _collected(header: dict, blocks: Iterable[tuple[list[dict], np.ndarray, np.ndarray]]
+               ) -> tuple[dict, np.ndarray, np.ndarray, list[dict]]:
+    """(header, predictions, truths, events) of a run log, its blocks
+    concatenated: the rows of all its events as (events, nodes) uint8
+    matrices, which have no rows when it has no events."""
+    empty = np.zeros((0, len(header["nodes"])), dtype=np.uint8)
+    events, preds, truths = list(zip(*blocks)) or ((), (), ())
+    return (header, np.concatenate((empty, *preds)), np.concatenate((empty, *truths)),
+            [event for block in events for event in block])
 
 
 @dataclass(frozen=True)
 class Format:
-    """A document format: its tag and the table of the document, or of a
-    JSONL file's header line. A JSONL format adds the table of its other
-    lines and `finish(header, values)`, which makes the loaded object."""
+    """A document format: the table of the document, or of a JSONL file's
+    header line, which is named by the format's tag; a JSONL format adds
+    the table of its other lines."""
 
-    tag: str
     table: Table
     lines: Table | None = None
-    finish: Callable[[Any, Iterable], Any] | None = None
 
 
 def _runlog_format(tag: str, event: str, row: Parser, rows: Callable[[list, int], list]
@@ -199,19 +198,17 @@ def _runlog_format(tag: str, event: str, row: Parser, rows: Callable[[list, int]
     """A run-log format: its header table, and the table of its events, named
     `event`, whose rows `row` parses and `rows` checks against the header."""
     return Format(
-        tag,
         Table(tag, (Field("seed", INTEGER), Field("nodes", STRINGS), Field("manifest", STRINGS)),
               _runlog_header(tag)),
         Table(event, (
             Field("begin", TIMESTAMP), Field("end", TIMESTAMP),
             Field("features", list_of(NUMBER, list)), Field("queried", BOOLEAN),
             Field("prediction", row), Field("truth", row),
-        ), _event(rows)),
-        _runlog)
+        ), _event(rows)))
 
 
 FORMATS: dict[str, Format] = {
-    "etg": Format("etg/1", Table("etg/1", (
+    "etg": Format(Table("etg/1", (
         Field("etypes", list_of(nested(Table("etype", (
             Field("id", STRING), Field("name", STRING), Field("parent", ID, None),
             Field("data_properties", list_of(nested(Table("data property", (
@@ -227,7 +224,7 @@ FORMATS: dict[str, Format] = {
         Field("me_etype", STRING),
         Field("q", nullable(STRINGS), None),
     ), ETG)),
-    "eg": Format("eg/1", Table("eg/1", (
+    "eg": Format(Table("eg/1", (
         Field("at", nullable(TIMESTAMP), None),
         Field("entities", list_of(nested(Table("entity", (
             Field("id", STRING), Field("name", STRING), Field("etype", STRING),
@@ -238,10 +235,9 @@ FORMATS: dict[str, Format] = {
         ), PropertyValue))), []),
     ), _eg)),
     "stream": Format(
-        "stream/1", Table("stream/1", (), lambda: None),
-        Table("stream record", (Field("ts", TIMESTAMP),) + _RECORD, StreamRecord),
-        lambda header, records: StreamingContext(tuple(records))),
-    "hierarchy": Format("hierarchy/1", Table("hierarchy/1", (
+        Table("stream/1", (), lambda: None),
+        Table("stream record", (Field("ts", TIMESTAMP),) + _RECORD, StreamRecord)),
+    "hierarchy": Format(Table("hierarchy/1", (
         Field("nodes", list_of(nested(Table("node", (
             Field("id", STRING),
             Field("kind", Parser("node kind", (str,), NodeKind)),
@@ -252,7 +248,7 @@ FORMATS: dict[str, Format] = {
         Field("edges", list_of(Parser("[child, parent] pair", (list,), _edge))),
         Field("root", STRING),
     ), Hierarchy)),
-    "scenario": Format("scenario/1", Table("scenario/1", (
+    "scenario": Format(Table("scenario/1", (
         Field("seed", INTEGER),
         Field("reading_interval_s", NUMBER),
         Field("channels", list_of(STRING)),
@@ -267,7 +263,7 @@ FORMATS: dict[str, Format] = {
     ), ScenarioScript)),
     "runlog": _runlog_format("runlog/1", "event", BITS, _bit_indexes),
     "runlog2": _runlog_format("runlog/2", "indexed event", INDEXES, _node_indexes),
-    "metrics": Format("metrics/1", Table("metrics/1", (), dict, extra="keep")),
+    "metrics": Format(Table("metrics/1", (), dict, extra="keep")),
 }
 
 
@@ -282,12 +278,18 @@ def _decode(path: Any, data: bytes, line: int | None = None) -> str:
         raise FormatError(path, f"not UTF-8: {exc.reason}", line=line) from None
 
 
-def _read_json(path: str | Path) -> Any:
-    text = _decode(path, Path(path).read_bytes())
+def _json(path: Any, text: str, line: int | None = None) -> Any:
+    """The JSON value of `text`, a whole JSON document or the stripped JSONL
+    line numbered `line`: the one place where JSON is decoded."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise FormatError(path, exc.msg, line=exc.lineno, col=exc.colno) from None
+        raise FormatError(path, exc.msg, line=exc.lineno if line is None else line,
+                          col=exc.colno) from None
+
+
+def _read_json(path: str | Path) -> Any:
+    return _json(path, _decode(path, Path(path).read_bytes()))
 
 
 def _jsonl_lines(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -299,49 +301,13 @@ def _jsonl_lines(path: str | Path) -> Iterator[tuple[int, str]]:
                 yield lineno, line
 
 
-_DECODER = json.JSONDecoder()
-
-
-def _json_line(path: Any, lineno: int, line: str, decoder: json.JSONDecoder = _DECODER) -> Any:
-    """The JSON value of a stripped JSONL line, by `decoder`.
-
-    `json.loads` without its wrapper: a line whose one value ends at its end
-    is what `json.loads` returns; any other line goes to `json.loads` for its
-    error."""
-    try:
-        doc, end = decoder.raw_decode(line)
-    except json.JSONDecodeError:
-        end = None
-    if end != len(line):
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(path, exc.msg, line=lineno, col=exc.colno) from None
-    return doc
-
-
-def _ts_members(path: Any, lineno: int, line: str) -> tuple[Any, int]:
-    """(JSON value, number of its top-level members whose decoded key is
-    `ts`) of a stripped JSONL line that holds an object. The decoder hands
-    an object's pairs to its hook after those of every object inside it, so
-    the hook's last pairs are the top-level object's."""
-    last: list = []
-
-    def keep(pairs: list) -> dict:
-        last[:] = pairs
-        return dict(pairs)
-
-    doc = _json_line(path, lineno, line, json.JSONDecoder(object_pairs_hook=keep))
-    return doc, sum(key == "ts" for key, _ in last)
-
-
 def _kind(doc: Any, kinds: Sequence[str], path: Any) -> str:
     """The one of `kinds` whose tag `doc` carries, else a FormatError."""
     tag = doc.get("format") if isinstance(doc, dict) else None
     for kind in kinds:
-        if FORMATS[kind].tag == tag:
+        if FORMATS[kind].table.name == tag:
             return kind
-    expected = " or ".join(repr(FORMATS[kind].tag) for kind in kinds)
+    expected = " or ".join(repr(FORMATS[kind].table.name) for kind in kinds)
     raise FormatError(path, f"expected format {expected}, found {tag!r}")
 
 
@@ -359,7 +325,7 @@ def _read(path: Any, tag: str, table: Table, doc: Any, line: int | None, *contex
 
 def _from_dict(kind: str, doc: Any, path: Any, *context: Any) -> Any:
     fmt = FORMATS[_kind(doc, (kind,), path)]
-    return _read(path, fmt.tag, fmt.table, doc, None, *context)
+    return _read(path, fmt.table.name, fmt.table, doc, None, *context)
 
 
 # How `json.dumps` begins a stream record whose first key is `ts`
@@ -378,19 +344,23 @@ def _stream_records(path: Any, lines: Iterator[tuple[int, str]],
     (so the JSON string `"T"` is T), is a repeat when its predecessor is
     such a line with the same R. R is a fixed text after a string value, so
     a repeat is valid JSON as its predecessor was, with the same members
-    after `ts`. Once R
-    is also known to hold no top-level member whose decoded key is `ts`, a
-    repeat decodes to its predecessor's object with `ts` = T: it takes the
-    predecessor's other fields, with no decode, table read or chain check.
-    Equal text gives equal JSON values, in type as well as value (`true` is
-    not `1`, nor `-0.0` `0.0`). Whether R holds such a member (`"ts"`, or
-    `"\\u0074s"` too) is settled by decoding the first repeat of each run and
-    counting its top-level `ts` keys, and kept for that R; no line is
-    decoded twice. A `ts` that is not a timestamp goes to the table read for
-    its error."""
+    after `ts`: equal text gives equal JSON values, in type as well as
+    value (`true` is not `1`, nor `-0.0` `0.0`). A repeat takes its
+    predecessor's fields, with no table read or chain check.
+
+    The first repeat of a run is decoded like any other line. Unless its
+    decoded `ts` is T, R holds a top-level member whose decoded key is
+    `ts` (`"ts"` or `"\\u0074s"`), and the line is read from its object.
+    When it is T, either R holds no such member, and the line is its
+    predecessor's object with `ts` = T; or it holds one, and the
+    predecessor and this line both got its value, T, as their `ts` (the
+    decoder keeps the last member of a name), so the order check refuses
+    the line, as it would the same record read in full. So the R of a run
+    that goes on past its first repeat holds no such member, and no later
+    repeat of that R is decoded. A `ts` that is not a timestamp goes to the
+    table read for its error."""
     fmt = FORMATS["stream"]
     prev = prev_rest = proved = None
-    bare = False
     for line, text in lines:
         doc = record = rest = None
         if text.startswith(_TS):
@@ -400,9 +370,10 @@ def _stream_records(path: Any, lines: Iterator[tuple[int, str]],
                 rest = text[end:]
                 if rest == prev_rest:
                     if rest != proved:
-                        doc, ts_keys = _ts_members(path, line, text)
-                        proved, bare = rest, ts_keys == 1
-                    if bare:
+                        doc = _json(path, text, line)
+                        if doc["ts"] == ts:
+                            proved = rest
+                    if rest == proved:
                         try:
                             record = StreamRecord(parse_timestamp(ts), *_AFTER_TS(prev))
                         except ValueError:
@@ -410,8 +381,8 @@ def _stream_records(path: Any, lines: Iterator[tuple[int, str]],
         fresh = record is None
         if fresh:
             if doc is None:
-                doc = _json_line(path, line, text)
-            record = _read(path, fmt.tag, fmt.lines, doc, line)
+                doc = _json(path, text, line)
+            record = _read(path, fmt.table.name, fmt.lines, doc, line)
         if prev is not None and record.ts <= prev.ts:
             raise StreamOrderError(path, line, prev.ts, record.ts)
         if fresh and containment is not None:
@@ -433,25 +404,19 @@ def _jsonl_values(path: str | Path, kinds: Sequence[str], *context: Any
     checked against it."""
     lines = _jsonl_lines(path)
     for line, text in lines:
-        doc = _json_line(path, line, text)
+        doc = _json(path, text, line)
         kind = _kind(doc, kinds, path)
         fmt = FORMATS[kind]
-        header = _read(path, fmt.tag, fmt.table, doc, line)
+        header = _read(path, fmt.table.name, fmt.table, doc, line)
         break
     else:
         raise FormatError(path, "no format header")
     if kind == "stream":
         values = _stream_records(path, lines, *context)
     else:
-        values = (_read(path, fmt.tag, fmt.lines, _json_line(path, line, text), line, header)
+        values = (_read(path, fmt.table.name, fmt.lines, _json(path, text, line), line, header)
                   for line, text in lines)
     return kind, header, values
-
-
-def _jsonl(path: str | Path, kinds: Sequence[str], *context: Any) -> tuple[str, Any]:
-    """(kind, loaded object) of a JSONL file, each of its lines read."""
-    kind, header, values = _jsonl_values(path, kinds, *context)
-    return kind, FORMATS[kind].finish(header, values)
 
 
 def dumps_canonical(doc: Any) -> str:
@@ -480,7 +445,7 @@ def _value_to_json(v: Any) -> Any:
 
 def eg_to_dict(eg: EG) -> dict:
     return {
-        "format": FORMATS["eg"].tag,
+        "format": FORMATS["eg"].table.name,
         "at": format_timestamp(eg.at) if eg.at is not None else None,
         "entities": [
             {
@@ -515,7 +480,7 @@ def load_stream(path: str | Path, containment: Containment | None = None) -> Str
     not after the one before it a StreamOrderError (a TimestampOrderError)
     on its line, and one whose declared supers are off its chains in
     `containment` a StreamChainError (a SuperChainError) on its line."""
-    return _jsonl(path, ("stream",), containment)[1]
+    return StreamingContext(tuple(_jsonl_values(path, ("stream",), containment)[2]))
 
 
 # -- hierarchy -----------------------------------------------------------
@@ -528,7 +493,7 @@ def _source_ref_to_json(ref) -> Any:
 
 def hierarchy_to_dict(h: Hierarchy) -> dict:
     return {
-        "format": FORMATS["hierarchy"].tag,
+        "format": FORMATS["hierarchy"].table.name,
         "root": h.root,
         "nodes": [
             {
@@ -634,7 +599,7 @@ def save_runlog(path: str | Path, node_order: Sequence[str], manifest: Sequence[
             texts[number] = row
         return row
 
-    header = {"format": FORMATS["runlog2"].tag, "seed": seed, "nodes": list(node_order),
+    header = {"format": FORMATS["runlog2"].table.name, "seed": seed, "nodes": list(node_order),
               "manifest": list(manifest)}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(header, ensure_ascii=False) + "\n")
@@ -662,11 +627,11 @@ def read_runlog(path: str | Path
 def load_runlog(path: str | Path) -> tuple[dict, np.ndarray, np.ndarray, list[dict]]:
     """(header, predictions, truths, events): every event that `read_runlog`
     reads, collected, with the rows as (events, nodes) uint8 matrices."""
-    return _jsonl(path, _RUNLOGS)[1]
+    return _collected(*read_runlog(path))
 
 
 def save_metrics(path: str | Path, metrics: dict[str, Any]) -> None:
-    doc = {"format": FORMATS["metrics"].tag, **metrics}
+    doc = {"format": FORMATS["metrics"].table.name, **metrics}
     _write_json(path, doc)
 
 
@@ -681,7 +646,10 @@ def load_document(path: str | Path) -> tuple[str, Any]:
     run log or a stream, by its header's tag; a JSON one goes by the tag's
     kind, and an EG loads without a schema."""
     if str(path).endswith(".jsonl"):
-        return _jsonl(path, _RUNLOGS + ("stream",))
+        kind, header, values = _jsonl_values(path, _RUNLOGS + ("stream",))
+        if kind == "stream":
+            return kind, StreamingContext(tuple(values))
+        return kind, _collected(header, _runlog_blocks(header, values))
     doc = _read_json(path)
     tag = doc.get("format") if isinstance(doc, dict) else None
     kind = tag.partition("/")[0] if isinstance(tag, str) else ""

@@ -366,8 +366,8 @@ def reference_load_stream(path, containment: Containment | None = None) -> Strea
                 raise FormatError(path, exc.msg, line=lineno, col=exc.colno) from None
             if not header:
                 tag = doc.get("format") if isinstance(doc, dict) else None
-                if tag != fmt.tag:
-                    raise FormatError(path, f"expected format {fmt.tag!r}, found {tag!r}")
+                if tag != fmt.table.name:
+                    raise FormatError(path, f"expected format {fmt.table.name!r}, found {tag!r}")
                 header = True
                 continue
             try:
@@ -375,7 +375,7 @@ def reference_load_stream(path, containment: Containment | None = None) -> Strea
                     raise ValueError("expected object")
                 record = fmt.lines.read(doc)
             except ValueError as exc:
-                raise FormatError(path, f"malformed {fmt.tag} document: {exc}",
+                raise FormatError(path, f"malformed {fmt.table.name} document: {exc}",
                                   line=lineno) from None
             if records and record.ts <= records[-1].ts:
                 raise StreamOrderError(path, lineno, records[-1].ts, record.ts)

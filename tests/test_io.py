@@ -11,8 +11,8 @@ import pytest
 
 from contextstream import io
 from contextstream.core import Containment, Coordinates, StreamingContext
-from contextstream.errors import (FormatError, StreamChainError, SuperChainError,
-                                  TimestampOrderError)
+from contextstream.errors import (FormatError, StreamChainError, StreamOrderError,
+                                  SuperChainError, TimestampOrderError)
 from contextstream.kg import EG, ETG, DataPropertyDef, EntityType
 
 from contextstream.simulate import WindowEvent
@@ -159,8 +159,9 @@ def test_a_run_of_repeats_is_decoded_once_and_reading_doubles_linearly(tmp_path,
                                                                         travel_containment,
                                                                         monkeypatch):
     """Runs of 300 repeats: a JSON decode for each line that repeats no
-    other (the header and each run's first line), one per run to prove that
-    its text after `ts` holds no other `ts` member, and none for the rest.
+    other (the header and each run's first line), one for each run's first
+    repeat, whose decoded `ts` proves that the run's text after `ts` holds
+    no other `ts` member, and none for the rest.
     From 2,400 to 4,800 records the decode count and the tracemalloc peak of
     `load_stream` each grow by under 2.5x."""
     decodes = []
@@ -267,6 +268,7 @@ def _outcome(load, path):
 
 FIRST = {k: v for k, v in fixture_record(0).items() if k != "ts"}
 FIRST_TS = fixture_record(0)["ts"]
+NEXT_TS = "2021-06-02T12:15:01+00:00"
 ORACLE_CASES = {
     **{f"seed-{seed}": encode_case(oracle_stream(random.Random(seed))) for seed in range(150)},
     **{case: encode_case(text) for case, (kind, text, _) in MALFORMED.items() if kind == "stream"},
@@ -278,10 +280,18 @@ ORACLE_CASES = {
     # a repeat that is not JSON: cut short, with more after its value, or
     # after a byte-order mark
     **{case: "\n".join([json.dumps({"format": "stream/1"}), _plain(FIRST_TS, FIRST), mangle(
-        _plain("2021-06-02T12:15:01+00:00", FIRST))]).encode()
+        _plain(NEXT_TS, FIRST))]).encode()
        for case, mangle in [("repeat-cut-short", lambda line: line[:-1]),
                             ("repeat-then-more", lambda line: line + " {}"),
                             ("repeat-after-a-bom", lambda line: "\ufeff" + line)]},
+    # a first repeat whose text after `ts` holds a later `ts` member: a
+    # stale one, spelled plain or with a \u escape, or one equal to the
+    # repeat's own `ts`, which its predecessor read as its `ts` too
+    **{case: "\n".join([json.dumps({"format": "stream/1"}), *(
+        _plain(ts, FIRST)[:-1] + f', {key}: "{last}"}}' for ts in (FIRST_TS, NEXT_TS))]).encode()
+       for case, key, last in [("repeat-holds-a-stale-ts", '"ts"', STALE_TS),
+                               ("repeat-holds-an-escaped-stale-ts", '"\\u0074s"', STALE_TS),
+                               ("repeat-holds-its-own-ts", '"ts"', NEXT_TS)]},
 }
 
 
@@ -304,6 +314,21 @@ def test_stream_reading_matches_the_per_line_reader(tmp_path, travel_containment
         assert _outcome(load, path) == want, case
         outcomes.add(want[0] if isinstance(want, tuple) else "records")
     assert len(outcomes) == 4 if entry == "load_stream-containment" else 3
+
+
+@pytest.mark.parametrize("case", ["repeat-holds-a-stale-ts", "repeat-holds-an-escaped-stale-ts",
+                                  "repeat-holds-its-own-ts"])
+def test_a_first_repeat_that_holds_a_later_ts_member_is_out_of_order(tmp_path, case):
+    """The premise of reading a run's later repeats undecoded: a record line
+    whose text after `ts` holds a `ts` member is refused by the order check
+    when that text repeats on the next line, by the reference reader and by
+    `load_stream` alike."""
+    path = tmp_path / "stream.jsonl"
+    path.write_bytes(ORACLE_CASES[case])
+    for load in (reference_load_stream, io.load_stream):
+        with pytest.raises(StreamOrderError) as exc:
+            load(path)
+        assert exc.value.line == 3
 
 
 def test_stream_header_is_first_non_blank_line(tmp_path, travel_stream):
@@ -450,6 +475,15 @@ def test_empty_documents_load_as_empty_collections(tmp_path):
     stream_path = tmp_path / "s.jsonl"
     stream_path.write_text(json.dumps({"format": "stream/1"}) + "\n")
     assert len(io.load_stream(stream_path)) == 0
+    for tag, kind in (("runlog/1", "runlog"), ("runlog/2", "runlog2")):
+        log_path = tmp_path / f"{kind}.jsonl"
+        log_path.write_text(json.dumps({"format": tag, "seed": 1, "nodes": ["a", "b", "c"],
+                                        "manifest": []}) + "\n")
+        (_, preds, truths, events), (loaded_kind, (_, doc_preds, doc_truths, doc_events)) = (
+            io.load_runlog(log_path), io.load_document(log_path))
+        assert loaded_kind == kind and events == doc_events == []
+        for m in (preds, truths, doc_preds, doc_truths):
+            assert m.shape == (0, 3) and m.dtype == np.uint8
 
 
 def test_runlog_round_trip(tmp_path, travel_scenario, travel_hierarchy, travel_etg, travel_eg):

@@ -3,7 +3,8 @@
 And every public name of the package is used by the package itself or by
 the benchmark: a name that only tests read belongs in the tests. No module
 runs source text that it makes at run time (`exec`, `eval`, `compile`), and
-a `Hierarchy` computes nothing on first use (`cached_property`)."""
+a `Hierarchy` computes nothing on first use (`cached_property`). JSON is
+decoded only through `json.loads`."""
 
 from __future__ import annotations
 
@@ -71,6 +72,32 @@ def test_the_checker_finds_calls_and_aliases_of_exec_eval_and_compile():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_runs_no_generated_code(path):
     assert generated_code_uses(path.read_text(encoding="utf-8")) == []
+
+
+JSON_DECODERS = ("JSONDecoder", "raw_decode", "object_pairs_hook")
+# the attribute that names each kind of reference to a name
+NAMED = {ast.Name: "id", ast.Attribute: "attr", ast.keyword: "arg", ast.alias: "name"}
+
+
+def json_decoder_uses(source: str) -> list[str]:
+    """`line: name` for each reference in `source` to a JSON decoder other
+    than the one `json.loads` uses: a decoder of its own, its `raw_decode`
+    or a hook on an object's pairs. JSON text is decoded one way only."""
+    found = [(node.lineno, name) for node in ast.walk(ast.parse(source))
+             if (name := getattr(node, NAMED.get(type(node), ""), None)) in JSON_DECODERS]
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+def test_the_checker_finds_decoders_their_raw_decode_and_pair_hooks():
+    source = ("from json import JSONDecoder\nd = json.JSONDecoder()\nd.raw_decode(s)\n"
+              "json.loads(s, object_pairs_hook=f)\njson.loads(s)\n")
+    assert json_decoder_uses(source) == [
+        "1: JSONDecoder", "2: JSONDecoder", "3: raw_decode", "4: object_pairs_hook"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_decodes_json_only_through_json_loads(path):
+    assert json_decoder_uses(path.read_text(encoding="utf-8")) == []
 
 
 def public_definitions(tree: ast.Module):
