@@ -67,7 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("eg")
     p.add_argument("--out", required=True, help="hierarchy JSON output path")
     p.add_argument("--dot", help="also write a DOT rendering")
-    p.add_argument("--q", help="comma-separated override of the context-dependent set")
     p.add_argument(
         "--collapse",
         help="comma-separated override of the structural properties collapsed "
@@ -127,13 +126,12 @@ def _load_graphs(args):
 
 def _cmd_compile(args) -> int:
     etg, eg = _load_graphs(args)
-    q = [s for s in args.q.split(",") if s] if args.q is not None else None
     collapse = (
         [s for s in args.collapse.split(",") if s]
         if args.collapse is not None
         else COLLAPSE_PROPERTIES
     )
-    h = compile_hierarchy(etg, eg, q=q, collapse=collapse)
+    h = compile_hierarchy(etg, eg, collapse=collapse)
     io.save_hierarchy(args.out, h)
     if args.dot:
         Path(args.dot).write_text(export_dot(h, etg, eg), encoding="utf-8")

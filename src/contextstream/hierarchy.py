@@ -186,39 +186,20 @@ def _cycle_among(edges: list[tuple[str, str]], left: set[str]) -> list[str]:
     return [*list(at)[at[nid]:], nid][::-1]
 
 
-def node_display_name(node: ConceptNode, etg: ETG, eg: EG) -> str:
-    """Human-readable name resolved through the node's back-reference."""
-    if node.kind is NodeKind.ROOT:
-        return ROOT_DISPLAY_NAME
-    if node.kind is NodeKind.ETYPE:
-        return etg.etype(str(node.source_ref)).name
-    if node.kind is NodeKind.ENTITY:
-        return eg.entity(str(node.source_ref)).name
-    if node.kind is NodeKind.PROPERTY:
-        return etg.property(str(node.source_ref)).name
-    if node.kind is NodeKind.PROPERTY_INSTANCE:
-        p, s, o = node.source_ref  # type: ignore[misc]
-        return f"{etg.property(p).name}({eg.entity(s).name}, {eg.entity(o).name})"
-    raise ValueError(f"unknown node kind {node.kind!r}")
-
-
 def compile_hierarchy(
     etg: ETG,
     eg: EG,
-    q: Iterable[str] | None = None,
     collapse: Sequence[str] = COLLAPSE_PROPERTIES,
 ) -> Hierarchy:
     """Convert the schema and instance graphs into the concept DAG.
 
-    `q` defaults to the ETG's declared context-dependent set and may name
-    only declared properties (ValueError); `collapse` names the structural
-    properties turned into direct edges. Cycles surface as CycleError with a
-    witness path before reduction. Two concepts that spell one node id from
-    different back-references (`likes(x/y, z)` and `likes(x, y/z)`) raise
-    ValueError; a repeated triple is one node, and of a repeated entity id
-    the first entity counts.
+    The ETG's `q` names the context-dependent properties, which get no node;
+    `collapse` names the structural properties turned into direct edges.
+    Cycles surface as CycleError with a witness path before reduction. Two
+    concepts that spell one node id from different back-references
+    (`likes(x/y, z)` and `likes(x, y/z)`) raise ValueError; a repeated
+    triple is one node, and of a repeated entity id the first entity counts.
     """
-    q_set = etg.checked_q(q)
     collapse_set = frozenset(collapse)
     # node rule: the observer's etype and entities get no node
     observer = {etype_node_id(etg.me_etype)}
@@ -250,7 +231,7 @@ def compile_hierarchy(
     triples: dict[str, list[PropertyValue]] = {}
     for t in sorted(eg.triples, key=lambda t: (t.property, t.subject, t.object)):
         triples.setdefault(t.property, []).append(t)
-    for prop_id in sorted(etg.properties.keys() - q_set):
+    for prop_id in sorted(etg.properties.keys() - etg.q):
         prop = etg.properties[prop_id]
         if prop_id in collapse_set or prop.name in collapse_set:
             # the assertion p(A, B) and each instance p(a, b) become direct edges
@@ -310,10 +291,11 @@ def validate_hierarchy(
     h: Hierarchy, etg: ETG | None = None, eg: EG | None = None
 ) -> ValidationReport:
     """Rootedness, reducedness and back-reference checks; a `Hierarchy` is
-    acyclic as it is built. With the source graphs it also resolves every
-    back-reference, and reports a node that compiling them would make but
-    `h` lacks (`missing-node`): a non-observer entity's, or an instance's of
-    a triple whose property has a node. A property in Q or collapsed has no
+    acyclic as it is built. With the source graphs it also looks up each id
+    of every back-reference in them (`dangling-source-ref` names the first
+    one missing), and reports a node that compiling them would make but `h`
+    lacks (`missing-node`): a non-observer entity's, or an instance's of a
+    triple whose property has a node. A property in Q or collapsed has no
     node, so custom sets pass."""
     report = ValidationReport()
     if h.nodes[h.root].kind is not NodeKind.ROOT:
@@ -332,26 +314,33 @@ def validate_hierarchy(
     index = h._index
     for child, parent in sorted(_implied_edges(h), key=lambda e: (index[e[0]], index[e[1]])):
         report.add("redundant-edge", f"edge implied by a longer path: {child} -> {parent}")
+    # with the source graphs, the lookup of each kind of id a back-reference names
+    resolves = None if etg is None or eg is None else {
+        "etype": etg.etypes.__contains__, "entity": eg.has_entity,
+        "property": etg.properties.__contains__}
     seen: dict[tuple[NodeKind, SourceRef], str] = {}
     for node in h.nodes.values():
         if node.kind is NodeKind.ROOT:
             continue
-        if node.source_ref is None:
+        ref = node.source_ref
+        if ref is None:
             report.add("missing-source-ref", "non-root node lacks a back-reference", node.id)
             continue
         triple = node.kind is NodeKind.PROPERTY_INSTANCE
-        if isinstance(node.source_ref, tuple) != triple or triple and len(node.source_ref) != 3:
+        if isinstance(ref, tuple) != triple or triple and len(ref) != 3:
             need = "a 3-part ref" if triple else "an id as its ref"
             report.add("bad-source-ref", f"a {node.kind.value} node needs {need}", node.id)
             continue
-        first = seen.setdefault((node.kind, node.source_ref), node.id)
+        first = seen.setdefault((node.kind, ref), node.id)
         if first != node.id:
             report.add("duplicate-source-ref", f"shares its back-reference with {first}", node.id)
-        if etg is not None and eg is not None:
-            try:
-                node_display_name(node, etg, eg)
-            except UnknownIdError as exc:
-                report.add("dangling-source-ref", str(exc), node.id)
+        if resolves is not None:
+            parts = (zip(("property", "entity", "entity"), ref) if triple
+                     else [(node.kind.value, ref)])
+            for what, part in parts:
+                if not resolves[what](part):
+                    report.add("dangling-source-ref", f"unknown {what} {part!r}", node.id)
+                    break
     if etg is not None and eg is not None:
         for e in eg.entities:
             if not etg.is_observer(e.etype) and (NodeKind.ENTITY, e.id) not in seen:

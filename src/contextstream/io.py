@@ -172,17 +172,6 @@ def _runlog_blocks(header: dict, events: Iterable[dict]
                _index_matrix([e["truth"] for e in block], n))
 
 
-def _collected(header: dict, blocks: Iterable[tuple[list[dict], np.ndarray, np.ndarray]]
-               ) -> tuple[dict, np.ndarray, np.ndarray, list[dict]]:
-    """(header, predictions, truths, events) of a run log, its blocks
-    concatenated: the rows of all its events as (events, nodes) uint8
-    matrices, which have no rows when it has no events."""
-    empty = np.zeros((0, len(header["nodes"])), dtype=np.uint8)
-    events, preds, truths = list(zip(*blocks)) or ((), (), ())
-    return (header, np.concatenate((empty, *preds)), np.concatenate((empty, *truths)),
-            [event for block in events for event in block])
-
-
 @dataclass(frozen=True)
 class Format:
     """A document format: the table of the document, or of a JSONL file's
@@ -624,10 +613,21 @@ def read_runlog(path: str | Path
     return header, _runlog_blocks(header, events)
 
 
+def _runlog(header: dict, events: Iterable[dict]
+            ) -> tuple[dict, np.ndarray, np.ndarray, list[dict]]:
+    """(header, predictions, truths, events) of a run log: its events
+    collected, then each column of rows built once as an (events, nodes)
+    uint8 matrix, which has no rows when the log has none."""
+    events, n = list(events), len(header["nodes"])
+    return (header, _index_matrix([e["prediction"] for e in events], n),
+            _index_matrix([e["truth"] for e in events], n), events)
+
+
 def load_runlog(path: str | Path) -> tuple[dict, np.ndarray, np.ndarray, list[dict]]:
-    """(header, predictions, truths, events): every event that `read_runlog`
-    reads, collected, with the rows as (events, nodes) uint8 matrices."""
-    return _collected(*read_runlog(path))
+    """(header, predictions, truths, events): every event of a run log of
+    either version, read as `read_runlog` reads it, with the rows as
+    (events, nodes) uint8 matrices."""
+    return _runlog(*_jsonl_values(path, _RUNLOGS)[1:])
 
 
 def save_metrics(path: str | Path, metrics: dict[str, Any]) -> None:
@@ -649,7 +649,7 @@ def load_document(path: str | Path) -> tuple[str, Any]:
         kind, header, values = _jsonl_values(path, _RUNLOGS + ("stream",))
         if kind == "stream":
             return kind, StreamingContext(tuple(values))
-        return kind, _collected(header, _runlog_blocks(header, values))
+        return kind, _runlog(header, values)
     doc = _read_json(path)
     tag = doc.get("format") if isinstance(doc, dict) else None
     kind = tag.partition("/")[0] if isinstance(tag, str) else ""

@@ -120,19 +120,9 @@ class ETG:
                                          "is declared twice")
                     merged[dp.name] = dp
                 self._effective[sub_id] = merged
-        self.q: frozenset[str] = frozenset(DEFAULT_Q & set(self.properties))
-        self.q = self.checked_q(q)
-
-    def checked_q(self, q: Iterable[str] | None) -> frozenset[str]:
-        """`q` as a set, or the ETG's own Q when it is None; ValueError if it
-        names a property the ETG does not declare."""
-        if q is None:
-            return self.q
-        q = frozenset(q)
-        unknown = q - self.properties.keys()
-        if unknown:
+        self.q = frozenset(DEFAULT_Q & set(self.properties) if q is None else q)
+        if unknown := self.q - self.properties.keys():
             raise ValueError(f"q lists unknown properties: {sorted(unknown)}")
-        return q
 
     def _unfinished_chain(self, etype_id: str | None, done: Container[str]) -> dict[str, None]:
         """`etype_id`, then its ancestors nearest first, up to the first one in
@@ -144,18 +134,6 @@ class ETG:
             chain[etype_id] = None
             etype_id = self.etypes[etype_id].parent
         return chain
-
-    def etype(self, etype_id: str) -> EntityType:
-        try:
-            return self.etypes[etype_id]
-        except KeyError:
-            raise UnknownIdError(f"unknown etype {etype_id!r}") from None
-
-    def property(self, prop_id: str) -> ObjectPropertyDef:
-        try:
-            return self.properties[prop_id]
-        except KeyError:
-            raise UnknownIdError(f"unknown property {prop_id!r}") from None
 
     def effective_data_properties(self, etype_id: str) -> Mapping[str, DataPropertyDef]:
         if etype_id not in self._effective:

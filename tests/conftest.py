@@ -5,7 +5,7 @@ import logging
 from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -30,6 +30,14 @@ def _fixture_doc(name: str, **changes) -> dict:
     doc = json.loads((FIXTURES / name).read_text())
     doc.update(changes)
     return doc
+
+
+def travel_etg_with_q(tmp_path: Path, q: list[str]) -> str:
+    """The path of the travel ETG's document with `q` as its Q, written
+    under `tmp_path`."""
+    path = tmp_path / "etg_with_q.json"
+    path.write_text(json.dumps(_fixture_doc("travel_etg.json", q=q)))
+    return str(path)
 
 
 def _stream_ending_with(last_line: str) -> str:
@@ -534,20 +542,18 @@ def reference_labels(h, snapshot, etg):
 def reference_compile(
     etg: ETG,
     eg: EG,
-    q: Iterable[str] | None = None,
     collapse: Sequence[str] = COLLAPSE_PROPERTIES,
 ) -> Hierarchy:
     """The compiler as it stood before its node and edge rules, kept
     verbatim as an oracle: every branch checks the observer, self-loops
     and missing endpoints itself.
 
-    `q` defaults to the ETG's declared context-dependent set; `collapse`
+    The ETG's `q` names the context-dependent properties; `collapse`
     names the structural properties turned into direct edges. Cycles surface
     as CycleError with a witness path before reduction. Two concepts that
     spell one node id from different back-references (`likes(x/y, z)` and
     `likes(x, y/z)`) raise ValueError; a repeated triple is one node.
     """
-    q_set = frozenset(q) if q is not None else etg.q
     collapse_set = frozenset(collapse)
 
     nodes: dict[str, ConceptNode] = {}
@@ -591,7 +597,7 @@ def reference_compile(
         triples_by_property.setdefault(t.property, []).append(t)
 
     for prop_id in sorted(etg.properties):
-        if prop_id in q_set:
+        if prop_id in etg.q:
             continue
         prop = etg.properties[prop_id]
         prop_nid = property_node_id(prop_id)

@@ -14,7 +14,8 @@ from contextstream import io
 from contextstream.cli import main
 from contextstream.simulate import WindowSpec, run_simulation
 
-from conftest import FIXTURES, GOLDEN, MALFORMED, encode_case, fixture_record
+from conftest import (FIXTURES, GOLDEN, MALFORMED, encode_case, fixture_record,
+                      travel_etg_with_q)
 
 ETG = str(FIXTURES / "travel_etg.json")
 EG_PATH = str(FIXTURES / "travel_eg.json")
@@ -112,8 +113,9 @@ def test_compile_collapse_override_reifies_part_of(tmp_path):
 
 def test_compile_q_override_drops_function_nodes(tmp_path):
     out = tmp_path / "h.json"
-    q = "near,use,interact,in,do,happenIn,during,participate,FriendOf,RestToolOf"
-    assert main(["compile", ETG, EG_PATH, "--out", str(out), "--q", q]) == 0
+    etg = travel_etg_with_q(tmp_path, ["near", "use", "interact", "in", "do", "happenIn",
+                                       "during", "participate", "FriendOf", "RestToolOf"])
+    assert main(["compile", etg, EG_PATH, "--out", str(out)]) == 0
     h = io.load_hierarchy(out)
     assert "prop:FriendOf" not in h.nodes
     assert "pinst:RestToolOf/xiaoyue/seat_1" not in h.nodes
@@ -121,11 +123,13 @@ def test_compile_q_override_drops_function_nodes(tmp_path):
 
 def test_compile_refuses_a_q_that_names_an_undeclared_property(tmp_path, capsys):
     """An unknown name in Q once made every context-dependent property
-    reified (35 nodes, not 27); `--collapse` stays lenient."""
-    out = tmp_path / "h.json"
-    assert main(["compile", ETG, EG_PATH, "--out", str(out), "--q", "nonsense"]) == 2
+    reified (35 nodes, not 27); the ETG that lists one is refused as it
+    loads, and `--collapse` stays lenient."""
+    out, etg = tmp_path / "h.json", travel_etg_with_q(tmp_path, ["nonsense"])
+    assert main(["compile", etg, EG_PATH, "--out", str(out)]) == 2
     assert not out.exists()
-    assert "error: q lists unknown properties: ['nonsense']" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {etg}: malformed etg/1 document: q lists unknown properties: ['nonsense']\n")
     assert main(["compile", ETG, EG_PATH, "--out", str(out), "--collapse", "nonsense"]) == 0
 
 
@@ -359,13 +363,18 @@ def test_simulate_refuses_a_hierarchy_compiled_from_another_eg(tmp_path, capsys)
             "triple FriendOf(xiaoyue, haonan) has no node" in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("option", [
-    ["--q", "near,use,interact,in,do,happenIn,during,participate,FriendOf,RestToolOf"],
-    ["--collapse", "isA,has"],
-])
-def test_simulate_accepts_a_hierarchy_compiled_with_custom_sets(option, tmp_path):
+@pytest.mark.parametrize("q, option", [
+    (["near", "use", "interact", "in", "do", "happenIn", "during", "participate", "FriendOf",
+      "RestToolOf"], []),
+    (None, ["--collapse", "isA,has"]),
+], ids=["option0", "option1"])
+def test_simulate_accepts_a_hierarchy_compiled_with_custom_sets(q, option, tmp_path):
+    """Compiled under an ETG document with a custom `q`, or with a custom
+    `--collapse`, the hierarchy passes `simulate`'s check against the travel
+    ETG."""
     hierarchy = tmp_path / "h.json"
-    assert main(["compile", ETG, EG_PATH, "--out", str(hierarchy), *option]) == 0
+    etg = ETG if q is None else travel_etg_with_q(tmp_path, q)
+    assert main(["compile", etg, EG_PATH, "--out", str(hierarchy), *option]) == 0
     assert main(["simulate", "--scenario", SCENARIO, "--etg", ETG, "--eg", EG_PATH,
                  "--hierarchy", str(hierarchy)]) == 0
 
@@ -718,13 +727,18 @@ def test_usage_error_exits_1(capsys):
     assert main(["no-such-command"]) == 1
 
 
-@pytest.mark.parametrize("flags", [["--config", "x"], ["--verbose"]])
+@pytest.mark.parametrize("flags", [["--config", "x"], ["--verbose"], ["--q", "near"]])
 def test_the_config_and_verbose_flags_are_gone(tmp_path, capsys, flags):
-    log = tmp_path / "run.jsonl"
+    """Each is a usage error before `simulate` and after `compile`'s own
+    arguments, where `--q` was taken."""
+    log, out = tmp_path / "run.jsonl", tmp_path / "h.json"
     assert main([*flags, "simulate", "--scenario", SCENARIO, "--etg", ETG, "--eg", EG_PATH,
                  "--out-log", str(log)]) == 1
     assert "error: " in capsys.readouterr().err
     assert not log.exists()
+    assert main(["compile", ETG, EG_PATH, "--out", str(out), *flags]) == 1
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validate_refuses_a_config_document(tmp_path, capsys):

@@ -22,11 +22,14 @@ from contextstream.core import (
 from contextstream.errors import (
     CompositeWindowError,
     CycleError,
+    StreamChainError,
     SuperChainError,
     TimestampOrderError,
     UnknownIdError,
 )
 from contextstream.io import load_stream
+
+from conftest import fixture_record
 
 UTC = timezone.utc
 T0 = datetime(2021, 6, 2, 12, 0, tzinfo=UTC)
@@ -239,7 +242,7 @@ def test_chain_checks_scan_each_parent_map_once(tmp_path):
     assert locations.scans <= 1 and events.scans <= 1
 
 
-def test_chain_checks_keep_their_errors():
+def test_chain_checks_keep_their_errors(tmp_path):
     containment = Containment(location_parent={"a": "b", "b": "c"},
                               event_parent={"x": "y", "y": "x"})
     wrong_super = StreamRecord(ts=ts(0), location="a", super_location="z")
@@ -252,6 +255,20 @@ def test_chain_checks_keep_their_errors():
     with pytest.raises(SuperChainError, match=r"parent chain \[\]"):
         containment.check_record(StreamRecord(ts=ts(0), location="c", super_location="z"))
     containment.check_record(StreamRecord(ts=ts(0), location="q", super_location="z"))
+    # an event off its chain, alone and then as line 3 of a stream file
+    events = Containment(event_parent={"walk": "travel_1", "travel_1": "day"})
+    with pytest.raises(SuperChainError, match=r"event 'walk': super chain \['travel_1', "
+                       r"'day'\] does not contain declared super event 'holiday'"):
+        events.check_record(StreamRecord(ts=ts(0), event="walk", super_event="holiday"))
+    path = tmp_path / "s.jsonl"
+    path.write_text("\n".join(json.dumps(doc) for doc in (
+        {"format": "stream/1"}, fixture_record(0, super_event="day"),
+        fixture_record(1, super_event="holiday"))) + "\n")
+    with pytest.raises(StreamChainError) as exc:
+        load_stream(path, events)
+    assert exc.value.line == 3
+    assert str(exc.value) == (f"{path}:3: event 'walk': super chain ['travel_1', 'day'] "
+                              "does not contain declared super event 'holiday'")
 
 
 # -- function assignments -----------------------------------------------------

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from contextstream import hierarchy, io
-from contextstream.errors import ContextStreamError, CycleError, UnknownIdError
+from contextstream.errors import ContextStreamError, CycleError
 from contextstream.hierarchy import (
     ConceptNode,
     Hierarchy,
     NodeKind,
     compile_hierarchy,
-    node_display_name,
     transitive_reduction,
     validate_hierarchy,
 )
@@ -25,7 +24,7 @@ from contextstream.labels import check_consistency, repair_upward, zeros
 from contextstream.learn import OnlinePerceptron, require_consistent
 
 from conftest import (GOLDEN, codes, dfs_closure_ids, dfs_reachable_pairs, random_dag,
-                      reference_compile)
+                      reference_compile, travel_etg_with_q)
 
 
 def plain_node(nid: str) -> ConceptNode:
@@ -268,9 +267,10 @@ SPELLED_ALIKE = (PropertyValue("likes", "a/b", "b"), PropertyValue("likes", "a",
 
 
 def random_graphs(rng: random.Random):
-    """A random (ETG, EG, q, collapse): observer subtypes, repeated entity
-    ids (one copy maybe the observer's), undeclared etypes and properties,
-    endpoints missing from the EG, self-loops, and custom Q or collapse."""
+    """A random (ETG, EG, collapse): observer subtypes, repeated entity ids
+    (one copy maybe the observer's), undeclared etypes and properties,
+    endpoints missing from the EG, self-loops, and a custom Q (the ETG's)
+    or collapse set."""
     names = [f"t{i}" for i in range(rng.randint(1, 5))]
     etypes = [EntityType("me", "Me", parent=rng.choice([None, *names[:1]]))]
     for i, et_id in enumerate(names):
@@ -283,7 +283,7 @@ def random_graphs(rng: random.Random):
                           rng.choice(declared), rng.choice(declared), rng.random() < 0.2)
         for pid in rng.sample(PROPERTY_POOL, rng.randint(0, len(PROPERTY_POOL)))
     ]
-    etg = ETG(etypes, props, "me", q=rng.choice([None, []]))
+    own_q = rng.choice([None, []])
     entities = [
         Entity(rng.choice(ENTITY_POOL), f"N{i}", rng.choice([*declared, "undeclared"]))
         for i in range(rng.randint(0, 8))
@@ -295,18 +295,19 @@ def random_graphs(rng: random.Random):
     ]
     if rng.random() < 0.5:
         triples += rng.sample(SPELLED_ALIKE, 2)
-    prop_ids = sorted(etg.properties)
+    prop_ids = sorted(p.id for p in props)
     q = rng.choice([None, rng.sample(prop_ids, rng.randint(0, len(prop_ids)))])
     collapse = rng.choice([
         COLLAPSE_PROPERTIES,
         rng.sample([*prop_ids, "isA", "partOf", "has"], rng.randint(0, len(prop_ids))),
     ])
-    return etg, EG(entities, triples), q, collapse
+    etg = ETG(etypes, props, "me", q=own_q if q is None else q)
+    return etg, EG(entities, triples), collapse
 
 
-def compiled_or_refused(compile_fn, etg, eg, q, collapse):
+def compiled_or_refused(compile_fn, etg, eg, collapse):
     try:
-        return io.hierarchy_to_dict(compile_fn(etg, eg, q=q, collapse=collapse))
+        return io.hierarchy_to_dict(compile_fn(etg, eg, collapse=collapse))
     except (ValueError, ContextStreamError) as exc:
         return type(exc), str(exc)
 
@@ -317,10 +318,10 @@ def test_compile_matches_the_reference_compiler_on_random_graphs():
     rng = random.Random(2020)
     outcomes = {"ok": 0, "cycle": 0, "spelled twice": 0}
     for _ in range(400):
-        etg, eg, q, collapse = random_graphs(rng)
-        got = compiled_or_refused(compile_hierarchy, etg, eg, q, collapse)
-        assert got == compiled_or_refused(reference_compile, etg, eg, q, collapse), (
-            etg.etypes, etg.properties, eg.entities, eg.triples, q, collapse)
+        etg, eg, collapse = random_graphs(rng)
+        got = compiled_or_refused(compile_hierarchy, etg, eg, collapse)
+        assert got == compiled_or_refused(reference_compile, etg, eg, collapse), (
+            etg.etypes, etg.properties, etg.q, eg.entities, eg.triples, collapse)
         if isinstance(got, dict):
             outcomes["ok"] += 1
         else:
@@ -329,9 +330,10 @@ def test_compile_matches_the_reference_compiler_on_random_graphs():
 
 
 def test_compile_refuses_a_q_that_names_an_undeclared_property():
-    etg = minimal_etg(properties=[ObjectPropertyDef("likes", "likes", "thing", "thing", False)])
+    """Q comes from the ETG alone, which refuses such a Q as it is built."""
     with pytest.raises(ValueError, match=r"q lists unknown properties: \['nonsense'\]"):
-        compile_hierarchy(etg, EG([], []), q=["likes", "nonsense"])
+        minimal_etg(properties=[ObjectPropertyDef("likes", "likes", "thing", "thing", False)],
+                    q=["likes", "nonsense"])
 
 
 # -- transitive reduction ----------------------------------------------------------
@@ -465,6 +467,12 @@ def test_validate_detects_cycle():
     assert exc.value.path == ["a", "b", "a"]
 
 
+def dangling(report) -> list[tuple[str, str]]:
+    """(subject, message) of each `dangling-source-ref` finding; a
+    hierarchy built by hand also lacks most nodes the travel graphs make."""
+    return [(f.subject, f.message) for f in report if f.code == "dangling-source-ref"]
+
+
 def test_validate_detects_dangling_source_ref(travel_etg, travel_eg):
     nodes = [
         ConceptNode("entity:ghost", NodeKind.ENTITY, "Ghost", "ghost"),
@@ -472,7 +480,48 @@ def test_validate_detects_dangling_source_ref(travel_etg, travel_eg):
     ]
     h = Hierarchy(nodes, {("entity:ghost", "root")}, "root")
     report = validate_hierarchy(h, travel_etg, travel_eg)
-    assert "dangling-source-ref" in codes(report)
+    assert dangling(report) == [("entity:ghost", "unknown entity 'ghost'")]
+
+
+@pytest.mark.parametrize("kind, ref, message", [
+    (NodeKind.ETYPE, "ghost", "unknown etype 'ghost'"),
+    (NodeKind.PROPERTY, "ghost", "unknown property 'ghost'"),
+    (NodeKind.PROPERTY_INSTANCE, ("ghost", "phantom", "spectre"), "unknown property 'ghost'"),
+    (NodeKind.PROPERTY_INSTANCE, ("FriendOf", "phantom", "spectre"), "unknown entity 'phantom'"),
+    (NodeKind.PROPERTY_INSTANCE, ("FriendOf", "xiaoyue", "spectre"), "unknown entity 'spectre'"),
+], ids=["etype", "property", "instance-property", "instance-subject", "instance-object"])
+def test_validate_names_the_first_unknown_id_of_a_back_reference(kind, ref, message,
+                                                                  travel_etg, travel_eg):
+    """A node's back-reference is looked up in the source graphs, as an
+    entity's is above: an instance's property, then its subject, then its
+    object."""
+    nodes = [ConceptNode("x", kind, "X", ref), ConceptNode("root", NodeKind.ROOT, "context", None)]
+    report = validate_hierarchy(Hierarchy(nodes, {("x", "root")}, "root"), travel_etg, travel_eg)
+    assert dangling(report) == [("x", message)]
+
+
+def test_validate_detects_a_root_of_another_kind():
+    nodes = [plain_node("a"), plain_node("top")]
+    report = validate_hierarchy(Hierarchy(nodes, {("a", "top")}, "top"))
+    assert [(f.code, f.subject, f.message) for f in report] == [
+        ("root-kind", "top", "root node has kind entity")]
+
+
+def test_validate_detects_a_node_the_root_does_not_reach():
+    """`b` has no parent, so `a`, its child, has one but no path to the root."""
+    nodes = [plain_node("a"), plain_node("b"), ConceptNode("root", NodeKind.ROOT, "context", None)]
+    report = validate_hierarchy(Hierarchy(nodes, {("a", "b")}, "root"))
+    assert sorted((f.code, f.subject, f.message) for f in report) == [
+        ("orphan", "b", "non-root node has no parent"), ("unrooted", "a", "root not reachable")]
+
+
+def test_validate_detects_a_node_without_a_back_reference(travel_etg, travel_eg):
+    nodes = [ConceptNode("entity:a", NodeKind.ENTITY, "A", None),
+             ConceptNode("root", NodeKind.ROOT, "context", None)]
+    h = Hierarchy(nodes, {("entity:a", "root")}, "root")
+    assert [(f.code, f.subject, f.message) for f in validate_hierarchy(h)] == [
+        ("missing-source-ref", "entity:a", "non-root node lacks a back-reference")]
+    assert not dangling(validate_hierarchy(h, travel_etg, travel_eg))
 
 
 def test_validate_detects_a_shared_back_reference():
@@ -520,28 +569,23 @@ def test_validate_detects_nodes_a_compile_of_the_sources_would_make(travel_etg, 
     (None, ["isA", "has"]),
     (None, ["isA", "partOf", "has", "RestToolOf"]),
 ])
-def test_validate_accepts_a_compile_with_custom_q_or_collapse(q, collapse, travel_etg, travel_eg):
-    h = compile_hierarchy(travel_etg, travel_eg, q=q, collapse=collapse)
+def test_validate_accepts_a_compile_with_custom_q_or_collapse(q, collapse, travel_etg, travel_eg,
+                                                              tmp_path):
+    """A hierarchy compiled under an ETG document that carries a custom `q`
+    checks clean against the travel ETG, whose Q differs."""
+    etg = travel_etg if q is None else io.load_etg(travel_etg_with_q(tmp_path, q))
+    h = compile_hierarchy(etg, travel_eg, collapse=collapse)
     assert validate_hierarchy(h, travel_etg, travel_eg).ok
 
 
 # -- display names ------------------------------------------------------------------
 
-def test_display_names(travel_hierarchy, travel_etg, travel_eg):
+def test_display_names(travel_hierarchy):
     h = travel_hierarchy
-    assert node_display_name(h.nodes["root"], travel_etg, travel_eg) == "context"
-    assert node_display_name(h.nodes["etype:person"], travel_etg, travel_eg) == "Person"
-    assert (
-        node_display_name(h.nodes["pinst:FriendOf/xiaoyue/haonan"], travel_etg, travel_eg)
-        == "FriendOf(Xiaoyue, Haonan)"
-    )
-    assert node_display_name(h.nodes["entity:train_1"], travel_etg, travel_eg) == "Train 1"
-
-
-def test_display_name_dangling_ref_raises(travel_etg, travel_eg):
-    ghost = ConceptNode("entity:ghost", NodeKind.ENTITY, "Ghost", "ghost")
-    with pytest.raises(UnknownIdError):
-        node_display_name(ghost, travel_etg, travel_eg)
+    assert h.nodes["root"].display_name == "context"
+    assert h.nodes["etype:person"].display_name == "Person"
+    assert h.nodes["pinst:FriendOf/xiaoyue/haonan"].display_name == "FriendOf(Xiaoyue, Haonan)"
+    assert h.nodes["entity:train_1"].display_name == "Train 1"
 
 
 # -- growth ---------------------------------------------------------------------------

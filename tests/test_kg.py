@@ -207,6 +207,31 @@ def test_domain_violation_single_finding(travel_etg, travel_eg):
     report = validate_eg(travel_etg, bad)
     assert codes(report) == ["domain-violation"]
     assert "seat" in report.findings[0].message
+    bad = EG(travel_eg.entities, list(travel_eg.triples) + [triple("FriendOf", "haonan", "seat_1")])
+    assert [(f.code, f.subject, f.message) for f in validate_eg(travel_etg, bad)] == [
+        ("codomain-violation", "FriendOf(haonan, seat_1)", "object etype 'seat' is not a 'person'")]
+
+
+@pytest.mark.parametrize("datatype, good, bad", [
+    ("string", "window seat", 5),
+    ("integer", 3, True),
+    ("float", 2, "2.5"),
+    ("timestamp", datetime(2021, 6, 2, 12, tzinfo=timezone.utc), "2021-06-02T12:00:00+00:00"),
+    ("coordinates", Coordinates(1.0, 2.0, 3.0, "local"), {"x": 1.0, "y": 2.0, "z": 3.0}),
+])
+def test_datatype_mismatch_for_each_datatype(datatype, good, bad):
+    """Each datatype accepts its own kind of value and reports another one."""
+    etg = ETG([EntityType("me", "Me"),
+               EntityType("thing", "Thing", data_properties=(DataPropertyDef("v", datatype),))],
+              [], "me")
+
+    def findings(value):
+        report = validate_eg(etg, EG([Entity("a", "A", "thing", values={"v": value})], []))
+        return [(f.code, f.subject, f.message) for f in report]
+
+    assert findings(good) == []
+    assert findings(bad) == [
+        ("datatype-mismatch", "a", f"value 'v'={bad!r} does not match datatype {datatype}")]
 
 
 def test_datatype_and_reference_findings(travel_etg, travel_eg):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import argparse
 import json
 import re
+import shlex
 from pathlib import Path
 
 from contextstream import io
@@ -64,3 +66,28 @@ def test_readme_lists_every_field_of_every_table():
     listed = [line for line in section.split("\n## ", 1)[0].splitlines()
               if line.startswith("- **")]
     assert listed == [field_list_line(table) for table in _tables()]
+
+
+def test_readme_cli_flags_are_options_of_their_commands():
+    """Every `--flag` in the "CLI" bash block is an option of the command it
+    follows, or, before the command, of the top-level parser (`--seed`), as
+    `cli._build_parser()` declares them."""
+    from contextstream.cli import _build_parser
+
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    section = (ROOT / "README.md").read_text().split("## CLI", 1)[1]
+    block = re.search(r"```bash\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
+    checked = []
+    for line in block.splitlines():
+        if not line.startswith("contextstream "):
+            continue
+        words = shlex.split(line)[1:]
+        at = next(i for i, word in enumerate(words) if word in commands.choices)
+        for i, word in enumerate(words):
+            if word.startswith("--"):
+                owner = commands.choices[words[at]] if i > at else parser
+                options = {flag for action in owner._actions for flag in action.option_strings}
+                assert word in options, f"{word} is no option of {owner.prog}: {line}"
+                checked.append(word)
+    assert "--seed" in checked and "--out" in checked
