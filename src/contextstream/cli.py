@@ -4,7 +4,9 @@
 its ETG before writing anything. `validate` loads each document through
 `io.load_document`, which routes it by its format tag; when its paths name
 exactly one ETG, it also loads each EG under that ETG and reports what the
-other commands would refuse.
+other commands would refuse, and when they name exactly one EG too, it
+checks a hierarchy's back-references against both, as `simulate
+--hierarchy` does.
 
 `simulate` takes each setting of a session from one flag: `--window`,
 `--strategy` and `--seed`, which replaces the scenario's seed and which no
@@ -108,17 +110,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _eg_under(etg: ETG, path: str) -> tuple[EG, ValidationReport]:
-    """The EG at `path` loaded under `etg`, which parses its typed values,
-    and every way it does not conform to `etg`."""
-    eg = io.load_eg(path, etg)
-    return eg, validate_eg(etg, eg)
-
-
 def _load_graphs(args):
-    """(ETG, EG) as `args` name them; ValueError unless the EG conforms."""
+    """(ETG, EG) as `args` name them, the EG loaded under the ETG, which
+    parses its typed values; ValueError unless the EG conforms."""
     etg = io.load_etg(args.etg)
-    eg, report = _eg_under(etg, args.eg)
+    eg = io.load_eg(args.eg, etg)
+    report = validate_eg(etg, eg)
     if not report.ok:
         raise ValueError("EG does not conform to the ETG: " + report.summary())
     return etg, eg
@@ -139,13 +136,14 @@ def _cmd_compile(args) -> int:
     return EXIT_OK
 
 
-def _validate_one(path: str, kind: str, doc, etg: ETG | None) -> ValidationReport:
-    """What loading `doc` does not check: a hierarchy's structure, and an
-    EG's conformance to `etg`, loaded under it as the other commands do."""
+def _validate_one(kind: str, doc, etg: ETG | None, eg: EG | None) -> ValidationReport:
+    """What loading `doc` does not check: a hierarchy's structure, and its
+    back-references when `etg` and `eg` are given; an EG's conformance to
+    `etg`, under which it was loaded."""
     if kind == "hierarchy":
-        return validate_hierarchy(doc)
+        return validate_hierarchy(doc, etg, eg)
     if kind == "eg" and etg is not None:
-        return _eg_under(etg, path)[1]
+        return validate_eg(etg, doc)
     return ValidationReport()
 
 
@@ -156,9 +154,22 @@ def _cmd_validate(args) -> int:
             loaded.append((path, *io.load_document(path)))
         except FormatError as exc:
             loaded.append((path, "invalid-document", str(exc)))
-    # an EG is checked against the ETG when the paths name exactly one
+    # when the paths name exactly one ETG, each EG is loaded under it, as the
+    # other commands load it, and checked against it
     etgs = [doc for _, kind, doc in loaded if kind == "etg"]
     etg = etgs[0] if len(etgs) == 1 else None
+    eg = None
+    if etg is not None:
+        egs = [i for i, (_, kind, _) in enumerate(loaded) if kind == "eg"]
+        for i in egs:
+            path = loaded[i][0]
+            try:
+                loaded[i] = (path, "eg", io.load_eg(path, etg))
+            except FormatError as exc:
+                loaded[i] = (path, "invalid-document", str(exc))
+        # and a hierarchy is checked against both when they name exactly one EG
+        if len(egs) == 1 and loaded[egs[0]][1] == "eg":
+            eg = loaded[egs[0]][2]
     # a FormatError's text begins with its path (and line), so an
     # `invalid-document` finding names no subject
     aggregated = ValidationReport()
@@ -166,11 +177,7 @@ def _cmd_validate(args) -> int:
         if kind == "invalid-document":
             aggregated.add(kind, doc)
             continue
-        try:
-            report = _validate_one(path, kind, doc, etg)
-        except FormatError as exc:
-            aggregated.add("invalid-document", str(exc))
-            continue
+        report = _validate_one(kind, doc, etg, eg)
         for finding in report:
             subject = f"{path}: {finding.subject}" if finding.subject else str(path)
             aggregated.add(finding.code, finding.message, subject)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from functools import cached_property
+from itertools import pairwise
 from typing import Mapping, Optional
 
 from .errors import (
@@ -108,7 +109,7 @@ class StreamingContext:
     records: tuple[StreamRecord, ...] = ()
 
     def __post_init__(self):
-        for prev, cur in zip(self.records, self.records[1:]):
+        for prev, cur in pairwise(self.records):
             if cur.ts <= prev.ts:
                 raise TimestampOrderError(prev.ts, cur.ts)
 

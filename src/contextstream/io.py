@@ -17,9 +17,8 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import compress, islice
-from operator import attrgetter
 from pathlib import Path
 from types import NoneType
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -319,8 +318,6 @@ def _from_dict(kind: str, doc: Any, path: Any, *context: Any) -> Any:
 
 # How `json.dumps` begins a stream record whose first key is `ts`
 _TS = '{"ts": "'
-# A record's fields after `ts`, as a tuple
-_AFTER_TS = attrgetter(*(f.name for f in fields(StreamRecord)[1:]))
 
 
 def _stream_records(path: Any, lines: Iterator[tuple[int, str]],
@@ -334,8 +331,13 @@ def _stream_records(path: Any, lines: Iterator[tuple[int, str]],
     such a line with the same R. R is a fixed text after a string value, so
     a repeat is valid JSON as its predecessor was, with the same members
     after `ts`: equal text gives equal JSON values, in type as well as
-    value (`true` is not `1`, nor `-0.0` `0.0`). A repeat takes its
-    predecessor's fields, with no table read or chain check.
+    value (`true` is not `1`, nor `-0.0` `0.0`). A repeat is its
+    predecessor's record at its own `ts`, with no table read or chain
+    check: once T parses, a new StreamRecord is made without
+    `StreamRecord.__init__`, its instance dict filled from the
+    predecessor's and its `ts` set to T's timestamp there, so it shares
+    the predecessor's field objects and is frozen, equal and hashed as
+    the record read in full would be.
 
     The first repeat of a run is decoded like any other line. Unless its
     decoded `ts` is T, R holds a top-level member whose decoded key is
@@ -346,8 +348,9 @@ def _stream_records(path: Any, lines: Iterator[tuple[int, str]],
     decoder keeps the last member of a name), so the order check refuses
     the line, as it would the same record read in full. So the R of a run
     that goes on past its first repeat holds no such member, and no later
-    repeat of that R is decoded. A `ts` that is not a timestamp goes to the
-    table read for its error."""
+    repeat of that R is decoded. A `ts` that is not a timestamp is found
+    before any record is made, and goes to the table read for its
+    error."""
     fmt = FORMATS["stream"]
     prev = prev_rest = proved = None
     for line, text in lines:
@@ -364,9 +367,14 @@ def _stream_records(path: Any, lines: Iterator[tuple[int, str]],
                             proved = rest
                     if rest == proved:
                         try:
-                            record = StreamRecord(parse_timestamp(ts), *_AFTER_TS(prev))
+                            parsed = parse_timestamp(ts)
                         except ValueError:
                             pass
+                        else:
+                            record = object.__new__(StreamRecord)
+                            fields = record.__dict__
+                            fields.update(prev.__dict__)
+                            fields["ts"] = parsed
         fresh = record is None
         if fresh:
             if doc is None:

@@ -40,10 +40,11 @@ def travel_etg_with_q(tmp_path: Path, q: list[str]) -> str:
     return str(path)
 
 
-def _stream_ending_with(last_line: str) -> str:
-    """The travel stream's header and first record, then `last_line` (line 3)."""
+def _stream_ending_with(*last_lines: str) -> str:
+    """The travel stream's header and first record, then `last_lines` (from
+    line 3)."""
     lines = (FIXTURES / "travel_stream.jsonl").read_text().splitlines()
-    return "\n".join(lines[:2] + [last_line]) + "\n"
+    return "\n".join(lines[:2] + list(last_lines)) + "\n"
 
 
 def fixture_record(i: int, **changes) -> dict:
@@ -256,6 +257,9 @@ MALFORMED = {
                                        3),
     "stream-repeat-ts-not-after": ("stream", _stream_ending_with(
         _first_record_again(fixture_record(0)["ts"])), 3),
+    # a repeat after its run's first, which proved the run's text after `ts`
+    "stream-later-repeat-ts-not-timestamp": ("stream", _stream_ending_with(
+        _first_record_again("2021-06-02T12:15:01+00:00"), _first_record_again("nope")), 4),
     "scenario-location-not-string": ("scenario", _scenario_with(
         lambda doc: doc["segments"][0]["record"].update(location=5)), None),
     "scenario-reading-interval-boolean": ("scenario", json.dumps(

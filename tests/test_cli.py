@@ -347,6 +347,24 @@ def test_simulate_refuses_a_hierarchy_with_a_dangling_back_reference(tmp_path, c
             in capsys.readouterr().err)
 
 
+def test_validate_checks_a_hierarchy_against_the_one_etg_and_eg_named(tmp_path, capsys):
+    """With the ETG and EG among its paths, `validate` refuses the hierarchy
+    that `simulate --hierarchy` refuses; alone, or beside the ETG only, the
+    hierarchy is checked for its structure only."""
+    doc = json.loads((GOLDEN / "travel_hierarchy.json").read_text())
+    next(n for n in doc["nodes"] if n["id"] == "entity:train_1")["source_ref"] = "atlantis"
+    hierarchy = tmp_path / "h.json"
+    hierarchy.write_text(json.dumps(doc))
+    assert main(["validate", ETG, EG_PATH, str(hierarchy)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert (f"[dangling-source-ref] {hierarchy}: entity:train_1: unknown entity 'atlantis'"
+            in err.splitlines())
+    assert main(["validate", str(hierarchy)]) == 0
+    assert main(["validate", ETG, str(hierarchy)]) == 0
+    assert capsys.readouterr().out == "1 document(s) valid\n2 document(s) valid\n"
+
+
 def test_simulate_refuses_a_hierarchy_compiled_from_another_eg(tmp_path, capsys):
     """Compiled without FriendOf(xiaoyue, haonan), the hierarchy has no node
     for that truth bit; every back-reference it has still resolves."""

@@ -3,14 +3,14 @@ from __future__ import annotations
 import json
 import random
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
 from contextstream import io
-from contextstream.core import Containment, Coordinates, StreamingContext
+from contextstream.core import Containment, Coordinates, StreamingContext, StreamRecord
 from contextstream.errors import (FormatError, StreamChainError, StreamOrderError,
                                   SuperChainError, TimestampOrderError)
 from contextstream.kg import EG, ETG, DataPropertyDef, EntityType
@@ -141,46 +141,64 @@ def test_stream_is_built_once(tmp_path, travel_stream, travel_containment, monke
 RUNS_START = datetime(2021, 6, 2, 12, tzinfo=timezone.utc)
 
 
-def _write_runs(path, n: int) -> None:
-    """A stream of `n` records, one a second from RUNS_START, in runs of 300
-    that differ only in `ts`: the two travel records in turn."""
+def _write_runs(path, n: int, run: int = 300) -> None:
+    """A stream of `n` records, one a second from RUNS_START, in runs of
+    `run` that differ only in `ts`: the two travel records in turn."""
+    records = [fixture_record(0), fixture_record(1)]
     rows = [json.dumps({"format": "stream/1"})]
     for i in range(n):
         ts = (RUNS_START + timedelta(seconds=i)).isoformat()
-        rows.append(json.dumps(fixture_record(i // 300 % 2, ts=ts)))
+        rows.append(json.dumps({**records[i // run % 2], "ts": ts}))
     path.write_text("\n".join(rows) + "\n")
 
 
 def test_a_run_of_repeated_records_is_read_and_checked_once(tmp_path, travel_containment,
                                                             monkeypatch):
     """600 records in two runs of 300 that differ only in `ts`: the chain
-    check runs once per run, and a run shares its first record's fields."""
+    check and `StreamRecord.__init__` run once per run, on its first line.
+    A repeat is its predecessor's record at its own `ts`: it shares the
+    run's field objects, is equal to, hashed as and printed as the per-line
+    reader's record, and is frozen."""
     path = tmp_path / "runs.jsonl"
     _write_runs(path, 600)
-    checked = []
-    check = Containment.check_record
+    checked, built = [], []
+    check, init = Containment.check_record, StreamRecord.__init__
 
-    def counting(self, record):
+    def counting_check(self, record):
         checked.append(record.ts)
         check(self, record)
 
-    monkeypatch.setattr(Containment, "check_record", counting)
-    stream = io.load_stream(path, travel_containment)
-    assert checked == [RUNS_START, RUNS_START + timedelta(seconds=300)]
-    assert stream.records[299].object_entries is stream.records[0].object_entries
+    def counting_init(self, ts, *fields):
+        built.append(ts)
+        init(self, ts, *fields)
+
+    monkeypatch.setattr(Containment, "check_record", counting_check)
+    monkeypatch.setattr(StreamRecord, "__init__", counting_init)
+    records = io.load_stream(path, travel_containment).records
+    firsts = [RUNS_START, RUNS_START + timedelta(seconds=300)]
+    assert checked == firsts
+    assert built == firsts
+    assert records[299].object_entries is records[0].object_entries
     monkeypatch.undo()
-    assert stream == reference_load_stream(path, travel_containment)
+    reference = reference_load_stream(path, travel_containment).records
+    assert len(records) == len(reference) == 600
+    for got, want in zip(records, reference):
+        assert got == want
+        assert hash(got) == hash(want)
+        assert repr(got) == repr(want)
+    copied = records[1]
+    with pytest.raises(FrozenInstanceError):
+        copied.location = "elsewhere"
+    with pytest.raises(FrozenInstanceError):
+        del copied.ts
+    assert replace(copied, location="elsewhere") == replace(reference[1], location="elsewhere")
+    assert copied.location == reference[1].location
 
 
-def test_a_run_of_repeats_is_decoded_once_and_reading_doubles_linearly(tmp_path,
-                                                                        travel_containment,
-                                                                        monkeypatch):
-    """Runs of 300 repeats: a JSON decode for each line that repeats no
-    other (the header and each run's first line), one for each run's first
-    repeat, whose decoded `ts` proves that the run's text after `ts` holds
-    no other `ts` member, and none for the rest.
-    From 2,400 to 4,800 records the decode count and the tracemalloc peak of
-    `load_stream` each grow by under 2.5x."""
+def _decodes_and_peaks(tmp_path, monkeypatch, containment, run: int
+                       ) -> tuple[list[int], list[int]]:
+    """The JSON decode count and the tracemalloc peak of `load_stream` on
+    `_write_runs`' streams of 2,400 and of 4,800 records in runs of `run`."""
     decodes = []
     raw_decode = json.JSONDecoder.raw_decode
 
@@ -192,18 +210,44 @@ def test_a_run_of_repeats_is_decoded_once_and_reading_doubles_linearly(tmp_path,
     counts, peaks = [], []
     for n in (2400, 4800):
         path = tmp_path / f"runs-{n}.jsonl"
-        _write_runs(path, n)
+        _write_runs(path, n, run)
         decodes.clear()
         tracemalloc.start()
         try:
-            stream = io.load_stream(path, travel_containment)
+            stream = io.load_stream(path, containment)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
         assert len(stream) == n
-        runs = n // 300
-        assert len(decodes) <= 2 * runs + 1
         counts.append(len(decodes))
+    monkeypatch.undo()
+    return counts, peaks
+
+
+def test_a_run_of_repeats_is_decoded_once_and_reading_doubles_linearly(tmp_path,
+                                                                        travel_containment,
+                                                                        monkeypatch):
+    """Runs of 300 repeats: a JSON decode for each line that repeats no
+    other (the header and each run's first line), one for each run's first
+    repeat, whose decoded `ts` proves that the run's text after `ts` holds
+    no other `ts` member, and none for the rest.
+    From 2,400 to 4,800 records the decode count and the tracemalloc peak of
+    `load_stream` each grow by under 2.5x."""
+    counts, peaks = _decodes_and_peaks(tmp_path, monkeypatch, travel_containment, 300)
+    for n, count in zip((2400, 4800), counts):
+        assert count <= 2 * (n // 300) + 1
+    assert counts[1] < 2.5 * counts[0]
+    assert peaks[1] < 2.5 * peaks[0]
+
+
+def test_a_stream_with_no_repeats_is_decoded_line_by_line_and_doubles_linearly(
+        tmp_path, travel_containment, monkeypatch):
+    """The two travel records in turn, so that no line repeats the one
+    before it: every line is decoded once, the header included, and from
+    2,400 to 4,800 records the decode count and the tracemalloc peak of
+    `load_stream` each grow by under 2.5x."""
+    counts, peaks = _decodes_and_peaks(tmp_path, monkeypatch, travel_containment, 1)
+    assert counts == [2401, 4801]
     assert counts[1] < 2.5 * counts[0]
     assert peaks[1] < 2.5 * peaks[0]
 
