@@ -6,7 +6,8 @@ its ETG before writing anything. `validate` loads each document through
 exactly one ETG, it also loads each EG under that ETG and reports what the
 other commands would refuse, and when they name exactly one EG too, it
 checks a hierarchy's back-references against both, as `simulate
---hierarchy` does.
+--hierarchy` does, and reads each stream again against the EG's
+containment chains, as `snapshot` does.
 
 `simulate` takes each setting of a session from one flag: `--window`,
 `--strategy` and `--seed`, which replaces the scenario's seed and which no
@@ -29,15 +30,7 @@ from .core import classify_pattern
 from .dot import export_dot
 from .errors import ContextStreamError, FormatError
 from .hierarchy import compile_hierarchy, validate_hierarchy
-from .kg import (
-    COLLAPSE_PROPERTIES,
-    EG,
-    ETG,
-    check_observer,
-    containment_from_eg,
-    snapshot_eg,
-    validate_eg,
-)
+from .kg import EG, ETG, check_observer, containment_from_eg, snapshot_eg, validate_eg
 from .learn import QueryStrategy
 from .metrics import MetricsAccumulator
 from .report import ValidationReport
@@ -69,11 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("eg")
     p.add_argument("--out", required=True, help="hierarchy JSON output path")
     p.add_argument("--dot", help="also write a DOT rendering")
-    p.add_argument(
-        "--collapse",
-        help="comma-separated override of the structural properties collapsed "
-        f"to direct edges (default {','.join(COLLAPSE_PROPERTIES)})",
-    )
 
     p = sub.add_parser("validate", help="validate documents, aggregating findings")
     p.add_argument("paths", nargs="+")
@@ -123,12 +111,7 @@ def _load_graphs(args):
 
 def _cmd_compile(args) -> int:
     etg, eg = _load_graphs(args)
-    collapse = (
-        [s for s in args.collapse.split(",") if s]
-        if args.collapse is not None
-        else COLLAPSE_PROPERTIES
-    )
-    h = compile_hierarchy(etg, eg, collapse=collapse)
+    h = compile_hierarchy(etg, eg)
     io.save_hierarchy(args.out, h)
     if args.dot:
         Path(args.dot).write_text(export_dot(h, etg, eg), encoding="utf-8")
@@ -147,13 +130,17 @@ def _validate_one(kind: str, doc, etg: ETG | None, eg: EG | None) -> ValidationR
     return ValidationReport()
 
 
+def _loaded(path: str, load) -> tuple:
+    """(path, kind, document) as `load(path)` gives (kind, document), or
+    (path, "invalid-document", the text of its FormatError)."""
+    try:
+        return (path, *load(path))
+    except FormatError as exc:
+        return path, "invalid-document", str(exc)
+
+
 def _cmd_validate(args) -> int:
-    loaded = []
-    for path in args.paths:
-        try:
-            loaded.append((path, *io.load_document(path)))
-        except FormatError as exc:
-            loaded.append((path, "invalid-document", str(exc)))
+    loaded = [_loaded(path, io.load_document) for path in args.paths]
     # when the paths name exactly one ETG, each EG is loaded under it, as the
     # other commands load it, and checked against it
     etgs = [doc for _, kind, doc in loaded if kind == "etg"]
@@ -162,14 +149,19 @@ def _cmd_validate(args) -> int:
     if etg is not None:
         egs = [i for i, (_, kind, _) in enumerate(loaded) if kind == "eg"]
         for i in egs:
-            path = loaded[i][0]
-            try:
-                loaded[i] = (path, "eg", io.load_eg(path, etg))
-            except FormatError as exc:
-                loaded[i] = (path, "invalid-document", str(exc))
-        # and a hierarchy is checked against both when they name exactly one EG
+            loaded[i] = _loaded(loaded[i][0], lambda p: ("eg", io.load_eg(p, etg)))
+        # and when they name exactly one EG, a hierarchy is checked against
+        # both, and a stream against the EG's containment, unless the EG has
+        # a second parent for one child (`validate_eg` reports it)
         if len(egs) == 1 and loaded[egs[0]][1] == "eg":
             eg = loaded[egs[0]][2]
+            try:
+                containment = containment_from_eg(eg, etg)
+            except ValueError:
+                containment = None
+            for i, (path, kind, _) in enumerate(loaded):
+                if kind == "stream" and containment is not None:
+                    loaded[i] = _loaded(path, lambda p: ("stream", io.load_stream(p, containment)))
     # a FormatError's text begins with its path (and line), so an
     # `invalid-document` finding names no subject
     aggregated = ValidationReport()

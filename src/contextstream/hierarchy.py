@@ -2,7 +2,7 @@
 
 Nodes stand for entity types, entities, reified object properties and their
 instances; edges run child -> parent and mean is-a. Structural properties
-(isA/partOf/has by default) collapse to direct edges, context-dependent
+(isA/partOf/has, by id or name) collapse to direct edges, context-dependent
 properties (Q) are excluded entirely, everything else is reified. Two rules
 shape the graph:
 
@@ -21,7 +21,7 @@ import heapq
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -186,21 +186,17 @@ def _cycle_among(edges: list[tuple[str, str]], left: set[str]) -> list[str]:
     return [*list(at)[at[nid]:], nid][::-1]
 
 
-def compile_hierarchy(
-    etg: ETG,
-    eg: EG,
-    collapse: Sequence[str] = COLLAPSE_PROPERTIES,
-) -> Hierarchy:
+def compile_hierarchy(etg: ETG, eg: EG) -> Hierarchy:
     """Convert the schema and instance graphs into the concept DAG.
 
     The ETG's `q` names the context-dependent properties, which get no node;
-    `collapse` names the structural properties turned into direct edges.
+    a property whose id or name is in COLLAPSE_PROPERTIES is structural and
+    turned into direct edges.
     Cycles surface as CycleError with a witness path before reduction. Two
     concepts that spell one node id from different back-references
     (`likes(x/y, z)` and `likes(x, y/z)`) raise ValueError; a repeated
     triple is one node, and of a repeated entity id the first entity counts.
     """
-    collapse_set = frozenset(collapse)
     # node rule: the observer's etype and entities get no node
     observer = {etype_node_id(etg.me_etype)}
     observer.update(entity_node_id(e.id) for e in eg.entities if etg.is_observer(e.etype))
@@ -233,7 +229,7 @@ def compile_hierarchy(
         triples.setdefault(t.property, []).append(t)
     for prop_id in sorted(etg.properties.keys() - etg.q):
         prop = etg.properties[prop_id]
-        if prop_id in collapse_set or prop.name in collapse_set:
+        if prop_id in COLLAPSE_PROPERTIES or prop.name in COLLAPSE_PROPERTIES:
             # the assertion p(A, B) and each instance p(a, b) become direct edges
             edges.append((etype_node_id(prop.domain), etype_node_id(prop.codomain)))
             edges.extend((entity_node_id(t.subject), entity_node_id(t.object))
@@ -296,7 +292,8 @@ def validate_hierarchy(
     one missing), and reports a node that compiling them would make but `h`
     lacks (`missing-node`): a non-observer entity's, or an instance's of a
     triple whose property has a node. A property in Q or collapsed has no
-    node, so custom sets pass."""
+    node, so a hierarchy compiled under an ETG with another Q, or whose
+    property names collapse other properties, passes."""
     report = ValidationReport()
     if h.nodes[h.root].kind is not NodeKind.ROOT:
         report.add("root-kind", f"root node has kind {h.nodes[h.root].kind.value}", h.root)

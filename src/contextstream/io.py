@@ -18,10 +18,10 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import islice
 from pathlib import Path
 from types import NoneType
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .errors import (CycleError, FormatError, StreamChainError, StreamOrderError
 from .hierarchy import ConceptNode, Hierarchy, NodeKind
 from .kg import EG, ETG, DataPropertyDef, Entity, EntityType, ObjectPropertyDef, PropertyValue
 from .simulate import EmissionSpec, ScenarioScript, Segment, WindowEvent
-from .tables import (BITS, BOOLEAN, ID, INDEXES, INTEGER, NUMBER, OBJECT, STRING, STRINGS,
+from .tables import (BOOLEAN, ID, INDEXES, INTEGER, NUMBER, OBJECT, STRING, STRINGS,
                      TIMESTAMP, Field, FieldError, Parser, Table, dict_of, list_of, nested,
                      nullable, within)
 
@@ -105,51 +105,29 @@ def _value_from_json(datatype: str, v: Any) -> Any:
     return v
 
 
-def _runlog_header(tag: str) -> Callable[[int, list, list], dict]:
-    """The build of the `tag` run-log header table."""
-    def build(seed: int, nodes: list, manifest: list) -> dict:
-        if seed < 0:
-            raise FieldError(f"must be >= 0, not {seed}", "seed")
-        if len(set(nodes)) != len(nodes):
-            raise FieldError("a node id is listed more than once", "nodes")
-        return {"format": tag, "seed": seed, "nodes": nodes, "manifest": manifest}
-
-    return build
+def _runlog_header(seed: int, nodes: list, manifest: list) -> dict:
+    """A run log's header, refused with a negative seed or a repeated node."""
+    if seed < 0:
+        raise FieldError(f"must be >= 0, not {seed}", "seed")
+    if len(set(nodes)) != len(nodes):
+        raise FieldError("a node id is listed more than once", "nodes")
+    return {"format": FORMATS["runlog"].table.name, "seed": seed, "nodes": nodes,
+            "manifest": manifest}
 
 
-def _event(rows: Callable[[list, int], list]) -> Callable[..., dict]:
-    """The build of a run-log event table, which checks an event against its
-    header: one feature per manifest entry, and `rows(row, n)` gives each of
-    its rows as the ascending indexes of its set bits among the header's n
-    nodes, or raises a ValueError."""
-    def build(begin: Timestamp, end: Timestamp, features: list, queried: bool,
-              prediction: list, truth: list, header: dict) -> dict:
-        if len(features) != len(header["manifest"]):
-            raise FieldError(f"expected {len(header['manifest'])} values, one per manifest entry",
-                             "features")
-        event = {"begin": begin, "end": end, "features": features, "queried": queried}
-        for key, row in (("prediction", prediction), ("truth", truth)):
-            try:
-                event[key] = rows(row, len(header["nodes"]))
-            except ValueError as exc:
-                raise within(key, exc) from None
-        return event
-
-    return build
-
-
-def _bit_indexes(row: list, n: int) -> list:
-    """A `runlog/1` row of bits, one per node, as the indexes of its set bits."""
-    if len(row) != n:
-        raise FieldError(f"expected {n} bits, one per node")
-    return list(compress(range(n), row))
-
-
-def _node_indexes(row: list, n: int) -> list:
-    """A `runlog/2` row of ascending node indexes, refused past the last node."""
-    if row and row[-1] >= n:
-        raise FieldError(f"node index {row[-1]} is out of range for {n} nodes")
-    return row
+def _event(begin: Timestamp, end: Timestamp, features: list, queried: bool,
+           prediction: list, truth: list, header: dict) -> dict:
+    """A run-log event, checked against its header: one feature per manifest
+    entry, and no node index past the header's last node."""
+    if len(features) != len(header["manifest"]):
+        raise FieldError(f"expected {len(header['manifest'])} values, one per manifest entry",
+                         "features")
+    n = len(header["nodes"])
+    for key, row in (("prediction", prediction), ("truth", truth)):
+        if row and row[-1] >= n:
+            raise FieldError(f"node index {row[-1]} is out of range for {n} nodes", key)
+    return {"begin": begin, "end": end, "features": features, "queried": queried,
+            "prediction": prediction, "truth": truth}
 
 
 def _index_matrix(rows: Sequence[list], n: int) -> np.ndarray:
@@ -179,20 +157,6 @@ class Format:
 
     table: Table
     lines: Table | None = None
-
-
-def _runlog_format(tag: str, event: str, row: Parser, rows: Callable[[list, int], list]
-                   ) -> Format:
-    """A run-log format: its header table, and the table of its events, named
-    `event`, whose rows `row` parses and `rows` checks against the header."""
-    return Format(
-        Table(tag, (Field("seed", INTEGER), Field("nodes", STRINGS), Field("manifest", STRINGS)),
-              _runlog_header(tag)),
-        Table(event, (
-            Field("begin", TIMESTAMP), Field("end", TIMESTAMP),
-            Field("features", list_of(NUMBER, list)), Field("queried", BOOLEAN),
-            Field("prediction", row), Field("truth", row),
-        ), _event(rows)))
 
 
 FORMATS: dict[str, Format] = {
@@ -249,8 +213,15 @@ FORMATS: dict[str, Format] = {
         ), lambda begin, end, emissions, record: Segment(
             begin, end, emissions, StreamRecord(begin, *record))))), []),
     ), ScenarioScript)),
-    "runlog": _runlog_format("runlog/1", "event", BITS, _bit_indexes),
-    "runlog2": _runlog_format("runlog/2", "indexed event", INDEXES, _node_indexes),
+    "runlog": Format(
+        Table("runlog/2", (
+            Field("seed", INTEGER), Field("nodes", STRINGS), Field("manifest", STRINGS),
+        ), _runlog_header),
+        Table("event", (
+            Field("begin", TIMESTAMP), Field("end", TIMESTAMP),
+            Field("features", list_of(NUMBER, list)), Field("queried", BOOLEAN),
+            Field("prediction", INDEXES), Field("truth", INDEXES),
+        ), _event)),
     "metrics": Format(Table("metrics/1", (), dict, extra="keep")),
 }
 
@@ -525,9 +496,6 @@ def load_scenario(path: str | Path) -> ScenarioScript:
 # pass, small enough that a block's rows stay a small part of the whole log
 RUNLOG_BLOCK = 64
 
-# Both versions of the run log, which the readers take; the writer emits `runlog/2`
-_RUNLOGS = ("runlog", "runlog2")
-
 
 def _bit_matrix(rows: Sequence[Any], n: int) -> np.ndarray:
     """`rows` stacked as a (len(rows), n) uint8 matrix; ValueError unless every
@@ -596,7 +564,7 @@ def save_runlog(path: str | Path, node_order: Sequence[str], manifest: Sequence[
             texts[number] = row
         return row
 
-    header = {"format": FORMATS["runlog2"].table.name, "seed": seed, "nodes": list(node_order),
+    header = {"format": FORMATS["runlog"].table.name, "seed": seed, "nodes": list(node_order),
               "manifest": list(manifest)}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(header, ensure_ascii=False) + "\n")
@@ -609,15 +577,13 @@ def save_runlog(path: str | Path, node_order: Sequence[str], manifest: Sequence[
 
 def read_runlog(path: str | Path
                 ) -> tuple[dict, Iterator[tuple[list[dict], np.ndarray, np.ndarray]]]:
-    """(header, blocks) of a run log of either version, its lines read as
-    `blocks` is iterated: the header (`format`, `seed`, `nodes`,
-    `manifest`), then (events, predictions, truths) of each next
-    RUNLOG_BLOCK events, with each event as a dict of its parsed fields, its
-    rows as the ascending indexes of their set bits, and the block's rows as
-    (events, nodes) uint8 matrices. A `runlog/1` row holds one bit (the
-    integer 0 or 1) per node; a `runlog/2` row lists the indexes of its set
-    bits, integers in range and strictly increasing."""
-    _, header, events = _jsonl_values(path, _RUNLOGS)
+    """(header, blocks) of a run log, its lines read as `blocks` is
+    iterated: the header (`format`, `seed`, `nodes`, `manifest`), then
+    (events, predictions, truths) of each next RUNLOG_BLOCK events, with
+    each event as a dict of its parsed fields, its rows as the ascending
+    indexes of their set bits (integers in range and strictly increasing),
+    and the block's rows as (events, nodes) uint8 matrices."""
+    _, header, events = _jsonl_values(path, ("runlog",))
     return header, _runlog_blocks(header, events)
 
 
@@ -632,10 +598,10 @@ def _runlog(header: dict, events: Iterable[dict]
 
 
 def load_runlog(path: str | Path) -> tuple[dict, np.ndarray, np.ndarray, list[dict]]:
-    """(header, predictions, truths, events): every event of a run log of
-    either version, read as `read_runlog` reads it, with the rows as
-    (events, nodes) uint8 matrices."""
-    return _runlog(*_jsonl_values(path, _RUNLOGS)[1:])
+    """(header, predictions, truths, events): every event of a run log, read
+    as `read_runlog` reads it, with the rows as (events, nodes) uint8
+    matrices."""
+    return _runlog(*_jsonl_values(path, ("runlog",))[1:])
 
 
 def save_metrics(path: str | Path, metrics: dict[str, Any]) -> None:
@@ -654,7 +620,7 @@ def load_document(path: str | Path) -> tuple[str, Any]:
     run log or a stream, by its header's tag; a JSON one goes by the tag's
     kind, and an EG loads without a schema."""
     if str(path).endswith(".jsonl"):
-        kind, header, values = _jsonl_values(path, _RUNLOGS + ("stream",))
+        kind, header, values = _jsonl_values(path, ("runlog", "stream"))
         if kind == "stream":
             return kind, StreamingContext(tuple(values))
         return kind, _runlog(header, values)

@@ -24,9 +24,11 @@ the script's seed fixes every reading.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import timedelta
 from functools import cached_property
+from itertools import pairwise
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -114,16 +116,17 @@ class ScenarioScript:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, not {self.seed}")
         positive_delta("reading_interval_s", seconds=self.reading_interval_s)
-        repeated = {ch for ch in self.channels if self.channels.count(ch) > 1}
+        repeated = [ch for ch, n in Counter(self.channels).items() if n > 1]
         if repeated:
             raise ValueError(f"channels listed more than once: {sorted(repeated)}")
-        for prev, cur in zip(self.segments, self.segments[1:]):
+        for prev, cur in pairwise(self.segments):
             if cur.begin < prev.end:
                 raise ValueError(
                     f"segments overlap or are unordered at {cur.begin.isoformat()}"
                 )
+        channels = set(self.channels)
         for seg in self.segments:
-            unknown = set(seg.emissions) - set(self.channels)
+            unknown = seg.emissions.keys() - channels
             if unknown:
                 raise ValueError(f"segment emits undeclared channels: {sorted(unknown)}")
         if sum(self.ticks) > MAX_SCRIPT_TICKS:

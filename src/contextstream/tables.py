@@ -106,13 +106,6 @@ def _finite(value: int | float) -> float:
     return float(value)
 
 
-def _bits(row: list) -> list:
-    # whole-row set checks: a run log holds one bit per node and event
-    if {*map(type, row)} - {int} or not {*row} <= {0, 1}:
-        raise FieldError("expected list of bits (the integers 0 and 1)")
-    return row
-
-
 def _indexes(row: list) -> list:
     # whole-row checks: a run log lists each set node's index once, ascending
     if ({*map(type, row)} - {int} or (row and row[0] < 0)
@@ -165,5 +158,4 @@ INTEGER = Parser("integer", (int,))
 BOOLEAN = Parser("boolean", (bool,))
 TIMESTAMP = Parser("timestamp", (str,), parse_timestamp)
 OBJECT = Parser("object", (dict,))  # its values are free
-BITS = Parser("list of bits", (list,), _bits)
 INDEXES = Parser("list of node indexes", (list,), _indexes)

@@ -5,7 +5,6 @@ import logging
 from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 import pytest
@@ -37,6 +36,18 @@ def travel_etg_with_q(tmp_path: Path, q: list[str]) -> str:
     under `tmp_path`."""
     path = tmp_path / "etg_with_q.json"
     path.write_text(json.dumps(_fixture_doc("travel_etg.json", q=q)))
+    return str(path)
+
+
+def travel_etg_renaming(tmp_path: Path, names: dict[str, str]) -> str:
+    """The path of the travel ETG's document with the property of each id in
+    `names` given the name it maps to, written under `tmp_path`: a property
+    named after a structural one collapses."""
+    doc = _fixture_doc("travel_etg.json")
+    for prop in doc["properties"]:
+        prop["name"] = names.get(prop["id"], prop["name"])
+    path = tmp_path / "etg_renaming.json"
+    path.write_text(json.dumps(doc))
     return str(path)
 
 
@@ -115,20 +126,11 @@ def _hierarchy(edges, **changes) -> str:
 
 def _runlog(nodes, change=lambda event: None, **header) -> str:
     """A run log whose header lists `nodes` (`header` adds or replaces
-    keys), with one event of two bits; `change` edits the event."""
-    header = {"format": "runlog/1", "seed": 7, "nodes": nodes, "manifest": [], **header}
+    keys), with one event that predicts the first node and is true of the
+    first two; `change` edits the event."""
+    header = {"format": "runlog/2", "seed": 7, "nodes": nodes, "manifest": [], **header}
     event = {"begin": "2021-06-02T12:00:00+00:00", "end": "2021-06-02T12:01:00+00:00",
-             "features": [], "queried": True, "prediction": [1, 0], "truth": [1, 1]}
-    change(event)
-    return json.dumps(header) + "\n" + json.dumps(event) + "\n"
-
-
-def _runlog2(change=lambda event: None) -> str:
-    """A `runlog/2` log over the nodes a, b and c, with one event that
-    predicts a and is true of a and c; `change` edits the event."""
-    header = {"format": "runlog/2", "seed": 7, "nodes": ["a", "b", "c"], "manifest": []}
-    event = {"begin": "2021-06-02T12:00:00+00:00", "end": "2021-06-02T12:01:00+00:00",
-             "features": [], "queried": True, "prediction": [0], "truth": [0, 2]}
+             "features": [], "queried": True, "prediction": [0], "truth": [0, 1]}
     change(event)
     return json.dumps(header) + "\n" + json.dumps(event) + "\n"
 
@@ -204,15 +206,18 @@ MALFORMED = {
         ["a", "b"], lambda e: e.update(features=[float("nan")]), manifest=["speed"]), 2),
     "runlog-begin-not-timestamp": ("runlog", _runlog(["a", "b"], lambda e: e.update(begin=5)), 2),
     "runlog-seed-string": ("runlog", _runlog(["a", "b"], seed="7"), 1),
-    **{f"runlog2-index-{name}": ("runlog2", _runlog2(lambda e, row=row: e.update(truth=row)), 2)
+    **{f"runlog2-index-{name}": (
+        "runlog", _runlog(["a", "b", "c"], lambda e, row=row: e.update(truth=row)), 2)
        for name, row in [
            ("out-of-range", [0, 3]), ("negative", [-1, 0]), ("repeated", [0, 0]),
            ("unsorted", [2, 0]), ("true", [True]), ("float", [1.0]), ("string", ["1"]),
            ("null", [None]), ("list", [[0]]),
        ]},
-    "runlog2-nodes-repeat": ("runlog2", _runlog2().replace('"c"]', '"a"]', 1), 1),
-    "runlog2-feature-nan": ("runlog2", _runlog2(lambda e: e.update(features=[float("nan")])), 2),
-    "runlog2-prediction-not-list": ("runlog2", _runlog2(lambda e: e.update(prediction=0)), 2),
+    "runlog2-nodes-repeat": ("runlog", _runlog(["a", "b", "c"]).replace('"c"]', '"a"]', 1), 1),
+    "runlog2-feature-nan": ("runlog", _runlog(
+        ["a", "b", "c"], lambda e: e.update(features=[float("nan")])), 2),
+    "runlog2-prediction-not-list": ("runlog", _runlog(
+        ["a", "b", "c"], lambda e: e.update(prediction=0)), 2),
     "scenario-channels-not-list": ("scenario", json.dumps(
         _fixture_doc("travel_scenario.json", channels="ab", segments=[])), None),
     "scenario-seed-not-integer": ("scenario", json.dumps(
@@ -481,23 +486,6 @@ def reference_session(script, h, etg, eg, spec, strategy, seed=None):
 
 # -- reference writer and labeller (per element, per string; kept dumb) -----
 
-def reference_runlog_lines(node_order, manifest, seed, events) -> list[str]:
-    """`runlog/1` lines built value by value with `json.dumps`."""
-    header = {"format": "runlog/1", "seed": seed, "nodes": list(node_order),
-              "manifest": list(manifest)}
-    lines = [json.dumps(header, ensure_ascii=False)]
-    for e in events:
-        lines.append(json.dumps({
-            "begin": format_timestamp(e.begin),
-            "end": format_timestamp(e.end),
-            "features": [float(v) for v in e.features],
-            "queried": e.queried,
-            "prediction": [int(b) for b in e.prediction],
-            "truth": [int(b) for b in e.truth],
-        }, ensure_ascii=False))
-    return lines
-
-
 def reference_runlog2_lines(node_order, manifest, seed, events) -> list[str]:
     """`runlog/2` lines built value by value with `json.dumps`: each row as
     the indexes of its set bits, ascending."""
@@ -543,22 +531,19 @@ def reference_labels(h, snapshot, etg):
 
 # -- independent graph oracles (kept dumb on purpose) ----------------------
 
-def reference_compile(
-    etg: ETG,
-    eg: EG,
-    collapse: Sequence[str] = COLLAPSE_PROPERTIES,
-) -> Hierarchy:
+def reference_compile(etg: ETG, eg: EG) -> Hierarchy:
     """The compiler as it stood before its node and edge rules, kept
     verbatim as an oracle: every branch checks the observer, self-loops
     and missing endpoints itself.
 
-    The ETG's `q` names the context-dependent properties; `collapse`
-    names the structural properties turned into direct edges. Cycles surface
-    as CycleError with a witness path before reduction. Two concepts that
-    spell one node id from different back-references (`likes(x/y, z)` and
-    `likes(x, y/z)`) raise ValueError; a repeated triple is one node.
+    The ETG's `q` names the context-dependent properties; a property whose
+    id or name is in COLLAPSE_PROPERTIES is turned into direct edges.
+    Cycles surface as CycleError with a witness path before reduction. Two
+    concepts that spell one node id from different back-references
+    (`likes(x/y, z)` and `likes(x, y/z)`) raise ValueError; a repeated
+    triple is one node.
     """
-    collapse_set = frozenset(collapse)
+    collapse_set = frozenset(COLLAPSE_PROPERTIES)
 
     nodes: dict[str, ConceptNode] = {}
     edges: set[tuple[str, str]] = set()

@@ -15,7 +15,7 @@ from contextstream.cli import main
 from contextstream.simulate import WindowSpec, run_simulation
 
 from conftest import (FIXTURES, GOLDEN, MALFORMED, encode_case, fixture_record,
-                      travel_etg_with_q)
+                      travel_etg_renaming, travel_etg_with_q)
 
 ETG = str(FIXTURES / "travel_etg.json")
 EG_PATH = str(FIXTURES / "travel_eg.json")
@@ -100,15 +100,14 @@ def test_compile_missing_file_exits_1(tmp_path):
     assert main(["compile", ETG, str(tmp_path / "nope.json"), "--out", str(tmp_path / "h.json")]) == 1
 
 
-def test_compile_collapse_override_reifies_part_of(tmp_path):
+def test_compile_refuses_the_collapse_flag(tmp_path, capsys):
+    """The structural properties are `kg.COLLAPSE_PROPERTIES`, matched by id
+    or name: `--collapse` is no option, so it is a usage error and nothing
+    is written."""
     out = tmp_path / "h.json"
-    assert main([
-        "compile", ETG, EG_PATH, "--out", str(out), "--collapse", "isA,has",
-    ]) == 0
-    h = io.load_hierarchy(out)
-    assert "prop:partOf" in h.nodes
-    assert "pinst:partOf/roads_2/trentino" in h.nodes
-    assert ("entity:roads_2", "entity:trentino") not in h.edges
+    assert main(["compile", ETG, EG_PATH, "--out", str(out), "--collapse", "isA,has"]) == 1
+    assert "unrecognized arguments: --collapse isA,has" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compile_q_override_drops_function_nodes(tmp_path):
@@ -124,13 +123,12 @@ def test_compile_q_override_drops_function_nodes(tmp_path):
 def test_compile_refuses_a_q_that_names_an_undeclared_property(tmp_path, capsys):
     """An unknown name in Q once made every context-dependent property
     reified (35 nodes, not 27); the ETG that lists one is refused as it
-    loads, and `--collapse` stays lenient."""
+    loads."""
     out, etg = tmp_path / "h.json", travel_etg_with_q(tmp_path, ["nonsense"])
     assert main(["compile", etg, EG_PATH, "--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err == (
         f"error: {etg}: malformed etg/1 document: q lists unknown properties: ['nonsense']\n")
-    assert main(["compile", ETG, EG_PATH, "--out", str(out), "--collapse", "nonsense"]) == 0
 
 
 def test_validate_clean_fixtures_exit_0(capsys):
@@ -219,7 +217,7 @@ def test_validate_corrupt_json_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("case", MALFORMED)
 def test_validate_reports_a_malformed_document_and_goes_on(tmp_path, capsys, case):
     kind, text, line = MALFORMED[case]
-    bad = tmp_path / ("bad.jsonl" if kind in ("stream", "runlog", "runlog2") else "bad.json")
+    bad = tmp_path / ("bad.jsonl" if kind in ("stream", "runlog") else "bad.json")
     bad.write_bytes(encode_case(text))
     assert main(["validate", str(bad), ETG]) == 2
     findings = capsys.readouterr().err.splitlines()
@@ -242,7 +240,7 @@ def test_compile_and_simulate_refuse_a_malformed_etg_or_eg(tmp_path, capsys, cas
 
 
 @pytest.mark.parametrize("case", [case for case, doc in MALFORMED.items()
-                                  if doc[0] in ("runlog", "runlog2")])
+                                  if doc[0] == "runlog"])
 def test_evaluate_refuses_a_malformed_run_log(tmp_path, capsys, case):
     """An `Infinity` feature, say, is refused as the log loads, so no metrics
     are printed."""
@@ -267,7 +265,7 @@ def test_validate_reads_the_jsonl_header_tag(tmp_path):
     """A stream whose header merely mentions the run-log tag is a stream."""
     lines = (FIXTURES / "travel_stream.jsonl").read_text().splitlines()
     path = tmp_path / "stream.jsonl"
-    path.write_text("\n".join([json.dumps({"format": "stream/1", "source": "runlog/1"})]
+    path.write_text("\n".join([json.dumps({"format": "stream/1", "source": "runlog/2"})]
                               + lines[1:]) + "\n")
     assert main(["validate", str(path)]) == 0
 
@@ -365,6 +363,51 @@ def test_validate_checks_a_hierarchy_against_the_one_etg_and_eg_named(tmp_path, 
     assert capsys.readouterr().out == "1 document(s) valid\n2 document(s) valid\n"
 
 
+def test_validate_checks_a_stream_against_the_containment_of_the_one_eg_named(
+        tmp_path, capsys):
+    """With the ETG and EG among its paths, `validate` refuses the stream
+    that `snapshot` refuses, on the same line; alone, or beside the ETG
+    only, the stream is read without the EG's chains. An EG with two
+    `partOf` parents for one child has no chains, so its finding is the
+    only one."""
+    stream = tmp_path / "s.jsonl"
+    lines = (FIXTURES / "travel_stream.jsonl").read_text().splitlines()
+    stream.write_text("\n".join(lines[:2] + [json.dumps(
+        fixture_record(1, super_location="nowhere_land"))]) + "\n")
+    assert main(["validate", ETG, EG_PATH, str(stream)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        f"[invalid-document] {stream}:3: location 'roads_2': parent chain ['trentino'] "
+        "does not contain declared super location 'nowhere_land'\n")
+    assert main(["validate", str(stream)]) == 0
+    assert main(["validate", ETG, str(stream)]) == 0
+    assert capsys.readouterr().out == "1 document(s) valid\n2 document(s) valid\n"
+    doc = json.loads(Path(EG_PATH).read_text())
+    doc["entities"].append({"id": "veneto", "name": "Veneto", "etype": "region", "values": {}})
+    doc["triples"].append({"property": "partOf", "subject": "train_1", "object": "veneto"})
+    eg = tmp_path / "eg.json"
+    eg.write_text(json.dumps(doc))
+    assert main(["validate", ETG, str(eg), str(stream)]) == 2
+    assert [f.split("]")[0] for f in capsys.readouterr().err.splitlines()] == [
+        "[several-parents"]
+
+
+def test_evaluate_and_validate_refuse_a_runlog_1_file(tmp_path, capsys):
+    """`runlog/2` is the one run-log format: a `runlog/1` file, one bit per
+    node, is an unknown version."""
+    log = tmp_path / "run.jsonl"
+    log.write_text("\n".join(json.dumps(doc) for doc in [
+        {"format": "runlog/1", "seed": 7, "nodes": ["a", "b"], "manifest": []},
+        {"begin": "2021-06-02T12:00:00+00:00", "end": "2021-06-02T12:01:00+00:00",
+         "features": [], "queried": True, "prediction": [1, 0], "truth": [1, 1]}]) + "\n")
+    assert main(["evaluate", "--log", str(log)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {log}: expected format 'runlog/2', found 'runlog/1'\n"
+    assert main(["validate", str(log)]) == 2
+    assert capsys.readouterr().err == (f"[invalid-document] {log}: expected format "
+                                       "'runlog/2' or 'stream/1', found 'runlog/1'\n")
+
+
 def test_simulate_refuses_a_hierarchy_compiled_from_another_eg(tmp_path, capsys):
     """Compiled without FriendOf(xiaoyue, haonan), the hierarchy has no node
     for that truth bit; every back-reference it has still resolves."""
@@ -381,18 +424,19 @@ def test_simulate_refuses_a_hierarchy_compiled_from_another_eg(tmp_path, capsys)
             "triple FriendOf(xiaoyue, haonan) has no node" in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("q, option", [
+@pytest.mark.parametrize("q, names", [
     (["near", "use", "interact", "in", "do", "happenIn", "during", "participate", "FriendOf",
-      "RestToolOf"], []),
-    (None, ["--collapse", "isA,has"]),
+      "RestToolOf"], None),
+    (None, {"RestToolOf": "has"}),
 ], ids=["option0", "option1"])
-def test_simulate_accepts_a_hierarchy_compiled_with_custom_sets(q, option, tmp_path):
-    """Compiled under an ETG document with a custom `q`, or with a custom
-    `--collapse`, the hierarchy passes `simulate`'s check against the travel
-    ETG."""
+def test_simulate_accepts_a_hierarchy_compiled_with_custom_sets(q, names, tmp_path):
+    """Compiled under an ETG document with a custom `q`, or one that names
+    `RestToolOf` `has`, so that it collapses, the hierarchy passes
+    `simulate`'s check against the travel ETG."""
     hierarchy = tmp_path / "h.json"
-    etg = ETG if q is None else travel_etg_with_q(tmp_path, q)
-    assert main(["compile", etg, EG_PATH, "--out", str(hierarchy), *option]) == 0
+    etg = travel_etg_renaming(tmp_path, names) if q is None else travel_etg_with_q(tmp_path, q)
+    assert main(["compile", etg, EG_PATH, "--out", str(hierarchy)]) == 0
+    assert "prop:RestToolOf" not in io.load_hierarchy(hierarchy).nodes
     assert main(["simulate", "--scenario", SCENARIO, "--etg", ETG, "--eg", EG_PATH,
                  "--hierarchy", str(hierarchy)]) == 0
 

@@ -24,7 +24,7 @@ from contextstream.labels import check_consistency, repair_upward, zeros
 from contextstream.learn import OnlinePerceptron, require_consistent
 
 from conftest import (GOLDEN, codes, dfs_closure_ids, dfs_reachable_pairs, random_dag,
-                      reference_compile, travel_etg_with_q)
+                      reference_compile, travel_etg_renaming, travel_etg_with_q)
 
 
 def plain_node(nid: str) -> ConceptNode:
@@ -141,24 +141,26 @@ def test_q_property_leaves_no_node():
                for n in h.nodes.values())
 
 
-def test_collapse_override_reifies_part_of():
-    etg = ETG(
-        [EntityType("me", "Me"), EntityType("location", "Location")],
-        [ObjectPropertyDef("partOf", "partOf", "location", "location", False)],
-        "me",
-    )
-    eg = EG(
-        [Entity("roads_2", "Roads 2", "location"), Entity("trentino", "Trentino", "location")],
-        [PropertyValue("partOf", "roads_2", "trentino")],
-    )
-    collapsed = compile_hierarchy(etg, eg)
-    assert ("entity:roads_2", "entity:trentino") in collapsed.edges
-    assert "prop:partOf" not in collapsed.nodes
-
-    reified = compile_hierarchy(etg, eg, collapse=("isA", "has"))
-    assert "prop:partOf" in reified.nodes
-    assert "pinst:partOf/roads_2/trentino" in reified.nodes
-    assert ("entity:roads_2", "entity:trentino") not in reified.edges
+def test_a_property_collapses_by_its_id_or_its_name():
+    """A property whose id or name is in COLLAPSE_PROPERTIES becomes direct
+    edges; any other is reified, with a node for each of its triples."""
+    for prop_id, name, collapses in [("partOf", "partOf", True), ("partOf", "part of", True),
+                                     ("locatedIn", "partOf", True),
+                                     ("locatedIn", "locatedIn", False)]:
+        etg = ETG(
+            [EntityType("me", "Me"), EntityType("location", "Location")],
+            [ObjectPropertyDef(prop_id, name, "location", "location", False)],
+            "me",
+        )
+        eg = EG(
+            [Entity("roads_2", "Roads 2", "location"),
+             Entity("trentino", "Trentino", "location")],
+            [PropertyValue(prop_id, "roads_2", "trentino")],
+        )
+        h = compile_hierarchy(etg, eg)
+        assert (("entity:roads_2", "entity:trentino") in h.edges) is collapses
+        assert (f"prop:{prop_id}" in h.nodes) is not collapses
+        assert (f"pinst:{prop_id}/roads_2/trentino" in h.nodes) is not collapses
 
 
 def test_entity_liked_256_times_keeps_every_ancestor():
@@ -267,10 +269,10 @@ SPELLED_ALIKE = (PropertyValue("likes", "a/b", "b"), PropertyValue("likes", "a",
 
 
 def random_graphs(rng: random.Random):
-    """A random (ETG, EG, collapse): observer subtypes, repeated entity ids
-    (one copy maybe the observer's), undeclared etypes and properties,
-    endpoints missing from the EG, self-loops, and a custom Q (the ETG's)
-    or collapse set."""
+    """A random (ETG, EG): observer subtypes, repeated entity ids (one copy
+    maybe the observer's), undeclared etypes and properties, endpoints
+    missing from the EG, self-loops, a custom Q (the ETG's), and properties
+    that collapse by their id or by their name."""
     names = [f"t{i}" for i in range(rng.randint(1, 5))]
     etypes = [EntityType("me", "Me", parent=rng.choice([None, *names[:1]]))]
     for i, et_id in enumerate(names):
@@ -297,17 +299,13 @@ def random_graphs(rng: random.Random):
         triples += rng.sample(SPELLED_ALIKE, 2)
     prop_ids = sorted(p.id for p in props)
     q = rng.choice([None, rng.sample(prop_ids, rng.randint(0, len(prop_ids)))])
-    collapse = rng.choice([
-        COLLAPSE_PROPERTIES,
-        rng.sample([*prop_ids, "isA", "partOf", "has"], rng.randint(0, len(prop_ids))),
-    ])
     etg = ETG(etypes, props, "me", q=own_q if q is None else q)
-    return etg, EG(entities, triples), collapse
+    return etg, EG(entities, triples)
 
 
-def compiled_or_refused(compile_fn, etg, eg, collapse):
+def compiled_or_refused(compile_fn, etg, eg):
     try:
-        return io.hierarchy_to_dict(compile_fn(etg, eg, collapse=collapse))
+        return io.hierarchy_to_dict(compile_fn(etg, eg))
     except (ValueError, ContextStreamError) as exc:
         return type(exc), str(exc)
 
@@ -318,10 +316,10 @@ def test_compile_matches_the_reference_compiler_on_random_graphs():
     rng = random.Random(2020)
     outcomes = {"ok": 0, "cycle": 0, "spelled twice": 0}
     for _ in range(400):
-        etg, eg, collapse = random_graphs(rng)
-        got = compiled_or_refused(compile_hierarchy, etg, eg, collapse)
-        assert got == compiled_or_refused(reference_compile, etg, eg, collapse), (
-            etg.etypes, etg.properties, etg.q, eg.entities, eg.triples, collapse)
+        etg, eg = random_graphs(rng)
+        got = compiled_or_refused(compile_hierarchy, etg, eg)
+        assert got == compiled_or_refused(reference_compile, etg, eg), (
+            etg.etypes, etg.properties, etg.q, eg.entities, eg.triples)
         if isinstance(got, dict):
             outcomes["ok"] += 1
         else:
@@ -563,18 +561,23 @@ def test_validate_detects_nodes_a_compile_of_the_sources_would_make(travel_etg, 
     ]
 
 
+# `collapse` names a property of the travel ETG after a structural one, so
+# that it collapses by its name
 @pytest.mark.parametrize("q, collapse", [
     (["near", "use", "interact", "in", "do", "happenIn", "during", "participate", "FriendOf"],
-     COLLAPSE_PROPERTIES),
-    (None, ["isA", "has"]),
-    (None, ["isA", "partOf", "has", "RestToolOf"]),
+     {}),
+    (None, {"FriendOf": "isA"}),
+    (None, {"RestToolOf": "has"}),
 ])
 def test_validate_accepts_a_compile_with_custom_q_or_collapse(q, collapse, travel_etg, travel_eg,
                                                               tmp_path):
-    """A hierarchy compiled under an ETG document that carries a custom `q`
-    checks clean against the travel ETG, whose Q differs."""
-    etg = travel_etg if q is None else io.load_etg(travel_etg_with_q(tmp_path, q))
-    h = compile_hierarchy(etg, travel_eg, collapse=collapse)
+    """A hierarchy compiled under an ETG document that carries a custom `q`,
+    or that collapses another property, checks clean against the travel
+    ETG, whose Q and collapsed properties differ."""
+    path = (travel_etg_renaming(tmp_path, collapse) if q is None
+            else travel_etg_with_q(tmp_path, q))
+    h = compile_hierarchy(io.load_etg(path), travel_eg)
+    assert {f"prop:{p}" for p in collapse}.isdisjoint(h.nodes)
     assert validate_hierarchy(h, travel_etg, travel_eg).ok
 
 

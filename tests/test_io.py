@@ -26,7 +26,6 @@ from conftest import (
     fixture_record,
     reference_load_stream,
     reference_runlog2_lines,
-    reference_runlog_lines,
     stacked,
 )
 
@@ -402,7 +401,9 @@ def test_stream_header_is_first_non_blank_line(tmp_path, travel_stream):
 
 
 def _runlog_lines(nodes, rows):
-    header = {"format": "runlog/1", "seed": 1, "nodes": nodes, "manifest": []}
+    """A run log's lines: a header over `nodes`, then one event per row of
+    node indexes, which it predicts and which is its truth."""
+    header = {"format": "runlog/2", "seed": 1, "nodes": nodes, "manifest": []}
     events = [
         {"begin": "2021-06-02T12:00:00+00:00", "end": "2021-06-02T12:05:00+00:00",
          "features": [], "queried": True, "prediction": row, "truth": row}
@@ -413,29 +414,35 @@ def _runlog_lines(nodes, rows):
 
 def test_runlog_header_is_first_non_blank_line(tmp_path):
     path = tmp_path / "run.jsonl"
-    path.write_text("\n" + "\n".join(_runlog_lines(["a", "b"], [[1, 0], [1, 1]])) + "\n")
+    path.write_text("\n" + "\n".join(_runlog_lines(["a", "b"], [[0], [0, 1]])) + "\n")
     header, preds, truths, events = io.load_runlog(path)
     assert header["nodes"] == ["a", "b"]
     assert preds.tolist() == [[1, 0], [1, 1]]
     assert len(events) == 2
 
 
-def test_runlog_rejects_rows_narrower_than_the_nodes(tmp_path):
-    """Two events of 2 bits over 4 nodes must not fold into one row of 4."""
+def test_runlog_rows_are_as_wide_as_the_nodes(tmp_path):
+    """Two events that name only the first two of 4 nodes load as two rows
+    of 4, not folded into one; an index past the header's nodes is refused
+    on its line."""
     path = tmp_path / "run.jsonl"
-    path.write_text("\n".join(_runlog_lines(["a", "b", "c", "d"], [[1, 0], [1, 1]])) + "\n")
-    with pytest.raises(FormatError) as exc:
+    path.write_text("\n".join(_runlog_lines(["a", "b", "c", "d"], [[0], [0, 1]])) + "\n")
+    _, preds, truths, _ = io.load_runlog(path)
+    assert preds.tolist() == truths.tolist() == [[1, 0, 0, 0], [1, 1, 0, 0]]
+    path.write_text("\n".join(_runlog_lines(["a", "b"], [[0], [0, 3]])) + "\n")
+    with pytest.raises(FormatError, match="node index 3 is out of range for 2 nodes") as exc:
         io.load_runlog(path)
-    assert exc.value.line == 2
+    assert exc.value.line == 3
 
 
 def _runlog_text(mangle) -> str:
-    return "\n".join(mangle(_runlog_lines(["a", "b"], [[1, 0]]))) + "\n"
+    return "\n".join(mangle(_runlog_lines(["a", "b"], [[0]]))) + "\n"
 
 
-def _runlog_bit(bit) -> str:
-    return _runlog_text(lambda lines: lines[:1] + [json.dumps({"prediction": [1, bit],
-                                                                "truth": [1, 0]})])
+def _runlog_index(value) -> str:
+    """A run log over two nodes whose event predicts [0, value]."""
+    return _runlog_text(lambda lines: lines[:1] + [
+        lines[1].replace('"prediction": [0]', f'"prediction": [0, {json.dumps(value)}]')])
 
 
 LOADERS = {
@@ -445,19 +452,20 @@ LOADERS = {
     "hierarchy": io.load_hierarchy,
     "scenario": io.load_scenario,
     "runlog": io.load_runlog,
-    "runlog2": io.load_runlog,
     "metrics": io.load_metrics,
 }
 
 MALFORMED_FOR_LOADERS = {
     **{case: doc for case, doc in MALFORMED.items() if doc[0] in LOADERS},
     "runlog-header-without-nodes": ("runlog", _runlog_text(
-        lambda lines: [json.dumps({"format": "runlog/1", "seed": 1})] + lines[1:]), 1),
+        lambda lines: [json.dumps({"format": "runlog/2", "seed": 1})] + lines[1:]), 1),
     "runlog-event-without-truth": ("runlog", _runlog_text(
-        lambda lines: lines[:1] + [json.dumps({"prediction": [1, 0]})]), 2),
+        lambda lines: lines[:1] + [json.dumps({"prediction": [0]})]), 2),
     "runlog-event-not-object": ("runlog", _runlog_text(lambda lines: lines[:1] + ["[1, 0]"]), 2),
     "runlog-header-not-object": ("runlog", _runlog_text(lambda lines: ["[]"] + lines[1:]), None),
-    **{f"runlog-bit-{name}": ("runlog", _runlog_bit(bit), 2) for name, bit in [
+    # the values a bit row of the retired `runlog/1` refused, each as a node
+    # index of a prediction row: out of range, or not a distinct ascending integer
+    **{f"runlog-bit-{name}": ("runlog", _runlog_index(bit), 2) for name, bit in [
         ("300", 300), ("negative", -1), ("2", 2), ("string", "x"), ("null", None),
         ("true", True), ("fraction", 0.5), ("list", [1]),
     ]},
@@ -467,7 +475,7 @@ MALFORMED_FOR_LOADERS = {
 @pytest.mark.parametrize("case", MALFORMED_FOR_LOADERS)
 def test_malformed_document_raises_format_error(tmp_path, case):
     kind, text, line = MALFORMED_FOR_LOADERS[case]
-    path = tmp_path / ("doc.jsonl" if kind in ("stream", "runlog", "runlog2") else "doc.json")
+    path = tmp_path / ("doc.jsonl" if kind in ("stream", "runlog") else "doc.json")
     path.write_bytes(encode_case(text))
     with pytest.raises(FormatError) as exc:
         LOADERS[kind](path)
@@ -536,15 +544,14 @@ def test_empty_documents_load_as_empty_collections(tmp_path):
     stream_path = tmp_path / "s.jsonl"
     stream_path.write_text(json.dumps({"format": "stream/1"}) + "\n")
     assert len(io.load_stream(stream_path)) == 0
-    for tag, kind in (("runlog/1", "runlog"), ("runlog/2", "runlog2")):
-        log_path = tmp_path / f"{kind}.jsonl"
-        log_path.write_text(json.dumps({"format": tag, "seed": 1, "nodes": ["a", "b", "c"],
-                                        "manifest": []}) + "\n")
-        (_, preds, truths, events), (loaded_kind, (_, doc_preds, doc_truths, doc_events)) = (
-            io.load_runlog(log_path), io.load_document(log_path))
-        assert loaded_kind == kind and events == doc_events == []
-        for m in (preds, truths, doc_preds, doc_truths):
-            assert m.shape == (0, 3) and m.dtype == np.uint8
+    log_path = tmp_path / "run.jsonl"
+    log_path.write_text(json.dumps({"format": "runlog/2", "seed": 1, "nodes": ["a", "b", "c"],
+                                    "manifest": []}) + "\n")
+    (_, preds, truths, events), (loaded_kind, (_, doc_preds, doc_truths, doc_events)) = (
+        io.load_runlog(log_path), io.load_document(log_path))
+    assert loaded_kind == "runlog" and events == doc_events == []
+    for m in (preds, truths, doc_preds, doc_truths):
+        assert m.shape == (0, 3) and m.dtype == np.uint8
 
 
 def test_runlog_round_trip(tmp_path, travel_scenario, travel_hierarchy, travel_etg, travel_eg):
@@ -610,11 +617,11 @@ def test_runlog_writer_renders_each_distinct_row_once(tmp_path, monkeypatch):
         ["a", "b", "c", "d"], ["x", "y", "z"], 7, events)
 
 
-def test_runlog_1_and_runlog_2_of_one_run_load_and_evaluate_alike(
+def test_a_session_log_matches_the_oracle_and_evaluates_to_its_metrics(
         tmp_path, travel_scenario, travel_hierarchy, travel_etg, travel_eg):
-    """The `runlog/1` oracle's log and the writer's `runlog/2` log of one
-    session load to equal headers (but for the tag), matrices and events, and
-    `evaluate` gives both the session's metrics document."""
+    """The writer's log of one session is the oracle's text, it loads to the
+    session's header and rows, and `evaluate` gives the session's metrics
+    document."""
     from contextstream.cli import main
     from contextstream.simulate import WindowSpec, run_simulation
 
@@ -622,22 +629,17 @@ def test_runlog_1_and_runlog_2_of_one_run_load_and_evaluate_alike(
         travel_scenario, travel_hierarchy, travel_etg, travel_eg,
         window_spec=WindowSpec.means(travel_scenario.channels, 5.0),
     )
-    old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
-    old.write_text("\n".join(reference_runlog_lines(
-        result.node_order, result.manifest, result.seed, result.events)) + "\n")
-    io.save_runlog(new, result.node_order, result.manifest, result.seed, result.events)
-    (h1, p1, t1, e1), (h2, p2, t2, e2) = io.load_runlog(old), io.load_runlog(new)
-    assert (h1.pop("format"), h2.pop("format")) == ("runlog/1", "runlog/2")
-    assert h1 == h2
-    assert np.array_equal(p1, p2) and np.array_equal(t1, t2) and e1 == e2
-    assert np.array_equal(p1, stacked(result)[0]) and np.array_equal(t1, stacked(result)[1])
-    docs = []
-    for log in (old, new):
-        out = tmp_path / f"{log.stem}.json"
-        assert main(["evaluate", "--log", str(log), "--out", str(out)]) == 0
-        docs.append(out.read_bytes())
-    assert docs[0] == docs[1]
-    assert io.load_metrics(tmp_path / "new.json") == result.metrics
+    log, out = tmp_path / "run.jsonl", tmp_path / "metrics.json"
+    io.save_runlog(log, result.node_order, result.manifest, result.seed, result.events)
+    assert log.read_text().splitlines() == reference_runlog2_lines(
+        result.node_order, result.manifest, result.seed, result.events)
+    header, preds, truths, events = io.load_runlog(log)
+    assert header == {"format": "runlog/2", "seed": result.seed,
+                      "nodes": list(result.node_order), "manifest": list(result.manifest)}
+    assert len(events) == len(result.events)
+    assert np.array_equal(preds, stacked(result)[0]) and np.array_equal(truths, stacked(result)[1])
+    assert main(["evaluate", "--log", str(log), "--out", str(out)]) == 0
+    assert io.load_metrics(out) == result.metrics
 
 
 def test_read_runlog_reads_as_it_is_iterated(tmp_path):

@@ -4,7 +4,9 @@ And every public name of the package is used by the package itself or by
 the benchmark: a name that only tests read belongs in the tests. No module
 runs source text that it makes at run time (`exec`, `eval`, `compile`), and
 a `Hierarchy` computes nothing on first use (`cached_property`). JSON is
-decoded only through `json.loads`."""
+decoded only through `json.loads`. Each format's kind is its tag's prefix,
+and only the modules named in LOGGING_MODULES import `logging`: what the
+program drops is reported as a finding, not a log line."""
 
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import contextstream
+from contextstream import io
 
 PACKAGE = Path(contextstream.__file__).parent
 BENCHMARK = Path(__file__).resolve().parent.parent / "pipebench"
@@ -182,3 +185,42 @@ def test_every_public_name_is_used_by_the_package_or_the_benchmark():
     package = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     benchmark = [path.read_text(encoding="utf-8") for path in sorted(BENCHMARK.glob("*.py"))]
     assert unused_public_names(package, benchmark) == []
+
+
+def test_every_format_kind_is_its_tags_prefix():
+    """`io.FORMATS` names each format one way: by the part of its tag before
+    the version, which is how `io.load_document` routes a JSON document."""
+    assert {kind: fmt.table.name.partition("/")[0] for kind, fmt in io.FORMATS.items()} == {
+        kind: kind for kind in io.FORMATS}
+
+
+# module -> why it may import `logging`
+LOGGING_MODULES = {
+    "cli.py": "`logging.basicConfig` for the commands",
+    "labels.py": "one warning that is still to become a finding",
+}
+
+
+def logging_imports(source: str) -> list[str]:
+    """`line: module` for each import of `logging` (or of a module under
+    it) in `source`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                 else [node.module or ""] if isinstance(node, ast.ImportFrom) and not node.level
+                 else [])
+        found += [f"{node.lineno}: {name}" for name in names
+                  if name.partition(".")[0] == "logging"]
+    return found
+
+
+def test_the_checker_finds_every_spelling_of_a_logging_import():
+    source = ("import logging\nimport logging.handlers as h\nfrom logging import getLogger\n"
+              "from . import labels\nimport loggingx\n")
+    assert logging_imports(source) == ["1: logging", "2: logging.handlers", "3: logging"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_named_modules_import_logging(path):
+    found = logging_imports(path.read_text(encoding="utf-8"))
+    assert bool(found) is (path.name in LOGGING_MODULES), found

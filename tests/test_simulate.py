@@ -884,6 +884,41 @@ def test_a_scenario_with_many_windows_doubles_linearly(
     assert peaks[2] < 2.5 * peaks[1]
 
 
+class _CountedName(str):
+    """A channel name that counts its comparisons and its hashes."""
+
+    calls = 0
+
+    def __eq__(self, other):
+        _CountedName.calls += 1
+        return str.__eq__(self, other)
+
+    def __hash__(self):
+        _CountedName.calls += 1
+        return str.__hash__(self)
+
+
+def test_checking_a_scenarios_channels_doubles_linearly():
+    """ROADMAP item 11: a script of n and then 2n channels, with a one-minute
+    segment per 10 channels that emits one of them, is checked with
+    comparisons and hashes of channel names that grow less than 2.5 times.
+    Counting each channel's copies in the whole list, or a set of the
+    channels built per segment, makes them grow 4 times. A repeated channel
+    is still refused by name."""
+    record = two_regime_script().segments[0].record
+    calls = []
+    for n in (500, 1000):
+        channels = tuple(_CountedName(f"c{i:05d}") for i in range(n))
+        segments = tuple(Segment(ts(i), ts(i + 1), {channels[10 * i]: EmissionSpec(0.0, 1.0)},
+                                 record) for i in range(n // 10))
+        _CountedName.calls = 0
+        ScenarioScript(1, 60.0, channels, segments)
+        calls.append(_CountedName.calls)
+    assert 0 < calls[1] < 2.5 * calls[0], calls
+    with pytest.raises(ValueError, match=r"channels listed more than once: \['c00007'\]"):
+        ScenarioScript(1, 60.0, channels + channels[7:8], segments)
+
+
 def test_run_simulation_refuses_an_inconsistent_truth_before_drawing(
     monkeypatch, travel_hierarchy, travel_etg, travel_eg
 ):
