@@ -6,8 +6,8 @@ its ETG before writing anything. `validate` loads each document through
 exactly one ETG, it also loads each EG under that ETG and reports what the
 other commands would refuse, and when they name exactly one EG too, it
 checks a hierarchy's back-references against both, as `simulate
---hierarchy` does, and reads each stream again against the EG's
-containment chains, as `snapshot` does.
+--hierarchy` does, and reads each stream against the EG's containment
+chains, as `snapshot` does. Each stream is read once, after the graphs.
 
 `simulate` takes each setting of a session from one flag: `--window`,
 `--strategy` and `--seed`, which replaces the scenario's seed and which no
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import logging
 import sys
 from pathlib import Path
 
@@ -140,12 +139,14 @@ def _loaded(path: str, load) -> tuple:
 
 
 def _cmd_validate(args) -> int:
-    loaded = [_loaded(path, io.load_document) for path in args.paths]
+    # the JSON documents first; each `.jsonl` one is read once, after the graphs
+    loaded = [(path, "jsonl", None) if path.endswith(".jsonl")
+              else _loaded(path, io.load_document) for path in args.paths]
     # when the paths name exactly one ETG, each EG is loaded under it, as the
     # other commands load it, and checked against it
     etgs = [doc for _, kind, doc in loaded if kind == "etg"]
     etg = etgs[0] if len(etgs) == 1 else None
-    eg = None
+    eg = containment = None
     if etg is not None:
         egs = [i for i, (_, kind, _) in enumerate(loaded) if kind == "eg"]
         for i in egs:
@@ -158,10 +159,9 @@ def _cmd_validate(args) -> int:
             try:
                 containment = containment_from_eg(eg, etg)
             except ValueError:
-                containment = None
-            for i, (path, kind, _) in enumerate(loaded):
-                if kind == "stream" and containment is not None:
-                    loaded[i] = _loaded(path, lambda p: ("stream", io.load_stream(p, containment)))
+                pass
+    loaded = [_loaded(path, lambda p: io.load_document(p, containment)) if kind == "jsonl"
+              else (path, kind, doc) for path, kind, doc in loaded]
     # a FormatError's text begins with its path (and line), so an
     # `invalid-document` finding names no subject
     aggregated = ValidationReport()
@@ -279,7 +279,6 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    logging.basicConfig(level=logging.WARNING)
     try:
         return _COMMANDS[args.command](args)
     except FileNotFoundError as exc:

@@ -97,8 +97,7 @@ class Hierarchy:
         if root not in self.nodes:
             raise ValueError(f"root {root!r} is not a node")
         self.root = root
-        # labels.labels_from_eg's last (observer id, context triples,
-        # read-only vector, entity ids without a node)
+        # labels.labels_from_eg's last (observer id, context triples, read-only vector)
         self.last_labels: tuple | None = None
         # Kahn's pass: a node is ready once all its children are ordered
         ready = [nid for nid, deg in incoming.items() if deg == 0]

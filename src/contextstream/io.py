@@ -509,16 +509,18 @@ def _bit_matrix(rows: Sequence[Any], n: int) -> np.ndarray:
     return m.astype(np.uint8)
 
 
-def _event_heads(events: Sequence[WindowEvent]) -> list[str]:
+def _event_heads(events: Sequence[WindowEvent], header: dict) -> list[str]:
     """Each event's run-log line up to the inside of its prediction list,
     as `json.dumps` writes it: a finite float is its `repr`. A window that
     opens where the one before it closed reuses that timestamp's text.
-    ValueError if a feature is not finite, which `json` would write as
-    `NaN` or `Infinity` and `load_runlog` refuses."""
+    ValueError if `_event` refuses an event's features under `header`, or if
+    a feature is not finite, which `json` would write as `NaN` or `Infinity`
+    and `load_runlog` refuses."""
     heads = []
     last_end, end = None, ""
     for e in events:
         features = np.asarray(e.features, dtype=np.float64).tolist()
+        _event(e.begin, e.end, features, e.queried, [], [], header)
         if not all(map(math.isfinite, features)):
             raise ValueError("run-log features must be finite numbers")
         begin = end if e.begin == last_end else format_timestamp(e.begin)
@@ -533,13 +535,15 @@ def save_runlog(path: str | Path, node_order: Sequence[str], manifest: Sequence[
                 seed: int, events: Iterable[WindowEvent]) -> None:
     """Write a `runlog/2` file, whose events list each row as the ascending
     indexes of its set bits, streaming it one block of events at a time.
-    Every row must hold one bit (0 or 1) per node and every feature must be
-    finite: a ValueError is raised before the file is opened otherwise.
-    Each distinct row is kept once, packed 8 bits a byte, and its text is
-    rendered once, then kept only until the last event that repeats it."""
+    A ValueError is raised before the file is opened unless `load_runlog`
+    would read it: a seed >= 0, each node once, one finite feature per
+    manifest entry and one bit (0 or 1) per node in each row. Each distinct
+    row is kept once, packed 8 bits a byte, and its text is rendered once,
+    then kept only until the last event that repeats it."""
     events = list(events)
     n = len(node_order)
-    heads = _event_heads(events)
+    header = _runlog_header(seed, list(node_order), list(manifest))
+    heads = _event_heads(events, header)
     # each distinct row's number, by its packed bits; each event's two numbers
     numbers: dict[bytes, int] = {}
     pairs = []
@@ -564,8 +568,6 @@ def save_runlog(path: str | Path, node_order: Sequence[str], manifest: Sequence[
             texts[number] = row
         return row
 
-    header = {"format": FORMATS["runlog"].table.name, "seed": seed, "nodes": list(node_order),
-              "manifest": list(manifest)}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(header, ensure_ascii=False) + "\n")
         for start in range(0, len(events), RUNLOG_BLOCK):
@@ -615,12 +617,13 @@ def load_metrics(path: str | Path) -> dict:
 
 # -- any document ----------------------------------------------------------
 
-def load_document(path: str | Path) -> tuple[str, Any]:
+def load_document(path: str | Path, containment: Containment | None = None) -> tuple[str, Any]:
     """(kind, loaded object) of the document at `path`: a `.jsonl` file is a
-    run log or a stream, by its header's tag; a JSON one goes by the tag's
+    run log or a stream, by its header's tag, and a stream is read as
+    `load_stream` reads it under `containment`; a JSON one goes by the tag's
     kind, and an EG loads without a schema."""
     if str(path).endswith(".jsonl"):
-        kind, header, values = _jsonl_values(path, ("runlog", "stream"))
+        kind, header, values = _jsonl_values(path, ("runlog", "stream"), containment)
         if kind == "stream":
             return kind, StreamingContext(tuple(values))
         return kind, _runlog(header, values)

@@ -13,7 +13,6 @@ say).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,8 +20,6 @@ import numpy as np
 
 from .hierarchy import Hierarchy
 from .kg import EG, ETG
-
-log = logging.getLogger(__name__)
 
 LabelVector = np.ndarray
 
@@ -82,12 +79,13 @@ def labels_from_eg(h: Hierarchy, snapshot: EG, etg: ETG) -> LabelVector:
     """Ground-truth bits for a snapshot: property-instance nodes whose triple
     holds, entity nodes incident to any context-dependent triple, then upward
     closure. Both are found by their back-reference (`Hierarchy.source_index`).
-    References without a node (the observer, properties in Q, structural
-    triples) are expected and skipped; anything else is logged.
+    The observer and properties in Q have no node and are skipped, as are
+    structural triples; a ValueError names the first other context entity
+    without a node.
 
     The hierarchy remembers the last vector, keyed on the observer's id and
-    the snapshot's context triples, the only inputs read besides `h`.
-    A snapshot with the same key logs the same warnings and gets a fresh
+    the snapshot's context triples, the only inputs read besides `h`; a call
+    that raises stores nothing. A snapshot with the same key gets a fresh
     copy of that vector: no returned array is shared with the memo or with
     another call."""
     me = snapshot.me_entity(etg)
@@ -97,23 +95,18 @@ def labels_from_eg(h: Hierarchy, snapshot: EG, etg: ETG) -> LabelVector:
     if last is None or last[0] != me_id or last[1] != context:
         seeds = zeros(h)
         nodes = h.source_index
-        missing = []
         for t in context:
             for entity_id in (t.subject, t.object):
                 if entity_id == me_id:
                     continue
                 i = nodes.get(entity_id)
                 if i is None:
-                    missing.append(entity_id)
-                    continue
+                    raise ValueError(f"snapshot entity {entity_id!r} has no node in the hierarchy")
                 seeds[i] = 1
             i = nodes.get((t.property, t.subject, t.object))
             if i is not None:
                 seeds[i] = 1
         y = repair_upward(h, seeds)
         y.flags.writeable = False
-        last = h.last_labels = (me_id, context, y, tuple(missing))
-    _, _, y, missing = last
-    for entity_id in missing:
-        log.warning("snapshot entity %r has no node in the hierarchy", entity_id)
-    return y.copy()
+        last = h.last_labels = (me_id, context, y)
+    return last[2].copy()

@@ -1,5 +1,5 @@
 """Desk-scale streaming harness: scripted sensor emission, window
-aggregation, query decisions, online training, and logging.
+aggregation, query decisions, online training, and run-log events.
 
 A scenario script plays non-overlapping timeline segments; each segment emits
 Gaussian readings per channel at a fixed tick and declares the stream record

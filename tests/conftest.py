@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
@@ -505,8 +504,9 @@ def reference_runlog2_lines(node_order, manifest, seed, events) -> list[str]:
 
 
 def reference_labels(h, snapshot, etg):
-    """Labels looked up by node-id string over every snapshot triple."""
-    log = logging.getLogger("contextstream.labels")
+    """Labels looked up by node-id string over every snapshot triple; a
+    ValueError names the first context entity, other than the observer,
+    without a node."""
     seeds = zeros(h)
     index = {nid: i for i, nid in enumerate(h.node_order)}
     me = snapshot.me_entity(etg)
@@ -520,8 +520,7 @@ def reference_labels(h, snapshot, etg):
                 continue
             i = index.get(entity_node_id(entity_id))
             if i is None:
-                log.warning("snapshot entity %r has no node in the hierarchy", entity_id)
-                continue
+                raise ValueError(f"snapshot entity {entity_id!r} has no node in the hierarchy")
             seeds[i] = 1
         inst = index.get(pinst_node_id(t.property, t.subject, t.object))
         if inst is not None:

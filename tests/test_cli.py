@@ -392,6 +392,30 @@ def test_validate_checks_a_stream_against_the_containment_of_the_one_eg_named(
         "[several-parents"]
 
 
+def test_validate_reads_each_stream_once_after_the_graphs(tmp_path, capsys, monkeypatch):
+    """Named before the ETG and the EG, a stream is still read once, under
+    the EG's chains, and its finding still comes before those of the paths
+    after it."""
+    stream, broken = tmp_path / "s.jsonl", tmp_path / "broken.json"
+    lines = (FIXTURES / "travel_stream.jsonl").read_text().splitlines()
+    stream.write_text("\n".join(lines[:2] + [json.dumps(
+        fixture_record(1, super_location="nowhere_land"))]) + "\n")
+    broken.write_text("{")
+    reads = []
+    stream_records = io._stream_records
+    monkeypatch.setattr(io, "_stream_records",
+                        lambda path, *rest: reads.append(path) or stream_records(path, *rest))
+    assert main(["validate", STREAM, ETG, EG_PATH]) == 0
+    assert reads == [STREAM]
+    reads.clear()
+    assert main(["validate", str(stream), ETG, EG_PATH, str(broken)]) == 2
+    assert reads == [str(stream)]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert err[0].startswith(f"[invalid-document] {stream}:3: location 'roads_2': ")
+    assert err[1].startswith(f"[invalid-document] {broken}")
+
+
 def test_evaluate_and_validate_refuse_a_runlog_1_file(tmp_path, capsys):
     """`runlog/2` is the one run-log format: a `runlog/1` file, one bit per
     node, is an unknown version."""
@@ -444,9 +468,8 @@ def test_simulate_accepts_a_hierarchy_compiled_with_custom_sets(q, names, tmp_pa
 def _cli_in_child(*args: str, python: tuple[str, ...] = (),
                   eg: str = EG_PATH) -> subprocess.CompletedProcess:
     """Run the CLI with `args`, a command on the travel ETG and `eg`, in a
-    child process so that a hang fails the test instead of stalling it and
-    the CLI's own logging set-up is live; `python` holds options for the
-    interpreter."""
+    child process so that a hang fails the test instead of stalling it;
+    `python` holds options for the interpreter."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}

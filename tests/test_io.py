@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 from contextstream import io
-from contextstream.core import Containment, Coordinates, StreamingContext, StreamRecord
+from contextstream.core import (Containment, Coordinates, StreamingContext, StreamRecord,
+                                format_timestamp)
 from contextstream.errors import (FormatError, StreamChainError, StreamOrderError,
                                   SuperChainError, TimestampOrderError)
 from contextstream.kg import EG, ETG, DataPropertyDef, EntityType
@@ -664,7 +666,7 @@ def test_runlog_writer_rejects_a_value_other_than_a_bit_before_opening(tmp_path,
     bits[1, io.RUNLOG_BLOCK, 2] = bad  # the truth row of the last event
     path = tmp_path / "run.jsonl"
     with pytest.raises(ValueError, match="bits"):
-        io.save_runlog(path, ["a", "b", "c"], [], 1, _events(bits))
+        io.save_runlog(path, ["a", "b", "c"], ["x", "y", "z"], 1, _events(bits))
     assert not path.exists()
 
 
@@ -684,8 +686,72 @@ def test_runlog_writer_rejects_a_row_of_the_wrong_width(tmp_path):
     events[1] = replace(events[1], prediction=np.zeros(4, dtype=np.uint8))
     path = tmp_path / "run.jsonl"
     with pytest.raises(ValueError, match="3 bits"):
-        io.save_runlog(path, ["a", "b", "c"], [], 1, events)
+        io.save_runlog(path, ["a", "b", "c"], ["x", "y", "z"], 1, events)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("nodes, manifest, seed, message", [
+    (["a", "b"], ["x", "y", "z"], -1, "seed: must be >= 0"),
+    (["a", "a"], ["x", "y", "z"], 1, "a node id is listed more than once"),
+    (["a", "b"], ["x"], 1, "expected 1 values, one per manifest entry"),
+], ids=["negative-seed", "repeated-node", "more-features-than-manifest-entries"])
+def test_runlog_writer_refuses_what_the_reader_refuses_before_opening(
+        tmp_path, nodes, manifest, seed, message):
+    path = tmp_path / "run.jsonl"
+    with pytest.raises(ValueError, match=message):
+        io.save_runlog(path, nodes, manifest, seed, _events(np.zeros((2, 2, 2), dtype=np.uint8)))
+    assert not path.exists()
+
+
+def _drawn_run_log(rng: random.Random) -> tuple[list, list, int, list]:
+    """(nodes, manifest, seed, events) for `save_runlog`, drawn mostly from
+    valid values and now and then from one that `load_runlog` refuses: a
+    negative seed, a repeated node id, a feature count other than the
+    manifest's width, a feature that is not finite, a row value that is not
+    a bit."""
+    nodes = [f"n{i}" for i in range(rng.randrange(4))]
+    if nodes and rng.random() < 0.1:
+        nodes.append(nodes[0])
+    manifest = [f"c{i}" for i in range(rng.randrange(3))]
+    seed = rng.choice([0, 1, 7, 2**40]) if rng.random() > 0.1 else -rng.randrange(1, 9)
+    t0 = datetime(2021, 6, 2, 12, 0, tzinfo=timezone.utc)
+    events = []
+    for i in range(rng.randrange(4)):
+        width = len(manifest) if rng.random() > 0.05 else rng.randrange(4)
+        features = [rng.choice([0.0, 0.1 * i, -3.0, 1e300]) if rng.random() > 0.03
+                    else rng.choice([math.nan, math.inf, -math.inf]) for _ in range(width)]
+        rows = [[rng.randrange(2) if rng.random() > 0.03 else rng.choice([2, -1, 0.5, math.nan])
+                 for _ in nodes] for _ in range(2)]
+        events.append(WindowEvent(t0 + timedelta(minutes=i), t0 + timedelta(minutes=i + 1),
+                                  np.array(features), rng.random() < 0.5, *map(np.array, rows)))
+    return nodes, manifest, seed, events
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_drawn_run_log_is_refused_unopened_or_loads_back_as_written(tmp_path, seed):
+    """`save_runlog` either raises ValueError and leaves no file, or writes a
+    log that `load_runlog` reads back to the same header, rows and events."""
+    rng = random.Random(seed)
+    refused = written = 0
+    for i in range(100):
+        nodes, manifest, run_seed, events = _drawn_run_log(rng)
+        path = tmp_path / f"run{i}.jsonl"
+        try:
+            io.save_runlog(path, nodes, manifest, run_seed, events)
+        except ValueError:
+            assert not path.exists()
+            refused += 1
+            continue
+        header, preds, truths, loaded = io.load_runlog(path)
+        assert header == {"format": "runlog/2", "seed": run_seed, "nodes": nodes,
+                          "manifest": manifest}
+        for matrix, key in ((preds, "prediction"), (truths, "truth")):
+            rows = np.array([getattr(e, key) for e in events]).reshape(len(events), len(nodes))
+            assert np.array_equal(matrix, rows)
+        assert [(e["begin"], e["end"], e["features"], e["queried"]) for e in loaded] == [
+            (e.begin, e.end, e.features.tolist(), e.queried) for e in events]
+        written += 1
+    assert refused and written
 
 
 def test_runlog_writer_streams_in_little_memory(tmp_path):
@@ -695,7 +761,7 @@ def test_runlog_writer_streams_in_little_memory(tmp_path):
     path = tmp_path / "run.jsonl"
     tracemalloc.start()
     try:
-        io.save_runlog(path, nodes, ["a"], 1, events)
+        io.save_runlog(path, nodes, ["x", "y", "z"], 1, events)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -754,6 +820,61 @@ def test_a_run_log_loads_with_each_matrix_built_once(tmp_path):
     assert np.array_equal(preds, bits[0]) and np.array_equal(truths, bits[1])
     assert len(events) == k
     assert peak < 4 * bits[0].nbytes, f"peak {peak} B, one matrix {bits[0].nbytes} B"
+
+
+def _fan_out_etg(n: int) -> dict:
+    """An ETG document of n etypes under one parent, each with a data property."""
+    return {"format": "etg/1", "me_etype": "me", "etypes": [
+        {"id": "me", "name": "Me"}, {"id": "place", "name": "Place"},
+        *({"id": f"t{i}", "name": f"T{i}", "parent": "place",
+           "data_properties": [{"name": f"p{i}", "datatype": "string"}]} for i in range(n))],
+        "properties": [{"id": "near", "name": "near", "domain": "place", "codomain": "place"}]}
+
+
+def _ring_eg(n: int) -> dict:
+    """An EG document of n entities, one of each `_fan_out_etg(n)` etype,
+    and n `near` triples joining them in a ring."""
+    return {"format": "eg/1", "entities": [
+        {"id": f"e{i}", "name": f"E{i}", "etype": f"t{i}", "values": {f"p{i}": "v"}}
+        for i in range(n)], "triples": [
+        {"property": "near", "subject": f"e{i}", "object": f"e{(i + 1) % n}"} for i in range(n)]}
+
+
+def _scenario_of(n: int) -> dict:
+    """A scenario document of n one-minute segments on one channel."""
+    t0 = datetime(2021, 6, 2, tzinfo=timezone.utc)
+    stamps = [format_timestamp(t0 + timedelta(minutes=i)) for i in range(n + 1)]
+    return {"format": "scenario/1", "seed": 1, "reading_interval_s": 60.0, "channels": ["c"],
+            "segments": [{"begin": begin, "end": end, "record": {},
+                          "emissions": {"c": {"mean": 1.0, "std": 0.1}}}
+                         for begin, end in zip(stamps, stamps[1:])]}
+
+
+# kind -> (its document of size n, its loader, the size of what that loads)
+SIZED_DOCUMENTS = {
+    "etg": (_fan_out_etg, io.load_etg, lambda etg: len(etg.etypes) - 2),
+    "eg": (_ring_eg, io.load_eg, lambda eg: len(eg.entities)),
+    "scenario": (_scenario_of, io.load_scenario, lambda script: len(script.segments)),
+}
+
+
+@pytest.mark.parametrize("kind", SIZED_DOCUMENTS)
+def test_a_document_loader_doubles_linearly(tmp_path, kind):
+    """From n = 1,000 to 2,000 the tracemalloc peak of loading a document
+    grows less than 2.5 times: a `_fan_out_etg(n)`, a `_ring_eg(n)` loaded
+    under it, and a `_scenario_of(n)`."""
+    document, load, size = SIZED_DOCUMENTS[kind]
+    peaks = []
+    for n in (1000, 2000):
+        path, schema = tmp_path / f"{kind}{n}.json", []
+        if kind == "eg":
+            path.write_text(json.dumps(_fan_out_etg(n)))
+            schema.append(io.load_etg(path))
+        path.write_text(json.dumps(document(n)))
+        loaded = []
+        peaks.append(_peak(lambda: loaded.append(load(path, *schema))))
+        assert size(loaded[0]) == n
+    assert peaks[1] < 2.5 * peaks[0], f"peak {peaks[0]} B at 1,000, {peaks[1]} B at 2,000"
 
 
 def test_metrics_round_trip(tmp_path):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import logging
 from dataclasses import replace
 
 import numpy as np
@@ -116,17 +115,14 @@ def test_labels_find_an_instance_by_its_triple_not_its_id(travel_etg, travel_eg)
     assert bits_to_ids(h, y) == dfs_closure_ids(set(h.edges), {"entity:x", "entity:y/z"})
 
 
-def test_labels_skip_unknown_references_with_warning(travel_hierarchy, travel_etg, travel_eg, caplog):
+def test_labels_refuse_an_unknown_context_entity(travel_hierarchy, travel_etg, travel_eg):
     odd = EG(
         travel_eg.entities,
         list(travel_eg.triples) + [PropertyValue("in", "xiaoyue", "atlantis")],
     )
-    import logging
-
-    with caplog.at_level(logging.WARNING):
-        y = labels_from_eg(travel_hierarchy, odd, travel_etg)
-    assert any("atlantis" in m for m in caplog.messages)
-    assert check_consistency(travel_hierarchy, y) == []
+    for labels in (reference_labels, labels_from_eg):
+        with pytest.raises(ValueError, match="'atlantis' has no node"):
+            labels(travel_hierarchy, odd, travel_etg)
 
 
 def test_labels_match_the_string_lookup_on_every_fixture_snapshot(
@@ -149,19 +145,18 @@ def test_labels_match_the_string_lookup_on_every_fixture_snapshot(
     assert any(labels_from_eg(golden, snap, travel_etg)[friend] for snap in snapshots)
 
 
-def test_labels_warn_like_the_string_lookup_for_an_entity_with_no_node(
-        travel_hierarchy, travel_etg, travel_eg, caplog):
+def test_labels_refuse_like_the_string_lookup_an_entity_with_no_node(
+        travel_hierarchy, travel_etg, travel_eg):
+    """The oracle and the program raise the same message, and a repeat of the
+    call raises again: the failed call left nothing in the memo."""
     wider = EG([*travel_eg.entities, Entity("atlantis", "Atlantis", "region")], travel_eg.triples)
     snap = snapshot_eg(wider, replace(ROW2, location="atlantis"), travel_etg)
-    with caplog.at_level(logging.WARNING):
-        expected = reference_labels(travel_hierarchy, snap, travel_etg)
-    oracle_messages = list(caplog.messages)
-    caplog.clear()
-    with caplog.at_level(logging.WARNING):
-        y = labels_from_eg(travel_hierarchy, snap, travel_etg)
-    assert np.array_equal(y, expected)
-    assert caplog.messages == oracle_messages
-    assert any("'atlantis'" in m for m in oracle_messages)
+    with pytest.raises(ValueError, match="'atlantis'") as oracle:
+        reference_labels(travel_hierarchy, snap, travel_etg)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="'atlantis'") as exc:
+            labels_from_eg(travel_hierarchy, snap, travel_etg)
+        assert str(exc.value) == str(oracle.value)
 
 
 # -- consistency checking ---------------------------------------------------------

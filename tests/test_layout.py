@@ -5,8 +5,8 @@ the benchmark: a name that only tests read belongs in the tests. No module
 runs source text that it makes at run time (`exec`, `eval`, `compile`), and
 a `Hierarchy` computes nothing on first use (`cached_property`). JSON is
 decoded only through `json.loads`. Each format's kind is its tag's prefix,
-and only the modules named in LOGGING_MODULES import `logging`: what the
-program drops is reported as a finding, not a log line."""
+and no module imports `logging`: what the program cannot use is refused
+with an error or reported as a finding, never written to a log line."""
 
 from __future__ import annotations
 
@@ -194,13 +194,6 @@ def test_every_format_kind_is_its_tags_prefix():
         kind: kind for kind in io.FORMATS}
 
 
-# module -> why it may import `logging`
-LOGGING_MODULES = {
-    "cli.py": "`logging.basicConfig` for the commands",
-    "labels.py": "one warning that is still to become a finding",
-}
-
-
 def logging_imports(source: str) -> list[str]:
     """`line: module` for each import of `logging` (or of a module under
     it) in `source`."""
@@ -222,5 +215,5 @@ def test_the_checker_finds_every_spelling_of_a_logging_import():
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_the_named_modules_import_logging(path):
-    found = logging_imports(path.read_text(encoding="utf-8"))
-    assert bool(found) is (path.name in LOGGING_MODULES), found
+    """No module is named: none imports `logging`."""
+    assert logging_imports(path.read_text(encoding="utf-8")) == []
